@@ -65,6 +65,9 @@ def main():
         state = "ok" if code == 0 else f"exit {code}"
         print(f"{name}: {state}")
         for check in report["checks"]:
+            if check["measured"] is None:
+                print(f"  [N/A] {check['name']}: {check['note']}")
+                continue
             flag = "PASS" if check["pass"] else "FAIL"
             print(f"  [{flag}] {check['name']}: {check['measured']:.3e}")
         overall = max(overall, code)

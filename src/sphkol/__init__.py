@@ -31,11 +31,8 @@ from .pde_solver import (
     SolverConfig,
     TrajectoryRecord,
     default_dt,
-    rhs_one_jet,
-    rhs_two_jet,
     run,
     run_with_coupling,
-    step,
     write_trajectory_csv,
 )
 from .reduced_ode import (
@@ -48,7 +45,7 @@ from .reduced_ode import (
     propagate_exact,
     propagate_forced,
 )
-from .rotating import RotatingConfig, coriolis_term, frame_map, rotating_equilibrium, run_rotating
+from .rotating import RotatingConfig, frame_map, rotating_equilibrium, run_rotating
 from .sht import (
     GridField,
     MeanModeError,

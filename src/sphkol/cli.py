@@ -7,8 +7,8 @@ Subcommands:
     oracles                  randomized integral-identity suites
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 runtime (integration) failure.  The environment variable SPHKOL_OUT
-overrides the manifest's output directory.
+3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
+The environment variable SPHKOL_OUT overrides the manifest's output directory.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .operators import (
 from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
 from .rotating import RotatingConfig
 from .serialize import dumps17
-from .sht import SpectralField, analyze, random_real_field, synthesize
+from .sht import MeanModeError, SpectralField, analyze, random_real_field, synthesize
 
 SCENARIOS = ("two_jet", "one_jet", "rotating", "reduced_only", "identity_oracles")
 
@@ -61,25 +61,24 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentManifest":
-        if doc.get("scenario") not in SCENARIOS:
+        if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
             raise ManifestError(f"scenario must be one of {SCENARIOS}")
         if "output_dir" not in doc:
             raise ManifestError("manifest needs an output_dir")
-        if doc["scenario"] == "rotating" and "Omega" not in doc:
+        if doc["scenario"] == "rotating" and doc.get("Omega") is None:
             raise ManifestError("rotating scenario needs Omega")
         try:
-            seed = int(doc.get("seed", 0))
+            return cls(
+                scenario=doc["scenario"],
+                output_dir=str(doc["output_dir"]),
+                cfg=doc.get("cfg", {}),
+                init=doc.get("init"),
+                Omega=None if doc.get("Omega") is None else float(doc["Omega"]),
+                seed=int(doc.get("seed", 0)),
+                lmax=None if doc.get("lmax") is None else int(doc["lmax"]),
+            )
         except (TypeError, ValueError) as exc:
-            raise ManifestError(f"seed must be an integer: {exc}") from exc
-        return cls(
-            scenario=doc["scenario"],
-            output_dir=str(doc["output_dir"]),
-            cfg=doc.get("cfg", {}),
-            init=doc.get("init"),
-            Omega=None if doc.get("Omega") is None else float(doc["Omega"]),
-            seed=seed,
-            lmax=None if doc.get("lmax") is None else int(doc["lmax"]),
-        )
+            raise ManifestError(f"seed, Omega and lmax must be numbers: {exc}") from exc
 
 
 @dataclass
@@ -146,16 +145,10 @@ def _parse_init(init, N: int) -> SpectralField:
     if isinstance(init, dict) and "path" in init:
         return SpectralField.load(init["path"])
     if isinstance(init, list):
-        out = SpectralField.zeros(N)
-        for item in init:
-            n, m = int(item["n"]), int(item["m"])
-            c = complex(float(item["re"]), float(item.get("im", 0.0)))
-            if m < 0:
-                raise ManifestError("inline coefficients use m >= 0; negative orders are implied")
-            out[n, m] = c if m > 0 else c.real
-            if m > 0:
-                out[n, -m] = (-1.0) ** m * np.conj(c)
-        return out
+        try:
+            return SpectralField.from_json_dict({"N": N, "coeffs": init})
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ManifestError(f"bad inline coefficients: {exc}") from exc
     raise ManifestError("init must be an inline coefficient list or a file path")
 
 
@@ -175,19 +168,18 @@ def _solver_config(doc: dict, jet_order: str) -> SolverConfig:
 
 
 def load_manifest(path) -> dict:
+    """Read a manifest file; ExperimentManifest.from_dict validates it."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest: {exc}") from exc
-    if doc.get("scenario") not in SCENARIOS:
-        raise ManifestError(f"scenario must be one of {SCENARIOS}")
-    if "output_dir" not in doc:
-        raise ManifestError("manifest needs an output_dir")
-    return doc
 
 
-def _check(name: str, measured: float, tolerance: float) -> dict:
+def _check(name: str, measured: float | None, tolerance: float, note: str | None = None) -> dict:
+    """A check entry; measured None marks it not applicable (it passes, and note says why)."""
+    if measured is None:
+        return {"name": name, "measured": None, "tolerance": float(tolerance), "pass": True, "note": note}
     return {
         "name": name,
         "measured": float(measured),
@@ -210,10 +202,15 @@ def _decay_margin(records, rate: float, norm_fn) -> float:
     return worst
 
 
-def _envelope_margin(records, nu: float) -> float:
-    """Degree-2 distance against the e^{-2 nu t} envelope anchored past the transient."""
+def _envelope_margin(records, nu: float) -> float | None:
+    """Degree-2 distance against the e^{-2 nu t} envelope anchored past the transient.
+
+    None when no snapshot reaches t = 1/nu: the envelope is not tested.
+    """
     anchor = next((r for r in records if r.t >= 1.0 / nu), None)
-    if anchor is None or anchor.norm_eq2_dist < 1e-12:
+    if anchor is None:
+        return None
+    if anchor.norm_eq2_dist < 1e-12:
         return 0.0
     worst = 0.0
     for rec in records:
@@ -224,72 +221,49 @@ def _envelope_margin(records, nu: float) -> float:
     return worst
 
 
-def _run_jet_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
-    jet = manifest.scenario
-    cfg = _solver_config(manifest.cfg, jet)
+def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
+    """The two_jet, one_jet and rotating scenarios: one PDE run, its checks and files."""
+    scenario = manifest.scenario
+    cfg = _solver_config(manifest.cfg, "one_jet" if scenario == "one_jet" else "two_jet")
     omega0 = _parse_init(manifest.init, cfg.N)
     grid = build_grid(cfg.N)
-    records = pde_solver.run(omega0, cfg, grid)
-    write_trajectory_csv(records, outdir / "trajectory.csv")
-    files = {"trajectory": "trajectory.csv"}
-
-    checks = []
-    drift = max(float(np.max(np.abs(rec.mode1 - records[0].mode1))) for rec in records)
-    checks.append(_check("degree1_conservation", drift, 1e-9))
-    if jet == "two_jet":
-        checks.append(
-            _check(
-                "degree_ge3_decay",
-                _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3),
-                1e-6,
-            )
-        )
-        checks.append(_check("degree2_convergence_envelope", _envelope_margin(records, cfg.nu), 1e-6))
-        params = KillingParams.from_field(omega0)
-        report = reduced_ode.equilibrium_report(params, cfg.amplitude, cfg.nu, "closed_form")
-        (outdir / "equilibrium.json").write_text(dumps17(report, indent=2) + "\n")
-        files["equilibrium"] = "equilibrium.json"
+    params = KillingParams.from_field(omega0)
+    if scenario == "rotating":
+        Omega = manifest.Omega
+        records = rotating.run_rotating(omega0, RotatingConfig(base=cfg, Omega=Omega), grid)
+        header = f"Omega={Omega:.17g}"
+        params = rotating.rotating_frame_params(params, Omega)
     else:
-        checks.append(
-            _check(
-                "degree_ge2_decay",
-                _decay_margin(
-                    records,
-                    4.0 * cfg.nu,
-                    lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3),
-                ),
-                1e-6,
-            )
-        )
-    return checks, files
-
-
-def _run_rotating_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
-    cfg = _solver_config(manifest.cfg, "two_jet")
-    if manifest.Omega is None:
-        raise ManifestError("rotating scenario needs Omega")
-    Omega = manifest.Omega
-    zeta0 = _parse_init(manifest.init, cfg.N)
-    grid = build_grid(cfg.N)
-    records = rotating.run_rotating(zeta0, RotatingConfig(base=cfg, Omega=Omega), grid)
-    write_trajectory_csv(records, outdir / "trajectory.csv", header_comment=f"Omega={Omega:.17g}")
+        Omega = 0.0
+        records = pde_solver.run(omega0, cfg, grid)
+        header = None
+    write_trajectory_csv(records, outdir / "trajectory.csv", header_comment=header)
     files = {"trajectory": "trajectory.csv"}
 
-    checks = []
-    mode1_0 = records[0].mode1
-    phase_drift = 0.0
-    for rec in records:
-        phases = np.exp(1j * Omega * rec.t * np.array([1.0, 0.0, -1.0]))
-        phase_drift = max(phase_drift, float(np.max(np.abs(rec.mode1 - phases * mode1_0))))
-    checks.append(_check("degree1_phase_law", phase_drift, 1e-9))
+    # Degree-1 data is conserved, in a rotating frame up to the phases exp(i m Omega t).
+    m1_orders = np.array([1.0, 0.0, -1.0])
+    drift = max(
+        float(np.max(np.abs(rec.mode1 - np.exp(1j * Omega * rec.t * m1_orders) * records[0].mode1)))
+        for rec in records
+    )
+    checks = [_check("degree1_phase_law" if scenario == "rotating" else "degree1_conservation", drift, 1e-9)]
+    if scenario == "one_jet":
+        ge2 = _decay_margin(records, 4.0 * cfg.nu, lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3))
+        checks.append(_check("degree_ge2_decay", ge2, 1e-6))
+        return checks, files
+
     checks.append(
         _check("degree_ge3_decay", _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3), 1e-6)
     )
-    checks.append(_check("degree2_convergence_envelope", _envelope_margin(records, cfg.nu), 1e-6))
-
-    params = KillingParams.from_field(zeta0)
-    shifted = KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
-    report = reduced_ode.equilibrium_report(shifted, cfg.amplitude, cfg.nu, "closed_form")
+    checks.append(
+        _check(
+            "degree2_convergence_envelope",
+            _envelope_margin(records, cfg.nu),
+            1e-6,
+            note="run ends before t = 1/nu",
+        )
+    )
+    report = reduced_ode.equilibrium_report(params, cfg.amplitude, cfg.nu, "closed_form")
     (outdir / "equilibrium.json").write_text(dumps17(report, indent=2) + "\n")
     files["equilibrium"] = "equilibrium.json"
     return checks, files
@@ -473,10 +447,8 @@ def run_manifest(manifest) -> tuple[int, dict]:
     outdir = Path(os.environ.get("SPHKOL_OUT", man.output_dir))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if man.scenario in ("two_jet", "one_jet"):
-        checks, files = _run_jet_scenario(man, outdir)
-    elif man.scenario == "rotating":
-        checks, files = _run_rotating_scenario(man, outdir)
+    if man.scenario in ("two_jet", "one_jet", "rotating"):
+        checks, files = _run_flow_scenario(man, outdir)
     elif man.scenario == "reduced_only":
         checks, files = _run_reduced_scenario(man, outdir)
     else:
@@ -537,6 +509,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             code, report = run_manifest(args.manifest)
             for check in report["checks"]:
+                if check["measured"] is None:
+                    print(f"[N/A] {check['name']}: {check['note']}")
+                    continue
                 state = "PASS" if check["pass"] else "FAIL"
                 print(f"[{state}] {check['name']}: measured {check['measured']:.3e} "
                       f"(tolerance {check['tolerance']:.3e})")
@@ -548,8 +523,9 @@ def main(argv=None) -> int:
             print(dumps17(fit.to_dict(), indent=2))
             return 0 if fit.passed else 1
         if args.command == "equilibrium":
-            b_eff = args.b if args.omega is None else args.b + 2.0 * args.omega / 3.0
-            params = KillingParams(alpha=complex(args.alpha_re, args.alpha_im), b=b_eff)
+            params = KillingParams(alpha=complex(args.alpha_re, args.alpha_im), b=args.b)
+            if args.omega is not None:
+                params = rotating.rotating_frame_params(params, args.omega)
             doc = {
                 "closed_form": reduced_ode.equilibrium_report(params, args.a, args.nu, "closed_form"),
                 "solve": reduced_ode.equilibrium_report(params, args.a, args.nu, "solve"),
@@ -566,12 +542,12 @@ def main(argv=None) -> int:
             print(f"{name}: {value:.3e}")
             worst = max(worst, value)
         return 0 if worst < 1e-10 else 1
-    except (ManifestError, ValueError) as exc:
+    except (IntegrationError, MeanModeError, ArithmeticError) as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

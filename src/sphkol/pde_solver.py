@@ -3,7 +3,8 @@
 Two-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}) w - u . grad w
 One-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) w - u . grad w
 
-with u = n x grad Lap^{-1} w.  The diagonal diffusion is integrated exactly
+with u = n x grad Lap^{-1} w; a rotating frame adds the Coriolis term
+-2 Omega d_phi Lap^{-1} w.  The diagonal diffusion is integrated exactly
 through an integrating factor; the remaining terms ride on classical RK4
 stages (Lawson scheme), so zonal states decay exactly and degree-1 states are
 fixed points of the discrete map up to round-off.
@@ -94,46 +95,22 @@ def linear_diffusion_factors(N: int, nu: float) -> np.ndarray:
     return out
 
 
-def _one_jet_operator(omega: SpectralField) -> SpectralField:
-    """Spectral action of d_phi (I + 2 Lap^{-1}): multiplier i m (1 - 2/(n(n+1)))."""
-    N = omega.N
+def skew_diagonal(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) -> np.ndarray:
+    """Per-(n, m) factors of the linear terms that act diagonally, shape (N+1, 2N+1).
+
+    The Coriolis term -2 Omega d_phi Lap^{-1} contributes 2 i Omega m / (n(n+1));
+    the one-jet coupling -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) contributes
+    -(a/4) sqrt(3/pi) i m (1 - 2/(n(n+1))).  Both are skew, so neither changes
+    the L^2 norm.  The two-jet coupling is tridiagonal in degree and is applied
+    by operators.perturbation_operator instead.
+    """
     n = np.arange(N + 1, dtype=float)
-    weight = np.zeros(N + 1)
-    weight[1:] = 1.0 - 2.0 / (n[1:] * (n[1:] + 1.0))
-    m_factors = 1j * np.arange(-N, N + 1)
-    return SpectralField(N=N, coeffs=omega.coeffs * weight[:, None] * m_factors[None, :])
-
-
-def _explicit(
-    omega: SpectralField,
-    grid: QuadratureGrid,
-    jet_order: str,
-    amplitude: float,
-    extra_multiplier: np.ndarray | None = None,
-) -> SpectralField:
-    """Everything except diagonal diffusion: base-flow coupling, convection, extras."""
-    if jet_order == "two_jet":
-        coupling = (amplitude / 4.0) * math.sqrt(5.0 / math.pi)
-        out = (-coupling) * perturbation_operator(omega)
-    else:
-        coupling = (amplitude / 4.0) * math.sqrt(3.0 / math.pi)
-        out = (-coupling) * _one_jet_operator(omega)
-    out = out - convection(omega, grid)
-    if extra_multiplier is not None:
-        out = out + SpectralField(N=omega.N, coeffs=omega.coeffs * extra_multiplier)
-    return out
-
-
-def rhs_two_jet(omega: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> SpectralField:
-    """Full right-hand side of the two-jet perturbation dynamics."""
-    diffusion = omega.apply_degree_multiplier(linear_diffusion_factors(omega.N, cfg.nu))
-    return diffusion + _explicit(omega, grid, "two_jet", cfg.amplitude)
-
-
-def rhs_one_jet(omega: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> SpectralField:
-    """Full right-hand side of the one-jet perturbation dynamics."""
-    diffusion = omega.apply_degree_multiplier(linear_diffusion_factors(omega.N, cfg.nu))
-    return diffusion + _explicit(omega, grid, "one_jet", cfg.amplitude)
+    inv_lam = np.zeros(N + 1)
+    inv_lam[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
+    per_degree = 2.0 * Omega * inv_lam
+    if jet_order == "one_jet":
+        per_degree[1:] -= (amplitude / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam[1:])
+    return per_degree[:, None] * (1j * np.arange(-N, N + 1))[None, :]
 
 
 def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> float:
@@ -146,21 +123,34 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
 
 
 class Stepper:
-    """Lawson-RK4 stepper with the diffusion factors frozen for a fixed dt."""
+    """Lawson-RK4 stepper with the diffusion factors frozen for a fixed dt.
 
-    def __init__(self, cfg, grid, dt, extra_multiplier=None):
-        self.cfg = cfg
+    The rest of the linear part is built once per run from the jet order, the
+    amplitude and the frame rotation Omega: the two-jet base-flow coupling
+    (tridiagonal in degree) and one diagonal skew multiplier.
+    """
+
+    def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, Omega: float = 0.0):
         self.grid = grid
         self.dt = dt
-        self.extra_multiplier = extra_multiplier
+        self.two_jet_coupling = None
+        if cfg.jet_order == "two_jet":
+            self.two_jet_coupling = -(cfg.amplitude / 4.0) * math.sqrt(5.0 / math.pi)
+        diagonal = skew_diagonal(cfg.N, cfg.jet_order, cfg.amplitude, Omega)
+        # None when it vanishes (non-rotating two-jet flow): no multiply by zeros per stage.
+        self.diagonal = diagonal if np.any(diagonal) else None
         lin = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
         self.exp_half = np.exp(lin * (dt / 2.0))
         self.exp_full = np.exp(lin * dt)
 
     def nonlinear(self, state: SpectralField) -> SpectralField:
-        return _explicit(
-            state, self.grid, self.cfg.jet_order, self.cfg.amplitude, self.extra_multiplier
-        )
+        """Everything the integrating factor leaves out: skew linear terms and -u . grad w."""
+        out = -convection(state, self.grid).coeffs
+        if self.two_jet_coupling is not None:
+            out = self.two_jet_coupling * perturbation_operator(state).coeffs + out
+        if self.diagonal is not None:
+            out = out + state.coeffs * self.diagonal
+        return SpectralField(state.N, out)
 
     def step(self, state: SpectralField) -> SpectralField:
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
@@ -176,16 +166,6 @@ class Stepper:
         return SpectralField(state.N, advanced).symmetrized()
 
 
-def step(omega: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, dt: float | None = None) -> SpectralField:
-    """Advance one time step (convenience wrapper building a fresh stepper)."""
-    if dt is None:
-        dt = cfg.dt if cfg.dt is not None else default_dt(omega, cfg, grid)
-    out = Stepper(cfg, grid, dt).step(omega)
-    if not np.all(np.isfinite(out.coeffs)):
-        raise IntegrationError("state became non-finite after one step", dt)
-    return out
-
-
 def equilibrium_from_initial(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
     """Degree-2 equilibrium determined by the initial degree-1 data (zero for one-jet)."""
     if cfg.jet_order != "two_jet":
@@ -198,7 +178,7 @@ def _integrate(
     omega0: SpectralField,
     cfg: SolverConfig,
     grid: QuadratureGrid,
-    extra_multiplier: np.ndarray | None = None,
+    Omega: float = 0.0,
     equilibrium_fn=None,
     record_coupling: bool = False,
 ):
@@ -218,7 +198,7 @@ def _integrate(
         w_inf = equilibrium_from_initial(omega0, cfg)
         equilibrium_fn = lambda t: w_inf
 
-    stepper = Stepper(cfg, grid, dt, extra_multiplier)
+    stepper = Stepper(cfg, grid, dt, Omega)
     state = omega0.symmetrized()
 
     records: list[TrajectoryRecord] = []

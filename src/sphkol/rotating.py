@@ -33,18 +33,13 @@ class RotatingConfig:
             raise ValueError("rotating dynamics are defined for the two-jet base flow")
 
 
-def coriolis_multiplier(N: int, Omega: float) -> np.ndarray:
-    """Per-(n, m) factor of -2 Omega d_phi Lap^{-1}: equals 2 i Omega m / (n(n+1))."""
-    n = np.arange(N + 1, dtype=float)
-    inv_lam = np.zeros(N + 1)
-    inv_lam[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
-    m = np.arange(-N, N + 1, dtype=float)
-    return 2j * Omega * inv_lam[:, None] * m[None, :]
+def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
+    """Degree-1 data with the rigid rotation 2 Omega cos(theta) added: b -> b + 2 Omega / 3.
 
-
-def coriolis_term(zeta: SpectralField, Omega: float) -> SpectralField:
-    """The Coriolis contribution -2 Omega d_phi Lap^{-1} zeta (a skew spectral multiplier)."""
-    return SpectralField(N=zeta.N, coeffs=zeta.coeffs * coriolis_multiplier(zeta.N, Omega))
+    The static equilibrium of these parameters is the rotating-frame attractor
+    at t = 0.
+    """
+    return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
 
 
 def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
@@ -67,12 +62,10 @@ def rotating_equilibrium(
 ) -> np.ndarray:
     """Degree-2 attractor in the rotating frame at time t.
 
-    The effective zonal parameter is b + 2 Omega / 3 (the rigid rotation seen
-    from the rotating frame); the static equilibrium then rotates mode-wise
-    with phases exp(i m Omega t).
+    The static equilibrium of rotating_frame_params rotates mode-wise with
+    phases exp(i m Omega t).
     """
-    shifted = KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
-    w_inf = reduced_ode.equilibrium_closed_form(shifted, amplitude, nu)
+    w_inf = reduced_ode.equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu)
     phases = np.exp(1j * Omega * t * np.array([2.0, 1.0, 0.0, -1.0, -2.0]))
     return w_inf * phases
 
@@ -80,17 +73,14 @@ def rotating_equilibrium(
 def run_rotating(
     zeta0: SpectralField, cfg: RotatingConfig, grid: QuadratureGrid
 ) -> list[TrajectoryRecord]:
-    """Integrate the rotating dynamics; Omega = 0 reduces to the plain two-jet run."""
+    """Integrate the rotating dynamics; distances are to the rotating equilibrium."""
     base = cfg.base
-    if cfg.Omega == 0.0:
-        return pde_solver.run(zeta0, base, grid)
-    extra = coriolis_multiplier(base.N, cfg.Omega)
     params = KillingParams.from_field(zeta0)
 
     def equilibrium_fn(t):
         return rotating_equilibrium(params, base.amplitude, base.nu, cfg.Omega, t)
 
     records, _, _ = pde_solver._integrate(
-        zeta0, base, grid, extra_multiplier=extra, equilibrium_fn=equilibrium_fn
+        zeta0, base, grid, Omega=cfg.Omega, equilibrium_fn=equilibrium_fn
     )
     return records

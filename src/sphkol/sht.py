@@ -164,18 +164,14 @@ class SpectralField:
 
     @classmethod
     def from_json_dict(cls, doc) -> "SpectralField":
+        """Field from a parsed to_json_text document; "im" defaults to 0, m < 0 follows from reality."""
         out = cls.zeros(int(doc["N"]))
         for item in doc["coeffs"]:
             n, m = int(item["n"]), int(item["m"])
             if m < 0:
-                raise ValueError("stored coefficients must have m >= 0")
-            c = complex(float(item["re"]), float(item["im"]))
-            out[n, m] = c
-            if m > 0:
-                out[n, -m] = (-1.0) ** m * np.conj(c)
-            else:
-                out[n, 0] = c.real
-        return out
+                raise ValueError("coefficients are listed for m >= 0; negative orders are implied")
+            out[n, m] = complex(float(item["re"]), float(item.get("im", 0.0)))
+        return out.symmetrized()
 
     def save(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -317,11 +313,7 @@ def analyze(f: GridField, mean_tol: float = 1e-10) -> SpectralField:
     proj = np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], weighted)  # (n, m>=0)
     out = SpectralField.zeros(N)
     out.coeffs[:, N:] = proj
-    out.coeffs[:, N] = proj[:, 0].real
-    mirror = np.conj(proj[:, 1:]) * ((-1.0) ** np.arange(1, N + 1))[None, :]
-    out.coeffs[:, :N] = mirror[:, ::-1]
-    out.coeffs[0, :] = 0.0
-    return out
+    return out.symmetrized()
 
 
 def random_real_field(

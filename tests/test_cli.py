@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from sphkol import cli
 from sphkol.cli import (
     ManifestError,
     fit_rate,
     identity_oracle_residuals,
-    load_manifest,
     main,
     run_manifest,
 )
-from sphkol.pde_solver import TRAJECTORY_HEADER
+from sphkol.pde_solver import TRAJECTORY_HEADER, IntegrationError
+from sphkol.sht import MeanModeError
 
 
 def write_manifest(tmp_path, doc, name="manifest.json"):
@@ -184,9 +185,37 @@ class TestManifests:
 
     def test_bad_manifest_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
-            load_manifest(write_manifest(tmp_path, {"scenario": "nope", "output_dir": "x"}))
+            run_manifest(write_manifest(tmp_path, {"scenario": "nope", "output_dir": "x"}))
         with pytest.raises(ManifestError):
             run_manifest({"scenario": "two_jet", "cfg": {}, "output_dir": str(tmp_path / "bad")})
+        rotating = {**two_jet_manifest(tmp_path, "rot"), "scenario": "rotating", "Omega": None}
+        with pytest.raises(ManifestError, match="Omega"):
+            run_manifest(rotating)
+        negative_order = two_jet_manifest(tmp_path, "neg")
+        negative_order["init"] = [{"n": 2, "m": -1, "re": 1.0, "im": 0.0}]
+        with pytest.raises(ManifestError, match="m >= 0"):
+            run_manifest(negative_order)
+
+    def test_envelope_not_applicable_before_one_over_nu(self, tmp_path, capsys):
+        # nu = 0.5 and t_end = 0.5: no snapshot reaches t = 1/nu = 2.
+        path = write_manifest(tmp_path, two_jet_manifest(tmp_path))
+        assert main(["run", str(path)]) == 0
+        assert "[N/A] degree2_convergence_envelope: run ends before t = 1/nu" in capsys.readouterr().out
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        envelope = rep["checks"][2]
+        assert envelope["name"] == "degree2_convergence_envelope"
+        assert envelope["measured"] is None and envelope["pass"] is True
+        assert rep["all_pass"] is True
+
+    def test_envelope_measured_past_one_over_nu(self, tmp_path):
+        doc = two_jet_manifest(tmp_path)
+        doc["cfg"].update(nu=2.0, t_end=1.0, snapshot_stride=25)
+        doc["init"].append({"n": 2, "m": 1, "re": 0.3, "im": 0.1})
+        code, report = run_manifest(doc)
+        assert code == 0
+        envelope = report["checks"][2]
+        assert envelope["name"] == "degree2_convergence_envelope"
+        assert isinstance(envelope["measured"], float) and envelope["measured"] <= 1e-6
 
 
 class TestMain:
@@ -199,6 +228,19 @@ class TestMain:
     def test_run_bad_manifest_exit_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, {"scenario": "bogus"})
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "error",
+        [IntegrationError("state became non-finite", 0.25), MeanModeError("mean mode"), ArithmeticError("singular")],
+    )
+    def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch, error):
+        def failing_run(manifest):
+            raise error
+
+        monkeypatch.setattr(cli, "run_manifest", failing_run)
+        path = write_manifest(tmp_path, two_jet_manifest(tmp_path))
+        assert main(["run", str(path)]) == 3
+        assert f"numerical failure ({type(error).__name__})" in capsys.readouterr().err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

@@ -20,7 +20,8 @@ from sphkol.operators import (
     perturbation_operator,
     velocity_from_vorticity,
 )
-from sphkol.sht import SpectralField, analyze, synthesize
+from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
+from sphkol.sht import MeanModeError, SpectralField, analyze, synthesize
 
 
 def single(N, n, m, value=1.0):
@@ -171,6 +172,24 @@ class TestConvection:
         out = convection(omega, grid8)
         pairing = np.real(np.vdot(out.coeffs, omega.coeffs))
         assert abs(pairing) < 1e-10
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_mean_check_scales_with_the_product(self, N):
+        # The round-off leak here is ~1e-8 on a product of size ~1.5e8, which an
+        # absolute 1e-10 threshold reported as a mean mode.
+        omega = rand_field(N, seed=3, amplitude=1e4, decay=0.4)
+        out = convection(omega, build_grid(N))
+        assert np.all(np.isfinite(out.coeffs))
+
+    def test_mean_check_catches_an_underresolved_grid(self, grid8):
+        # Six colatitude nodes cannot integrate the degree-8 product exactly,
+        # so its mean projection leaks (~1e-4 on a product of size ~0.5).
+        s, w = gauss_legendre(6)
+        coarse = QuadratureGrid(
+            N=8, theta_nodes=np.arccos(s[::-1]), theta_weights=w[::-1].copy(), phi_nodes=grid8.phi_nodes
+        )
+        with pytest.raises(MeanModeError, match="mean mode"):
+            convection(rand_field(8, seed=4), coarse)
 
 
 class TestKillingAdvect:

@@ -5,11 +5,10 @@ import pytest
 
 from conftest import rand_field
 from sphkol.operators import KillingParams
-from sphkol.pde_solver import SolverConfig, run
+from sphkol.pde_solver import SolverConfig, run, skew_diagonal
 from sphkol.reduced_ode import equilibrium_closed_form
 from sphkol.rotating import (
     RotatingConfig,
-    coriolis_term,
     frame_map,
     rotating_equilibrium,
     run_rotating,
@@ -21,6 +20,11 @@ def single(N, n, m, value=1.0):
     u = SpectralField.zeros(N)
     u[n, m] = value
     return u
+
+
+def coriolis_term(zeta, Omega):
+    """-2 Omega d_phi Lap^{-1} zeta: the skew diagonal of the (two-jet) rotating run."""
+    return SpectralField(N=zeta.N, coeffs=zeta.coeffs * skew_diagonal(zeta.N, "two_jet", 1.0, Omega))
 
 
 class TestCoriolisTerm:
