@@ -16,12 +16,12 @@ import numpy as np
 
 from .harmonics import QuadratureGrid, recurrence_coeff
 from .sht import (
-    MeanModeError,
     SpectralField,
     TangentGridField,
     analyze_complex,
-    mean_projection,
-    synthesize_complex,
+    real_analysis,
+    real_synthesis,
+    synthesize,
     table_synthesis,
 )
 
@@ -148,24 +148,24 @@ def perturbation_operator(omega: SpectralField) -> SpectralField:
     return out
 
 
-def convection(omega: SpectralField, grid: QuadratureGrid, mean_tol: float = 1e-10) -> SpectralField:
-    """Pseudospectral transport term u . grad(omega) with u from the vorticity.
+def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
+    """Pseudospectral transport term u . grad(w) = (psi_theta w_phi - psi_phi w_theta) / sin(theta).
 
-    The product is formed on the (dealiased) grid and projected back; its
-    mean-mode projection vanishes analytically and is required to stay below
-    mean_tol times max(1, max |u . grad(omega)|) as an internal-consistency
-    check, so round-off at large amplitude does not trip it.
+    psi = Lap^{-1} w is the stream function of u = n x grad(psi).  The four
+    derivatives are synthesized from the m >= 0 halves, the Jacobian is formed
+    on the (dealiased) grid, and real_analysis projects it back; its mean-mode
+    projection vanishes analytically and real_analysis checks it.
     """
-    v = velocity_values(omega, grid)
-    grad_w = gradient_values(omega, grid)
-    product = np.sum(v * grad_w, axis=-1)
-    mean = mean_projection(product, grid)
-    scale = max(1.0, float(np.max(np.abs(product))))
-    if abs(mean) > mean_tol * scale:
-        raise MeanModeError(
-            f"convection term grew a mean mode: {abs(mean):.6e} (product scale {scale:.3e})"
-        )
-    return SpectralField(N=omega.N, coeffs=analyze_complex(product, grid, omega.N))
+    N = omega.N
+    w = omega.coeffs[:, N:]
+    psi = inverse_laplacian(omega).coeffs[:, N:]
+    d_phi = 1j * np.arange(N + 1)
+    psi_theta = real_synthesis(psi, grid, grid.dplm_dtheta)
+    psi_phi = real_synthesis(psi * d_phi, grid, grid.plm)
+    w_theta = real_synthesis(w, grid, grid.dplm_dtheta)
+    w_phi = real_synthesis(w * d_phi, grid, grid.plm)
+    jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
+    return real_analysis(jacobian, grid, N)
 
 
 def _resolve_axis(params) -> np.ndarray:
@@ -222,8 +222,8 @@ def killing_degree2_matrix(axis) -> np.ndarray:
 def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: QuadratureGrid) -> float:
     """Quadrature of (Lap f) <grad g, X> + (Lap g) <grad f, X>; zero for Killing X."""
     x_field = killing_field_values(axis, grid)
-    lap_f = synthesize_complex(laplacian(f), grid).real
-    lap_g = synthesize_complex(laplacian(g), grid).real
+    lap_f = synthesize(laplacian(f), grid).values
+    lap_g = synthesize(laplacian(g), grid).values
     grad_f = gradient_values(f, grid).real
     grad_g = gradient_values(g, grid).real
     integrand = lap_f * np.sum(grad_g * x_field, axis=-1) + lap_g * np.sum(grad_f * x_field, axis=-1)
@@ -233,8 +233,8 @@ def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: Qu
 def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) -> tuple[float, float]:
     """The two pairings (X.grad Lap^{-1} w, w) and (X.grad w, Lap^{-1} w); both vanish."""
     x_field = killing_field_values(axis, grid)
-    w_vals = synthesize_complex(omega, grid).real
-    psi_vals = synthesize_complex(inverse_laplacian(omega), grid).real
+    w_vals = synthesize(omega, grid).values
+    psi_vals = synthesize(inverse_laplacian(omega), grid).values
     grad_w = gradient_values(omega, grid).real
     grad_psi = gradient_values(inverse_laplacian(omega), grid).real
     first = grid.integrate(np.sum(grad_psi * x_field, axis=-1) * w_vals)

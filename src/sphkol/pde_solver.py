@@ -163,7 +163,7 @@ class Stepper:
         u4 = e_full * u + dt * e_half * k3
         k4 = self.nonlinear(SpectralField(state.N, u4)).coeffs
         advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        return SpectralField(state.N, advanced).symmetrized()
+        return SpectralField(state.N, advanced)
 
 
 def equilibrium_from_initial(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:

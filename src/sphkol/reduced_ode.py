@@ -20,7 +20,7 @@ import numpy as np
 
 from .harmonics import QuadratureGrid, recurrence_coeff
 from .operators import KillingParams, gradient_values, velocity_values
-from .sht import SpectralField, synthesize_complex
+from .sht import SpectralField, synthesize
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
@@ -174,13 +174,13 @@ def extract_coupling(
     weighted = high.apply_degree_multiplier(
         np.array([0.0 if n == 0 else 1.0 - 6.0 / (n * (n + 1.0)) for n in range(N + 1)])
     )
-    g_vals = synthesize_complex(weighted, grid)
+    g_vals = synthesize(weighted, grid).values
     M = np.empty((5, 5), dtype=complex)
     for i in range(5):
         for k in range(5):
             M[i, k] = grid.integrate(g_vals * pieces["rot_dot_gradc"][k][i]) / 6.0
 
-    high_vals = synthesize_complex(high, grid)
+    high_vals = synthesize(high, grid).values
     u_high = velocity_values(high, grid)
     f = np.empty(5, dtype=complex)
     a3m = {m: recurrence_coeff(3, m) for m in MODE2_ORDER}

@@ -1,9 +1,11 @@
 """Spherical harmonic transforms for real, mean-zero scalar fields.
 
-Coefficient tables hold u_n^m for 1 <= n <= N and |m| <= n.  The grid-to-
-spectral direction is an FFT in longitude followed by Gauss-Legendre
-quadrature in colatitude per order m; both directions are exact for
-band-limited data.
+Coefficient tables hold u_n^m for 1 <= n <= N and |m| <= n.  A real field is
+transformed from its m >= 0 half: synthesis is a Legendre sum per order m and
+an inverse real FFT in longitude, analysis a real FFT followed by
+Gauss-Legendre quadrature in colatitude per order m, mirrored to m < 0.  Both
+are exact for band-limited data.  A complex table is split into two real
+fields and transformed through the same pair.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ class SpectralField:
         if N < 1:
             raise ValueError("truncation degree must be at least 1")
         return cls(N=N, coeffs=np.zeros((N + 1, 2 * N + 1), dtype=complex))
-
-    @classmethod
-    def from_entries(cls, N, entries) -> "SpectralField":
-        """Build from an iterable of (n, m, value) triples."""
-        out = cls.zeros(N)
-        for n, m, value in entries:
-            out[n, m] = value
-        return out
 
     def _check_index(self, n: int, m: int):
         if not (1 <= n <= self.N):
@@ -99,11 +93,6 @@ class SpectralField:
         out.coeffs[n_min:] = self.coeffs[n_min:]
         return out
 
-    def lowpass(self, n_max: int) -> "SpectralField":
-        out = SpectralField.zeros(self.N)
-        out.coeffs[: n_max + 1] = self.coeffs[: n_max + 1]
-        return out
-
     def apply_degree_multiplier(self, factors: np.ndarray) -> "SpectralField":
         """Multiply every degree-n row by factors[n] (factors[0] is ignored)."""
         f = np.asarray(factors)
@@ -133,13 +122,8 @@ class SpectralField:
 
     def reality_residual(self) -> float:
         """Max deviation from coeffs(n,-m) = (-1)^m conj(coeffs(n,m))."""
-        worst = 0.0
-        for n in range(1, self.N + 1):
-            row = self.coeffs[n, self.N - n : self.N + n + 1]
-            ms = np.arange(-n, n + 1)
-            mirrored = ((-1.0) ** ms) * np.conj(row[::-1])
-            worst = max(worst, float(np.max(np.abs(row - mirrored))))
-        return worst
+        mirrored = np.conj(self.coeffs[:, ::-1]) * (-1.0) ** np.arange(-self.N, self.N + 1)
+        return float(np.max(np.abs(self.coeffs - mirrored)))
 
     def symmetrized(self) -> "SpectralField":
         """Enforce the reality pattern from the m >= 0 half."""
@@ -210,110 +194,95 @@ class TangentGridField:
     def tangency_residual(self) -> float:
         return float(np.max(np.abs(np.sum(self.values * self.grid.nodes_xyz, axis=-1))))
 
-    def dot(self, other: np.ndarray) -> np.ndarray:
-        return np.sum(self.values * other, axis=-1)
 
-    def max_norm(self) -> float:
-        return float(np.max(np.sqrt(np.sum(np.abs(self.values) ** 2, axis=-1))))
+def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
+    """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients.
 
-
-def _positive_negative_split(coeffs: np.ndarray, N: int):
-    """Views (m, n) of the coefficient table: m >= 0 part and sign-adjusted m < 0 part."""
-    pos = coeffs[:, N:].T.copy()  # (m, n) for m = 0..N
-    neg = coeffs[:, :N][:, ::-1].T.copy()  # (m-1, n) for m = -1..-N
-    signs = (-1.0) ** np.arange(1, N + 1)
-    neg *= signs[:, None]
-    return pos, neg
-
-
-def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
-    """Sum a coefficient table against a per-(m, n) latitude basis, FFT in longitude.
-
-    ``table[m, n, j]`` must obey the same (-1)^m symmetry under m -> -m as the
-    normalized Legendre functions; both grid.plm and grid.dplm_dtheta do.
+    ``half[n, m]`` holds c_n^m for m = 0..N and ``table[m, n, j]`` the latitude
+    basis of order m >= 0 (grid.plm or grid.dplm_dtheta).  The m < 0 terms are
+    implied by c_n^{-m} = (-1)^m conj(c_n^m) and the matching (-1)^m symmetry
+    of the basis, so they are the conjugates of the m > 0 terms; the imaginary
+    part of the m = 0 column is ignored.
     """
+    N = half.shape[0] - 1
+    if N > grid.N:
+        raise ValueError(f"field degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
-    spec = np.zeros((grid.n_theta, K), dtype=complex)
-    pos, neg = _positive_negative_split(coeffs, N)
-    sub = table[: N + 1, : N + 1, :]
-    g_pos = np.einsum("mn,mnj->jm", pos, sub)
-    spec[:, 0 : N + 1] = g_pos
-    if N >= 1:
-        g_neg = np.einsum("mn,mnj->jm", neg, sub[1:])
-        spec[:, K - N :] = g_neg[:, ::-1]
-    return np.fft.ifft(spec, axis=1) * K
+    spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
+    spec[:, : N + 1] = np.einsum("nm,mnj->jm", half, table[: N + 1, : N + 1, :])
+    return np.fft.irfft(spec, n=K, axis=1) * K
 
 
-def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Pointwise sum of the harmonic series; no reality assumed."""
-    if u.N > grid.N:
-        raise ValueError(f"field degree {u.N} exceeds grid degree {grid.N}")
-    return table_synthesis(u.coeffs, u.N, grid, grid.plm)
+def real_analysis(
+    values: np.ndarray, grid: QuadratureGrid, N: int | None = None, mean_tol: float = 1e-10
+) -> SpectralField:
+    """Quadrature projections (f, Y_n^m) of real mean-zero node samples, n <= N.
 
-
-def synthesize(u: SpectralField, grid: QuadratureGrid, imag_tol: float = 1e-12) -> GridField:
-    """Grid samples of a reality-respecting coefficient table.
-
-    The imaginary residue of the synthesis (zero in exact arithmetic when the
-    coefficients obey the conjugation rule) must stay below imag_tol relative
-    to the field scale; it is then dropped.
+    Projected for m >= 0 and mirrored, so the reality rule holds by
+    construction.  The projection onto the constant mode vanishes for a
+    mean-zero field; it must stay below mean_tol * max(1, max |values|), so
+    round-off at large amplitude passes and solver drift raises MeanModeError.
     """
-    values = synthesize_complex(u, grid)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > imag_tol * scale:
-        raise ValueError(
-            f"synthesis left an imaginary residue {residue:.3e}; coefficients break the reality rule"
-        )
-    return GridField(grid=grid, values=values.real.copy())
-
-
-def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
-    """Quadrature projections (f, Y_n^m) of complex node samples; full coefficient table."""
     if N is None:
         N = grid.N
     if N > grid.N:
         raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
-    fhat = np.fft.fft(values, axis=1) * (2.0 * math.pi / K)  # (j, bins)
-    weighted_pos = grid.theta_weights[:, None] * fhat[:, 0 : N + 1]  # (j, m) m = 0..N
-    weighted_neg = grid.theta_weights[:, None] * fhat[:, K - N :][:, ::-1]  # (j, |m|-1)
-    sub = grid.plm[: N + 1, : N + 1, :]
-    proj_pos = np.einsum("mnj,jm->nm", sub, weighted_pos)
-    proj_neg = np.einsum("mnj,jm->nm", sub[1:], weighted_neg)
-    proj_neg *= ((-1.0) ** np.arange(1, N + 1))[None, :]
-    coeffs = np.zeros((N + 1, 2 * N + 1), dtype=complex)
-    coeffs[:, N:] = proj_pos
-    coeffs[:, :N] = proj_neg[:, ::-1]
-    coeffs[0, :] = 0.0
-    return coeffs
-
-
-def mean_projection(values: np.ndarray, grid: QuadratureGrid) -> complex:
-    """Projection of node samples onto the constant mode Y_0^0."""
-    return complex(grid.integrate(values)) / math.sqrt(4.0 * math.pi)
-
-
-def analyze(f: GridField, mean_tol: float = 1e-10) -> SpectralField:
-    """Forward transform of a real mean-zero field.
-
-    Coefficients are computed for m >= 0 and mirrored, so the reality
-    invariant holds by construction.  The mean-mode projection is checked
-    against mean_tol and discarded; a violation signals solver drift rather
-    than a recoverable condition.
-    """
-    grid = f.grid
-    N = grid.N
-    mean = mean_projection(f.values, grid)
-    if abs(mean) > mean_tol:
-        raise MeanModeError(f"field not mean-zero: mean-mode projection = {abs(mean):.6e}")
-    K = grid.n_phi
-    fhat = np.fft.fft(f.values, axis=1) * (2.0 * math.pi / K)
-    weighted = grid.theta_weights[:, None] * fhat[:, 0 : N + 1]
-    proj = np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], weighted)  # (n, m>=0)
+    fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
+    proj = np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], grid.theta_weights[:, None] * fhat)
+    mean = abs(proj[0, 0])
+    scale = max(1.0, float(np.max(np.abs(values))))
+    if mean > mean_tol * scale:
+        raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
     out = SpectralField.zeros(N)
     out.coeffs[:, N:] = proj
     return out.symmetrized()
+
+
+def _real_halves(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """m >= 0 halves of the real fields (c + c*)/2 and (c - c*)/2i, c*_n^m = (-1)^m conj(c_n^{-m})."""
+    mirror = np.conj(coeffs[:, N::-1]) * (-1.0) ** np.arange(N + 1)
+    pos = coeffs[:, N:]
+    return (pos + mirror) / 2.0, (pos - mirror) / 2j
+
+
+def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
+    """Complex samples of a coefficient table against a per-(m, n) latitude basis.
+
+    The table splits into two real fields, each synthesized by real_synthesis;
+    ``table`` must obey the symmetry real_synthesis asks for.
+    """
+    re, im = _real_halves(coeffs, N)
+    return real_synthesis(re, grid, table) + 1j * real_synthesis(im, grid, table)
+
+
+def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
+    """Pointwise sum of the harmonic series; no reality assumed."""
+    return table_synthesis(u.coeffs, u.N, grid, grid.plm)
+
+
+def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:
+    """Grid samples of a real field, synthesized from its m >= 0 coefficients.
+
+    A table that breaks the reality rule by more than 1e-12 relative to its
+    norm would leave an imaginary residue and is rejected.
+    """
+    residue = u.reality_residual()
+    if residue > 1e-12 * max(1.0, u.norm()):
+        raise ValueError(
+            f"synthesis would leave an imaginary residue {residue:.3e}; coefficients break the reality rule"
+        )
+    return GridField(grid=grid, values=real_synthesis(u.coeffs[:, u.N :], grid, grid.plm))
+
+
+def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
+    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples; full coefficient table."""
+    return real_analysis(values.real, grid, N).coeffs + 1j * real_analysis(values.imag, grid, N).coeffs
+
+
+def analyze(f: GridField, mean_tol: float = 1e-10) -> SpectralField:
+    """Forward transform of a real mean-zero field (real_analysis at the grid degree)."""
+    return real_analysis(f.values, f.grid, mean_tol=mean_tol)
 
 
 def random_real_field(

@@ -10,6 +10,7 @@ from sphkol.operators import (
     KillingParams,
     convection,
     gradient,
+    gradient_values,
     inverse_laplacian,
     killing_advect,
     killing_degree2_matrix,
@@ -19,9 +20,10 @@ from sphkol.operators import (
     laplacian_power,
     perturbation_operator,
     velocity_from_vorticity,
+    velocity_values,
 )
 from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
-from sphkol.sht import MeanModeError, SpectralField, analyze, synthesize
+from sphkol.sht import MeanModeError, SpectralField, analyze, analyze_complex, synthesize
 
 
 def single(N, n, m, value=1.0):
@@ -172,6 +174,17 @@ class TestConvection:
         out = convection(omega, grid8)
         pairing = np.real(np.vdot(out.coeffs, omega.coeffs))
         assert abs(pairing) < 1e-10
+
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("amplitude", [1.0, 1e4])
+    def test_matches_the_cartesian_reference(self, N, amplitude):
+        # u . grad w formed from the Cartesian velocity and gradient samples
+        omega = rand_field(N, seed=N, amplitude=amplitude, decay=0.3)
+        grid = build_grid(N)
+        product = np.sum(velocity_values(omega, grid) * gradient_values(omega, grid), axis=-1)
+        want = analyze_complex(product, grid, N)
+        got = convection(omega, grid).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("N", [16, 32])
     def test_mean_check_scales_with_the_product(self, N):

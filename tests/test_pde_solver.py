@@ -17,6 +17,7 @@ from sphkol.pde_solver import (
     write_trajectory_csv,
 )
 from sphkol.reduced_ode import build_system, propagate_exact, propagate_forced
+from sphkol.rotating import RotatingConfig, run_rotating
 from sphkol.sht import SpectralField
 
 
@@ -180,6 +181,20 @@ class TestRun:
         recs = run(omega0, cfg, grid8)
         for rec in recs:
             assert rec.snapshot.reality_residual() < 1e-12
+
+    @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
+    def test_reality_exact_by_construction(self, grid8, flow):
+        # The analysis mirrors the m >= 0 half and every linear factor keeps
+        # the mirror, so no step re-symmetrizes and none needs to.
+        omega0 = rand_field(8, seed=12, amplitude=0.6, decay=0.4)
+        jet_order = "one_jet" if flow == "one_jet" else "two_jet"
+        cfg = two_jet_cfg(t_end=0.3, snapshot_stride=3, jet_order=jet_order, store_snapshots=True)
+        if flow == "rotating":
+            recs = run_rotating(omega0, RotatingConfig(base=cfg, Omega=2.0), grid8)
+        else:
+            recs = run(omega0, cfg, grid8)
+        assert len(recs) > 10
+        assert all(rec.snapshot.reality_residual() == 0.0 for rec in recs)
 
     def test_high_degree_bound_generic(self, grid8):
         omega0 = rand_field(8, seed=7, amplitude=0.5, decay=0.4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_field
 from refimpl import ynm_reference
+from sphkol.harmonics import build_grid
 from sphkol.sht import (
     GridField,
     MeanModeError,
@@ -45,6 +46,19 @@ class TestSpectralField:
         assert u.reality_residual() > 0.1
         assert u.symmetrized().reality_residual() == 0.0
 
+    def test_reality_residual_matches_per_degree_loop(self):
+        rng = np.random.default_rng(13)
+        u = rand_field(6, seed=13)
+        for n in range(1, 7):
+            for m in range(-n, n + 1):
+                u[n, m] += 1e-3 * complex(*rng.standard_normal(2))
+        worst = 0.0
+        for n in range(1, 7):
+            row = np.array([u[n, m] for m in range(-n, n + 1)])
+            mirrored = (-1.0) ** np.arange(-n, n + 1) * np.conj(row[::-1])
+            worst = max(worst, float(np.max(np.abs(row - mirrored))))
+        assert u.reality_residual() == worst
+
     def test_mode_vectors(self):
         u = SpectralField.zeros(4)
         u[2, 2] = 1 + 2j
@@ -78,6 +92,14 @@ class TestAnalyze:
         values = np.ones((grid8.n_theta, grid8.n_phi)) * 0.01
         with pytest.raises(MeanModeError, match="not mean-zero"):
             analyze(GridField(grid8, values))
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    def test_mean_check_scales_with_the_samples(self, N):
+        # Round-off alone leaves a mean projection of ~1e-9 on samples of size
+        # ~1e6, which an absolute 1e-10 threshold reported as a mean mode.
+        u = random_real_field(N, np.random.default_rng(1), 1e6, 0.1)
+        back = analyze(synthesize(u, build_grid(N)))
+        assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * np.max(np.abs(u.coeffs))
 
     def test_output_reality_by_construction(self, grid8):
         rng = np.random.default_rng(2)
