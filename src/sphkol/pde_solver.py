@@ -255,7 +255,9 @@ def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[
 def run_with_coupling(
     omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid
 ) -> tuple[list[TrajectoryRecord], CouplingSeries]:
-    """As run(), also extracting (M, f) couplings at every step for ODE cross-checks."""
+    """As run(), also extracting (M, f) couplings at every step for two-jet reduced-ODE cross-checks."""
+    if cfg.jet_order != "two_jet":
+        raise ValueError(f"coupling extraction needs two_jet dynamics, not {cfg.jet_order!r}")
     records, coupling, _ = _integrate(omega0, cfg, grid, record_coupling=True)
     return records, coupling
 

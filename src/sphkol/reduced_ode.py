@@ -19,11 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import QuadratureGrid, recurrence_coeff
-from .operators import KillingParams, gradient_values, velocity_values
-from .sht import SpectralField, synthesize
+from .operators import KillingParams, convection
+from .sht import SpectralField, analyze_complex
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
+# f's degree-3 term per unit amplitude, -(1/8) sqrt(5/pi) i m a_3^m, in MODE2_ORDER.
+_F_SPECTRAL = np.array(
+    [-math.sqrt(5.0 / math.pi) / 8.0 * 1j * m * recurrence_coeff(3, m) for m in MODE2_ORDER]
+)
 
 
 def mode2_reality_residual(w: np.ndarray) -> float:
@@ -162,53 +166,49 @@ def extract_coupling(
     """Couplings (M, f) from the degree >= 3 part of a state.
 
     M_{m,k} = (1/6) integral of (I + 6 Lap^{-1}) w_{>=3} times
-    (n x grad Y_2^k) . grad conj(Y_2^m); f_m combines the tridiagonal
-    coupling of degree 3 into degree 2 with the self-transport integral
-    of the remainder.  Both vanish identically when w_{>=3} = 0.
+    R_{k,m} = (n x grad Y_2^k) . grad conj(Y_2^m); R is a cubic polynomial on
+    the sphere, so only degrees 1 and 3 of it are nonzero and M reads w_3
+    through the cached degree-3 table.  f_m combines the tridiagonal coupling
+    of degree 3 into degree 2 with the self-transport integral of the
+    remainder h = w_{>=3}, which equals -(u_h . grad h, Y_2^m) because u_h is
+    divergence-free.  Both vanish identically when w_{>=3} = 0.
     """
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
-    high = omega.highpass(3)
-    pieces = _degree2_coupling_tables(grid)
-    weighted = high.apply_degree_multiplier(
-        np.array([0.0 if n == 0 else 1.0 - 6.0 / (n * (n + 1.0)) for n in range(N + 1)])
-    )
-    g_vals = synthesize(weighted, grid).values
-    M = np.empty((5, 5), dtype=complex)
-    for i in range(5):
-        for k in range(5):
-            M[i, k] = grid.integrate(g_vals * pieces["rot_dot_gradc"][k][i]) / 6.0
-
-    high_vals = synthesize(high, grid).values
-    u_high = velocity_values(high, grid)
-    f = np.empty(5, dtype=complex)
-    a3m = {m: recurrence_coeff(3, m) for m in MODE2_ORDER}
-    for i, m in enumerate(MODE2_ORDER):
-        spectral = -(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * a3m[m] * omega[3, m]
-        transport = grid.integrate(high_vals * np.sum(u_high * pieces["grad_conj"][i], axis=-1))
-        f[i] = spectral + transport
+    # (1/6) times the degree-3 weight 1 - 6/12 of (I + 6 Lap^{-1}).
+    M = _degree3_coupling_table(grid) @ omega.coeffs[3, N - 3 : N + 4] / 12.0
+    transport = convection(omega.highpass(3), grid).coeffs[2, N - 2 : N + 3][::-1]
+    f = amplitude * _F_SPECTRAL * omega.coeffs[3, N - 2 : N + 3][::-1] - transport
     return M, f
 
 
-def _degree2_coupling_tables(grid: QuadratureGrid) -> dict:
-    """Node tables of grad conj(Y_2^m) and (n x grad Y_2^k) . grad conj(Y_2^m), cached per grid."""
-    cached = getattr(grid, "_degree2_tables", None)
+def _degree3_coupling_table(grid: QuadratureGrid) -> np.ndarray:
+    """T[i, k, m'] = integral of Y_3^{m'} R_{k,i}, m' = -3..3, cached per grid.
+
+    The (1 - 6/12) weight of degree 3 is left to the caller.  R_{k,i} is the
+    Jacobian (Y_theta conj(Y_phi) - Y_phi conj(Y_theta)) / sin(theta) of
+    Y = Y_2^{m_k} against Y_2^{m_i}; its projection P onto Y_3^{m'} gives
+    T[..., m'] = (-1)^{m'} P[..., -m'].
+    """
+    cached = getattr(grid, "_degree3_coupling_table", None)
     if cached is not None:
         return cached
-    grads = []
-    for m in MODE2_ORDER:
-        u = SpectralField.zeros(grid.N)
-        u[2, m] = 1.0
-        grads.append(gradient_values(u, grid))
-    grad_conj = [np.conj(g) for g in grads]
-    rotations = [np.cross(grid.nodes_xyz, g) for g in grads]
-    rot_dot_gradc = [
-        [np.sum(rotations[k] * grad_conj[i], axis=-1) for i in range(5)] for k in range(5)
-    ]
-    tables = {"grad_conj": grad_conj, "rot_dot_gradc": rot_dot_gradc}
-    grid._degree2_tables = tables
-    return tables
+    m = np.array(MODE2_ORDER)
+    sign = np.where(m < 0, (-1.0) ** np.abs(m), 1.0)[:, None]  # Y_2^{-m} = (-1)^m conj(Y_2^m)
+    phase = np.exp(1j * m[:, None] * grid.phi_nodes)[:, None, :]
+    y = (sign * grid.plm[np.abs(m), 2])[:, :, None] * phase
+    y_theta = (sign * grid.dplm_dtheta[np.abs(m), 2])[:, :, None] * phase
+    y_phi = 1j * m[:, None, None] * y
+    sin = grid.sin_theta[:, None]
+
+    def jacobian(k, i):
+        return (y_theta[k] * np.conj(y_phi[i]) - y_phi[k] * np.conj(y_theta[i])) / sin
+
+    proj = np.array([[analyze_complex(jacobian(k, i), grid, 3)[3] for k in range(5)] for i in range(5)])
+    table = proj[:, :, ::-1] * (-1.0) ** np.arange(-3, 4)
+    grid._degree3_coupling_table = table
+    return table
 
 
 def equilibrium_report(

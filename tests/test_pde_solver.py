@@ -247,6 +247,11 @@ class TestRun:
         final = recs[-1].mode2
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-7
 
+    def test_coupling_rejects_one_jet(self, grid8):
+        cfg = two_jet_cfg(t_end=0.01, jet_order="one_jet")
+        with pytest.raises(ValueError, match="two_jet"):
+            run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
+
     def test_truncation_robustness(self):
         from sphkol.harmonics import build_grid
 

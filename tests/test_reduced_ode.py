@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
-from sphkol.harmonics import build_grid
-from sphkol.operators import KillingParams
+from sphkol.harmonics import build_grid, recurrence_coeff
+from sphkol.operators import KillingParams, gradient_values, velocity_values
 from sphkol.reduced_ode import (
+    MODE2_ORDER,
     build_system,
     equilibrium_closed_form,
     equilibrium_report,
@@ -16,7 +17,7 @@ from sphkol.reduced_ode import (
     propagate_exact,
     propagate_forced,
 )
-from sphkol.sht import SpectralField
+from sphkol.sht import SpectralField, analyze_complex, synthesize
 
 SWEEP = [
     (nu, a, alpha, b)
@@ -25,6 +26,36 @@ SWEEP = [
     for alpha in (0.0, 1.0, 0.3 + 0.7j)
     for b in (-1.0, 0.0, 2.0)
 ]
+
+
+def cartesian_degree2_tables(grid):
+    """Cartesian node tables of grad conj(Y_2^{m_i}) and R_{k,i} = (n x grad Y_2^{m_k}) . grad conj(Y_2^{m_i})."""
+    grads = []
+    for m in MODE2_ORDER:
+        u = SpectralField.zeros(grid.N)
+        u[2, m] = 1.0
+        grads.append(gradient_values(u, grid))
+    grad_conj = [np.conj(g) for g in grads]
+    rotations = [np.cross(grid.nodes_xyz, g) for g in grads]
+    jacobians = [[np.sum(rotations[k] * grad_conj[i], axis=-1) for i in range(5)] for k in range(5)]
+    return grad_conj, jacobians
+
+
+def cartesian_coupling(omega, amplitude, grid):
+    """Reference (M, f): extract_coupling's integrals by quadrature of Cartesian node samples."""
+    N = omega.N
+    high = omega.highpass(3)
+    grad_conj, jacobians = cartesian_degree2_tables(grid)
+    weights = np.array([0.0] + [1.0 - 6.0 / (n * (n + 1.0)) for n in range(1, N + 1)])
+    g_vals = synthesize(high.apply_degree_multiplier(weights), grid).values
+    M = np.array([[grid.integrate(g_vals * jacobians[k][i]) / 6.0 for k in range(5)] for i in range(5)])
+    high_vals = synthesize(high, grid).values
+    u_high = velocity_values(high, grid)
+    f = np.empty(5, dtype=complex)
+    for i, m in enumerate(MODE2_ORDER):
+        spectral = -(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * recurrence_coeff(3, m) * omega[3, m]
+        f[i] = spectral + grid.integrate(high_vals * np.sum(u_high * grad_conj[i], axis=-1))
+    return M, f
 
 
 class TestBuildSystem:
@@ -221,3 +252,36 @@ class TestExtractCoupling:
         M, f = extract_coupling(omega, 2.0, grid)
         assert abs(f[2]) < 1e-13
         assert np.max(np.abs(f)) < 1e-13
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("amplitude", [1.0, 1e3])
+    def test_matches_cartesian_reference(self, N, amplitude):
+        grid = build_grid(N)
+        for seed in range(3):
+            omega = rand_field(N, seed=40 + seed, amplitude=amplitude)
+            M, f = extract_coupling(omega, 1.3, grid)
+            M_ref, f_ref = cartesian_coupling(omega, 1.3, grid)
+            assert np.linalg.norm(M - M_ref) <= 1e-13 * np.linalg.norm(M_ref)
+            assert np.linalg.norm(f - f_ref) <= 1e-13 * np.linalg.norm(f_ref)
+
+    def test_M_reads_degree3_only(self):
+        # R_{k,i} is a cubic polynomial, so the degrees >= 4 of w are orthogonal to it.
+        grid = build_grid(16)
+        omega = rand_field(16, seed=5)
+        above = omega + rand_field(16, seed=6, degrees=range(4, 17))
+        M, _ = extract_coupling(omega, 1.0, grid)
+        M_above, _ = extract_coupling(above, 1.0, grid)
+        assert np.max(np.abs(M_above - M)) <= 1e-15
+        M_ref, _ = cartesian_coupling(omega, 1.0, grid)
+        M_ref_above, _ = cartesian_coupling(above, 1.0, grid)
+        assert np.max(np.abs(M_ref_above - M_ref)) < 1e-13
+
+    def test_cartesian_jacobians_hold_degrees_one_and_three_only(self, grid16):
+        _, jacobians = cartesian_degree2_tables(grid16)
+        degree3 = 0.0
+        for row in jacobians:
+            for jac in row:
+                proj = analyze_complex(jac, grid16)
+                assert np.max(np.abs(np.delete(proj, [1, 3], axis=0))) < 1e-13
+                degree3 = max(degree3, float(np.max(np.abs(proj[3]))))
+        assert degree3 > 0.1
