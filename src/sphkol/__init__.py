@@ -1,6 +1,7 @@
 """Pseudospectral solver for the vorticity dynamics around the two-jet zonal
-flow on the unit sphere, with the reduced degree-2 system, rotating-frame
-equivalence, and the integral-identity oracle suites."""
+flow on the unit sphere, with the reduced degree-2 system and rotating-frame
+equivalence.  The independent Cartesian references and the integral-identity
+oracle suites live in sphkol.oracles, which no solver module imports."""
 
 from .harmonics import (
     HarmonicIndex,
@@ -15,17 +16,12 @@ from .harmonics import (
 from .operators import (
     KillingParams,
     convection,
-    gradient,
     inverse_laplacian,
-    killing_advect,
-    killing_degree2_matrix,
-    killing_identity_residual,
-    killing_pairing_residuals,
     laplacian,
     laplacian_power,
     perturbation_operator,
-    velocity_from_vorticity,
 )
+from .oracles import killing_advect, killing_identity_residual, killing_pairing_residuals
 from .pde_solver import (
     IntegrationError,
     SolverConfig,
@@ -42,6 +38,7 @@ from .reduced_ode import (
     equilibrium_closed_form,
     equilibrium_solve,
     extract_coupling,
+    killing_degree2_matrix,
     propagate_exact,
     propagate_forced,
 )
@@ -50,7 +47,6 @@ from .sht import (
     GridField,
     MeanModeError,
     SpectralField,
-    TangentGridField,
     analyze,
     random_real_field,
     synthesize,

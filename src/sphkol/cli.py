@@ -4,7 +4,7 @@ Subcommands:
     run <manifest.json>      execute a scenario, write CSV/JSON outputs
     fit                      log-linear decay-rate fit on a trajectory column
     equilibrium              degree-2 equilibrium by both routes
-    oracles                  randomized integral-identity suites
+    oracles                  randomized integral-identity suites (sphkol.oracles)
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
@@ -24,21 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pde_solver, reduced_ode, rotating
-from .harmonics import build_grid, harmonic_indices, recurrence_coeff
-from .operators import (
-    KillingParams,
-    convection,
-    killing_advect,
-    killing_degree2_matrix,
-    killing_identity_residual,
-    killing_pairing_residuals,
-    laplacian,
-)
+from . import oracles, pde_solver, reduced_ode, rotating
+from .harmonics import build_grid
+from .operators import KillingParams
 from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
 from .rotating import RotatingConfig
 from .serialize import dumps17
-from .sht import MeanModeError, SpectralField, analyze, random_real_field, synthesize
+from .sht import MeanModeError, SpectralField
 
 SCENARIOS = ("two_jet", "one_jet", "rotating", "reduced_only", "identity_oracles")
 
@@ -67,6 +59,8 @@ class ExperimentManifest:
             raise ManifestError("manifest needs an output_dir")
         if doc["scenario"] == "rotating" and doc.get("Omega") is None:
             raise ManifestError("rotating scenario needs Omega")
+        if not isinstance(doc.get("cfg", {}), dict):
+            raise ManifestError("cfg must be an object")
         try:
             return cls(
                 scenario=doc["scenario"],
@@ -292,145 +286,9 @@ def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[l
     return [_check("equilibrium_cross_check", diff, 1e-12)], files
 
 
-def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes: int = 20) -> dict:
-    """Max residuals of the integral identities on seeded random data.
-
-    Families: quadrature normalization, harmonic orthonormality, conjugation
-    symmetry, the cos(theta) recurrence projections, the Laplacian
-    eigenfunction roundtrip, the Killing integral identity, the stream/
-    transport pairings, the degree-1 projections of convection, the
-    closed-form degree-2 rotation table, and the tangent-basis identities.
-    """
-    if lmax < 4:
-        raise ValueError("oracle suites need lmax >= 4")
-    rng = np.random.default_rng(seed)
-    grid = build_grid(lmax)
-    res: dict[str, float] = {}
-
-    ones = np.ones((grid.n_theta, grid.n_phi))
-    res["surface_area"] = abs(float(grid.integrate(ones)) - 4.0 * math.pi) / (4.0 * math.pi)
-
-    # orthonormality on a seeded sample of harmonic pairs
-    indices = list(harmonic_indices(lmax))
-
-    def sample_nm():
-        idx = indices[int(rng.integers(0, len(indices)))]
-        return idx.n, idx.m
-
-    from .sht import synthesize_complex
-
-    worst = 0.0
-    for _ in range(60):
-        n1, m1 = sample_nm()
-        n2, m2 = sample_nm()
-        u1 = SpectralField.zeros(lmax); u1[n1, m1] = 1.0
-        u2 = SpectralField.zeros(lmax); u2[n2, m2] = 1.0
-        v1 = synthesize_complex(u1, grid)
-        v2 = synthesize_complex(u2, grid)
-        expected = 1.0 if (n1, m1) == (n2, m2) else 0.0
-        worst = max(worst, abs(complex(grid.inner(v1, v2)) - expected))
-    res["orthonormality"] = worst
-
-    worst = 0.0
-    theta = grid.theta_nodes[:, None]
-    phi = grid.phi_nodes[None, :]
-    for _ in range(12):
-        n, m = sample_nm()
-        u = SpectralField.zeros(lmax); u[n, m] = 1.0
-        um = SpectralField.zeros(lmax); um[n, -m] = 1.0
-        v = synthesize_complex(u, grid)
-        vm = synthesize_complex(um, grid)
-        worst = max(worst, float(np.max(np.abs(vm - (-1.0) ** m * np.conj(v)))))
-    res["conjugation"] = worst
-
-    worst = 0.0
-    cos_t = np.cos(theta) * np.ones_like(phi)
-    for _ in range(30):
-        n, m = sample_nm()
-        if n >= lmax:
-            continue
-        u = SpectralField.zeros(lmax); u[n, m] = 1.0
-        v = synthesize_complex(u, grid) * cos_t
-        for target, coeff in ((n - 1, recurrence_coeff(n, m)), (n + 1, recurrence_coeff(n + 1, m))):
-            if target < max(1, abs(m)):
-                continue
-            ut = SpectralField.zeros(lmax); ut[target, m] = 1.0
-            proj = complex(grid.inner(v, synthesize_complex(ut, grid)))
-            worst = max(worst, abs(proj - coeff))
-    res["cos_theta_recurrence"] = worst
-
-    worst = 0.0
-    for _ in range(8):
-        f = random_real_field(lmax, rng)
-        vals = synthesize(f, grid)
-        lap_grid = synthesize(laplacian(analyze(vals)), grid)
-        n_arr = np.arange(lmax + 1)
-        expected = synthesize(f.apply_degree_multiplier(-(n_arr * (n_arr + 1.0))), grid)
-        scale = max(1.0, float(np.max(np.abs(expected.values))))
-        worst = max(worst, float(np.max(np.abs(lap_grid.values - expected.values))) / scale)
-    res["laplacian_eigenfunction"] = worst
-
-    worst = 0.0
-    for _ in range(n_triples):
-        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
-        g = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
-        axis = rng.standard_normal(3)
-        worst = max(worst, abs(killing_identity_residual(f, g, axis, grid)))
-    res["killing_identity"] = worst
-
-    worst = 0.0
-    for _ in range(20):
-        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
-        axis = rng.standard_normal(3)
-        r1, r2 = killing_pairing_residuals(f, axis, grid)
-        worst = max(worst, abs(r1), abs(r2))
-    res["killing_pairings"] = worst
-
-    worst = 0.0
-    for _ in range(10):
-        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
-        conv = convection(f, grid)
-        for m in (-1, 0, 1):
-            worst = max(worst, abs(conv[1, m]))
-    res["convection_degree1_projection"] = worst
-
-    worst_coeff, worst_leak = 0.0, 0.0
-    for _ in range(n_axes):
-        axis = rng.standard_normal(3)
-        table = killing_degree2_matrix(axis)
-        for col, m in enumerate(reduced_ode.MODE2_ORDER):
-            u = SpectralField.zeros(lmax); u[2, m] = 1.0
-            adv = killing_advect(axis, u, grid)
-            worst_coeff = max(worst_coeff, float(np.max(np.abs(adv.mode2_vector() - table[:, col]))))
-            leak = adv.copy()
-            leak.coeffs[2] = 0.0
-            worst_leak = max(worst_leak, float(np.max(np.abs(leak.coeffs))))
-    res["degree2_rotation_coefficients"] = worst_coeff
-    res["degree2_rotation_leakage"] = worst_leak
-
-    e1, e2, e3 = np.eye(3)
-    dtheta, dphi = grid.dtheta_x, grid.dphi_x
-    xyz = grid.nodes_xyz
-    sin_t = grid.sin_theta[:, None]
-    cos_t2 = grid.cos_theta[:, None]
-    cp = np.cos(phi)
-    sp = np.sin(phi)
-    pairs = [
-        (np.cross(e1, xyz), -sp * np.ones_like(sin_t), -sin_t * cos_t2 * cp),
-        (np.cross(e2, xyz), cp * np.ones_like(sin_t), -sin_t * cos_t2 * sp),
-        (np.cross(e3, xyz), np.zeros_like(sin_t * cp), sin_t**2 * np.ones_like(cp)),
-    ]
-    worst = 0.0
-    for field_vals, want_theta, want_phi in pairs:
-        worst = max(worst, float(np.max(np.abs(np.sum(field_vals * dtheta, axis=-1) - want_theta))))
-        worst = max(worst, float(np.max(np.abs(np.sum(field_vals * dphi, axis=-1) - want_phi))))
-    res["tangent_basis_identities"] = worst
-    return res
-
-
 def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
     lmax = manifest.lmax if manifest.lmax is not None else int(manifest.cfg.get("N", 16))
-    residuals = identity_oracle_residuals(manifest.seed, lmax)
+    residuals = oracles.identity_oracle_residuals(manifest.seed, lmax)
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
     return checks, {"residuals": "oracle_residuals.json"}
@@ -530,7 +388,7 @@ def main(argv=None) -> int:
             print(dumps17(doc, indent=2))
             return 0
         # oracles
-        residuals = identity_oracle_residuals(args.seed, args.lmax)
+        residuals = oracles.identity_oracle_residuals(args.seed, args.lmax)
         worst = 0.0
         for name, value in residuals.items():
             print(f"{name}: {value:.3e}")

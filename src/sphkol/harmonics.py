@@ -185,41 +185,10 @@ class QuadratureGrid:
     def dplm_dtheta(self) -> np.ndarray:
         return _plm_theta_derivative_table(self.N, self.cos_theta, self.plm)
 
-    @cached_property
-    def nodes_xyz(self) -> np.ndarray:
-        """Cartesian node coordinates, shape (n_theta, n_phi, 3)."""
-        st = self.sin_theta[:, None]
-        ct = self.cos_theta[:, None]
-        cp = np.cos(self.phi_nodes)[None, :]
-        sp = np.sin(self.phi_nodes)[None, :]
-        return np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
-
-    @cached_property
-    def dtheta_x(self) -> np.ndarray:
-        """Tangent basis vector d x / d theta at each node."""
-        ct = self.cos_theta[:, None]
-        st = self.sin_theta[:, None]
-        cp = np.cos(self.phi_nodes)[None, :]
-        sp = np.sin(self.phi_nodes)[None, :]
-        return np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
-
-    @cached_property
-    def dphi_x(self) -> np.ndarray:
-        """Tangent basis vector d x / d phi at each node (length sin theta)."""
-        st = self.sin_theta[:, None]
-        cp = np.cos(self.phi_nodes)[None, :]
-        sp = np.sin(self.phi_nodes)[None, :]
-        zero = np.zeros_like(st * cp)
-        return np.stack([-st * sp, st * cp, zero], axis=-1)
-
     def integrate(self, values: np.ndarray):
         """Surface integral of node samples over the sphere."""
         phi_mean = np.sum(values, axis=1) * (2.0 * math.pi / self.n_phi)
         return np.sum(self.theta_weights * phi_mean)
-
-    def inner(self, u: np.ndarray, v: np.ndarray):
-        """L^2 inner product (u, v) = integral of u * conj(v)."""
-        return self.integrate(u * np.conj(v))
 
 
 def build_grid(N: int) -> QuadratureGrid:

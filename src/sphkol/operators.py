@@ -1,9 +1,10 @@
-"""Spectral differential operators, convection, and Killing-field machinery.
+"""Spectral differential operators and the convection term.
 
-The Laplacian family acts as degree multipliers; gradients and the quadratic
-convection term go through the grid (pseudospectral, dealiased by grid
-oversizing); Killing vector fields X(x) = a x x drive the degree-preserving
-rotation terms and the integral identities used as test oracles.
+The Laplacian family acts as degree multipliers and the two-jet coupling as a
+tridiagonal map in degree.  The quadratic convection term goes through the
+grid (pseudospectral, dealiased by grid oversizing), synthesized from the
+m >= 0 half of real fields.  KillingParams packages the nondissipative
+degree-1 data as the rotation axis of a Killing vector field.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import QuadratureGrid, recurrence_coeff
-from .sht import (
-    SpectralField,
-    TangentGridField,
-    analyze_complex,
-    real_analysis,
-    real_synthesis,
-    synthesize,
-    table_synthesis,
-)
+from .sht import SpectralField, real_analysis, real_synthesis
 
 
 @dataclass(frozen=True)
@@ -81,35 +74,6 @@ def inverse_laplacian(u: SpectralField) -> SpectralField:
     return -1.0 * laplacian_power(u, -1.0)
 
 
-def gradient_values(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Complex Cartesian gradient samples, shape (n_theta, n_phi, 3)."""
-    du_dtheta = table_synthesis(u.coeffs, u.N, grid, grid.dplm_dtheta)
-    m_factors = 1j * np.arange(-u.N, u.N + 1)
-    du_dphi = table_synthesis(u.coeffs * m_factors[None, :], u.N, grid, grid.plm)
-    inv_sin2 = 1.0 / (grid.sin_theta**2)
-    return (
-        du_dtheta[:, :, None] * grid.dtheta_x
-        + (du_dphi * inv_sin2[:, None])[:, :, None] * grid.dphi_x
-    )
-
-
-def gradient(u: SpectralField, grid: QuadratureGrid) -> TangentGridField:
-    """Surface gradient of a real field as a tangential vector field."""
-    values = gradient_values(u, grid)
-    return TangentGridField(grid=grid, values=values.real.copy())
-
-
-def velocity_values(omega: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Complex samples of n x grad(inverse_laplacian(omega))."""
-    psi = inverse_laplacian(omega)
-    return np.cross(grid.nodes_xyz, gradient_values(psi, grid))
-
-
-def velocity_from_vorticity(omega: SpectralField, grid: QuadratureGrid) -> TangentGridField:
-    """Divergence-free velocity recovered from the vorticity via the stream function."""
-    return TangentGridField(grid=grid, values=velocity_values(omega, grid).real.copy())
-
-
 @lru_cache(maxsize=None)
 def _acoeff_table(N: int) -> np.ndarray:
     """a_n^m for n = 0..N+1, |m| <= min(n, N); zero where |m| > n."""
@@ -148,6 +112,12 @@ def perturbation_operator(omega: SpectralField) -> SpectralField:
     return out
 
 
+def angular_derivatives(half: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half."""
+    d_phi = 1j * np.arange(half.shape[0])
+    return real_synthesis(half, grid, grid.dplm_dtheta), real_synthesis(half * d_phi, grid, grid.plm)
+
+
 def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     """Pseudospectral transport term u . grad(w) = (psi_theta w_phi - psi_phi w_theta) / sin(theta).
 
@@ -157,86 +127,7 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     projection vanishes analytically and real_analysis checks it.
     """
     N = omega.N
-    w = omega.coeffs[:, N:]
-    psi = inverse_laplacian(omega).coeffs[:, N:]
-    d_phi = 1j * np.arange(N + 1)
-    psi_theta = real_synthesis(psi, grid, grid.dplm_dtheta)
-    psi_phi = real_synthesis(psi * d_phi, grid, grid.plm)
-    w_theta = real_synthesis(w, grid, grid.dplm_dtheta)
-    w_phi = real_synthesis(w * d_phi, grid, grid.plm)
+    psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega).coeffs[:, N:], grid)
+    w_theta, w_phi = angular_derivatives(omega.coeffs[:, N:], grid)
     jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
     return real_analysis(jacobian, grid, N)
-
-
-def _resolve_axis(params) -> np.ndarray:
-    if isinstance(params, KillingParams):
-        return params.axis
-    return np.asarray(params, dtype=float)
-
-
-def killing_field_values(axis, grid: QuadratureGrid) -> np.ndarray:
-    """Samples of the rotation field X(x) = a x x."""
-    a = _resolve_axis(axis)
-    return np.cross(np.broadcast_to(a, grid.nodes_xyz.shape), grid.nodes_xyz)
-
-
-def killing_advect(params, omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
-    """Transport X . grad(omega) along the Killing field of ``params`` (degree-preserving)."""
-    x_field = killing_field_values(params, grid)
-    grad_w = gradient_values(omega, grid)
-    product = np.sum(x_field * grad_w, axis=-1)
-    return SpectralField(N=omega.N, coeffs=analyze_complex(product, grid, omega.N))
-
-
-def killing_degree2_matrix(axis) -> np.ndarray:
-    """Closed-form matrix of X . grad on the degree-2 span, rows/cols ordered m = 2..-2.
-
-    Column k holds the expansion coefficients of X . grad Y_2^{m_k}; the
-    degree-2 span is invariant, so this matrix is the whole story.
-    """
-    a1, a2, a3 = np.asarray(axis, dtype=float)
-    p = 1j * a1 + a2
-    q = 1j * a1 - a2
-    r = math.sqrt(6.0) / 2.0
-    K = np.zeros((5, 5), dtype=complex)
-    # input m = 2: 2i a3 Y_2^2 + q Y_2^1
-    K[0, 0] = 2j * a3
-    K[1, 0] = q
-    # input m = 1: p Y_2^2 + i a3 Y_2^1 + r q Y_2^0
-    K[0, 1] = p
-    K[1, 1] = 1j * a3
-    K[2, 1] = r * q
-    # input m = 0: r p Y_2^1 + r q Y_2^-1
-    K[1, 2] = r * p
-    K[3, 2] = r * q
-    # input m = -1: q Y_2^-2 - i a3 Y_2^-1 + r p Y_2^0
-    K[2, 3] = r * p
-    K[3, 3] = -1j * a3
-    K[4, 3] = q
-    # input m = -2: -2i a3 Y_2^-2 + p Y_2^-1
-    K[3, 4] = p
-    K[4, 4] = -2j * a3
-    return K
-
-
-def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: QuadratureGrid) -> float:
-    """Quadrature of (Lap f) <grad g, X> + (Lap g) <grad f, X>; zero for Killing X."""
-    x_field = killing_field_values(axis, grid)
-    lap_f = synthesize(laplacian(f), grid).values
-    lap_g = synthesize(laplacian(g), grid).values
-    grad_f = gradient_values(f, grid).real
-    grad_g = gradient_values(g, grid).real
-    integrand = lap_f * np.sum(grad_g * x_field, axis=-1) + lap_g * np.sum(grad_f * x_field, axis=-1)
-    return float(grid.integrate(integrand))
-
-
-def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) -> tuple[float, float]:
-    """The two pairings (X.grad Lap^{-1} w, w) and (X.grad w, Lap^{-1} w); both vanish."""
-    x_field = killing_field_values(axis, grid)
-    w_vals = synthesize(omega, grid).values
-    psi_vals = synthesize(inverse_laplacian(omega), grid).values
-    grad_w = gradient_values(omega, grid).real
-    grad_psi = gradient_values(inverse_laplacian(omega), grid).real
-    first = grid.integrate(np.sum(grad_psi * x_field, axis=-1) * w_vals)
-    second = grid.integrate(np.sum(grad_w * x_field, axis=-1) * psi_vals)
-    return float(first), float(second)

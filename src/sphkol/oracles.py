@@ -1,0 +1,270 @@
+"""Independent references: Cartesian frames, complex-table synthesis, Killing fields.
+
+The solver works on the m >= 0 half of real fields only.  The functions here
+reach the same quantities another way, so the tests and the identity-oracle
+suite can check it: vectors as Cartesian 3-components at the grid nodes,
+complex coefficient tables split into two real fields, and the Killing vector
+fields X(x) = a x x through which the paper proves its conservation and
+convergence results.  No solver module imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .harmonics import QuadratureGrid, build_grid, harmonic_indices, recurrence_coeff
+from .operators import KillingParams, convection, inverse_laplacian, laplacian
+from .reduced_ode import MODE2_ORDER, killing_degree2_matrix
+from .sht import SpectralField, analyze, analyze_complex, random_real_field, real_synthesis, synthesize
+
+
+def nodes_xyz(grid: QuadratureGrid) -> np.ndarray:
+    """Cartesian node coordinates, shape (n_theta, n_phi, 3)."""
+    st = grid.sin_theta[:, None]
+    ct = grid.cos_theta[:, None]
+    cp = np.cos(grid.phi_nodes)[None, :]
+    sp = np.sin(grid.phi_nodes)[None, :]
+    return np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
+
+
+def dtheta_x(grid: QuadratureGrid) -> np.ndarray:
+    """Tangent basis vector d x / d theta at each node."""
+    ct = grid.cos_theta[:, None]
+    st = grid.sin_theta[:, None]
+    cp = np.cos(grid.phi_nodes)[None, :]
+    sp = np.sin(grid.phi_nodes)[None, :]
+    return np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
+
+
+def dphi_x(grid: QuadratureGrid) -> np.ndarray:
+    """Tangent basis vector d x / d phi at each node (length sin theta)."""
+    st = grid.sin_theta[:, None]
+    cp = np.cos(grid.phi_nodes)[None, :]
+    sp = np.sin(grid.phi_nodes)[None, :]
+    zero = np.zeros_like(st * cp)
+    return np.stack([-st * sp, st * cp, zero], axis=-1)
+
+
+def inner(grid: QuadratureGrid, u: np.ndarray, v: np.ndarray):
+    """L^2 inner product (u, v) = integral of u * conj(v)."""
+    return grid.integrate(u * np.conj(v))
+
+
+def _real_halves(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """m >= 0 halves of the real fields (c + c*)/2 and (c - c*)/2i, c*_n^m = (-1)^m conj(c_n^{-m})."""
+    mirror = np.conj(coeffs[:, N::-1]) * (-1.0) ** np.arange(N + 1)
+    pos = coeffs[:, N:]
+    return (pos + mirror) / 2.0, (pos - mirror) / 2j
+
+
+def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
+    """Complex samples of a coefficient table against a per-(m, n) latitude basis.
+
+    The table splits into two real fields, each synthesized by real_synthesis;
+    ``table`` must obey the symmetry real_synthesis asks for.
+    """
+    re, im = _real_halves(coeffs, N)
+    return real_synthesis(re, grid, table) + 1j * real_synthesis(im, grid, table)
+
+
+def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
+    """Pointwise sum of the harmonic series; no reality assumed."""
+    return table_synthesis(u.coeffs, u.N, grid, grid.plm)
+
+
+def gradient_values(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
+    """Complex Cartesian gradient samples, shape (n_theta, n_phi, 3)."""
+    du_dtheta = table_synthesis(u.coeffs, u.N, grid, grid.dplm_dtheta)
+    m_factors = 1j * np.arange(-u.N, u.N + 1)
+    du_dphi = table_synthesis(u.coeffs * m_factors[None, :], u.N, grid, grid.plm)
+    inv_sin2 = 1.0 / (grid.sin_theta**2)
+    return (
+        du_dtheta[:, :, None] * dtheta_x(grid)
+        + (du_dphi * inv_sin2[:, None])[:, :, None] * dphi_x(grid)
+    )
+
+
+def velocity_values(omega: SpectralField, grid: QuadratureGrid) -> np.ndarray:
+    """Complex samples of n x grad(inverse_laplacian(omega))."""
+    psi = inverse_laplacian(omega)
+    return np.cross(nodes_xyz(grid), gradient_values(psi, grid))
+
+
+def _resolve_axis(params) -> np.ndarray:
+    if isinstance(params, KillingParams):
+        return params.axis
+    return np.asarray(params, dtype=float)
+
+
+def killing_field_values(axis, grid: QuadratureGrid) -> np.ndarray:
+    """Samples of the rotation field X(x) = a x x."""
+    a = _resolve_axis(axis)
+    xyz = nodes_xyz(grid)
+    return np.cross(np.broadcast_to(a, xyz.shape), xyz)
+
+
+def killing_advect(params, omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
+    """Transport X . grad(omega) along the Killing field of ``params`` (degree-preserving)."""
+    x_field = killing_field_values(params, grid)
+    grad_w = gradient_values(omega, grid)
+    product = np.sum(x_field * grad_w, axis=-1)
+    return SpectralField(N=omega.N, coeffs=analyze_complex(product, grid, omega.N))
+
+
+def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: QuadratureGrid) -> float:
+    """Quadrature of (Lap f) <grad g, X> + (Lap g) <grad f, X>; zero for Killing X."""
+    x_field = killing_field_values(axis, grid)
+    lap_f = synthesize(laplacian(f), grid).values
+    lap_g = synthesize(laplacian(g), grid).values
+    grad_f = gradient_values(f, grid).real
+    grad_g = gradient_values(g, grid).real
+    integrand = lap_f * np.sum(grad_g * x_field, axis=-1) + lap_g * np.sum(grad_f * x_field, axis=-1)
+    return float(grid.integrate(integrand))
+
+
+def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) -> tuple[float, float]:
+    """The two pairings (X.grad Lap^{-1} w, w) and (X.grad w, Lap^{-1} w); both vanish."""
+    x_field = killing_field_values(axis, grid)
+    w_vals = synthesize(omega, grid).values
+    psi_vals = synthesize(inverse_laplacian(omega), grid).values
+    grad_w = gradient_values(omega, grid).real
+    grad_psi = gradient_values(inverse_laplacian(omega), grid).real
+    first = grid.integrate(np.sum(grad_psi * x_field, axis=-1) * w_vals)
+    second = grid.integrate(np.sum(grad_w * x_field, axis=-1) * psi_vals)
+    return float(first), float(second)
+
+
+def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes: int = 20) -> dict:
+    """Max residuals of the integral identities on seeded random data.
+
+    Families: quadrature normalization, harmonic orthonormality, conjugation
+    symmetry, the cos(theta) recurrence projections, the Laplacian
+    eigenfunction roundtrip, the Killing integral identity, the stream/
+    transport pairings, the degree-1 projections of convection, the
+    closed-form degree-2 rotation table, and the tangent-basis identities.
+    """
+    if lmax < 4:
+        raise ValueError("oracle suites need lmax >= 4")
+    rng = np.random.default_rng(seed)
+    grid = build_grid(lmax)
+    res: dict[str, float] = {}
+
+    ones = np.ones((grid.n_theta, grid.n_phi))
+    res["surface_area"] = abs(float(grid.integrate(ones)) - 4.0 * math.pi) / (4.0 * math.pi)
+
+    # orthonormality on a seeded sample of harmonic pairs
+    indices = list(harmonic_indices(lmax))
+
+    def sample_nm():
+        idx = indices[int(rng.integers(0, len(indices)))]
+        return idx.n, idx.m
+
+    worst = 0.0
+    for _ in range(60):
+        n1, m1 = sample_nm()
+        n2, m2 = sample_nm()
+        u1 = SpectralField.zeros(lmax); u1[n1, m1] = 1.0
+        u2 = SpectralField.zeros(lmax); u2[n2, m2] = 1.0
+        v1 = synthesize_complex(u1, grid)
+        v2 = synthesize_complex(u2, grid)
+        expected = 1.0 if (n1, m1) == (n2, m2) else 0.0
+        worst = max(worst, abs(complex(inner(grid, v1, v2)) - expected))
+    res["orthonormality"] = worst
+
+    worst = 0.0
+    theta = grid.theta_nodes[:, None]
+    phi = grid.phi_nodes[None, :]
+    for _ in range(12):
+        n, m = sample_nm()
+        u = SpectralField.zeros(lmax); u[n, m] = 1.0
+        um = SpectralField.zeros(lmax); um[n, -m] = 1.0
+        v = synthesize_complex(u, grid)
+        vm = synthesize_complex(um, grid)
+        worst = max(worst, float(np.max(np.abs(vm - (-1.0) ** m * np.conj(v)))))
+    res["conjugation"] = worst
+
+    worst = 0.0
+    cos_t = np.cos(theta) * np.ones_like(phi)
+    for _ in range(30):
+        n, m = sample_nm()
+        if n >= lmax:
+            continue
+        u = SpectralField.zeros(lmax); u[n, m] = 1.0
+        v = synthesize_complex(u, grid) * cos_t
+        for target, coeff in ((n - 1, recurrence_coeff(n, m)), (n + 1, recurrence_coeff(n + 1, m))):
+            if target < max(1, abs(m)):
+                continue
+            ut = SpectralField.zeros(lmax); ut[target, m] = 1.0
+            proj = complex(inner(grid, v, synthesize_complex(ut, grid)))
+            worst = max(worst, abs(proj - coeff))
+    res["cos_theta_recurrence"] = worst
+
+    worst = 0.0
+    for _ in range(8):
+        f = random_real_field(lmax, rng)
+        vals = synthesize(f, grid)
+        lap_grid = synthesize(laplacian(analyze(vals)), grid)
+        n_arr = np.arange(lmax + 1)
+        expected = synthesize(f.apply_degree_multiplier(-(n_arr * (n_arr + 1.0))), grid)
+        scale = max(1.0, float(np.max(np.abs(expected.values))))
+        worst = max(worst, float(np.max(np.abs(lap_grid.values - expected.values))) / scale)
+    res["laplacian_eigenfunction"] = worst
+
+    worst = 0.0
+    for _ in range(n_triples):
+        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
+        g = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
+        axis = rng.standard_normal(3)
+        worst = max(worst, abs(killing_identity_residual(f, g, axis, grid)))
+    res["killing_identity"] = worst
+
+    worst = 0.0
+    for _ in range(20):
+        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
+        axis = rng.standard_normal(3)
+        r1, r2 = killing_pairing_residuals(f, axis, grid)
+        worst = max(worst, abs(r1), abs(r2))
+    res["killing_pairings"] = worst
+
+    worst = 0.0
+    for _ in range(10):
+        f = random_real_field(lmax, rng, amplitude=1.0, decay=0.6)
+        conv = convection(f, grid)
+        for m in (-1, 0, 1):
+            worst = max(worst, abs(conv[1, m]))
+    res["convection_degree1_projection"] = worst
+
+    worst_coeff, worst_leak = 0.0, 0.0
+    for _ in range(n_axes):
+        axis = rng.standard_normal(3)
+        table = killing_degree2_matrix(axis)
+        for col, m in enumerate(MODE2_ORDER):
+            u = SpectralField.zeros(lmax); u[2, m] = 1.0
+            adv = killing_advect(axis, u, grid)
+            worst_coeff = max(worst_coeff, float(np.max(np.abs(adv.mode2_vector() - table[:, col]))))
+            leak = adv.copy()
+            leak.coeffs[2] = 0.0
+            worst_leak = max(worst_leak, float(np.max(np.abs(leak.coeffs))))
+    res["degree2_rotation_coefficients"] = worst_coeff
+    res["degree2_rotation_leakage"] = worst_leak
+
+    e1, e2, e3 = np.eye(3)
+    dtheta, dphi = dtheta_x(grid), dphi_x(grid)
+    xyz = nodes_xyz(grid)
+    sin_t = grid.sin_theta[:, None]
+    cos_t2 = grid.cos_theta[:, None]
+    cp = np.cos(phi)
+    sp = np.sin(phi)
+    pairs = [
+        (np.cross(e1, xyz), -sp * np.ones_like(sin_t), -sin_t * cos_t2 * cp),
+        (np.cross(e2, xyz), cp * np.ones_like(sin_t), -sin_t * cos_t2 * sp),
+        (np.cross(e3, xyz), np.zeros_like(sin_t * cp), sin_t**2 * np.ones_like(cp)),
+    ]
+    worst = 0.0
+    for field_vals, want_theta, want_phi in pairs:
+        worst = max(worst, float(np.max(np.abs(np.sum(field_vals * dtheta, axis=-1) - want_theta))))
+        worst = max(worst, float(np.max(np.abs(np.sum(field_vals * dphi, axis=-1) - want_phi))))
+    res["tangent_basis_identities"] = worst
+    return res

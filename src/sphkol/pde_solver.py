@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reduced_ode
 from .harmonics import QuadratureGrid
-from .operators import KillingParams, convection, perturbation_operator, velocity_values
+from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, perturbation_operator
 from .sht import SpectralField
 
 TRAJECTORY_HEADER = (
@@ -114,9 +114,14 @@ def skew_diagonal(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) 
 
 
 def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> float:
-    """min(0.1/(nu N^2), 0.5/(|v|_inf N)), from the initial condition only."""
+    """min(0.1/(nu N^2), 0.5/(|v|_inf N)), from the initial condition only.
+
+    The speed |v| = |grad psi| = sqrt(psi_theta^2 + psi_phi^2 / sin^2 theta),
+    psi = Lap^{-1} w, is sampled on the grid from the m >= 0 half of psi.
+    """
     dt = 0.1 / (cfg.nu * cfg.N**2)
-    vmax = float(np.max(np.abs(velocity_values(omega0, grid))))
+    psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega0).coeffs[:, omega0.N :], grid)
+    vmax = float(np.sqrt(np.max(psi_theta**2 + (psi_phi / grid.sin_theta[:, None]) ** 2)))
     if vmax > 0.0:
         dt = min(dt, 0.5 / (vmax * cfg.N))
     return dt

@@ -54,18 +54,40 @@ class ReducedSystem:
         return float(np.max(np.abs(self.A - self.A.conj().T)))
 
 
+def _degree2_generator(diagonal, upper, lower) -> np.ndarray:
+    """5x5 matrix of a rotation generator on the degree-2 span, rows/cols m = 2..-2.
+
+    Every such generator has this shape: m * diagonal on the diagonal, and
+    upper * s_k and lower * s_k on the super- and subdiagonal, with
+    s = (1, sqrt(6)/2, sqrt(6)/2, 1).
+    """
+    s = np.array([1.0, SQRT6 / 2.0, SQRT6 / 2.0, 1.0])
+    orders = np.array(MODE2_ORDER, dtype=float)
+    return np.diag(orders * diagonal) + np.diag(s * upper, 1) + np.diag(s * lower, -1)
+
+
+def killing_degree2_matrix(axis) -> np.ndarray:
+    """Closed-form matrix of X . grad on the degree-2 span, rows/cols ordered m = 2..-2.
+
+    X(x) = a x x is the Killing field of the rotation axis a.  Column k holds
+    the expansion coefficients of X . grad Y_2^{m_k}; the degree-2 span is
+    invariant, so this matrix is the whole story.
+    """
+    a1, a2, a3 = np.asarray(axis, dtype=float)
+    return _degree2_generator(1j * a3, 1j * a1 + a2, 1j * a1 - a2)
+
+
 def build_system(params: KillingParams, amplitude: float, nu: float) -> ReducedSystem:
-    """Assemble A and c from the degree-1 data; entries are placed symmetrically."""
+    """Assemble A and c from the degree-1 data.
+
+    A is the degree-2 rotation by the Killing field of the degree-1 data,
+    A = -(2i/3) killing_degree2_matrix(params.axis), built from (alpha, b)
+    directly so that no rounding of the axis enters it.
+    """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     alpha, b = complex(params.alpha), float(params.b)
-    A = np.zeros((5, 5), dtype=complex)
-    diag = np.array([2.0 * b, b, 0.0, -b, -2.0 * b])
-    np.fill_diagonal(A, diag)
-    upper = [-2.0 * alpha, -SQRT6 * alpha, -SQRT6 * alpha, -2.0 * alpha]
-    for k, val in enumerate(upper):
-        A[k, k + 1] = val
-        A[k + 1, k] = np.conj(val)
+    A = _degree2_generator(b, -2.0 * alpha, np.conj(-2.0 * alpha))
     c = SQRT6 * 1j * amplitude * np.array([0.0, alpha, 0.0, np.conj(alpha), 0.0])
     return ReducedSystem(A=A, c=c, nu=nu)
 

@@ -4,8 +4,8 @@ Coefficient tables hold u_n^m for 1 <= n <= N and |m| <= n.  A real field is
 transformed from its m >= 0 half: synthesis is a Legendre sum per order m and
 an inverse real FFT in longitude, analysis a real FFT followed by
 Gauss-Legendre quadrature in colatitude per order m, mirrored to m < 0.  Both
-are exact for band-limited data.  A complex table is split into two real
-fields and transformed through the same pair.
+are exact for band-limited data.  Complex node samples are analyzed as their
+real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -184,17 +184,6 @@ class GridField:
         return float(self.grid.integrate(self.values))
 
 
-@dataclass
-class TangentGridField:
-    """Real tangential vector samples, Cartesian components per node."""
-
-    grid: QuadratureGrid
-    values: np.ndarray  # shape (n_theta, n_phi, 3)
-
-    def tangency_residual(self) -> float:
-        return float(np.max(np.abs(np.sum(self.values * self.grid.nodes_xyz, axis=-1))))
-
-
 def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
     """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients.
 
@@ -237,28 +226,6 @@ def real_analysis(
     out = SpectralField.zeros(N)
     out.coeffs[:, N:] = proj
     return out.symmetrized()
-
-
-def _real_halves(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """m >= 0 halves of the real fields (c + c*)/2 and (c - c*)/2i, c*_n^m = (-1)^m conj(c_n^{-m})."""
-    mirror = np.conj(coeffs[:, N::-1]) * (-1.0) ** np.arange(N + 1)
-    pos = coeffs[:, N:]
-    return (pos + mirror) / 2.0, (pos - mirror) / 2j
-
-
-def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
-    """Complex samples of a coefficient table against a per-(m, n) latitude basis.
-
-    The table splits into two real fields, each synthesized by real_synthesis;
-    ``table`` must obey the symmetry real_synthesis asks for.
-    """
-    re, im = _real_halves(coeffs, N)
-    return real_synthesis(re, grid, table) + 1j * real_synthesis(im, grid, table)
-
-
-def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Pointwise sum of the harmonic series; no reality assumed."""
-    return table_synthesis(u.coeffs, u.N, grid, grid.plm)
 
 
 def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
-from sphkol.cli import _envelope_margin, fit_rate, identity_oracle_residuals
+from sphkol.cli import _envelope_margin, fit_rate
 from sphkol.harmonics import build_grid, recurrence_coeff
 from sphkol.operators import KillingParams
+from sphkol.oracles import identity_oracle_residuals, inner, synthesize_complex
 from sphkol.pde_solver import SolverConfig, run, run_with_coupling
 from sphkol.reduced_ode import (
     build_system,
@@ -279,7 +280,6 @@ def test_criterion_12_transform_quadrature_suite():
     # which still exercises quadrature orthonormality non-trivially.
     grid = build_grid(32)
     from refimpl import ynm_reference
-    from sphkol.sht import synthesize_complex
 
     ones = np.ones((grid.n_theta, grid.n_phi))
     area_err = abs(float(grid.integrate(ones)) - 4.0 * math.pi) / (4.0 * math.pi)
@@ -316,10 +316,10 @@ def test_criterion_12_transform_quadrature_suite():
     for n in range(1, 32):
         for m in range(-n, n + 1):
             vals = cos_t * sampled(n, m)
-            proj_up = complex(grid.inner(vals, sampled(n + 1, m)))
+            proj_up = complex(inner(grid, vals, sampled(n + 1, m)))
             worst_rec = max(worst_rec, abs(proj_up - recurrence_coeff(n + 1, m)))
             if n - 1 >= abs(m) and n - 1 >= 1:
-                proj_dn = complex(grid.inner(vals, sampled(n - 1, m)))
+                proj_dn = complex(inner(grid, vals, sampled(n - 1, m)))
                 worst_rec = max(worst_rec, abs(proj_dn - recurrence_coeff(n, m)))
 
     ok = area_err < 1e-13 and max(worst_ortho, roundtrip, parseval, worst_rec) < 1e-11

@@ -8,10 +8,10 @@ from sphkol import cli
 from sphkol.cli import (
     ManifestError,
     fit_rate,
-    identity_oracle_residuals,
     main,
     run_manifest,
 )
+from sphkol.oracles import identity_oracle_residuals
 from sphkol.pde_solver import TRAJECTORY_HEADER, IntegrationError
 from sphkol.sht import MeanModeError
 
@@ -188,6 +188,8 @@ class TestManifests:
             run_manifest(write_manifest(tmp_path, {"scenario": "nope", "output_dir": "x"}))
         with pytest.raises(ManifestError):
             run_manifest({"scenario": "two_jet", "cfg": {}, "output_dir": str(tmp_path / "bad")})
+        with pytest.raises(ManifestError, match="cfg must be an object"):
+            run_manifest({"scenario": "identity_oracles", "cfg": [], "output_dir": str(tmp_path / "bad")})
         rotating = {**two_jet_manifest(tmp_path, "rot"), "scenario": "rotating", "Omega": None}
         with pytest.raises(ManifestError, match="Omega"):
             run_manifest(rotating)
@@ -228,6 +230,11 @@ class TestMain:
     def test_run_bad_manifest_exit_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, {"scenario": "bogus"})
         assert main(["run", str(path)]) == 2
+        path = write_manifest(
+            tmp_path, {"scenario": "identity_oracles", "cfg": [], "output_dir": str(tmp_path / "out")}
+        )
+        assert main(["run", str(path)]) == 2
+        assert "cfg must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "error",

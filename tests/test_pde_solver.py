@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
+from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams
+from sphkol.oracles import velocity_values
 from sphkol.pde_solver import (
     IntegrationError,
     SolverConfig,
@@ -63,6 +65,30 @@ class TestConfig:
         assert default_dt(omega0, cfg, grid8) == pytest.approx(0.1 / (0.5 * 64))
         big = single(8, 2, 0, 500.0)
         assert default_dt(big, cfg, grid8) < 0.1 / (0.5 * 64)
+
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_default_dt_reads_the_speed(self, N):
+        # Large and non-zonal, so the advective limit 0.5/(max|u| N) binds; the
+        # speed is the length of the Cartesian reference velocity at the nodes.
+        grid = build_grid(N)
+        omega0 = rand_field(N, seed=N, amplitude=200.0, decay=0.3)
+        cfg = two_jet_cfg(N=N)
+        speed = float(np.max(np.linalg.norm(velocity_values(omega0, grid).real, axis=-1)))
+        assert 0.5 / (speed * N) < 0.1 / (cfg.nu * N**2)
+        assert default_dt(omega0, cfg, grid) == pytest.approx(0.5 / (speed * N), rel=1e-12)
+
+    def test_solver_path_builds_nothing_cartesian(self, monkeypatch):
+        def cross(*args, **kwargs):
+            raise AssertionError("Cartesian cross product on the solver path")
+
+        monkeypatch.setattr(np, "cross", cross)
+        grid = build_grid(8)
+        omega0 = rand_field(8, seed=9, amplitude=0.5)
+        cfg = two_jet_cfg(t_end=0.05)  # default dt
+        assert run(omega0, cfg, grid)[-1].t == pytest.approx(0.05)
+        assert run_rotating(omega0, RotatingConfig(base=cfg, Omega=1.5), grid)[-1].t == pytest.approx(0.05)
+        _, coupling = run_with_coupling(omega0, cfg, grid)
+        assert np.all(np.isfinite(coupling.M)) and np.all(np.isfinite(coupling.f))
 
 
 class TestRightHandSides:

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import rand_field
 from sphkol.harmonics import build_grid, recurrence_coeff
-from sphkol.operators import KillingParams, gradient_values, velocity_values
+from sphkol.operators import KillingParams
+from sphkol.oracles import gradient_values, nodes_xyz, velocity_values
 from sphkol.reduced_ode import (
     MODE2_ORDER,
     build_system,
@@ -13,6 +14,7 @@ from sphkol.reduced_ode import (
     equilibrium_report,
     equilibrium_solve,
     extract_coupling,
+    killing_degree2_matrix,
     mode2_reality_residual,
     propagate_exact,
     propagate_forced,
@@ -36,7 +38,7 @@ def cartesian_degree2_tables(grid):
         u[2, m] = 1.0
         grads.append(gradient_values(u, grid))
     grad_conj = [np.conj(g) for g in grads]
-    rotations = [np.cross(grid.nodes_xyz, g) for g in grads]
+    rotations = [np.cross(nodes_xyz(grid), g) for g in grads]
     jacobians = [[np.sum(rotations[k] * grad_conj[i], axis=-1) for i in range(5)] for k in range(5)]
     return grad_conj, jacobians
 
@@ -86,6 +88,14 @@ class TestBuildSystem:
         for nu, a, alpha, b in SWEEP:
             sys = build_system(KillingParams(alpha=alpha, b=b), a, nu)
             assert sys.hermiticity_residual() == 0.0
+
+    def test_A_is_the_degree2_killing_rotation(self):
+        # A = -(2i/3) K(a): the Killing-field matrix criterion 9 checks, at the degree-1 axis.
+        for nu, a, alpha, b in SWEEP:
+            params = KillingParams(alpha=alpha, b=b)
+            A = build_system(params, a, nu).A
+            rotation = (-2j / 3.0) * killing_degree2_matrix(params.axis)
+            assert np.max(np.abs(A - rotation)) <= 1e-15 * max(1.0, float(np.max(np.abs(A))))
 
 
 class TestEquilibrium:

@@ -13,7 +13,8 @@ from sphkol.rotating import (
     rotating_equilibrium,
     run_rotating,
 )
-from sphkol.sht import SpectralField, synthesize, synthesize_complex
+from sphkol.oracles import synthesize_complex
+from sphkol.sht import SpectralField, synthesize
 
 
 def single(N, n, m, value=1.0):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_field
 from refimpl import ynm_reference
 from sphkol.harmonics import build_grid
+from sphkol.oracles import synthesize_complex
 from sphkol.sht import (
     GridField,
     MeanModeError,
@@ -16,7 +17,6 @@ from sphkol.sht import (
     analyze,
     random_real_field,
     synthesize,
-    synthesize_complex,
 )
 
 
