@@ -112,6 +112,17 @@ def perturbation_operator(omega: SpectralField) -> SpectralField:
     return out
 
 
+@lru_cache(maxsize=None)
+def _inverse_laplacian_column(N: int) -> np.ndarray:
+    """-1/(n(n+1)) for n = 0..N as a column, row 0 zero: inverse_laplacian's factors, rounded alike."""
+    return (-1.0 * degree_values(N, lambda n: float(n * (n + 1)) ** -1.0))[:, None]
+
+
+def stream_function_half(omega: SpectralField) -> np.ndarray:
+    """m >= 0 half of psi = Lap^{-1} omega, without building the full table."""
+    return omega.coeffs[:, omega.N :] * _inverse_laplacian_column(omega.N)
+
+
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half."""
     d_phi = 1j * np.arange(half.shape[0])
@@ -127,7 +138,7 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     projection vanishes analytically and real_analysis checks it.
     """
     N = omega.N
-    psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega).coeffs[:, N:], grid)
+    psi_theta, psi_phi = angular_derivatives(stream_function_half(omega), grid)
     w_theta, w_phi = angular_derivatives(omega.coeffs[:, N:], grid)
     jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
     return real_analysis(jacobian, grid, N)

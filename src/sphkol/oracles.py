@@ -17,7 +17,7 @@ import numpy as np
 from .harmonics import QuadratureGrid, build_grid, harmonic_indices, recurrence_coeff
 from .operators import KillingParams, convection, inverse_laplacian, laplacian
 from .reduced_ode import MODE2_ORDER, killing_degree2_matrix
-from .sht import SpectralField, analyze, analyze_complex, random_real_field, real_synthesis, synthesize
+from .sht import SpectralField, analyze, random_real_field, real_analysis, real_synthesis, synthesize
 
 
 def nodes_xyz(grid: QuadratureGrid) -> np.ndarray:
@@ -72,6 +72,11 @@ def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.
 def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
     """Pointwise sum of the harmonic series; no reality assumed."""
     return table_synthesis(u.coeffs, u.N, grid, grid.plm)
+
+
+def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
+    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples; full coefficient table."""
+    return real_analysis(values.real, grid, N).coeffs + 1j * real_analysis(values.imag, grid, N).coeffs
 
 
 def gradient_values(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reduced_ode
 from .harmonics import QuadratureGrid
-from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, perturbation_operator
+from .operators import KillingParams, angular_derivatives, convection, perturbation_operator, stream_function_half
 from .sht import SpectralField
 
 TRAJECTORY_HEADER = (
@@ -50,11 +50,13 @@ class SolverConfig:
     store_snapshots: bool = False
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.dt is not None and (self.dt <= 0 or self.dt > self.t_end):
+        if not math.isfinite(self.nu) or self.nu <= 0:
+            raise ValueError("viscosity must be positive and finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if not math.isfinite(self.t_end) or self.t_end <= 0:
+            raise ValueError("t_end must be positive and finite")
+        if self.dt is not None and not (0 < self.dt <= self.t_end):
             raise ValueError("dt must lie in (0, t_end]")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be a positive integer")
@@ -120,7 +122,7 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
     psi = Lap^{-1} w, is sampled on the grid from the m >= 0 half of psi.
     """
     dt = 0.1 / (cfg.nu * cfg.N**2)
-    psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega0).coeffs[:, omega0.N :], grid)
+    psi_theta, psi_phi = angular_derivatives(stream_function_half(omega0), grid)
     vmax = float(np.sqrt(np.max(psi_theta**2 + (psi_phi / grid.sin_theta[:, None]) ** 2)))
     if vmax > 0.0:
         dt = min(dt, 0.5 / (vmax * cfg.N))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .harmonics import QuadratureGrid, recurrence_coeff
 from .operators import KillingParams, convection
-from .sht import SpectralField, analyze_complex
+from .sht import SpectralField, real_analysis
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
@@ -224,10 +224,11 @@ def _degree3_coupling_table(grid: QuadratureGrid) -> np.ndarray:
     y_phi = 1j * m[:, None, None] * y
     sin = grid.sin_theta[:, None]
 
-    def jacobian(k, i):
-        return (y_theta[k] * np.conj(y_phi[i]) - y_phi[k] * np.conj(y_theta[i])) / sin
+    def degree3_projection(k, i):
+        jac = (y_theta[k] * np.conj(y_phi[i]) - y_phi[k] * np.conj(y_theta[i])) / sin
+        return real_analysis(jac.real, grid, 3).coeffs[3] + 1j * real_analysis(jac.imag, grid, 3).coeffs[3]
 
-    proj = np.array([[analyze_complex(jacobian(k, i), grid, 3)[3] for k in range(5)] for i in range(5)])
+    proj = np.array([[degree3_projection(k, i) for k in range(5)] for i in range(5)])
     table = proj[:, :, ::-1] * (-1.0) ** np.arange(-3, 4)
     grid._degree3_coupling_table = table
     return table

@@ -31,6 +31,8 @@ class RotatingConfig:
     def __post_init__(self):
         if self.base.jet_order != "two_jet":
             raise ValueError("rotating dynamics are defined for the two-jet base flow")
+        if not math.isfinite(self.Omega):
+            raise ValueError("Omega must be finite")
 
 
 def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:

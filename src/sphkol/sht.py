@@ -4,12 +4,13 @@ Coefficient tables hold u_n^m for 1 <= n <= N and |m| <= n.  A real field is
 transformed from its m >= 0 half: synthesis is a Legendre sum per order m and
 an inverse real FFT in longitude, analysis a real FFT followed by
 Gauss-Legendre quadrature in colatitude per order m, mirrored to m < 0.  Both
-are exact for band-limited data.  Complex node samples are analyzed as their
-real and imaginary parts.
+are exact for band-limited data.  The Legendre sums over all orders are one
+real batched matrix product per call.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +19,10 @@ import numpy as np
 
 from .harmonics import QuadratureGrid
 from .serialize import dumps17
+
+
+# Largest mean-mode projection real_analysis accepts, relative to max(1, max |samples|).
+MEAN_TOL = 1e-10
 
 
 class MeanModeError(ValueError):
@@ -154,7 +159,10 @@ class SpectralField:
             n, m = int(item["n"]), int(item["m"])
             if m < 0:
                 raise ValueError("coefficients are listed for m >= 0; negative orders are implied")
-            out[n, m] = complex(float(item["re"]), float(item.get("im", 0.0)))
+            value = complex(float(item["re"]), float(item.get("im", 0.0)))
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient ({n}, {m}) is not finite")
+            out[n, m] = value
         return out.symmetrized()
 
     def save(self, path):
@@ -184,6 +192,17 @@ class GridField:
         return float(self.grid.integrate(self.values))
 
 
+def _per_order_product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """table[m] @ rows[m] for every order m, with real table (m, p, q) and complex rows (m, q).
+
+    The rows are multiplied as their (m, q, 2) real/imaginary view, so the
+    batched matmul stays real and reaches BLAS; the (m, p, 2) product is
+    viewed back as complex (m, p).
+    """
+    pairs = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(*rows.shape, 2)
+    return np.matmul(table, pairs).view(complex)[..., 0]
+
+
 def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
     """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients.
 
@@ -198,18 +217,16 @@ def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) ->
         raise ValueError(f"field degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
     spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
-    spec[:, : N + 1] = np.einsum("nm,mnj->jm", half, table[: N + 1, : N + 1, :])
+    spec[:, : N + 1] = _per_order_product(table[: N + 1, : N + 1, :].transpose(0, 2, 1), half.T).T
     return np.fft.irfft(spec, n=K, axis=1) * K
 
 
-def real_analysis(
-    values: np.ndarray, grid: QuadratureGrid, N: int | None = None, mean_tol: float = 1e-10
-) -> SpectralField:
+def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> SpectralField:
     """Quadrature projections (f, Y_n^m) of real mean-zero node samples, n <= N.
 
     Projected for m >= 0 and mirrored, so the reality rule holds by
     construction.  The projection onto the constant mode vanishes for a
-    mean-zero field; it must stay below mean_tol * max(1, max |values|), so
+    mean-zero field; it must stay below MEAN_TOL * max(1, max |values|), so
     round-off at large amplitude passes and solver drift raises MeanModeError.
     """
     if N is None:
@@ -218,10 +235,10 @@ def real_analysis(
         raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
     fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
-    proj = np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], grid.theta_weights[:, None] * fhat)
+    proj = _per_order_product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T
     mean = abs(proj[0, 0])
     scale = max(1.0, float(np.max(np.abs(values))))
-    if mean > mean_tol * scale:
+    if mean > MEAN_TOL * scale:
         raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
     out = SpectralField.zeros(N)
     out.coeffs[:, N:] = proj
@@ -242,14 +259,9 @@ def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:
     return GridField(grid=grid, values=real_synthesis(u.coeffs[:, u.N :], grid, grid.plm))
 
 
-def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
-    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples; full coefficient table."""
-    return real_analysis(values.real, grid, N).coeffs + 1j * real_analysis(values.imag, grid, N).coeffs
-
-
-def analyze(f: GridField, mean_tol: float = 1e-10) -> SpectralField:
+def analyze(f: GridField) -> SpectralField:
     """Forward transform of a real mean-zero field (real_analysis at the grid degree)."""
-    return real_analysis(f.values, f.grid, mean_tol=mean_tol)
+    return real_analysis(f.values, f.grid)
 
 
 def random_real_field(

@@ -299,7 +299,7 @@ def test_criterion_12_transform_quadrature_suite():
         for m in range(0, n + 1):
             samples = sampled(n, m)
             real_part = samples.real if m == 0 else (samples + np.conj(samples)).real
-            u = analyze(GridField(grid, real_part.copy()), mean_tol=1e-10)
+            u = analyze(GridField(grid, real_part.copy()))
             want = SpectralField.zeros(32)
             want[n, m] = 1.0
             if m > 0:

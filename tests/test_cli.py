@@ -235,6 +235,22 @@ class TestMain:
         )
         assert main(["run", str(path)]) == 2
         assert "cfg must be an object" in capsys.readouterr().err
+        # Non-finite numbers are configuration errors, not numerical failures.
+        base = two_jet_manifest(tmp_path)
+        for key, value in [
+            ("nu", math.nan), ("t_end", math.inf), ("amplitude", math.nan), ("dt", math.nan), ("dt", math.inf)
+        ]:
+            path = write_manifest(tmp_path, {**base, "cfg": {**base["cfg"], key: value}})
+            assert main(["run", str(path)]) == 2, key
+            assert "configuration error" in capsys.readouterr().err
+        for value in (math.nan, math.inf):
+            init = [{"n": 2, "m": 1, "re": 0.1, "im": value}] + base["init"]
+            path = write_manifest(tmp_path, {**base, "init": init})
+            assert main(["run", str(path)]) == 2
+            assert "not finite" in capsys.readouterr().err
+        path = write_manifest(tmp_path, {**base, "scenario": "rotating", "Omega": math.nan})
+        assert main(["run", str(path)]) == 2
+        assert "Omega must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "error",

@@ -16,6 +16,7 @@ from sphkol.operators import (
     perturbation_operator,
 )
 from sphkol.oracles import (
+    analyze_complex,
     dtheta_x,
     gradient_values,
     killing_advect,
@@ -26,7 +27,7 @@ from sphkol.oracles import (
     velocity_values,
 )
 from sphkol.reduced_ode import killing_degree2_matrix
-from sphkol.sht import MeanModeError, SpectralField, analyze, analyze_complex, synthesize
+from sphkol.sht import MeanModeError, SpectralField, analyze, synthesize
 
 
 def single(N, n, m, value=1.0):

@@ -57,6 +57,18 @@ class TestConfig:
             SolverConfig(nu=1.0, amplitude=1.0, N=2, t_end=1.0)  # two-jet needs N >= 3
         with pytest.raises(ValueError):
             SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=1.0, jet_order="three_jet")
+        for bad in (
+            {"nu": math.nan},
+            {"nu": math.inf},
+            {"amplitude": math.nan},
+            {"amplitude": -math.inf},
+            {"t_end": math.inf},
+            {"t_end": math.nan},
+            {"dt": math.nan},
+            {"dt": math.inf},
+        ):
+            with pytest.raises(ValueError):
+                SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, **bad})
         SolverConfig(nu=1.0, amplitude=1.0, N=2, t_end=1.0, jet_order="one_jet")
 
     def test_default_dt_formula(self, grid8):

@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_field
 from sphkol.harmonics import build_grid, recurrence_coeff
 from sphkol.operators import KillingParams
-from sphkol.oracles import gradient_values, nodes_xyz, velocity_values
+from sphkol.oracles import analyze_complex, gradient_values, nodes_xyz, velocity_values
 from sphkol.reduced_ode import (
     MODE2_ORDER,
     build_system,
@@ -19,7 +19,7 @@ from sphkol.reduced_ode import (
     propagate_exact,
     propagate_forced,
 )
-from sphkol.sht import SpectralField, analyze_complex, synthesize
+from sphkol.sht import SpectralField, synthesize
 
 SWEEP = [
     (nu, a, alpha, b)

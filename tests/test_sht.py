@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_field
 from refimpl import ynm_reference
 from sphkol.harmonics import build_grid
+from sphkol.operators import angular_derivatives
 from sphkol.oracles import synthesize_complex
 from sphkol.sht import (
     GridField,
@@ -16,6 +17,8 @@ from sphkol.sht import (
     SpectralField,
     analyze,
     random_real_field,
+    real_analysis,
+    real_synthesis,
     synthesize,
 )
 
@@ -105,7 +108,7 @@ class TestAnalyze:
         rng = np.random.default_rng(2)
         values = rng.standard_normal((grid8.n_theta, grid8.n_phi))
         values -= grid8.integrate(values) / (4.0 * math.pi)
-        u = analyze(GridField(grid8, values), mean_tol=1e-8)
+        u = analyze(GridField(grid8, values))
         assert u.reality_residual() == 0.0
 
 
@@ -185,6 +188,71 @@ class TestRoundtripProperties:
         assert back.N == 8
         assert np.max(np.abs(back.coeffs[:6, 3:14] - u.coeffs)) < 1e-12
         assert back.highpass_norm(6) < 1e-12
+
+
+def einsum_synthesis(half, grid, table):
+    """Dense einsum Legendre sum of real_synthesis before it became a batched matmul."""
+    N = half.shape[0] - 1
+    K = grid.n_phi
+    spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
+    spec[:, : N + 1] = np.einsum("nm,mnj->jm", half, table[: N + 1, : N + 1, :])
+    return np.fft.irfft(spec, n=K, axis=1) * K
+
+
+def einsum_projection(values, grid):
+    """Dense einsum m >= 0 projections of real_analysis before it became a batched matmul."""
+    N, K = grid.N, grid.n_phi
+    fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
+    return np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], grid.theta_weights[:, None] * fhat)
+
+
+class TestKernelsAtBenchmarkSizes:
+    """The batched real kernels against the dense einsum contraction, at the benchmark's N."""
+
+    @pytest.fixture(scope="class", params=[16, 32, 64])
+    def grid(self, request):
+        return build_grid(request.param)
+
+    @pytest.mark.parametrize("table_name", ["plm", "dplm_dtheta"])
+    @pytest.mark.parametrize("amplitude", [1.0, 1e6])
+    def test_synthesis_matches_einsum(self, grid, table_name, amplitude):
+        u = random_real_field(grid.N, np.random.default_rng(grid.N), amplitude, 0.1)
+        half = u.coeffs[:, grid.N :]
+        table = getattr(grid, table_name)
+        want = einsum_synthesis(half, grid, table)
+        got = real_synthesis(half, grid, table)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e6])
+    def test_analysis_matches_einsum(self, grid, amplitude):
+        # A synthesized field, and the convection Jacobian of two fields, whose
+        # four factors come from both latitude tables.
+        N = grid.N
+        u = random_real_field(N, np.random.default_rng(N + 1), amplitude, 0.1)
+        v = random_real_field(N, np.random.default_rng(N + 2), amplitude, 0.1)
+        u_theta, u_phi = angular_derivatives(u.coeffs[:, N:], grid)
+        v_theta, v_phi = angular_derivatives(v.coeffs[:, N:], grid)
+        jacobian = (u_theta * v_phi - u_phi * v_theta) / grid.sin_theta[:, None]
+        for values in (synthesize(u, grid).values, jacobian):
+            want = einsum_projection(values, grid)
+            got = real_analysis(values, grid).coeffs[:, N:]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_synthesis_matches_reference_harmonics(self):
+        grid = build_grid(16)
+        rows = [0, 5, 12, grid.n_theta - 1]
+        cols = [0, 7, 30]
+        theta = grid.theta_nodes[rows][:, None]
+        phi = grid.phi_nodes[cols][None, :]
+        for n, m in [(1, 1), (7, 0), (11, 6), (16, 3), (16, 16)]:
+            u = SpectralField.zeros(16)
+            u[n, m] = 0.6 - 0.8j if m else 1.0
+            u = u.symmetrized()
+            got = synthesize(u, grid).values[np.ix_(rows, cols)]
+            ref = u[n, m] * ynm_reference(n, m, theta, phi)
+            want = ref.real if m == 0 else 2.0 * ref.real
+            # ynm_reference sums a monomial expansion; at n = 16 it is itself off by ~6e-14.
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestSerialization:
