@@ -9,6 +9,7 @@ degree-1 data as the rotation axis of a Killing vector field.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,6 +33,12 @@ class KillingParams:
     alpha: complex
     b: float
 
+    def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b!r}")
+
     @classmethod
     def from_field(cls, omega: SpectralField) -> "KillingParams":
         w11 = omega[1, 1]
@@ -52,16 +59,15 @@ class KillingParams:
         return 2.0 * math.sqrt(3.0 * math.pi) * self.b, 2.0 * math.sqrt(6.0 * math.pi) * self.alpha
 
 
-def degree_values(N: int, fn) -> np.ndarray:
-    """Vector [fn(n) for n = 0..N] with the n = 0 slot zeroed."""
-    out = np.array([0.0 if n == 0 else fn(n) for n in range(N + 1)], dtype=float)
-    return out
+@lru_cache(maxsize=None)
+def _power_factors(N: int, s: float) -> np.ndarray:
+    """(n(n+1))^s for n = 0..N with the n = 0 slot zero, cached per (N, s)."""
+    return np.array([0.0] + [float(n * (n + 1)) ** s for n in range(1, N + 1)])
 
 
 def laplacian_power(u: SpectralField, s: float) -> SpectralField:
     """Fractional operator (-Laplacian)^s: multiply degree n by (n(n+1))^s."""
-    factors = degree_values(u.N, lambda n: float(n * (n + 1)) ** s)
-    return u.apply_degree_multiplier(factors)
+    return u.apply_degree_multiplier(_power_factors(u.N, s))
 
 
 def laplacian(u: SpectralField) -> SpectralField:
@@ -76,21 +82,21 @@ def inverse_laplacian(u: SpectralField) -> SpectralField:
 
 @lru_cache(maxsize=None)
 def _acoeff_table(N: int) -> np.ndarray:
-    """a_n^m for n = 0..N+1, |m| <= min(n, N); zero where |m| > n."""
-    table = np.zeros((N + 2, 2 * N + 1))
+    """a_n^m for n = 0..N+1, 0 <= m <= min(n, N); zero where m > n."""
+    table = np.zeros((N + 2, N + 1))
     for n in range(1, N + 2):
-        for m in range(-min(n, N), min(n, N) + 1):
-            table[n, N + m] = recurrence_coeff(n, m)
+        for m in range(min(n, N) + 1):
+            table[n, m] = recurrence_coeff(n, m)
     return table
 
 
 @lru_cache(maxsize=None)
 def _skew_weight_table(N: int) -> np.ndarray:
-    """i m (1 - 6/(n(n+1))) for n = 0..N, |m| <= N; row 0 zero."""
+    """i m (1 - 6/(n(n+1))) for n = 0..N, 0 <= m <= N; row 0 zero."""
     n = np.arange(N + 1, dtype=float)
     weights = np.zeros(N + 1)
     weights[1:] = 1.0 - 6.0 / (n[1:] * (n[1:] + 1.0))
-    return (1j * np.arange(-N, N + 1))[None, :] * weights[:, None]
+    return (1j * np.arange(N + 1))[None, :] * weights[:, None]
 
 
 def perturbation_operator(omega: SpectralField) -> SpectralField:
@@ -112,17 +118,6 @@ def perturbation_operator(omega: SpectralField) -> SpectralField:
     return out
 
 
-@lru_cache(maxsize=None)
-def _inverse_laplacian_column(N: int) -> np.ndarray:
-    """-1/(n(n+1)) for n = 0..N as a column, row 0 zero: inverse_laplacian's factors, rounded alike."""
-    return (-1.0 * degree_values(N, lambda n: float(n * (n + 1)) ** -1.0))[:, None]
-
-
-def stream_function_half(omega: SpectralField) -> np.ndarray:
-    """m >= 0 half of psi = Lap^{-1} omega, without building the full table."""
-    return omega.coeffs[:, omega.N :] * _inverse_laplacian_column(omega.N)
-
-
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half."""
     d_phi = 1j * np.arange(half.shape[0])
@@ -137,8 +132,7 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     on the (dealiased) grid, and real_analysis projects it back; its mean-mode
     projection vanishes analytically and real_analysis checks it.
     """
-    N = omega.N
-    psi_theta, psi_phi = angular_derivatives(stream_function_half(omega), grid)
-    w_theta, w_phi = angular_derivatives(omega.coeffs[:, N:], grid)
+    psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega).coeffs, grid)
+    w_theta, w_phi = angular_derivatives(omega.coeffs, grid)
     jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
-    return real_analysis(jacobian, grid, N)
+    return real_analysis(jacobian, grid, omega.N)

@@ -5,7 +5,9 @@ reach the same quantities another way, so the tests and the identity-oracle
 suite can check it: vectors as Cartesian 3-components at the grid nodes,
 complex coefficient tables split into two real fields, and the Killing vector
 fields X(x) = a x x through which the paper proves its conservation and
-convergence results.  No solver module imports this one.
+convergence results.  A complex table is a full (N+1, 2N+1) array with entry
+(n, m) at [n, N+m]; a real field passes SpectralField.full_table().  No
+solver module imports this one.
 """
 
 from __future__ import annotations
@@ -52,38 +54,47 @@ def inner(grid: QuadratureGrid, u: np.ndarray, v: np.ndarray):
     return grid.integrate(u * np.conj(v))
 
 
-def _real_halves(coeffs: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+def unit_table(N: int, n: int, m: int) -> np.ndarray:
+    """Complex table of the single harmonic Y_n^m."""
+    out = np.zeros((N + 1, 2 * N + 1), dtype=complex)
+    out[n, N + m] = 1.0
+    return out
+
+
+def _real_halves(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m >= 0 halves of the real fields (c + c*)/2 and (c - c*)/2i, c*_n^m = (-1)^m conj(c_n^{-m})."""
-    mirror = np.conj(coeffs[:, N::-1]) * (-1.0) ** np.arange(N + 1)
-    pos = coeffs[:, N:]
+    N = table.shape[0] - 1
+    mirror = np.conj(table[:, N::-1]) * (-1.0) ** np.arange(N + 1)
+    pos = table[:, N:]
     return (pos + mirror) / 2.0, (pos - mirror) / 2j
 
 
-def table_synthesis(coeffs: np.ndarray, N: int, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
-    """Complex samples of a coefficient table against a per-(m, n) latitude basis.
+def table_synthesis(table: np.ndarray, grid: QuadratureGrid, basis: np.ndarray) -> np.ndarray:
+    """Complex samples of a complex table against a per-(m, n) latitude basis.
 
     The table splits into two real fields, each synthesized by real_synthesis;
-    ``table`` must obey the symmetry real_synthesis asks for.
+    ``basis`` must obey the symmetry real_synthesis asks for.
     """
-    re, im = _real_halves(coeffs, N)
-    return real_synthesis(re, grid, table) + 1j * real_synthesis(im, grid, table)
+    re, im = _real_halves(table)
+    return real_synthesis(re, grid, basis) + 1j * real_synthesis(im, grid, basis)
 
 
-def synthesize_complex(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Pointwise sum of the harmonic series; no reality assumed."""
-    return table_synthesis(u.coeffs, u.N, grid, grid.plm)
+def synthesize_complex(table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Pointwise sum of the harmonic series of a complex table; no reality assumed."""
+    return table_synthesis(table, grid, grid.plm)
 
 
 def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
-    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples; full coefficient table."""
-    return real_analysis(values.real, grid, N).coeffs + 1j * real_analysis(values.imag, grid, N).coeffs
+    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples, as a complex table."""
+    return real_analysis(values.real, grid, N).full_table() + 1j * real_analysis(values.imag, grid, N).full_table()
 
 
-def gradient_values(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
-    """Complex Cartesian gradient samples, shape (n_theta, n_phi, 3)."""
-    du_dtheta = table_synthesis(u.coeffs, u.N, grid, grid.dplm_dtheta)
-    m_factors = 1j * np.arange(-u.N, u.N + 1)
-    du_dphi = table_synthesis(u.coeffs * m_factors[None, :], u.N, grid, grid.plm)
+def gradient_values(table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Complex Cartesian gradient samples of a complex table, shape (n_theta, n_phi, 3)."""
+    N = table.shape[0] - 1
+    du_dtheta = table_synthesis(table, grid, grid.dplm_dtheta)
+    m_factors = 1j * np.arange(-N, N + 1)
+    du_dphi = table_synthesis(table * m_factors[None, :], grid, grid.plm)
     inv_sin2 = 1.0 / (grid.sin_theta**2)
     return (
         du_dtheta[:, :, None] * dtheta_x(grid)
@@ -93,7 +104,7 @@ def gradient_values(u: SpectralField, grid: QuadratureGrid) -> np.ndarray:
 
 def velocity_values(omega: SpectralField, grid: QuadratureGrid) -> np.ndarray:
     """Complex samples of n x grad(inverse_laplacian(omega))."""
-    psi = inverse_laplacian(omega)
+    psi = inverse_laplacian(omega).full_table()
     return np.cross(nodes_xyz(grid), gradient_values(psi, grid))
 
 
@@ -110,12 +121,11 @@ def killing_field_values(axis, grid: QuadratureGrid) -> np.ndarray:
     return np.cross(np.broadcast_to(a, xyz.shape), xyz)
 
 
-def killing_advect(params, omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
-    """Transport X . grad(omega) along the Killing field of ``params`` (degree-preserving)."""
+def killing_advect(params, table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Complex table of X . grad along the Killing field of ``params`` (degree-preserving)."""
     x_field = killing_field_values(params, grid)
-    grad_w = gradient_values(omega, grid)
-    product = np.sum(x_field * grad_w, axis=-1)
-    return SpectralField(N=omega.N, coeffs=analyze_complex(product, grid, omega.N))
+    product = np.sum(x_field * gradient_values(table, grid), axis=-1)
+    return analyze_complex(product, grid, table.shape[0] - 1)
 
 
 def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: QuadratureGrid) -> float:
@@ -123,8 +133,8 @@ def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: Qu
     x_field = killing_field_values(axis, grid)
     lap_f = synthesize(laplacian(f), grid).values
     lap_g = synthesize(laplacian(g), grid).values
-    grad_f = gradient_values(f, grid).real
-    grad_g = gradient_values(g, grid).real
+    grad_f = gradient_values(f.full_table(), grid).real
+    grad_g = gradient_values(g.full_table(), grid).real
     integrand = lap_f * np.sum(grad_g * x_field, axis=-1) + lap_g * np.sum(grad_f * x_field, axis=-1)
     return float(grid.integrate(integrand))
 
@@ -132,10 +142,11 @@ def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: Qu
 def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) -> tuple[float, float]:
     """The two pairings (X.grad Lap^{-1} w, w) and (X.grad w, Lap^{-1} w); both vanish."""
     x_field = killing_field_values(axis, grid)
+    psi = inverse_laplacian(omega)
     w_vals = synthesize(omega, grid).values
-    psi_vals = synthesize(inverse_laplacian(omega), grid).values
-    grad_w = gradient_values(omega, grid).real
-    grad_psi = gradient_values(inverse_laplacian(omega), grid).real
+    psi_vals = synthesize(psi, grid).values
+    grad_w = gradient_values(omega.full_table(), grid).real
+    grad_psi = gradient_values(psi.full_table(), grid).real
     first = grid.integrate(np.sum(grad_psi * x_field, axis=-1) * w_vals)
     second = grid.integrate(np.sum(grad_w * x_field, axis=-1) * psi_vals)
     return float(first), float(second)
@@ -170,10 +181,8 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     for _ in range(60):
         n1, m1 = sample_nm()
         n2, m2 = sample_nm()
-        u1 = SpectralField.zeros(lmax); u1[n1, m1] = 1.0
-        u2 = SpectralField.zeros(lmax); u2[n2, m2] = 1.0
-        v1 = synthesize_complex(u1, grid)
-        v2 = synthesize_complex(u2, grid)
+        v1 = synthesize_complex(unit_table(lmax, n1, m1), grid)
+        v2 = synthesize_complex(unit_table(lmax, n2, m2), grid)
         expected = 1.0 if (n1, m1) == (n2, m2) else 0.0
         worst = max(worst, abs(complex(inner(grid, v1, v2)) - expected))
     res["orthonormality"] = worst
@@ -183,10 +192,8 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     phi = grid.phi_nodes[None, :]
     for _ in range(12):
         n, m = sample_nm()
-        u = SpectralField.zeros(lmax); u[n, m] = 1.0
-        um = SpectralField.zeros(lmax); um[n, -m] = 1.0
-        v = synthesize_complex(u, grid)
-        vm = synthesize_complex(um, grid)
+        v = synthesize_complex(unit_table(lmax, n, m), grid)
+        vm = synthesize_complex(unit_table(lmax, n, -m), grid)
         worst = max(worst, float(np.max(np.abs(vm - (-1.0) ** m * np.conj(v)))))
     res["conjugation"] = worst
 
@@ -196,13 +203,11 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
         n, m = sample_nm()
         if n >= lmax:
             continue
-        u = SpectralField.zeros(lmax); u[n, m] = 1.0
-        v = synthesize_complex(u, grid) * cos_t
+        v = synthesize_complex(unit_table(lmax, n, m), grid) * cos_t
         for target, coeff in ((n - 1, recurrence_coeff(n, m)), (n + 1, recurrence_coeff(n + 1, m))):
             if target < max(1, abs(m)):
                 continue
-            ut = SpectralField.zeros(lmax); ut[target, m] = 1.0
-            proj = complex(inner(grid, v, synthesize_complex(ut, grid)))
+            proj = complex(inner(grid, v, synthesize_complex(unit_table(lmax, target, m), grid)))
             worst = max(worst, abs(proj - coeff))
     res["cos_theta_recurrence"] = worst
 
@@ -246,12 +251,11 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
         axis = rng.standard_normal(3)
         table = killing_degree2_matrix(axis)
         for col, m in enumerate(MODE2_ORDER):
-            u = SpectralField.zeros(lmax); u[2, m] = 1.0
-            adv = killing_advect(axis, u, grid)
-            worst_coeff = max(worst_coeff, float(np.max(np.abs(adv.mode2_vector() - table[:, col]))))
-            leak = adv.copy()
-            leak.coeffs[2] = 0.0
-            worst_leak = max(worst_leak, float(np.max(np.abs(leak.coeffs))))
+            adv = killing_advect(axis, unit_table(lmax, 2, m), grid)
+            mode2 = adv[2, lmax - 2 : lmax + 3][::-1]
+            worst_coeff = max(worst_coeff, float(np.max(np.abs(mode2 - table[:, col]))))
+            adv[2] = 0.0
+            worst_leak = max(worst_leak, float(np.max(np.abs(adv))))
     res["degree2_rotation_coefficients"] = worst_coeff
     res["degree2_rotation_leakage"] = worst_leak
 

@@ -77,6 +77,13 @@ def killing_degree2_matrix(axis) -> np.ndarray:
     return _degree2_generator(1j * a3, 1j * a1 + a2, 1j * a1 - a2)
 
 
+def _check_flow_parameters(amplitude: float, nu: float) -> None:
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+
+
 def build_system(params: KillingParams, amplitude: float, nu: float) -> ReducedSystem:
     """Assemble A and c from the degree-1 data.
 
@@ -84,8 +91,7 @@ def build_system(params: KillingParams, amplitude: float, nu: float) -> ReducedS
     A = -(2i/3) killing_degree2_matrix(params.axis), built from (alpha, b)
     directly so that no rounding of the axis enters it.
     """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
+    _check_flow_parameters(amplitude, nu)
     alpha, b = complex(params.alpha), float(params.b)
     A = _degree2_generator(b, -2.0 * alpha, np.conj(-2.0 * alpha))
     c = SQRT6 * 1j * amplitude * np.array([0.0, alpha, 0.0, np.conj(alpha), 0.0])
@@ -105,8 +111,7 @@ def equilibrium_solve(sys: ReducedSystem) -> np.ndarray:
 
 def equilibrium_closed_form(params: KillingParams, amplitude: float, nu: float) -> np.ndarray:
     """Equilibrium from the explicit formulas in terms of (alpha, b, a, nu)."""
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
+    _check_flow_parameters(amplitude, nu)
     alpha, b = complex(params.alpha), float(params.b)
     a = float(amplitude)
     aa = abs(alpha) ** 2
@@ -198,10 +203,11 @@ def extract_coupling(
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
+    degree3 = omega.full_table()[3]
     # (1/6) times the degree-3 weight 1 - 6/12 of (I + 6 Lap^{-1}).
-    M = _degree3_coupling_table(grid) @ omega.coeffs[3, N - 3 : N + 4] / 12.0
-    transport = convection(omega.highpass(3), grid).coeffs[2, N - 2 : N + 3][::-1]
-    f = amplitude * _F_SPECTRAL * omega.coeffs[3, N - 2 : N + 3][::-1] - transport
+    M = _degree3_coupling_table(grid) @ degree3[N - 3 : N + 4] / 12.0
+    transport = convection(omega.highpass(3), grid).mode2_vector()
+    f = amplitude * _F_SPECTRAL * degree3[N - 2 : N + 3][::-1] - transport
     return M, f
 
 
@@ -226,7 +232,7 @@ def _degree3_coupling_table(grid: QuadratureGrid) -> np.ndarray:
 
     def degree3_projection(k, i):
         jac = (y_theta[k] * np.conj(y_phi[i]) - y_phi[k] * np.conj(y_theta[i])) / sin
-        return real_analysis(jac.real, grid, 3).coeffs[3] + 1j * real_analysis(jac.imag, grid, 3).coeffs[3]
+        return real_analysis(jac.real, grid, 3).full_table()[3] + 1j * real_analysis(jac.imag, grid, 3).full_table()[3]
 
     proj = np.array([[degree3_projection(k, i) for k in range(5)] for i in range(5)])
     table = proj[:, :, ::-1] * (-1.0) ** np.arange(-3, 4)

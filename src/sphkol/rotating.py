@@ -41,6 +41,8 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     The static equilibrium of these parameters is the rotating-frame attractor
     at t = 0.
     """
+    if not math.isfinite(Omega):
+        raise ValueError("Omega must be finite")
     return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
 
 
@@ -52,7 +54,7 @@ def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
     rotation 2 Omega cos(theta) lands on the (1, 0) coefficient.
     """
     N = zeta.N
-    m = np.arange(-N, N + 1, dtype=float)
+    m = np.arange(N + 1, dtype=float)
     phases = np.exp(-1j * m * Omega * t)[None, :]
     out = SpectralField(N=N, coeffs=zeta.coeffs * phases)
     out[1, 0] = out[1, 0] + 2.0 * Omega * Y10_PER_COS_THETA

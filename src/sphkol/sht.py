@@ -1,11 +1,11 @@
 """Spherical harmonic transforms for real, mean-zero scalar fields.
 
-Coefficient tables hold u_n^m for 1 <= n <= N and |m| <= n.  A real field is
-transformed from its m >= 0 half: synthesis is a Legendre sum per order m and
-an inverse real FFT in longitude, analysis a real FFT followed by
-Gauss-Legendre quadrature in colatitude per order m, mirrored to m < 0.  Both
-are exact for band-limited data.  The Legendre sums over all orders are one
-real batched matrix product per call.
+A real field is stored as its coefficients u_n^m for 1 <= n <= N and
+0 <= m <= n; the m < 0 ones follow from reality.  Synthesis is a Legendre sum
+per order m and an inverse real FFT in longitude, analysis a real FFT followed
+by Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
+band-limited data.  The Legendre sums over all orders are one real batched
+matrix product per call.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ class MeanModeError(ValueError):
 
 @dataclass
 class SpectralField:
-    """Coefficient table of a scalar field on the sphere.
+    """Real mean-zero scalar field on the sphere, stored as its m >= 0 coefficients.
 
-    coeffs has shape (N+1, 2N+1); entry (n, m) lives at ``coeffs[n, N+m]``.
-    Row 0 stays zero: the mean mode is structurally excluded.  A field
-    representing real data satisfies coeffs(n,-m) = (-1)^m conj(coeffs(n,m)),
-    but the table itself may hold arbitrary complex data (single harmonics
-    are legitimate operator-test inputs).
+    coeffs has shape (N+1, N+1); c_n^m lives at ``coeffs[n, m]`` for
+    0 <= m <= n, and the entries with m > n stay zero.  Row 0 stays zero: the
+    mean mode is structurally excluded.  The m < 0 coefficients follow from
+    reality, c_n^{-m} = (-1)^m conj(c_n^m): ``u[n, -m]`` reads that mirror, a
+    write there stores the mirror of the value at m, and a write at m = 0
+    must be real.  full_table() forms the whole +-m table.
     """
 
     N: int
@@ -47,7 +48,7 @@ class SpectralField:
     def zeros(cls, N: int) -> "SpectralField":
         if N < 1:
             raise ValueError("truncation degree must be at least 1")
-        return cls(N=N, coeffs=np.zeros((N + 1, 2 * N + 1), dtype=complex))
+        return cls(N=N, coeffs=np.zeros((N + 1, N + 1), dtype=complex))
 
     def _check_index(self, n: int, m: int):
         if not (1 <= n <= self.N):
@@ -58,12 +59,28 @@ class SpectralField:
     def __getitem__(self, nm) -> complex:
         n, m = nm
         self._check_index(n, m)
-        return complex(self.coeffs[n, self.N + m])
+        if m < 0:
+            return complex(self.full_table()[n, self.N + m])
+        return complex(self.coeffs[n, m])
 
     def __setitem__(self, nm, value):
         n, m = nm
         self._check_index(n, m)
-        self.coeffs[n, self.N + m] = value
+        value = complex(value)
+        if m == 0 and value.imag != 0.0:
+            raise ValueError(f"coefficient ({n}, 0) of a real field must be real, got {value}")
+        if m < 0:
+            value = value.conjugate() if m % 2 == 0 else -value.conjugate()
+        self.coeffs[n, abs(m)] = value.real if m == 0 else value
+
+    def full_table(self) -> np.ndarray:
+        """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror."""
+        N = self.N
+        out = np.zeros((N + 1, 2 * N + 1), dtype=complex)
+        out[:, N:] = self.coeffs
+        mirror = np.conj(self.coeffs[:, 1:]) * ((-1.0) ** np.arange(1, N + 1))[None, :]
+        out[:, :N] = mirror[:, ::-1]
+        return out
 
     def copy(self) -> "SpectralField":
         return SpectralField(N=self.N, coeffs=self.coeffs.copy())
@@ -106,48 +123,31 @@ class SpectralField:
         return SpectralField(N=self.N, coeffs=out)
 
     def norm(self) -> float:
-        """L^2 norm on the sphere (Parseval)."""
-        return float(np.linalg.norm(self.coeffs))
+        """L^2 norm on the sphere (Parseval over the full table)."""
+        return float(np.linalg.norm(self.full_table()))
 
     def degree_norm(self, n: int) -> float:
-        return float(np.linalg.norm(self.coeffs[n]))
+        return float(np.linalg.norm(self.full_table()[n]))
 
     def highpass_norm(self, n_min: int) -> float:
-        return float(np.linalg.norm(self.coeffs[n_min:]))
+        return float(np.linalg.norm(self.full_table()[n_min:]))
 
     def mode1_vector(self) -> np.ndarray:
         """Degree-1 coefficients ordered (m=1, 0, -1)."""
-        return np.array([self[1, 1], self[1, 0], self[1, -1]], dtype=complex)
+        return self.full_table()[1, self.N - 1 : self.N + 2][::-1].copy()
 
     def mode2_vector(self) -> np.ndarray:
         """Degree-2 coefficients ordered (m=2, 1, 0, -1, -2)."""
         if self.N < 2:
             raise ValueError("field has no degree-2 modes")
-        return np.array([self[2, m] for m in (2, 1, 0, -1, -2)], dtype=complex)
-
-    def reality_residual(self) -> float:
-        """Max deviation from coeffs(n,-m) = (-1)^m conj(coeffs(n,m))."""
-        mirrored = np.conj(self.coeffs[:, ::-1]) * (-1.0) ** np.arange(-self.N, self.N + 1)
-        return float(np.max(np.abs(self.coeffs - mirrored)))
-
-    def symmetrized(self) -> "SpectralField":
-        """Enforce the reality pattern from the m >= 0 half."""
-        N = self.N
-        out = SpectralField.zeros(N)
-        pos = self.coeffs[:, N:]
-        out.coeffs[:, N:] = pos
-        out.coeffs[:, N] = pos[:, 0].real
-        mirror = np.conj(pos[:, 1:]) * ((-1.0) ** np.arange(1, N + 1))[None, :]
-        out.coeffs[:, :N] = mirror[:, ::-1]
-        out.coeffs[0, :] = 0.0
-        return out
+        return self.full_table()[2, self.N - 2 : self.N + 3][::-1].copy()
 
     def to_json_text(self) -> str:
         """Serialize m >= 0 entries; negative orders are implied by reality."""
         entries = []
         for n in range(1, self.N + 1):
             for m in range(0, n + 1):
-                c = self.coeffs[n, self.N + m]
+                c = self.coeffs[n, m]
                 entries.append({"n": n, "m": m, "re": c.real, "im": c.imag})
         return dumps17({"N": self.N, "coeffs": entries})
 
@@ -163,7 +163,7 @@ class SpectralField:
             if not cmath.isfinite(value):
                 raise ValueError(f"coefficient ({n}, {m}) is not finite")
             out[n, m] = value
-        return out.symmetrized()
+        return out
 
     def save(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -222,12 +222,12 @@ def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) ->
 
 
 def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> SpectralField:
-    """Quadrature projections (f, Y_n^m) of real mean-zero node samples, n <= N.
+    """Quadrature projections (f, Y_n^m), m >= 0, of real mean-zero node samples, n <= N.
 
-    Projected for m >= 0 and mirrored, so the reality rule holds by
-    construction.  The projection onto the constant mode vanishes for a
-    mean-zero field; it must stay below MEAN_TOL * max(1, max |values|), so
-    round-off at large amplitude passes and solver drift raises MeanModeError.
+    Column 0 is kept real and the mean row zero.  The projection onto the
+    constant mode vanishes for a mean-zero field; it must stay below
+    MEAN_TOL * max(1, max |values|), so round-off at large amplitude passes
+    and solver drift raises MeanModeError.
     """
     if N is None:
         N = grid.N
@@ -235,28 +235,19 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None
         raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
     fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
-    proj = _per_order_product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T
-    mean = abs(proj[0, 0])
+    half = _per_order_product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T.copy()
+    mean = abs(half[0, 0])
     scale = max(1.0, float(np.max(np.abs(values))))
     if mean > MEAN_TOL * scale:
         raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
-    out = SpectralField.zeros(N)
-    out.coeffs[:, N:] = proj
-    return out.symmetrized()
+    half[:, 0] = half[:, 0].real
+    half[0] = 0.0
+    return SpectralField(N=N, coeffs=half)
 
 
 def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:
-    """Grid samples of a real field, synthesized from its m >= 0 coefficients.
-
-    A table that breaks the reality rule by more than 1e-12 relative to its
-    norm would leave an imaginary residue and is rejected.
-    """
-    residue = u.reality_residual()
-    if residue > 1e-12 * max(1.0, u.norm()):
-        raise ValueError(
-            f"synthesis would leave an imaginary residue {residue:.3e}; coefficients break the reality rule"
-        )
-    return GridField(grid=grid, values=real_synthesis(u.coeffs[:, u.N :], grid, grid.plm))
+    """Grid samples of a real field, synthesized from its m >= 0 coefficients."""
+    return GridField(grid=grid, values=real_synthesis(u.coeffs, grid, grid.plm))
 
 
 def analyze(f: GridField) -> SpectralField:
@@ -271,7 +262,7 @@ def random_real_field(
     decay: float = 0.5,
     degrees=None,
 ) -> SpectralField:
-    """Random reality-respecting field with exponentially decaying degree spectrum."""
+    """Random real field with exponentially decaying degree spectrum."""
     out = SpectralField.zeros(N)
     span = range(1, N + 1) if degrees is None else degrees
     for n in span:
@@ -280,5 +271,4 @@ def random_real_field(
         for m in range(1, n + 1):
             c = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
             out[n, m] = c
-            out[n, -m] = (-1.0) ** m * np.conj(c)
     return out

@@ -27,3 +27,10 @@ def grid32():
 
 def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):
     return random_real_field(N, np.random.default_rng(seed), amplitude=amplitude, decay=decay, degrees=degrees)
+
+
+def assert_real_field_layout(u):
+    """Row 0 (the mean mode) and the entries with m > n are exactly zero, column 0 exactly real."""
+    assert np.all(u.coeffs[0] == 0.0)
+    assert np.all(np.triu(u.coeffs, 1) == 0.0)
+    assert np.all(u.coeffs[:, 0].imag == 0.0)

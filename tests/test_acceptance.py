@@ -18,7 +18,7 @@ from conftest import rand_field
 from sphkol.cli import _envelope_margin, fit_rate
 from sphkol.harmonics import build_grid, recurrence_coeff
 from sphkol.operators import KillingParams
-from sphkol.oracles import identity_oracle_residuals, inner, synthesize_complex
+from sphkol.oracles import identity_oracle_residuals, inner, synthesize_complex, unit_table
 from sphkol.pde_solver import SolverConfig, run, run_with_coupling
 from sphkol.reduced_ode import (
     build_system,
@@ -290,9 +290,7 @@ def test_criterion_12_transform_quadrature_suite():
     def sampled(n, m):
         if n <= 12:
             return ynm_reference(n, m, theta, phi)
-        mono = SpectralField.zeros(32)
-        mono[n, m] = 1.0
-        return synthesize_complex(mono, grid)
+        return synthesize_complex(unit_table(32, n, m), grid)
 
     worst_ortho = 0.0
     for n in range(1, 33):

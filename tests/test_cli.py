@@ -252,6 +252,40 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "Omega must be finite" in capsys.readouterr().err
 
+    def test_run_non_real_m0_coefficient_exit_2(self, tmp_path, capsys):
+        base = two_jet_manifest(tmp_path)
+        init = base["init"] + [{"n": 2, "m": 0, "re": 0.1, "im": 0.5}]
+        path = write_manifest(tmp_path, {**base, "init": init})
+        assert main(["run", str(path)]) == 2
+        assert "(2, 0) of a real field must be real" in capsys.readouterr().err
+
+    def test_reduced_path_non_finite_exit_2(self, tmp_path, capsys):
+        # NaN passes a plain nu <= 0 test; each parameter is named when rejected.
+        argv = ["equilibrium", "--nu", "1", "--a", "1", "--alpha-re", "1", "--alpha-im", "0", "--b", "0"]
+        for flag, value, name in [
+            ("--nu", "nan", "nu"), ("--nu", "inf", "nu"), ("--a", "nan", "amplitude"),
+            ("--alpha-re", "nan", "alpha"), ("--alpha-im", "inf", "alpha"), ("--b", "inf", "b"),
+            ("--omega", "inf", "Omega"), ("--omega", "nan", "Omega"),
+        ]:
+            args = list(argv)
+            if flag in args:
+                args[args.index(flag) + 1] = value
+            else:
+                args += [flag, value]
+            assert main(args) == 2, (flag, value)
+            err = capsys.readouterr().err
+            assert f"configuration error: {name} must be" in err, (flag, value, err)
+        for key, name in [("nu", "nu"), ("amplitude", "amplitude")]:
+            doc = {
+                "scenario": "reduced_only",
+                "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4, key: math.nan},
+                "init": [{"n": 1, "m": 1, "re": 1.0, "im": 0.0}],
+                "output_dir": str(tmp_path / "red"),
+            }
+            path = write_manifest(tmp_path, doc)
+            assert main(["run", str(path)]) == 2, key
+            assert f"configuration error: {name} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "error",
         [IntegrationError("state became non-finite", 0.25), MeanModeError("mean mode"), ArithmeticError("singular")],

@@ -43,7 +43,7 @@ class TestCoriolisTerm:
     def test_energy_neutrality_by_quadrature(self, grid8):
         zeta = rand_field(8, seed=44)
         term = coriolis_term(zeta, 2.0)
-        vals_term = synthesize_complex(term, grid8).real
+        vals_term = synthesize_complex(term.full_table(), grid8).real
         vals_zeta = synthesize(zeta, grid8).values
         assert abs(grid8.integrate(vals_term * vals_zeta)) < 1e-10
 
@@ -55,7 +55,7 @@ class TestFrameMap:
         shift = 4.0 * math.sqrt(math.pi / 3.0) * 2.0
         assert out[1, 0] == pytest.approx(zeta[1, 0] + shift, abs=1e-13)
         diff = out.coeffs - zeta.coeffs
-        diff[1, 6] = 0.0
+        diff[1, 0] = 0.0
         assert np.max(np.abs(diff)) == 0.0
 
     def test_zero_rotation_is_identity(self):

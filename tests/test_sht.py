@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_field
+from conftest import assert_real_field_layout, rand_field
 from refimpl import ynm_reference
 from sphkol.harmonics import build_grid
 from sphkol.operators import angular_derivatives
-from sphkol.oracles import synthesize_complex
+from sphkol.oracles import synthesize_complex, unit_table
 from sphkol.sht import (
     GridField,
     MeanModeError,
@@ -42,31 +42,43 @@ class TestSpectralField:
         resum = u.select_degree(1) + u.select_degree(2) + u.highpass(3)
         assert np.array_equal(resum.coeffs, u.coeffs)
 
-    def test_reality_helpers(self):
+    def test_negative_order_reads_and_writes_the_mirror(self):
         u = rand_field(5, seed=9)
-        assert u.reality_residual() == 0.0
-        u[3, 1] = u[3, 1] + 0.25j
-        assert u.reality_residual() > 0.1
-        assert u.symmetrized().reality_residual() == 0.0
+        for n in range(1, 6):
+            for m in range(1, n + 1):
+                assert u[n, -m] == (-1.0) ** m * np.conj(u[n, m])
+        before = u.coeffs.copy()
+        u[3, -2] = u[3, -2]  # a consistent mirror write changes nothing
+        assert np.array_equal(u.coeffs, before)
+        u[3, -1] = 0.5 - 0.25j
+        assert u[3, 1] == -0.5 - 0.25j
+        assert u[3, -1] == 0.5 - 0.25j
+        assert u.coeffs.shape == (6, 6)
 
-    def test_reality_residual_matches_per_degree_loop(self):
-        rng = np.random.default_rng(13)
+    def test_non_real_m0_write_rejected(self):
+        u = SpectralField.zeros(4)
+        with pytest.raises(ValueError, match="must be real"):
+            u[2, 0] = 0.5 + 0.5j
+        u[2, 0] = complex(0.5, -0.0)  # a real value, even with a signed zero imaginary part
+        assert u[2, 0] == 0.5
+
+    def test_full_table_matches_per_degree_loop(self):
         u = rand_field(6, seed=13)
+        full = u.full_table()
+        assert full.shape == (7, 13)
+        want = np.zeros((7, 13), dtype=complex)
         for n in range(1, 7):
-            for m in range(-n, n + 1):
-                u[n, m] += 1e-3 * complex(*rng.standard_normal(2))
-        worst = 0.0
-        for n in range(1, 7):
-            row = np.array([u[n, m] for m in range(-n, n + 1)])
-            mirrored = (-1.0) ** np.arange(-n, n + 1) * np.conj(row[::-1])
-            worst = max(worst, float(np.max(np.abs(row - mirrored))))
-        assert u.reality_residual() == worst
+            for m in range(0, n + 1):
+                want[n, 6 + m] = u.coeffs[n, m]
+                want[n, 6 - m] = (-1.0) ** m * np.conj(u.coeffs[n, m])
+        assert np.array_equal(full, want)
+        assert u.norm() == pytest.approx(float(np.sqrt(np.sum(np.abs(want) ** 2))), rel=1e-14)
 
     def test_mode_vectors(self):
         u = SpectralField.zeros(4)
         u[2, 2] = 1 + 2j
         u[2, -1] = 3.0
-        assert np.allclose(u.mode2_vector(), [1 + 2j, 0, 0, 3.0, 0])
+        assert np.allclose(u.mode2_vector(), [1 + 2j, -3.0, 0, 3.0, 1 - 2j])
         u[1, 0] = 0.5
         assert np.allclose(u.mode1_vector(), [0, 0.5, 0])
 
@@ -84,7 +96,7 @@ class TestAnalyze:
         u = analyze(GridField(grid8, samples))
         assert u[3, 2] == pytest.approx(1.0, abs=1e-12)
         assert u[3, -2] == pytest.approx(1.0, abs=1e-12)
-        mask = np.abs(u.coeffs) > 1e-12
+        mask = np.abs(u.full_table()) > 1e-12
         assert mask.sum() == 2
 
     def test_zero_field(self, grid8):
@@ -109,7 +121,7 @@ class TestAnalyze:
         values = rng.standard_normal((grid8.n_theta, grid8.n_phi))
         values -= grid8.integrate(values) / (4.0 * math.pi)
         u = analyze(GridField(grid8, values))
-        assert u.reality_residual() == 0.0
+        assert_real_field_layout(u)
 
 
 class TestSynthesize:
@@ -125,7 +137,7 @@ class TestSynthesize:
         u = SpectralField.zeros(8)
         u[2, 1] = 1j
         u[2, -1] = 1j
-        assert u.reality_residual() == 0.0
+        assert u[2, 1] == 1j
         f = synthesize(u, grid8)
         c1 = 0.5 * math.sqrt(15.0 / (2.0 * math.pi))
         theta = grid8.theta_nodes[:, None]
@@ -134,12 +146,6 @@ class TestSynthesize:
         oracle = (1j * harmonic_samples(2, 1, grid8) + 1j * harmonic_samples(2, -1, grid8)).real
         assert np.max(np.abs(want - oracle)) < 1e-14
         assert np.max(np.abs(f.values - want)) < 1e-13
-
-    def test_imaginary_residue_rejected(self, grid8):
-        u = SpectralField.zeros(8)
-        u[2, 1] = 1.0  # lone positive-order mode is not a real field
-        with pytest.raises(ValueError, match="imaginary residue"):
-            synthesize(u, grid8)
 
     def test_degree_capacity(self, grid8):
         with pytest.raises(ValueError, match="exceeds grid degree"):
@@ -175,9 +181,7 @@ class TestRoundtripProperties:
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
 
     def test_complex_synthesis_matches_reference(self, grid8):
-        u = SpectralField.zeros(8)
-        u[4, -3] = 0.3 - 1.1j
-        got = synthesize_complex(u, grid8)
+        got = synthesize_complex((0.3 - 1.1j) * unit_table(8, 4, -3), grid8)
         want = (0.3 - 1.1j) * harmonic_samples(4, -3, grid8)
         assert np.max(np.abs(got - want)) < 1e-13
 
@@ -186,7 +190,7 @@ class TestRoundtripProperties:
         u = rand_field(5, seed=88)
         back = analyze(synthesize(u, grid8))
         assert back.N == 8
-        assert np.max(np.abs(back.coeffs[:6, 3:14] - u.coeffs)) < 1e-12
+        assert np.max(np.abs(back.coeffs[:6, :6] - u.coeffs)) < 1e-12
         assert back.highpass_norm(6) < 1e-12
 
 
@@ -217,7 +221,7 @@ class TestKernelsAtBenchmarkSizes:
     @pytest.mark.parametrize("amplitude", [1.0, 1e6])
     def test_synthesis_matches_einsum(self, grid, table_name, amplitude):
         u = random_real_field(grid.N, np.random.default_rng(grid.N), amplitude, 0.1)
-        half = u.coeffs[:, grid.N :]
+        half = u.coeffs
         table = getattr(grid, table_name)
         want = einsum_synthesis(half, grid, table)
         got = real_synthesis(half, grid, table)
@@ -230,12 +234,12 @@ class TestKernelsAtBenchmarkSizes:
         N = grid.N
         u = random_real_field(N, np.random.default_rng(N + 1), amplitude, 0.1)
         v = random_real_field(N, np.random.default_rng(N + 2), amplitude, 0.1)
-        u_theta, u_phi = angular_derivatives(u.coeffs[:, N:], grid)
-        v_theta, v_phi = angular_derivatives(v.coeffs[:, N:], grid)
+        u_theta, u_phi = angular_derivatives(u.coeffs, grid)
+        v_theta, v_phi = angular_derivatives(v.coeffs, grid)
         jacobian = (u_theta * v_phi - u_phi * v_theta) / grid.sin_theta[:, None]
         for values in (synthesize(u, grid).values, jacobian):
             want = einsum_projection(values, grid)
-            got = real_analysis(values, grid).coeffs[:, N:]
+            got = real_analysis(values, grid).coeffs
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_synthesis_matches_reference_harmonics(self):
@@ -247,7 +251,6 @@ class TestKernelsAtBenchmarkSizes:
         for n, m in [(1, 1), (7, 0), (11, 6), (16, 3), (16, 16)]:
             u = SpectralField.zeros(16)
             u[n, m] = 0.6 - 0.8j if m else 1.0
-            u = u.symmetrized()
             got = synthesize(u, grid).values[np.ix_(rows, cols)]
             ref = u[n, m] * ynm_reference(n, m, theta, phi)
             want = ref.real if m == 0 else 2.0 * ref.real
@@ -282,6 +285,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SpectralField.from_json_dict({"N": 3, "coeffs": [{"n": 2, "m": -1, "re": 1.0, "im": 0.0}]})
 
+    def test_non_real_m0_rejected(self):
+        with pytest.raises(ValueError, match="must be real"):
+            SpectralField.from_json_dict({"N": 3, "coeffs": [{"n": 2, "m": 0, "re": 1.0, "im": 0.5}]})
+
 
 class TestGridField:
     def test_shape_validation(self, grid8):
@@ -290,6 +297,6 @@ class TestGridField:
 
     def test_random_field_reality(self):
         u = random_real_field(7, np.random.default_rng(4), degrees=(2, 5))
-        assert u.reality_residual() == 0.0
+        assert_real_field_layout(u)
         assert u.degree_norm(3) == 0.0
         assert u.degree_norm(5) > 0.0
