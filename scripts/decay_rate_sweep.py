@@ -8,6 +8,10 @@ Three series with analytically known asymptotics:
                                         unitary matrix times exp(-4 nu t)).
 
 Usage: python scripts/decay_rate_sweep.py
+
+Prints one row per viscosity, each fit marked ok or OFF; exits 1 when any fit
+is OFF (misses its reference rate by more than 0.1% or has r^2 < 0.999),
+0 otherwise.
 """
 
 import sys
@@ -31,6 +35,7 @@ def main():
     N = 12
     grid = build_grid(N)
     print(f"{'nu':>6} {'zonal deg-3':>14} {'one-jet deg-2':>14} {'deg-2 distance':>15}")
+    all_passed = True
     for nu in (0.25, 0.5, 1.0):
         window = (1.0 / nu, 2.0 / nu)
         t_end = 2.0 / nu
@@ -49,19 +54,19 @@ def main():
         mixed = SpectralField.zeros(N)
         mixed[1, 0] = 0.8
         mixed[1, 1] = 0.2 + 0.4j
-        mixed[1, -1] = -np.conj(mixed[1, 1])
         mixed[2, 0] = 0.5
         mixed[2, 1] = -0.3 + 0.1j
-        mixed[2, -1] = -np.conj(mixed[2, 1])
         recs = run(mixed, SolverConfig(nu=nu, amplitude=1.0, N=N, t_end=t_end, snapshot_stride=25), grid)
         fit_c = fit_rate(*series(recs, lambda r: r.norm_eq2_dist), window, reference_rate=-4.0 * nu, tolerance=0.001)
 
-        marks = [("ok" if f.passed else "OFF") for f in (fit_a, fit_b, fit_c)]
+        fits = (fit_a, fit_b, fit_c)
+        all_passed = all_passed and all(f.passed for f in fits)
+        marks = [("ok" if f.passed else "OFF") for f in fits]
         print(
             f"{nu:6.2f} {fit_a.fitted_rate:14.6f} {fit_b.fitted_rate:14.6f} {fit_c.fitted_rate:15.6f}"
             f"   [{marks[0]}/{marks[1]}/{marks[2]}]"
         )
-    return 0
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

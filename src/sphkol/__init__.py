@@ -1,7 +1,8 @@
 """Pseudospectral solver for the vorticity dynamics around the two-jet zonal
 flow on the unit sphere, with the reduced degree-2 system and rotating-frame
-equivalence.  The independent Cartesian references and the integral-identity
-oracle suites live in sphkol.oracles, which no solver module imports."""
+equivalence.  The independent references (Cartesian frames, the frame map)
+and the integral-identity oracle suites live in sphkol.oracles, which no
+solver module imports."""
 
 from .harmonics import (
     HarmonicIndex,
@@ -19,9 +20,9 @@ from .operators import (
     inverse_laplacian,
     laplacian,
     laplacian_power,
-    perturbation_operator,
+    linear_part,
 )
-from .oracles import killing_advect, killing_identity_residual, killing_pairing_residuals
+from .oracles import frame_map, killing_advect, killing_identity_residual, killing_pairing_residuals
 from .pde_solver import (
     IntegrationError,
     SolverConfig,
@@ -41,8 +42,9 @@ from .reduced_ode import (
     killing_degree2_matrix,
     propagate_exact,
     propagate_forced,
+    rotating_equilibrium,
+    rotating_frame_params,
 )
-from .rotating import RotatingConfig, frame_map, rotating_equilibrium, run_rotating
 from .sht import (
     GridField,
     MeanModeError,

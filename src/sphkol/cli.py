@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles, pde_solver, reduced_ode, rotating
+from . import oracles, pde_solver, reduced_ode
 from .harmonics import build_grid
 from .operators import KillingParams
 from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
-from .rotating import RotatingConfig
 from .serialize import dumps17
 from .sht import MeanModeError, SpectralField
 
@@ -146,7 +145,7 @@ def _parse_init(init, N: int) -> SpectralField:
     raise ManifestError("init must be an inline coefficient list or a file path")
 
 
-def _solver_config(doc: dict, jet_order: str) -> SolverConfig:
+def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
     try:
         return SolverConfig(
             nu=float(doc["nu"]),
@@ -156,6 +155,7 @@ def _solver_config(doc: dict, jet_order: str) -> SolverConfig:
             dt=None if doc.get("dt") is None else float(doc["dt"]),
             snapshot_stride=int(doc.get("snapshot_stride", 10)),
             jet_order=jet_order,
+            Omega=Omega,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"bad solver configuration: {exc}") from exc
@@ -218,19 +218,15 @@ def _envelope_margin(records, nu: float) -> float | None:
 def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
     """The two_jet, one_jet and rotating scenarios: one PDE run, its checks and files."""
     scenario = manifest.scenario
-    cfg = _solver_config(manifest.cfg, "one_jet" if scenario == "one_jet" else "two_jet")
+    Omega = manifest.Omega if scenario == "rotating" else 0.0
+    cfg = _solver_config(manifest.cfg, "one_jet" if scenario == "one_jet" else "two_jet", Omega)
     omega0 = _parse_init(manifest.init, cfg.N)
-    grid = build_grid(cfg.N)
+    records = pde_solver.run(omega0, cfg, build_grid(cfg.N))
     params = KillingParams.from_field(omega0)
+    header = None
     if scenario == "rotating":
-        Omega = manifest.Omega
-        records = rotating.run_rotating(omega0, RotatingConfig(base=cfg, Omega=Omega), grid)
         header = f"Omega={Omega:.17g}"
-        params = rotating.rotating_frame_params(params, Omega)
-    else:
-        Omega = 0.0
-        records = pde_solver.run(omega0, cfg, grid)
-        header = None
+        params = reduced_ode.rotating_frame_params(params, Omega)
     write_trajectory_csv(records, outdir / "trajectory.csv", header_comment=header)
     files = {"trajectory": "trajectory.csv"}
 
@@ -382,7 +378,7 @@ def main(argv=None) -> int:
         if args.command == "equilibrium":
             params = KillingParams(alpha=complex(args.alpha_re, args.alpha_im), b=args.b)
             if args.omega is not None:
-                params = rotating.rotating_frame_params(params, args.omega)
+                params = reduced_ode.rotating_frame_params(params, args.omega)
             doc, diff = _equilibrium_cross_check(params, args.a, args.nu)
             doc["max_difference"] = diff  # vector norm: bounds every entry's difference
             print(dumps17(doc, indent=2))

@@ -1,10 +1,12 @@
 """Spectral differential operators and the convection term.
 
-The Laplacian family acts as degree multipliers and the two-jet coupling as a
-tridiagonal map in degree.  The quadratic convection term goes through the
-grid (pseudospectral, dealiased by grid oversizing), synthesized from the
-m >= 0 half of real fields.  KillingParams packages the nondissipative
-degree-1 data as the rotation axis of a Killing vector field.
+The Laplacian family acts as degree multipliers.  linear_part builds the
+non-diffusive linear part of all three flows: the one-jet and Coriolis terms
+act diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
+convection term goes through the grid (pseudospectral, dealiased by grid
+oversizing), synthesized from the m >= 0 half of real fields.  KillingParams
+packages the nondissipative degree-1 data as the rotation axis of a Killing
+vector field.
 """
 
 from __future__ import annotations
@@ -45,18 +47,9 @@ class KillingParams:
         w10 = omega[1, 0]
         return cls(alpha=w11 / (2.0 * math.sqrt(6.0 * math.pi)), b=w10.real / (2.0 * math.sqrt(3.0 * math.pi)))
 
-    @classmethod
-    def from_axis(cls, axis) -> "KillingParams":
-        a1, a2, a3 = np.asarray(axis, dtype=float)
-        return cls(alpha=complex(-a1 / 3.0, a2 / 3.0), b=2.0 * a3 / 3.0)
-
     @property
     def axis(self) -> np.ndarray:
         return np.array([-3.0 * self.alpha.real, 3.0 * self.alpha.imag, 1.5 * self.b])
-
-    def degree1_coefficients(self) -> tuple[float, complex]:
-        """(w_1^0, w_1^1) reconstructed from (alpha, b)."""
-        return 2.0 * math.sqrt(3.0 * math.pi) * self.b, 2.0 * math.sqrt(6.0 * math.pi) * self.alpha
 
 
 @lru_cache(maxsize=None)
@@ -90,32 +83,59 @@ def _acoeff_table(N: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _skew_weight_table(N: int) -> np.ndarray:
-    """i m (1 - 6/(n(n+1))) for n = 0..N, 0 <= m <= N; row 0 zero."""
-    n = np.arange(N + 1, dtype=float)
-    weights = np.zeros(N + 1)
-    weights[1:] = 1.0 - 6.0 / (n[1:] * (n[1:] + 1.0))
-    return (1j * np.arange(N + 1))[None, :] * weights[:, None]
+@dataclass(frozen=True)
+class LinearPart:
+    """Per-(n, m >= 0) factors of the non-diffusive linear part, each of shape (N+1, N+1).
 
-
-def perturbation_operator(omega: SpectralField) -> SpectralField:
-    """Spectral action of cos(theta) d_phi (I + 6 Laplacian^{-1}).
-
-    Tridiagonal in degree per order: Y_n^m maps to
-    i m (1 - 6/(n(n+1))) (a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m);
-    the degree-(N+1) spill is truncated.  a_n^m vanishes at |m| = n, so the
-    down-shift never writes outside the triangle.
+    ``diagonal`` keeps the degree, ``down`` takes w_n^m to degree n-1 and
+    ``up`` takes it to degree n+1; the degree-(N+1) spill is truncated.
     """
-    N = omega.N
-    a_tab = _acoeff_table(N)
-    tmp = _skew_weight_table(N) * omega.coeffs
-    out = SpectralField.zeros(N)
-    out.coeffs[0:N, :] += tmp[1 : N + 1, :] * a_tab[1 : N + 1, :]
-    if N >= 2:
-        out.coeffs[2 : N + 1, :] += tmp[1:N, :] * a_tab[2 : N + 1, :]
-    out.coeffs[0, :] = 0.0
-    return out
+
+    diagonal: np.ndarray
+    down: np.ndarray
+    up: np.ndarray
+
+    def apply(self, omega: SpectralField) -> SpectralField:
+        """The linear part applied to a real field."""
+        w = omega.coeffs
+        out = w * self.diagonal
+        out[:-1] += self.down[1:] * w[1:]
+        out[2:] += self.up[1:-1] * w[1:-1]
+        return SpectralField(omega.N, out)
+
+
+@lru_cache(maxsize=None)
+def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) -> LinearPart:
+    """The linear terms the diffusion leaves out, for either jet order and frame rotation Omega.
+
+    Two-jet: -(a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}), tridiagonal in
+    degree through cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m.
+    One-jet: -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}), diagonal.  The Coriolis
+    term -2 Omega d_phi Lap^{-1} adds 2 i Omega m / (n(n+1)) to the diagonal.
+    The diagonal terms are skew in L^2; the two-jet term is skew only in the
+    (I + 6 Lap^{-1})-weighted product on degrees >= 3.  The tables are cached
+    per argument tuple and read-only.
+    """
+    n = np.arange(N + 1, dtype=float)
+    inv_lam = np.zeros(N + 1)
+    inv_lam[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
+    im = 1j * np.arange(N + 1)
+    per_degree = 2.0 * Omega * inv_lam
+    down = np.zeros((N + 1, N + 1), dtype=complex)
+    up = np.zeros((N + 1, N + 1), dtype=complex)
+    if jet_order == "one_jet":  # otherwise "two_jet"
+        per_degree[1:] -= (amplitude / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam[1:])
+    else:
+        a_tab = _acoeff_table(N)
+        weight = -(amplitude / 4.0) * math.sqrt(5.0 / math.pi) * (1.0 - 6.0 * inv_lam)
+        weight[0] = 0.0
+        coupling = weight[:, None] * im[None, :]
+        down[2:] = coupling[2:] * a_tab[2 : N + 1]  # degree 1 feeds the mean mode nothing
+        up[:N] = coupling[:N] * a_tab[1 : N + 1]
+    tables = LinearPart(diagonal=per_degree[:, None] * im[None, :], down=down, up=up)
+    for table in (tables.diagonal, tables.down, tables.up):
+        table.flags.writeable = False
+    return tables
 
 
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
-"""Independent references: Cartesian frames, complex-table synthesis, Killing fields.
+"""Independent references: Cartesian frames, complex-table synthesis, Killing fields, frame map.
 
 The solver works on the m >= 0 half of real fields only.  The functions here
 reach the same quantities another way, so the tests and the identity-oracle
 suite can check it: vectors as Cartesian 3-components at the grid nodes,
-complex coefficient tables split into two real fields, and the Killing vector
+complex coefficient tables split into two real fields, the Killing vector
 fields X(x) = a x x through which the paper proves its conservation and
-convergence results.  A complex table is a full (N+1, 2N+1) array with entry
+convergence results, and the map from a rotating-frame state to the
+non-rotating one.  A complex table is a full (N+1, 2N+1) array with entry
 (n, m) at [n, N+m]; a real field passes SpectralField.full_table().  No
 solver module imports this one.
 """
@@ -20,6 +21,27 @@ from .harmonics import QuadratureGrid, build_grid, harmonic_indices, recurrence_
 from .operators import KillingParams, convection, inverse_laplacian, laplacian
 from .reduced_ode import MODE2_ORDER, killing_degree2_matrix
 from .sht import SpectralField, analyze, random_real_field, real_analysis, real_synthesis, synthesize
+
+
+Y10_PER_COS_THETA = 2.0 * math.sqrt(math.pi / 3.0)  # cos(theta) = this * Y_1^0
+
+
+def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
+    """Rotating-frame state to non-rotating state.
+
+    zeta(theta, phi, t) = omega(theta, phi + Omega t, t) - 2 Omega cos(theta)
+    carries the two-jet dynamics with the Coriolis term -2 Omega d_phi Lap^{-1}
+    to the dynamics without it.  Coefficient (n, m) picks up the phase
+    exp(-i m Omega t), which realizes the longitude shift phi -> phi - Omega t
+    on synthesis, and the rigid rotation 2 Omega cos(theta) lands on the
+    (1, 0) coefficient, so the map is exact for band-limited fields.
+    """
+    N = zeta.N
+    m = np.arange(N + 1, dtype=float)
+    phases = np.exp(-1j * m * Omega * t)[None, :]
+    out = SpectralField(N=N, coeffs=zeta.coeffs * phases)
+    out[1, 0] = out[1, 0] + 2.0 * Omega * Y10_PER_COS_THETA
+    return out
 
 
 def nodes_xyz(grid: QuadratureGrid) -> np.ndarray:

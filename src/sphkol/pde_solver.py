@@ -3,11 +3,12 @@
 Two-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}) w - u . grad w
 One-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) w - u . grad w
 
-with u = n x grad Lap^{-1} w; a rotating frame adds the Coriolis term
--2 Omega d_phi Lap^{-1} w.  The diagonal diffusion is integrated exactly
-through an integrating factor; the remaining terms ride on classical RK4
-stages (Lawson scheme), so zonal states decay exactly and degree-1 states are
-fixed points of the discrete map up to round-off.
+with u = n x grad Lap^{-1} w; a two-jet run in a frame rotating at Omega adds
+the Coriolis term -2 Omega d_phi Lap^{-1} w.  The diagonal diffusion is
+integrated exactly through an integrating factor; the rest, operators.linear_part
+and the convection, rides on classical RK4 stages (Lawson scheme), so zonal
+states decay exactly and degree-1 states are fixed points of the discrete map
+up to round-off.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import reduced_ode
 from .harmonics import QuadratureGrid
-from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, perturbation_operator
+from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, linear_part
 from .sht import SpectralField
 
 TRAJECTORY_HEADER = (
@@ -38,7 +39,10 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run parameters; dt = None selects the CFL-style default at run time."""
+    """Run parameters; dt = None selects the CFL-style default at run time.
+
+    Omega is the rotation rate of the frame, defined for the two-jet flow.
+    """
 
     nu: float
     amplitude: float
@@ -48,6 +52,7 @@ class SolverConfig:
     snapshot_stride: int = 10
     jet_order: str = "two_jet"
     store_snapshots: bool = False
+    Omega: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.nu) or self.nu <= 0:
@@ -65,6 +70,10 @@ class SolverConfig:
         min_degree = 3 if self.jet_order == "two_jet" else 2
         if self.N < min_degree:
             raise ValueError(f"{self.jet_order} dynamics need N >= {min_degree}")
+        if not math.isfinite(self.Omega):
+            raise ValueError("Omega must be finite")
+        if self.Omega != 0.0 and self.jet_order != "two_jet":
+            raise ValueError("rotating dynamics are defined for the two-jet base flow")
 
 
 @dataclass
@@ -97,24 +106,6 @@ def linear_diffusion_factors(N: int, nu: float) -> np.ndarray:
     return out
 
 
-def skew_diagonal(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) -> np.ndarray:
-    """Per-(n, m) factors, m >= 0, of the linear terms that act diagonally, shape (N+1, N+1).
-
-    The Coriolis term -2 Omega d_phi Lap^{-1} contributes 2 i Omega m / (n(n+1));
-    the one-jet coupling -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) contributes
-    -(a/4) sqrt(3/pi) i m (1 - 2/(n(n+1))).  Both are skew, so neither changes
-    the L^2 norm.  The two-jet coupling is tridiagonal in degree and is applied
-    by operators.perturbation_operator instead.
-    """
-    n = np.arange(N + 1, dtype=float)
-    inv_lam = np.zeros(N + 1)
-    inv_lam[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
-    per_degree = 2.0 * Omega * inv_lam
-    if jet_order == "one_jet":
-        per_degree[1:] -= (amplitude / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam[1:])
-    return per_degree[:, None] * (1j * np.arange(N + 1))[None, :]
-
-
 def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> float:
     """min(0.1/(nu N^2), 0.5/(|v|_inf N)), from the initial condition only.
 
@@ -132,32 +123,21 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
 class Stepper:
     """Lawson-RK4 stepper with the diffusion factors frozen for a fixed dt.
 
-    The rest of the linear part is built once per run from the jet order, the
-    amplitude and the frame rotation Omega: the two-jet base-flow coupling
-    (tridiagonal in degree) and one diagonal skew multiplier.
+    The rest of the linear part comes from operators.linear_part, built once
+    per configuration.
     """
 
-    def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, Omega: float = 0.0):
+    def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.two_jet_coupling = None
-        if cfg.jet_order == "two_jet":
-            self.two_jet_coupling = -(cfg.amplitude / 4.0) * math.sqrt(5.0 / math.pi)
-        diagonal = skew_diagonal(cfg.N, cfg.jet_order, cfg.amplitude, Omega)
-        # None when it vanishes (non-rotating two-jet flow): no multiply by zeros per stage.
-        self.diagonal = diagonal if np.any(diagonal) else None
+        self.linear = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega)
         lin = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
         self.exp_half = np.exp(lin * (dt / 2.0))
         self.exp_full = np.exp(lin * dt)
 
     def nonlinear(self, state: SpectralField) -> SpectralField:
-        """Everything the integrating factor leaves out: skew linear terms and -u . grad w."""
-        out = -convection(state, self.grid).coeffs
-        if self.two_jet_coupling is not None:
-            out = self.two_jet_coupling * perturbation_operator(state).coeffs + out
-        if self.diagonal is not None:
-            out = out + state.coeffs * self.diagonal
-        return SpectralField(state.N, out)
+        """Everything the integrating factor leaves out: the linear part and -u . grad w."""
+        return self.linear.apply(state) - convection(state, self.grid)
 
     def step(self, state: SpectralField) -> SpectralField:
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
@@ -173,22 +153,7 @@ class Stepper:
         return SpectralField(state.N, advanced)
 
 
-def equilibrium_from_initial(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
-    """Degree-2 equilibrium determined by the initial degree-1 data (zero for one-jet)."""
-    if cfg.jet_order != "two_jet":
-        return np.zeros(5, dtype=complex)
-    params = KillingParams.from_field(omega0)
-    return reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
-
-
-def _integrate(
-    omega0: SpectralField,
-    cfg: SolverConfig,
-    grid: QuadratureGrid,
-    Omega: float = 0.0,
-    equilibrium_fn=None,
-    record_coupling: bool = False,
-):
+def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, record_coupling: bool = False):
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
     if cfg.N > grid.N:
@@ -198,11 +163,15 @@ def _integrate(
     nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
     dt = cfg.t_end / nsteps
 
-    if equilibrium_fn is None:
-        w_inf = equilibrium_from_initial(omega0, cfg)
-        equilibrium_fn = lambda t: w_inf
+    params = KillingParams.from_field(omega0)
 
-    stepper = Stepper(cfg, grid, dt, Omega)
+    def attractor(t):
+        """Degree-2 attractor: the one-jet flow decays to zero, the two-jet one to the equilibrium."""
+        if cfg.jet_order == "one_jet":
+            return np.zeros(5, dtype=complex)
+        return reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
+
+    stepper = Stepper(cfg, grid, dt)
     state = omega0
 
     records: list[TrajectoryRecord] = []
@@ -215,7 +184,7 @@ def _integrate(
             TrajectoryRecord(
                 t=t,
                 norm_eq1=state.degree_norm(1),
-                norm_eq2_dist=float(np.linalg.norm(mode2 - equilibrium_fn(t))),
+                norm_eq2_dist=float(np.linalg.norm(mode2 - attractor(t))),
                 norm_ge3=state.highpass_norm(3),
                 mode2=mode2,
                 mode1=state.mode1_vector(),
@@ -260,9 +229,14 @@ def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[
 def run_with_coupling(
     omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid
 ) -> tuple[list[TrajectoryRecord], CouplingSeries]:
-    """As run(), also extracting (M, f) couplings at every step for two-jet reduced-ODE cross-checks."""
-    if cfg.jet_order != "two_jet":
-        raise ValueError(f"coupling extraction needs two_jet dynamics, not {cfg.jet_order!r}")
+    """As run(), also extracting (M, f) couplings at every step for two-jet reduced-ODE cross-checks.
+
+    The reduced system they close is the non-rotating one, so Omega must be 0.
+    """
+    if cfg.jet_order != "two_jet" or cfg.Omega != 0.0:
+        raise ValueError(
+            f"coupling extraction needs non-rotating two_jet dynamics, not {cfg.jet_order!r} at Omega = {cfg.Omega!r}"
+        )
     records, coupling, _ = _integrate(omega0, cfg, grid, record_coupling=True)
     return records, coupling
 

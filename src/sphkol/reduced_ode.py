@@ -18,29 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import QuadratureGrid, recurrence_coeff
-from .operators import KillingParams, convection
+from .harmonics import QuadratureGrid
+from .operators import KillingParams, convection, linear_part
 from .sht import SpectralField, real_analysis
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
-# f's degree-3 term per unit amplitude, -(1/8) sqrt(5/pi) i m a_3^m, in MODE2_ORDER.
-_F_SPECTRAL = np.array(
-    [-math.sqrt(5.0 / math.pi) / 8.0 * 1j * m * recurrence_coeff(3, m) for m in MODE2_ORDER]
-)
-
-
-def mode2_reality_residual(w: np.ndarray) -> float:
-    """Deviation of a 5-vector from the pattern of a real field's degree-2 row."""
-    w = np.asarray(w, dtype=complex)
-    return float(
-        max(
-            abs(w[3] + np.conj(w[1])),
-            abs(w[4] - np.conj(w[0])),
-            abs(w[2].imag),
-        )
-    )
-
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -125,6 +108,30 @@ def equilibrium_closed_form(params: KillingParams, amplitude: float, nu: float) 
     return np.array([w2, w1, w0, -np.conj(w1), np.conj(w2)], dtype=complex)
 
 
+def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
+    """Degree-1 data with the rigid rotation 2 Omega cos(theta) added: b -> b + 2 Omega / 3.
+
+    The static equilibrium of these parameters is the rotating-frame attractor
+    at t = 0.
+    """
+    if not math.isfinite(Omega):
+        raise ValueError("Omega must be finite")
+    return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
+
+
+def rotating_equilibrium(
+    params: KillingParams, amplitude: float, nu: float, Omega: float, t: float
+) -> np.ndarray:
+    """Degree-2 attractor of the two-jet flow in a frame rotating at Omega, at time t.
+
+    The static equilibrium of rotating_frame_params rotates mode-wise with
+    phases exp(i m Omega t); Omega = 0 gives the static equilibrium.
+    """
+    w_inf = equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu)
+    phases = np.exp(1j * Omega * t * np.array(MODE2_ORDER, dtype=float))
+    return w_inf * phases
+
+
 def propagate_exact(sys: ReducedSystem, w0: np.ndarray, t: float) -> np.ndarray:
     """Unforced solution w(t) = exp(-(4 nu I + i A) t)(w0 - w_inf) + w_inf.
 
@@ -195,10 +202,11 @@ def extract_coupling(
     M_{m,k} = (1/6) integral of (I + 6 Lap^{-1}) w_{>=3} times
     R_{k,m} = (n x grad Y_2^k) . grad conj(Y_2^m); R is a cubic polynomial on
     the sphere, so only degrees 1 and 3 of it are nonzero and M reads w_3
-    through the cached degree-3 table.  f_m combines the tridiagonal coupling
-    of degree 3 into degree 2 with the self-transport integral of the
-    remainder h = w_{>=3}, which equals -(u_h . grad h, Y_2^m) because u_h is
-    divergence-free.  Both vanish identically when w_{>=3} = 0.
+    through the cached degree-3 table.  f is the degree-2 row of the two-jet
+    linear part minus the convection, both applied to the remainder
+    h = w_{>=3}: the coupling of degree 3 into degree 2, and the
+    self-transport integral, which equals -(u_h . grad h, Y_2^m) because u_h
+    is divergence-free.  Both vanish identically when w_{>=3} = 0.
     """
     N = omega.N
     if N < 3:
@@ -206,8 +214,8 @@ def extract_coupling(
     degree3 = omega.full_table()[3]
     # (1/6) times the degree-3 weight 1 - 6/12 of (I + 6 Lap^{-1}).
     M = _degree3_coupling_table(grid) @ degree3[N - 3 : N + 4] / 12.0
-    transport = convection(omega.highpass(3), grid).mode2_vector()
-    f = amplitude * _F_SPECTRAL * degree3[N - 2 : N + 3][::-1] - transport
+    h = omega.highpass(3)
+    f = (linear_part(N, "two_jet", amplitude).apply(h) - convection(h, grid)).mode2_vector()
     return M, f
 
 

@@ -44,6 +44,10 @@ class SpectralField:
     N: int
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        if self.coeffs.shape != (self.N + 1, self.N + 1):
+            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not fit N = {self.N}")
+
     @classmethod
     def zeros(cls, N: int) -> "SpectralField":
         if N < 1:

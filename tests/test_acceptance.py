@@ -8,6 +8,7 @@ is no degree >= 3 content: the propagator is then a unitary matrix times
 exp(-4 nu t).
 """
 
+import dataclasses
 import math
 import time
 
@@ -18,7 +19,7 @@ from conftest import rand_field
 from sphkol.cli import _envelope_margin, fit_rate
 from sphkol.harmonics import build_grid, recurrence_coeff
 from sphkol.operators import KillingParams
-from sphkol.oracles import identity_oracle_residuals, inner, synthesize_complex, unit_table
+from sphkol.oracles import frame_map, identity_oracle_residuals, inner, synthesize_complex, unit_table
 from sphkol.pde_solver import SolverConfig, run, run_with_coupling
 from sphkol.reduced_ode import (
     build_system,
@@ -26,8 +27,8 @@ from sphkol.reduced_ode import (
     equilibrium_solve,
     propagate_exact,
     propagate_forced,
+    rotating_equilibrium,
 )
-from sphkol.rotating import RotatingConfig, frame_map, rotating_equilibrium, run_rotating
 from sphkol.sht import GridField, SpectralField, analyze, synthesize
 
 
@@ -254,7 +255,7 @@ def test_criterion_11_rotating_equivalence():
     cfg = SolverConfig(
         nu=nu, amplitude=1.0, N=12, t_end=1.0 / nu, snapshot_stride=10_000, store_snapshots=True
     )
-    rot_records = run_rotating(zeta0, RotatingConfig(base=cfg, Omega=Omega), grid)
+    rot_records = run(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)
     direct_records = run(frame_map(zeta0, Omega, 0.0), cfg, grid)
     mapped = frame_map(rot_records[-1].snapshot, Omega, rot_records[-1].t)
     diff = (mapped - direct_records[-1].snapshot).norm()

@@ -13,7 +13,7 @@ from sphkol.operators import (
     inverse_laplacian,
     laplacian,
     laplacian_power,
-    perturbation_operator,
+    linear_part,
 )
 from sphkol.oracles import (
     analyze_complex,
@@ -36,6 +36,34 @@ def single(N, n, m, value=1.0):
     u = SpectralField.zeros(N)
     u[n, m] = value
     return u
+
+
+# Prefactor of the two-jet term in linear_part per unit amplitude, -(1/4) sqrt(5/pi).
+TWO_JET_PREFACTOR = -0.25 * math.sqrt(5.0 / math.pi)
+
+
+def perturbation_operator(omega):
+    """cos(theta) d_phi (I + 6 Lap^{-1}) omega, read off the two-jet linear part at unit amplitude."""
+    return linear_part(omega.N, "two_jet", 1.0).apply(omega) * (1.0 / TWO_JET_PREFACTOR)
+
+
+def inv_lam(N):
+    """1/(n(n+1)) for n = 0..N with the n = 0 slot zero."""
+    n = np.arange(N + 1, dtype=float)
+    out = np.zeros(N + 1)
+    out[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
+    return out
+
+
+def params_from_axis(axis):
+    """KillingParams of the rotation axis a = (-3 Re alpha, 3 Im alpha, 3b/2)."""
+    a1, a2, a3 = np.asarray(axis, dtype=float)
+    return KillingParams(alpha=complex(-a1 / 3.0, a2 / 3.0), b=2.0 * a3 / 3.0)
+
+
+def degree1_coefficients(params):
+    """(w_1^0, w_1^1) reconstructed from (alpha, b)."""
+    return 2.0 * math.sqrt(3.0 * math.pi) * params.b, 2.0 * math.sqrt(6.0 * math.pi) * params.alpha
 
 
 def table_mode2(table):
@@ -171,6 +199,55 @@ class TestPerturbationOperator:
         via_grid = analyze_complex(vals, grid8, 8)
         via_spectral = perturbation_operator(u)
         assert np.max(np.abs(via_grid - via_spectral.full_table())) < 1e-13
+
+
+class TestLinearPart:
+    """linear_part against the closed forms of its diagonal terms, and its L^2 structure."""
+
+    def test_one_jet_diagonal_matches_closed_form(self):
+        N, a = 12, 1.7
+        part = linear_part(N, "one_jet", a)
+        per_degree = -(a / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam(N))
+        per_degree[0] = 0.0
+        want = per_degree[:, None] * (1j * np.arange(N + 1))[None, :]
+        assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
+        assert not np.any(part.down) and not np.any(part.up)
+
+    def test_coriolis_diagonal_matches_closed_form(self):
+        N, Omega = 12, 2.3
+        part = linear_part(N, "two_jet", 0.0, Omega)
+        want = (2.0 * Omega * inv_lam(N))[:, None] * (1j * np.arange(N + 1))[None, :]
+        assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
+        # The two-jet tables do not depend on Omega.
+        plain = linear_part(N, "two_jet", 0.9)
+        rotating = linear_part(N, "two_jet", 0.9, Omega)
+        assert not np.any(plain.diagonal)
+        assert np.array_equal(plain.down, rotating.down) and np.array_equal(plain.up, rotating.up)
+
+    def test_tables_are_cached_and_read_only(self):
+        part = linear_part(8, "two_jet", 1.0, 0.5)
+        assert linear_part(8, "two_jet", 1.0, 0.5) is part
+        with pytest.raises(ValueError):
+            part.down[3, 1] = 0.0
+
+    def test_diagonal_terms_are_skew(self):
+        u = rand_field(12, seed=31)
+        for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
+            pairing = np.real(np.vdot(part.apply(u).full_table(), u.full_table()))
+            assert abs(pairing) < 1e-14 * u.norm() ** 2
+
+    def test_two_jet_term_is_skew_only_in_the_weighted_product(self):
+        # <Lw, w> does not vanish, but <Lw, (I + 6 Lap^{-1}) w> does on degrees >= 3,
+        # where the weight 1 - 6/(n(n+1)) is positive.
+        N = 12
+        u = rand_field(N, seed=32, decay=0.1, degrees=range(3, N + 1))
+        part = linear_part(N, "two_jet", 1.0)
+        out = part.apply(u)
+        weighted = u.apply_degree_multiplier(1.0 - 6.0 * inv_lam(N))
+        plain = np.real(np.vdot(out.full_table(), u.full_table()))
+        skew = np.real(np.vdot(out.full_table(), weighted.full_table()))
+        assert abs(plain) > 1e-3 * u.norm() ** 2
+        assert abs(skew) < 1e-14 * u.norm() ** 2
 
 
 class TestConvection:
@@ -314,7 +391,7 @@ class TestKillingIdentities:
 class TestKillingParams:
     def test_roundtrip_through_axis(self):
         p = KillingParams(alpha=0.3 + 0.7j, b=-1.2)
-        q = KillingParams.from_axis(p.axis)
+        q = params_from_axis(p.axis)
         assert abs(q.alpha - p.alpha) < 1e-14
         assert abs(q.b - p.b) < 1e-14
 
@@ -324,11 +401,11 @@ class TestKillingParams:
         u[1, 1] = 0.2 - 0.4j
         u[1, -1] = -np.conj(u[1, 1])
         p = KillingParams.from_field(u)
-        w10, w11 = p.degree1_coefficients()
+        w10, w11 = degree1_coefficients(p)
         assert abs(w10 - 0.9) < 1e-14
         assert abs(w11 - (0.2 - 0.4j)) < 1e-14
         # axis route reproduces the same coefficients
-        q = KillingParams.from_axis(p.axis)
-        w10b, w11b = q.degree1_coefficients()
+        q = params_from_axis(p.axis)
+        w10b, w11b = degree1_coefficients(q)
         assert abs(w10b - 0.9) < 1e-14
         assert abs(w11b - (0.2 - 0.4j)) < 1e-14

@@ -19,7 +19,6 @@ from sphkol.pde_solver import (
     write_trajectory_csv,
 )
 from sphkol.reduced_ode import build_system, propagate_exact, propagate_forced
-from sphkol.rotating import RotatingConfig, run_rotating
 from sphkol.sht import SpectralField
 
 
@@ -99,7 +98,7 @@ class TestConfig:
         omega0 = rand_field(8, seed=9, amplitude=0.5)
         cfg = two_jet_cfg(t_end=0.05)  # default dt
         assert run(omega0, cfg, grid)[-1].t == pytest.approx(0.05)
-        assert run_rotating(omega0, RotatingConfig(base=cfg, Omega=1.5), grid)[-1].t == pytest.approx(0.05)
+        assert run(omega0, two_jet_cfg(t_end=0.05, Omega=1.5), grid)[-1].t == pytest.approx(0.05)
         _, coupling = run_with_coupling(omega0, cfg, grid)
         assert np.all(np.isfinite(coupling.M)) and np.all(np.isfinite(coupling.f))
 
@@ -114,9 +113,9 @@ class TestConfig:
         monkeypatch.setattr(SpectralField, "full_table", full_table)
         assert np.all(np.isfinite(convection(omega0, grid).coeffs))
         for jet_order, Omega in (("two_jet", 0.0), ("one_jet", 0.0), ("two_jet", 1.5)):
-            cfg = two_jet_cfg(jet_order=jet_order)
+            cfg = two_jet_cfg(jet_order=jet_order, Omega=Omega)
             dt = default_dt(omega0, cfg, grid)
-            state = Stepper(cfg, grid, dt, Omega).step(omega0)
+            state = Stepper(cfg, grid, dt).step(omega0)
             assert np.all(np.isfinite(state.coeffs)) and not np.array_equal(state.coeffs, omega0.coeffs)
 
 
@@ -244,11 +243,9 @@ class TestRun:
         # row 0 zero, and no linear factor writes above the triangle m <= n.
         omega0 = rand_field(8, seed=12, amplitude=0.6, decay=0.4)
         jet_order = "one_jet" if flow == "one_jet" else "two_jet"
-        cfg = two_jet_cfg(t_end=0.3, snapshot_stride=3, jet_order=jet_order, store_snapshots=True)
-        if flow == "rotating":
-            recs = run_rotating(omega0, RotatingConfig(base=cfg, Omega=2.0), grid8)
-        else:
-            recs = run(omega0, cfg, grid8)
+        Omega = 2.0 if flow == "rotating" else 0.0
+        cfg = two_jet_cfg(t_end=0.3, snapshot_stride=3, jet_order=jet_order, store_snapshots=True, Omega=Omega)
+        recs = run(omega0, cfg, grid8)
         assert len(recs) > 10
         for rec in recs:
             assert_real_field_layout(rec.snapshot)
@@ -307,6 +304,13 @@ class TestRun:
     def test_coupling_rejects_one_jet(self, grid8):
         cfg = two_jet_cfg(t_end=0.01, jet_order="one_jet")
         with pytest.raises(ValueError, match="two_jet"):
+            run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
+
+    def test_coupling_rejects_a_rotating_frame(self, grid8):
+        # Couplings of a rotating run do not close the static reduced system
+        # (relative error 0.46 at Omega = 1.5 on the configuration above).
+        cfg = two_jet_cfg(t_end=0.01, Omega=1.5)
+        with pytest.raises(ValueError, match="non-rotating"):
             run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
 
     def test_truncation_robustness(self):

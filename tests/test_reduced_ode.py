@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_field
 from sphkol.harmonics import build_grid, recurrence_coeff
-from sphkol.operators import KillingParams
+from sphkol.operators import KillingParams, convection, linear_part
 from sphkol.oracles import analyze_complex, gradient_values, nodes_xyz, unit_table, velocity_values
 from sphkol.reduced_ode import (
     MODE2_ORDER,
@@ -15,7 +15,6 @@ from sphkol.reduced_ode import (
     equilibrium_solve,
     extract_coupling,
     killing_degree2_matrix,
-    mode2_reality_residual,
     propagate_exact,
     propagate_forced,
 )
@@ -28,6 +27,26 @@ SWEEP = [
     for alpha in (0.0, 1.0, 0.3 + 0.7j)
     for b in (-1.0, 0.0, 2.0)
 ]
+
+
+def mode2_reality_residual(w):
+    """Deviation of a 5-vector from the pattern of a real field's degree-2 row."""
+    w = np.asarray(w, dtype=complex)
+    return float(
+        max(
+            abs(w[3] + np.conj(w[1])),
+            abs(w[4] - np.conj(w[0])),
+            abs(w[2].imag),
+        )
+    )
+
+
+def f_degree3_term(omega, amplitude):
+    """The tridiagonal coupling of degree 3 into degree 2, -(a/8) sqrt(5/pi) i m a_3^m w_3^m, m = 2..-2."""
+    return np.array(
+        [-(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * recurrence_coeff(3, m) * omega[3, m]
+         for m in MODE2_ORDER]
+    )
 
 
 def cartesian_degree2_tables(grid):
@@ -51,11 +70,8 @@ def cartesian_coupling(omega, amplitude, grid):
     M = np.array([[grid.integrate(g_vals * jacobians[k][i]) / 6.0 for k in range(5)] for i in range(5)])
     high_vals = synthesize(high, grid).values
     u_high = velocity_values(high, grid)
-    f = np.empty(5, dtype=complex)
-    for i, m in enumerate(MODE2_ORDER):
-        spectral = -(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * recurrence_coeff(3, m) * omega[3, m]
-        f[i] = spectral + grid.integrate(high_vals * np.sum(u_high * grad_conj[i], axis=-1))
-    return M, f
+    transport = [grid.integrate(high_vals * np.sum(u_high * grad_conj[i], axis=-1)) for i in range(5)]
+    return M, f_degree3_term(omega, amplitude) + np.array(transport)
 
 
 class TestBuildSystem:
@@ -250,6 +266,18 @@ class TestExtractCoupling:
         # measured bound constant: finite and stable across draws
         assert max(ratios) < 10.0 * min(ratios) + 1e-12
         assert max(ratios) < 5.0
+
+    @pytest.mark.parametrize("amplitude", [1.3, -2.0, 1e3])
+    def test_degree3_term_matches_closed_form(self, amplitude):
+        # The linear part's degree-2 row on w_{>=3} is the degree 3 -> 2 coupling alone.
+        N = 12
+        omega = rand_field(N, seed=71)
+        want = f_degree3_term(omega, amplitude)
+        got = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        _, f = extract_coupling(omega, amplitude, build_grid(N))
+        transport = convection(omega.highpass(3), build_grid(N)).mode2_vector()
+        assert np.max(np.abs(f - (want - transport))) <= 1e-15 * np.max(np.abs(f))
 
     def test_zonal_degree3_entries(self):
         # m = 0 row of f gets no tridiagonal contribution (factor m); transport

@@ -1,19 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import rand_field
-from sphkol.operators import KillingParams
-from sphkol.pde_solver import SolverConfig, run, skew_diagonal
-from sphkol.reduced_ode import equilibrium_closed_form
-from sphkol.rotating import (
-    RotatingConfig,
-    frame_map,
-    rotating_equilibrium,
-    run_rotating,
-)
-from sphkol.oracles import synthesize_complex
+from sphkol.operators import KillingParams, linear_part
+from sphkol.oracles import frame_map, synthesize_complex
+from sphkol.pde_solver import SolverConfig, run
+from sphkol.reduced_ode import equilibrium_closed_form, rotating_equilibrium
 from sphkol.sht import SpectralField, synthesize
 
 
@@ -24,8 +19,13 @@ def single(N, n, m, value=1.0):
 
 
 def coriolis_term(zeta, Omega):
-    """-2 Omega d_phi Lap^{-1} zeta: the skew diagonal of the (two-jet) rotating run."""
-    return SpectralField(N=zeta.N, coeffs=zeta.coeffs * skew_diagonal(zeta.N, "two_jet", 1.0, Omega))
+    """-2 Omega d_phi Lap^{-1} zeta: the linear part of a rotating two-jet run with no base flow."""
+    return linear_part(zeta.N, "two_jet", 0.0, Omega).apply(zeta)
+
+
+def run_in_frame(zeta0, cfg, grid, Omega):
+    """The run of cfg in a frame rotating at Omega."""
+    return run(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)
 
 
 class TestCoriolisTerm:
@@ -117,7 +117,7 @@ class TestRunRotating:
         zeta0 = rand_field(8, seed=9, amplitude=0.4)
         cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, snapshot_stride=16, store_snapshots=True)
         plain = run(zeta0, cfg, grid8)
-        rotated = run_rotating(zeta0, RotatingConfig(base=cfg, Omega=0.0), grid8)
+        rotated = run_in_frame(zeta0, cfg, grid8, 0.0)
         for a, b in zip(plain, rotated):
             assert np.array_equal(a.snapshot.coeffs, b.snapshot.coeffs)
 
@@ -127,7 +127,7 @@ class TestRunRotating:
         zeta0[1, -1] = -0.7
         Omega = 1.5
         cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=1.0, snapshot_stride=64)
-        recs = run_rotating(zeta0, RotatingConfig(base=cfg, Omega=Omega), grid8)
+        recs = run_in_frame(zeta0, cfg, grid8, Omega)
         for rec in recs:
             assert abs(abs(rec.mode1[0]) - 0.7) < 1e-9
             want = 0.7 * np.exp(1j * Omega * rec.t)
@@ -137,7 +137,7 @@ class TestRunRotating:
         zeta0 = rand_field(12, seed=10, amplitude=0.4, decay=0.45)
         nu, Omega = 1.0, 2.0
         cfg = SolverConfig(nu=nu, amplitude=1.0, N=12, t_end=1.0, snapshot_stride=128, store_snapshots=True)
-        rot = run_rotating(zeta0, RotatingConfig(base=cfg, Omega=Omega), grid12)
+        rot = run_in_frame(zeta0, cfg, grid12, Omega)
         direct = run(frame_map(zeta0, Omega, 0.0), cfg, grid12)
         for rr, rd in zip(rot, direct):
             mapped = frame_map(rr.snapshot, Omega, rr.t)
@@ -152,7 +152,7 @@ class TestRunRotating:
         zeta0[2, -1] = -np.conj(zeta0[2, 1])
         nu, Omega = 1.0, 1.3
         cfg = SolverConfig(nu=nu, amplitude=1.0, N=8, t_end=1.5, snapshot_stride=64)
-        recs = run_rotating(zeta0, RotatingConfig(base=cfg, Omega=Omega), grid8)
+        recs = run_in_frame(zeta0, cfg, grid8, Omega)
         base = recs[0].norm_eq2_dist
         assert base > 1e-3
         for rec in recs:
@@ -160,6 +160,10 @@ class TestRunRotating:
             assert compensated == pytest.approx(base, rel=1e-6)
 
     def test_one_jet_base_rejected(self):
-        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=1.0, jet_order="one_jet")
-        with pytest.raises(ValueError):
-            RotatingConfig(base=cfg, Omega=1.0)
+        with pytest.raises(ValueError, match="two-jet"):
+            SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=1.0, jet_order="one_jet", Omega=1.0)
+
+    @pytest.mark.parametrize("Omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rotation_rejected(self, Omega):
+        with pytest.raises(ValueError, match="Omega must be finite"):
+            SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=1.0, Omega=Omega)

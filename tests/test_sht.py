@@ -37,6 +37,12 @@ class TestSpectralField:
         with pytest.raises(IndexError):
             u[5, 1]
 
+    @pytest.mark.parametrize("shape", [(9, 1), (9, 17), (8, 9), (9,), (9, 9, 1)])
+    def test_malformed_coefficient_array_rejected(self, shape):
+        # A (9, 1) array at N = 8 used to broadcast over every order in synthesis.
+        with pytest.raises(ValueError, match="do not fit N = 8"):
+            SpectralField(8, np.zeros(shape, dtype=complex))
+
     def test_projection_partition_is_exact(self):
         u = rand_field(6, seed=5)
         resum = u.select_degree(1) + u.select_degree(2) + u.highpass(3)
