@@ -4,16 +4,7 @@ equivalence.  The independent references (Cartesian frames, the frame map)
 and the integral-identity oracle suites live in sphkol.oracles, which no
 solver module imports."""
 
-from .harmonics import (
-    HarmonicIndex,
-    QuadratureGrid,
-    build_grid,
-    eval_plm,
-    eval_ynm,
-    gauss_legendre,
-    harmonic_indices,
-    recurrence_coeff,
-)
+from .harmonics import QuadratureGrid, build_grid, gauss_legendre, legendre_table, recurrence_table
 from .operators import (
     KillingParams,
     convection,

@@ -61,17 +61,18 @@ class ExperimentManifest:
         if not isinstance(doc.get("cfg", {}), dict):
             raise ManifestError("cfg must be an object")
         try:
-            return cls(
-                scenario=doc["scenario"],
-                output_dir=str(doc["output_dir"]),
-                cfg=doc.get("cfg", {}),
-                init=doc.get("init"),
-                Omega=None if doc.get("Omega") is None else float(doc["Omega"]),
-                seed=int(doc.get("seed", 0)),
-                lmax=None if doc.get("lmax") is None else int(doc["lmax"]),
-            )
+            Omega = None if doc.get("Omega") is None else float(doc["Omega"])
         except (TypeError, ValueError) as exc:
-            raise ManifestError(f"seed, Omega and lmax must be numbers: {exc}") from exc
+            raise ManifestError(f"Omega must be a number: {exc}") from exc
+        return cls(
+            scenario=doc["scenario"],
+            output_dir=str(doc["output_dir"]),
+            cfg=doc.get("cfg", {}),
+            init=doc.get("init"),
+            Omega=Omega,
+            seed=_integer(doc.get("seed", 0), "seed"),
+            lmax=None if doc.get("lmax") is None else _integer(doc["lmax"], "lmax"),
+        )
 
 
 @dataclass
@@ -132,17 +133,28 @@ def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> Rate
     return RateFit((lo, hi), float(slope), float(r2), reference_rate, tolerance, bool(passed))
 
 
+def _integer(value, name: str) -> int:
+    """A manifest integer; a boolean or a number with a fractional part is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ManifestError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{name} must be an integer: {exc}") from exc
+
+
 def _parse_init(init, N: int) -> SpectralField:
-    if isinstance(init, str):
-        return SpectralField.load(init)
+    """The initial field from an inline coefficient list, a field file path or {"path": ...}."""
     if isinstance(init, dict) and "path" in init:
-        return SpectralField.load(init["path"])
-    if isinstance(init, list):
-        try:
-            return SpectralField.from_json_dict({"N": N, "coeffs": init})
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ManifestError(f"bad inline coefficients: {exc}") from exc
-    raise ManifestError("init must be an inline coefficient list or a file path")
+        init = init["path"]
+    if not isinstance(init, (str, list)):
+        raise ManifestError("init must be an inline coefficient list or a file path")
+    try:
+        if isinstance(init, str):
+            return SpectralField.load(init)
+        return SpectralField.from_json_dict({"N": N, "coeffs": init})
+    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ManifestError(f"bad initial field: {exc}") from exc
 
 
 def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
@@ -150,10 +162,10 @@ def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
         return SolverConfig(
             nu=float(doc["nu"]),
             amplitude=float(doc["amplitude"]),
-            N=int(doc["N"]),
+            N=_integer(doc["N"], "N"),
             t_end=float(doc["t_end"]),
             dt=None if doc.get("dt") is None else float(doc["dt"]),
-            snapshot_stride=int(doc.get("snapshot_stride", 10)),
+            snapshot_stride=_integer(doc.get("snapshot_stride", 10), "snapshot_stride"),
             jet_order=jet_order,
             Omega=Omega,
         )
@@ -270,9 +282,9 @@ def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[l
     try:
         nu = float(manifest.cfg["nu"])
         amplitude = float(manifest.cfg["amplitude"])
-        N = int(manifest.cfg.get("N", 4))
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
+    N = _integer(manifest.cfg.get("N", 4), "N")
     params = KillingParams.from_field(_parse_init(manifest.init, N))
     reports, diff = _equilibrium_cross_check(params, amplitude, nu)
     files = {}
@@ -283,7 +295,7 @@ def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[l
 
 
 def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
-    lmax = manifest.lmax if manifest.lmax is not None else int(manifest.cfg.get("N", 16))
+    lmax = manifest.lmax if manifest.lmax is not None else _integer(manifest.cfg.get("N", 16), "N")
     residuals = oracles.identity_oracle_residuals(manifest.seed, lmax)
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
@@ -291,12 +303,8 @@ def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[l
 
 
 def run_manifest(manifest) -> tuple[int, dict]:
-    """Execute a manifest (ExperimentManifest, dict, or path); returns (exit_code, report)."""
-    if isinstance(manifest, ExperimentManifest):
-        man = manifest
-    else:
-        doc = manifest if isinstance(manifest, dict) else load_manifest(manifest)
-        man = ExperimentManifest.from_dict(doc)
+    """Execute a manifest (dict or path); returns (exit_code, report)."""
+    man = ExperimentManifest.from_dict(manifest if isinstance(manifest, dict) else load_manifest(manifest))
     outdir = Path(os.environ.get("SPHKOL_OUT", man.output_dir))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -320,8 +328,11 @@ def run_manifest(manifest) -> tuple[int, dict]:
 
 def _load_csv_series(path, column: str):
     times, values = [], []
-    with open(path) as fh:
-        rows = [line for line in fh if not line.startswith("#")]
+    try:
+        with open(path) as fh:
+            rows = [line for line in fh if not line.startswith("#")]
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(rows)
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise ValueError(f"column {column!r} not present in {path}")

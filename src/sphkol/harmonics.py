@@ -10,43 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Degree-order pair (n, m) with |m| <= n; lam is the -Laplacian eigenvalue n(n+1)."""
+@lru_cache(maxsize=None)
+def recurrence_table(N: int) -> np.ndarray:
+    """a_n^m in  cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m, indexed [n, m].
 
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or abs(self.m) > self.n:
-            raise ValueError(f"invalid harmonic index (n={self.n}, m={self.m})")
-
-    @property
-    def lam(self) -> float:
-        return float(self.n * (self.n + 1))
-
-
-def harmonic_indices(N: int, n_min: int = 1):
-    """All indices with n_min <= n <= N in (degree, order) row order."""
-    for n in range(n_min, N + 1):
-        for m in range(-n, n + 1):
-            yield HarmonicIndex(n, m)
-
-
-def recurrence_coeff(n: int, m: int) -> float:
-    """Coefficient a_n^m in  cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m."""
-    if abs(m) > n:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree n={n}")
-    if n < 1:
-        raise ValueError("recurrence coefficient requires n >= 1")
-    return math.sqrt((n - m) * (n + m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0)))
+    Shape (N+1, N+1) over 0 <= n, m <= N; a_n^{-m} = a_n^m.  Zero at n = 0
+    and wherever m >= n.  Cached per N and read-only.
+    """
+    n, m = np.ogrid[: N + 1, : N + 1]
+    a = np.sqrt(np.maximum(n - m, 0) * (n + m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0)))
+    table = np.where(m < n, a, 0.0)
+    table.flags.writeable = False
+    return table
 
 
 def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,68 +62,24 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x[order], w[order]
 
 
-def _normalized_plm_table(N: int, s: np.ndarray) -> np.ndarray:
-    """Pbar_n^m(s) for 0 <= m <= n <= N at the sample points s, shape (m, n, j)."""
+def legendre_table(N: int, s: np.ndarray) -> np.ndarray:
+    """Pbar_n^m(s) for 0 <= m <= n <= N at the sample points s, shape (m, n, j); zero where m > n.
+
+    The sectoral entries come from Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1}^{m-1},
+    each degree n from the two below it through the recurrence table.
+    """
     s = np.asarray(s, dtype=float)
+    a = recurrence_table(N)[:, :, None]
     table = np.zeros((N + 1, N + 1, s.size))
     sin_t = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     table[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    for m in range(1, N + 1):
-        table[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * table[m - 1, m - 1]
-    for m in range(N + 1):
-        for n in range(m + 1, N + 1):
-            num = s * table[m, n - 1]
-            if n - 2 >= m:
-                num = num - recurrence_coeff(n - 1, m) * table[m, n - 2]
-            table[m, n] = num / recurrence_coeff(n, m)
+    for n in range(1, N + 1):
+        table[n, n] = -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t * table[n - 1, n - 1]
+        below = s * table[:n, n - 1]
+        if n >= 2:
+            below = below - a[n - 1, :n] * table[:n, n - 2]
+        table[:n, n] = below / a[n, :n]
     return table
-
-
-def _plm_theta_derivative_table(N: int, s: np.ndarray, plm: np.ndarray) -> np.ndarray:
-    """d Pbar_n^m / d theta at interior points (|s| < 1), from the degree-lowering relation."""
-    sin_t = np.sqrt(1.0 - s * s)
-    deriv = np.zeros_like(plm)
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            lower = plm[m, n - 1] if n - 1 >= m else 0.0
-            a_n = recurrence_coeff(n, m) if n >= 1 else 0.0
-            deriv[m, n] = (n * s * plm[m, n] - (2.0 * n + 1.0) * a_n * lower) / sin_t
-    return deriv
-
-
-def eval_plm(n: int, m: int, s: float) -> float:
-    """Associated Legendre function P_n^m(s), Condon-Shortley phase included.
-
-    Negative orders follow P_n^{-m} = (-1)^m (n-m)!/(n+m)! P_n^m.  Evaluated
-    through the normalized recurrence and denormalized, so large-n overflow of
-    the raw factorials is avoided until the final scaling.
-    """
-    if abs(m) > n:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree n={n}")
-    if not -1.0 < s < 1.0:
-        raise ValueError("argument must satisfy |s| < 1")
-    ma = abs(m)
-    pbar = _normalized_plm_table(n, np.array([s]))[ma, n, 0]
-    log_norm = 0.5 * (
-        math.log((2.0 * n + 1.0) / FOUR_PI)
-        + math.lgamma(n - ma + 1.0)
-        - math.lgamma(n + ma + 1.0)
-    )
-    value = pbar * math.exp(-log_norm)
-    if m < 0:
-        value *= (-1.0) ** ma * math.exp(math.lgamma(n - ma + 1.0) - math.lgamma(n + ma + 1.0))
-    return value
-
-
-def eval_ynm(n: int, m: int, theta: float, phi: float) -> complex:
-    """Spherical harmonic Y_n^m at colatitude theta and longitude phi."""
-    if abs(m) > n:
-        raise ValueError(f"order |m|={abs(m)} exceeds degree n={n}")
-    ma = abs(m)
-    pbar = _normalized_plm_table(n, np.array([math.cos(theta)]))[ma, n, 0]
-    if m >= 0:
-        return pbar * complex(math.cos(m * phi), math.sin(m * phi))
-    return (-1.0) ** ma * pbar * complex(math.cos(m * phi), math.sin(m * phi))
 
 
 @dataclass(eq=False)
@@ -179,11 +117,22 @@ class QuadratureGrid:
     @cached_property
     def plm(self) -> np.ndarray:
         """Normalized Legendre table, shape (N+1, N+1, n_theta), indexed [m, n, j]."""
-        return _normalized_plm_table(self.N, self.cos_theta)
+        return legendre_table(self.N, self.cos_theta)
 
     @cached_property
     def dplm_dtheta(self) -> np.ndarray:
-        return _plm_theta_derivative_table(self.N, self.cos_theta, self.plm)
+        """d Pbar_n^m / d theta, same layout, from the degree-lowering relation.
+
+        sin(theta) d Pbar_n^m / d theta = n cos(theta) Pbar_n^m - (2n+1) a_n^m Pbar_{n-1}^m.
+        """
+        s, plm = self.cos_theta, self.plm
+        sin_t = np.sqrt(1.0 - s * s)
+        a = recurrence_table(self.N)[:, :, None]
+        deriv = np.zeros_like(plm)
+        for n in range(self.N + 1):
+            lower = plm[: n + 1, n - 1] if n >= 1 else 0.0
+            deriv[: n + 1, n] = (n * s * plm[: n + 1, n] - (2.0 * n + 1.0) * a[n, : n + 1] * lower) / sin_t
+        return deriv
 
     def integrate(self, values: np.ndarray):
         """Surface integral of node samples over the sphere."""

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import QuadratureGrid, recurrence_coeff
+from .harmonics import QuadratureGrid, recurrence_table
 from .sht import SpectralField, real_analysis, real_synthesis
 
 
@@ -73,16 +73,6 @@ def inverse_laplacian(u: SpectralField) -> SpectralField:
     return -1.0 * laplacian_power(u, -1.0)
 
 
-@lru_cache(maxsize=None)
-def _acoeff_table(N: int) -> np.ndarray:
-    """a_n^m for n = 0..N+1, 0 <= m <= min(n, N); zero where m > n."""
-    table = np.zeros((N + 2, N + 1))
-    for n in range(1, N + 2):
-        for m in range(min(n, N) + 1):
-            table[n, m] = recurrence_coeff(n, m)
-    return table
-
-
 @dataclass(frozen=True)
 class LinearPart:
     """Per-(n, m >= 0) factors of the non-diffusive linear part, each of shape (N+1, N+1).
@@ -126,7 +116,7 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
     if jet_order == "one_jet":  # otherwise "two_jet"
         per_degree[1:] -= (amplitude / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam[1:])
     else:
-        a_tab = _acoeff_table(N)
+        a_tab = recurrence_table(N)
         weight = -(amplitude / 4.0) * math.sqrt(5.0 / math.pi) * (1.0 - 6.0 * inv_lam)
         weight[0] = 0.0
         coupling = weight[:, None] * im[None, :]

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .harmonics import QuadratureGrid, build_grid, harmonic_indices, recurrence_coeff
+from .harmonics import QuadratureGrid, build_grid, recurrence_table
 from .operators import KillingParams, convection, inverse_laplacian, laplacian
 from .reduced_ode import MODE2_ORDER, killing_degree2_matrix
 from .sht import SpectralField, analyze, random_real_field, real_analysis, real_synthesis, synthesize
@@ -193,11 +193,10 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     res["surface_area"] = abs(float(grid.integrate(ones)) - 4.0 * math.pi) / (4.0 * math.pi)
 
     # orthonormality on a seeded sample of harmonic pairs
-    indices = list(harmonic_indices(lmax))
+    indices = [(n, m) for n in range(1, lmax + 1) for m in range(-n, n + 1)]
 
     def sample_nm():
-        idx = indices[int(rng.integers(0, len(indices)))]
-        return idx.n, idx.m
+        return indices[int(rng.integers(0, len(indices)))]
 
     worst = 0.0
     for _ in range(60):
@@ -221,12 +220,13 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
 
     worst = 0.0
     cos_t = np.cos(theta) * np.ones_like(phi)
+    a = recurrence_table(lmax)
     for _ in range(30):
         n, m = sample_nm()
         if n >= lmax:
             continue
         v = synthesize_complex(unit_table(lmax, n, m), grid) * cos_t
-        for target, coeff in ((n - 1, recurrence_coeff(n, m)), (n + 1, recurrence_coeff(n + 1, m))):
+        for target, coeff in ((n - 1, a[n, abs(m)]), (n + 1, a[n + 1, abs(m)])):
             if target < max(1, abs(m)):
                 continue
             proj = complex(inner(grid, v, synthesize_complex(unit_table(lmax, target, m), grid)))

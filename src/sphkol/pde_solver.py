@@ -21,6 +21,7 @@ import numpy as np
 from . import reduced_ode
 from .harmonics import QuadratureGrid
 from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, linear_part
+from .serialize import format_float
 from .sht import SpectralField
 
 TRAJECTORY_HEADER = (
@@ -163,13 +164,12 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
     nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
     dt = cfg.t_end / nsteps
 
-    params = KillingParams.from_field(omega0)
-
-    def attractor(t):
-        """Degree-2 attractor: the one-jet flow decays to zero, the two-jet one to the equilibrium."""
-        if cfg.jet_order == "one_jet":
-            return np.zeros(5, dtype=complex)
-        return reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
+    # Degree-2 attractor: the one-jet flow decays to zero, the two-jet one to
+    # the equilibrium, which turns with the frame; its static part is fixed per run.
+    w_inf = np.zeros(5, dtype=complex)
+    if cfg.jet_order == "two_jet":
+        params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), cfg.Omega)
+        w_inf = reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
 
     stepper = Stepper(cfg, grid, dt)
     state = omega0
@@ -184,7 +184,7 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
             TrajectoryRecord(
                 t=t,
                 norm_eq1=state.degree_norm(1),
-                norm_eq2_dist=float(np.linalg.norm(mode2 - attractor(t))),
+                norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf * reduced_ode.frame_phases(cfg.Omega, t))),
                 norm_ge3=state.highpass_norm(3),
                 mode2=mode2,
                 mode1=state.mode1_vector(),
@@ -217,12 +217,12 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
             M=np.array(coupling_M),
             f=np.array(coupling_f),
         )
-    return records, coupling, dt
+    return records, coupling
 
 
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[TrajectoryRecord]:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
-    records, _, _ = _integrate(omega0, cfg, grid)
+    records, _ = _integrate(omega0, cfg, grid)
     return records
 
 
@@ -237,12 +237,7 @@ def run_with_coupling(
         raise ValueError(
             f"coupling extraction needs non-rotating two_jet dynamics, not {cfg.jet_order!r} at Omega = {cfg.Omega!r}"
         )
-    records, coupling, _ = _integrate(omega0, cfg, grid, record_coupling=True)
-    return records, coupling
-
-
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _integrate(omega0, cfg, grid, record_coupling=True)
 
 
 def write_trajectory_csv(records, path, header_comment: str | None = None):

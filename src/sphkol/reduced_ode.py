@@ -128,8 +128,12 @@ def rotating_equilibrium(
     phases exp(i m Omega t); Omega = 0 gives the static equilibrium.
     """
     w_inf = equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu)
-    phases = np.exp(1j * Omega * t * np.array(MODE2_ORDER, dtype=float))
-    return w_inf * phases
+    return w_inf * frame_phases(Omega, t)
+
+
+def frame_phases(Omega: float, t: float) -> np.ndarray:
+    """exp(i m Omega t) for the degree-2 orders m in MODE2_ORDER."""
+    return np.exp(1j * Omega * t * np.array(MODE2_ORDER, dtype=float))
 
 
 def propagate_exact(sys: ReducedSystem, w0: np.ndarray, t: float) -> np.ndarray:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 
 
-def _format_float(x: float) -> str:
+def format_float(x: float) -> str:
+    """x with 17 significant digits; a non-finite x is a ValueError."""
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite float cannot be serialized")
     return format(float(x), ".17g")
@@ -33,7 +34,7 @@ def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _format_float(obj)
+        return format_float(obj)
     if isinstance(obj, complex):
         raise TypeError("serialize complex values as explicit re/im pairs")
     if isinstance(obj, dict):

@@ -107,12 +107,6 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(N=self.N, coeffs=-self.coeffs)
 
-    def select_degree(self, n: int) -> "SpectralField":
-        """Projection u_{=n}: keep only the degree-n row."""
-        out = SpectralField.zeros(self.N)
-        out.coeffs[n] = self.coeffs[n]
-        return out
-
     def highpass(self, n_min: int) -> "SpectralField":
         """Projection u_{>=n_min}."""
         out = SpectralField.zeros(self.N)
@@ -191,9 +185,6 @@ class GridField:
         expected = (self.grid.n_theta, self.grid.n_phi)
         if self.values.shape != expected:
             raise ValueError(f"sample shape {self.values.shape} != grid shape {expected}")
-
-    def integral(self) -> float:
-        return float(self.grid.integrate(self.values))
 
 
 def _per_order_product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:

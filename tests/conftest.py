@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sphkol.harmonics import build_grid
-from sphkol.sht import random_real_field
+from sphkol.sht import SpectralField, random_real_field
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +27,13 @@ def grid32():
 
 def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):
     return random_real_field(N, np.random.default_rng(seed), amplitude=amplitude, decay=decay, degrees=degrees)
+
+
+def select_degree(u, n):
+    """Projection u_{=n}: keep only the degree-n row."""
+    out = SpectralField.zeros(u.N)
+    out.coeffs[n] = u.coeffs[n]
+    return out
 
 
 def assert_real_field_layout(u):

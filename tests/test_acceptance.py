@@ -17,7 +17,7 @@ import pytest
 
 from conftest import rand_field
 from sphkol.cli import _envelope_margin, fit_rate
-from sphkol.harmonics import build_grid, recurrence_coeff
+from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams
 from sphkol.oracles import frame_map, identity_oracle_residuals, inner, synthesize_complex, unit_table
 from sphkol.pde_solver import SolverConfig, run, run_with_coupling
@@ -312,14 +312,15 @@ def test_criterion_12_transform_quadrature_suite():
 
     worst_rec = 0.0
     cos_t = np.cos(theta) * np.ones_like(phi)
+    a = recurrence_table(32)
     for n in range(1, 32):
         for m in range(-n, n + 1):
             vals = cos_t * sampled(n, m)
             proj_up = complex(inner(grid, vals, sampled(n + 1, m)))
-            worst_rec = max(worst_rec, abs(proj_up - recurrence_coeff(n + 1, m)))
+            worst_rec = max(worst_rec, abs(proj_up - a[n + 1, abs(m)]))
             if n - 1 >= abs(m) and n - 1 >= 1:
                 proj_dn = complex(inner(grid, vals, sampled(n - 1, m)))
-                worst_rec = max(worst_rec, abs(proj_dn - recurrence_coeff(n, m)))
+                worst_rec = max(worst_rec, abs(proj_dn - a[n, abs(m)]))
 
     ok = area_err < 1e-13 and max(worst_ortho, roundtrip, parseval, worst_rec) < 1e-11
     report(

@@ -251,6 +251,21 @@ class TestMain:
         path = write_manifest(tmp_path, {**base, "scenario": "rotating", "Omega": math.nan})
         assert main(["run", str(path)]) == 2
         assert "Omega must be finite" in capsys.readouterr().err
+        # Booleans and integers with a fractional part are rejected by name, not truncated.
+        oracles = {"scenario": "identity_oracles", "lmax": 8, "output_dir": str(tmp_path / "orc")}
+        for doc, name in [
+            ({**base, "cfg": {**base["cfg"], "N": 8.7}}, "N"),
+            ({**base, "cfg": {**base["cfg"], "snapshot_stride": 2.5}}, "snapshot_stride"),
+            ({**base, "cfg": {**base["cfg"], "snapshot_stride": True}}, "snapshot_stride"),
+            ({**base, "seed": 7.5}, "seed"),
+            ({**oracles, "lmax": 8.5}, "lmax"),
+            ({**oracles, "lmax": None, "cfg": {"N": 6.2}}, "N"),
+            ({"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4.5},
+              "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "red")}, "N"),
+        ]:
+            path = write_manifest(tmp_path, doc)
+            assert main(["run", str(path)]) == 2, name
+            assert f"{name} must be an integer" in capsys.readouterr().err, name
 
     def test_run_non_real_m0_coefficient_exit_2(self, tmp_path, capsys):
         base = two_jet_manifest(tmp_path)
@@ -317,6 +332,24 @@ class TestMain:
         csv_path = tmp_path / "series.csv"
         csv_path.write_text("t,x\n0,1\n1,2\n")
         assert main(["fit", "--input", str(csv_path), "--column", "nope", "--window", "0:1"]) == 2
+
+    def test_fit_missing_input_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["fit", "--input", str(missing), "--column", "norm_ge3", "--window", "0:1"]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_init_missing_file_exit_2(self, tmp_path, capsys):
+        for init in (str(tmp_path / "missing.json"), {"path": str(tmp_path / "missing.json")}):
+            path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": init})
+            assert main(["run", str(path)]) == 2
+            assert "configuration error: bad initial field" in capsys.readouterr().err
+
+    def test_init_file_degree_out_of_range_exit_2(self, tmp_path, capsys):
+        field_path = tmp_path / "init.json"
+        field_path.write_text(json.dumps({"N": 8, "coeffs": [{"n": 9, "m": 0, "re": 0.1}]}))
+        path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": str(field_path)})
+        assert main(["run", str(path)]) == 2
+        assert "degree n=9 outside 1..8" in capsys.readouterr().err
 
     def test_fit_rate_mismatch_exit_1(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

@@ -6,47 +6,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refimpl import plm_reference, sphere_integral_simpson, ynm_reference
-from sphkol.harmonics import (
-    HarmonicIndex,
-    build_grid,
-    eval_plm,
-    eval_ynm,
-    gauss_legendre,
-    harmonic_indices,
-    recurrence_coeff,
-)
+from sphkol.harmonics import build_grid, gauss_legendre, legendre_table, recurrence_table
 
 
-class TestHarmonicIndex:
-    def test_eigenvalue(self):
-        assert HarmonicIndex(3, -2).lam == 12.0
+def pbar(n, m, s):
+    """Pbar_n^m(s), m >= 0, read off legendre_table at the single point s."""
+    return legendre_table(n, np.array([s]))[m, n, 0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HarmonicIndex(2, 3)
-        with pytest.raises(ValueError):
-            HarmonicIndex(-1, 0)
 
-    def test_enumeration(self):
-        idx = list(harmonic_indices(3))
-        assert len(idx) == 3 + 5 + 7
-        assert idx[0] == HarmonicIndex(1, -1)
-        assert idx[-1] == HarmonicIndex(3, 3)
+def normalization(n, m):
+    """sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!), the factor between Pbar_n^m and P_n^m."""
+    return math.sqrt((2 * n + 1) / (4.0 * math.pi) * math.factorial(n - m) / math.factorial(n + m))
+
+
+def scalar_a(n, m):
+    """a_n^m as the scalar formula the recurrence table replaced."""
+    return math.sqrt((n - m) * (n + m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0)))
+
+
+def scalar_plm_loop(N, s):
+    """The per-(m, n) scalar loop legendre_table replaced, kept as the byte-level reference."""
+    table = np.zeros((N + 1, N + 1, s.size))
+    sin_t = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+    table[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, N + 1):
+        table[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_t * table[m - 1, m - 1]
+    for m in range(N + 1):
+        for n in range(m + 1, N + 1):
+            num = s * table[m, n - 1]
+            if n - 2 >= m:
+                num = num - scalar_a(n - 1, m) * table[m, n - 2]
+            table[m, n] = num / scalar_a(n, m)
+    return table
+
+
+def scalar_dplm_loop(N, s, plm):
+    """The per-(m, n) scalar loop QuadratureGrid.dplm_dtheta replaced."""
+    sin_t = np.sqrt(1.0 - s * s)
+    deriv = np.zeros_like(plm)
+    for m in range(N + 1):
+        for n in range(m, N + 1):
+            lower = plm[m, n - 1] if n - 1 >= m else 0.0
+            a_n = scalar_a(n, m) if n >= 1 else 0.0
+            deriv[m, n] = (n * s * plm[m, n] - (2.0 * n + 1.0) * a_n * lower) / sin_t
+    return deriv
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 128])
+class TestTablesMatchScalarLoops:
+    """The array-built tables reproduce the scalar per-(m, n) loops byte for byte, signed zeros included."""
+
+    def test_recurrence_table(self, N):
+        want = np.zeros((N + 1, N + 1))
+        for n in range(1, N + 1):
+            for m in range(n + 1):
+                want[n, m] = scalar_a(n, m)
+        assert recurrence_table(N).tobytes() == want.tobytes()
+
+    def test_legendre_and_derivative_tables(self, N):
+        grid = build_grid(N)
+        plm = scalar_plm_loop(N, grid.cos_theta)
+        assert grid.plm.tobytes() == plm.tobytes()
+        assert grid.dplm_dtheta.tobytes() == scalar_dplm_loop(N, grid.cos_theta, plm).tobytes()
 
 
 class TestEvalPlm:
+    """Point values of legendre_table against closed forms and the Rodrigues formula."""
+
     def test_first_degree_is_identity(self):
-        assert eval_plm(1, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert pbar(1, 0, 0.5) / normalization(1, 0) == pytest.approx(0.5, abs=1e-15)
 
     def test_degree_two_values(self):
         # P_2^0 = (3s^2-1)/2, P_2^1 = -3 s sqrt(1-s^2)
-        assert eval_plm(2, 0, 0.0) == pytest.approx(-0.5, abs=1e-15)
-        assert eval_plm(2, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert eval_plm(2, 1, 0.6) == pytest.approx(-1.44, abs=1e-14)
-
-    def test_negative_order_scaling(self):
-        # P_2^{-1} = -(1/6) P_2^1
-        assert eval_plm(2, -1, 0.6) == pytest.approx(0.24, abs=1e-14)
+        assert pbar(2, 0, 0.0) / normalization(2, 0) == pytest.approx(-0.5, abs=1e-15)
+        assert pbar(2, 1, 0.0) / normalization(2, 1) == pytest.approx(0.0, abs=1e-15)
+        assert pbar(2, 1, 0.6) / normalization(2, 1) == pytest.approx(-1.44, abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -55,48 +89,37 @@ class TestEvalPlm:
         data=st.data(),
     )
     def test_matches_rodrigues_form(self, n, frac, data):
-        m = data.draw(st.integers(min_value=-n, max_value=n))
-        got = eval_plm(n, m, frac)
+        m = data.draw(st.integers(min_value=0, max_value=n))
+        got = pbar(n, m, frac) / normalization(n, m)
         want = plm_reference(n, m, frac)
         assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            eval_plm(2, 3, 0.1)
-        with pytest.raises(ValueError):
-            eval_plm(2, 1, 1.0)
+        # Entries with m > n are zero, and the poles s = +-1 give finite values.
+        table = legendre_table(6, np.array([-1.0, -0.3, 0.0, 1.0]))
+        assert np.all(np.isfinite(table))
+        for m in range(7):
+            assert np.all(table[m, :m] == 0.0)
 
 
 class TestEvalYnm:
+    """Y_n^m = Pbar_n^m(cos theta) exp(i m phi), m >= 0, from legendre_table."""
+
     def test_zonal_closed_forms(self):
-        for theta in np.linspace(0.05, math.pi - 0.05, 9):
-            want20 = 0.25 * math.sqrt(5.0 / math.pi) * (3.0 * math.cos(theta) ** 2 - 1.0)
-            want10 = 0.5 * math.sqrt(3.0 / math.pi) * math.cos(theta)
-            assert eval_ynm(2, 0, theta, 1.3) == pytest.approx(want20, abs=1e-14)
-            assert eval_ynm(1, 0, theta, 0.2) == pytest.approx(want10, abs=1e-14)
+        theta = np.linspace(0.05, math.pi - 0.05, 9)
+        table = legendre_table(2, np.cos(theta))
+        want20 = 0.25 * math.sqrt(5.0 / math.pi) * (3.0 * np.cos(theta) ** 2 - 1.0)
+        want10 = 0.5 * math.sqrt(3.0 / math.pi) * np.cos(theta)
+        assert table[0, 2] == pytest.approx(want20, abs=1e-14)
+        assert table[0, 1] == pytest.approx(want10, abs=1e-14)
 
     def test_sectoral_value_on_equator(self):
         want = 0.25 * math.sqrt(15.0 / (2.0 * math.pi))
-        assert eval_ynm(2, 2, math.pi / 2, 0.0) == pytest.approx(want, abs=1e-14)
+        assert pbar(2, 2, math.cos(math.pi / 2)) == pytest.approx(want, abs=1e-14)
 
     def test_poles_are_regular(self):
-        assert eval_ynm(3, 2, 0.0, 0.7) == pytest.approx(0.0, abs=1e-15)
-        assert eval_ynm(3, 0, 0.0, 0.0) == pytest.approx(
-            math.sqrt(7.0 / (4.0 * math.pi)), abs=1e-14
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=10),
-        theta=st.floats(min_value=0.01, max_value=math.pi - 0.01),
-        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        data=st.data(),
-    )
-    def test_conjugation_symmetry(self, n, theta, phi, data):
-        m = data.draw(st.integers(min_value=0, max_value=n))
-        plus = eval_ynm(n, m, theta, phi)
-        minus = eval_ynm(n, -m, theta, phi)
-        assert minus == pytest.approx((-1.0) ** m * np.conj(plus), abs=1e-14)
+        assert pbar(3, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert pbar(3, 0, 1.0) == pytest.approx(math.sqrt(7.0 / (4.0 * math.pi)), abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -106,29 +129,33 @@ class TestEvalYnm:
         data=st.data(),
     )
     def test_matches_reference(self, n, theta, phi, data):
-        m = data.draw(st.integers(min_value=-n, max_value=n))
-        got = eval_ynm(n, m, theta, phi)
+        m = data.draw(st.integers(min_value=0, max_value=n))
+        got = pbar(n, m, math.cos(theta)) * complex(math.cos(m * phi), math.sin(m * phi))
         want = complex(ynm_reference(n, m, theta, phi))
         assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
 
-    def test_order_bound(self):
-        with pytest.raises(ValueError):
-            eval_ynm(1, 2, 0.3, 0.0)
-
 
 class TestRecurrenceCoeff:
+    """Entries of recurrence_table."""
+
     def test_values(self):
-        assert recurrence_coeff(1, 0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
-        assert recurrence_coeff(3, 1) == pytest.approx(math.sqrt(8.0 / 35.0), abs=1e-15)
+        a = recurrence_table(3)
+        assert a[1, 0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
+        assert a[3, 1] == pytest.approx(math.sqrt(8.0 / 35.0), abs=1e-15)
 
     def test_sectoral_vanishes(self):
+        a = recurrence_table(9)
         for n in (1, 4, 9):
-            assert recurrence_coeff(n, n) == 0.0
-            assert recurrence_coeff(n, -n) == 0.0
+            assert a[n, n] == 0.0
 
     def test_domain_error(self):
+        # Outside 0 <= m < n the table holds zeros; it is cached and read-only.
+        a = recurrence_table(5)
+        assert np.all(a[0] == 0.0)
+        assert np.all(np.triu(a) == 0.0)
+        assert recurrence_table(5) is a
         with pytest.raises(ValueError):
-            recurrence_coeff(2, 3)
+            a[2, 1] = 1.0
 
 
 class TestGaussLegendre:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_field
+from conftest import rand_field, select_degree
 from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
 from sphkol.operators import (
     KillingParams,
@@ -346,7 +346,7 @@ class TestKillingAdvect:
         u = rand_field(8, seed=62)
         axis = rng.standard_normal(3)
         for n in (1, 3, 5, 8):
-            adv = killing_advect(axis, u.select_degree(n).full_table(), grid8)
+            adv = killing_advect(axis, select_degree(u, n).full_table(), grid8)
             off_degree = adv.copy()
             off_degree[n] = 0.0
             assert np.max(np.abs(off_degree)) < 1e-12

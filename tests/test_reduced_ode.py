@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
-from sphkol.harmonics import build_grid, recurrence_coeff
+from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams, convection, linear_part
 from sphkol.oracles import analyze_complex, gradient_values, nodes_xyz, unit_table, velocity_values
 from sphkol.reduced_ode import (
@@ -44,7 +44,7 @@ def mode2_reality_residual(w):
 def f_degree3_term(omega, amplitude):
     """The tridiagonal coupling of degree 3 into degree 2, -(a/8) sqrt(5/pi) i m a_3^m w_3^m, m = 2..-2."""
     return np.array(
-        [-(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * recurrence_coeff(3, m) * omega[3, m]
+        [-(amplitude / 8.0) * math.sqrt(5.0 / math.pi) * 1j * m * recurrence_table(3)[3, abs(m)] * omega[3, m]
          for m in MODE2_ORDER]
     )
 

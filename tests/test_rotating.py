@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
+from refimpl import ynm_reference
 from sphkol.operators import KillingParams, linear_part
 from sphkol.oracles import frame_map, synthesize_complex
 from sphkol.pde_solver import SolverConfig, run
@@ -77,9 +78,7 @@ class TestFrameMap:
             direct = 0.0
             for n in range(1, 13):
                 for m in range(-n, n + 1):
-                    from sphkol.harmonics import eval_ynm
-
-                    direct += zeta[n, m] * eval_ynm(n, m, theta, phi - Omega * t)
+                    direct += zeta[n, m] * ynm_reference(n, m, theta, phi - Omega * t)
             want = direct.real + 2.0 * Omega * math.cos(theta)
             assert mapped_vals[j, k] == pytest.approx(want, abs=1e-11)
 
