@@ -54,8 +54,8 @@ class ExperimentManifest:
     def from_dict(cls, doc: dict) -> "ExperimentManifest":
         if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
             raise ManifestError(f"scenario must be one of {SCENARIOS}")
-        if "output_dir" not in doc:
-            raise ManifestError("manifest needs an output_dir")
+        if not isinstance(doc.get("output_dir"), str) or not doc["output_dir"]:
+            raise ManifestError("manifest needs an output_dir, a non-empty string")
         if doc["scenario"] == "rotating" and doc.get("Omega") is None:
             raise ManifestError("rotating scenario needs Omega")
         if not isinstance(doc.get("cfg", {}), dict):
@@ -66,7 +66,7 @@ class ExperimentManifest:
             raise ManifestError(f"Omega must be a number: {exc}") from exc
         return cls(
             scenario=doc["scenario"],
-            output_dir=str(doc["output_dir"]),
+            output_dir=doc["output_dir"],
             cfg=doc.get("cfg", {}),
             init=doc.get("init"),
             Omega=Omega,

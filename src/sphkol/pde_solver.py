@@ -164,12 +164,8 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
     nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
     dt = cfg.t_end / nsteps
 
-    # Degree-2 attractor: the one-jet flow decays to zero, the two-jet one to
-    # the equilibrium, which turns with the frame; its static part is fixed per run.
-    w_inf = np.zeros(5, dtype=complex)
-    if cfg.jet_order == "two_jet":
-        params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), cfg.Omega)
-        w_inf = reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
+    # Degree-2 attractor: zero for the one-jet flow, the equilibrium turning with the frame for the two-jet one.
+    params = KillingParams.from_field(omega0) if cfg.jet_order == "two_jet" else None
 
     stepper = Stepper(cfg, grid, dt)
     state = omega0
@@ -180,11 +176,12 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
 
     def snap(t, state):
         mode2 = state.mode2_vector()
+        w_inf = 0.0 if params is None else reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
         records.append(
             TrajectoryRecord(
                 t=t,
                 norm_eq1=state.degree_norm(1),
-                norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf * reduced_ode.frame_phases(cfg.Omega, t))),
+                norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf)),
                 norm_ge3=state.highpass_norm(3),
                 mode2=mode2,
                 mode1=state.mode1_vector(),
@@ -194,7 +191,7 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
 
     snap(0.0, state)
     if record_coupling:
-        M, f = reduced_ode.extract_coupling(state, cfg.amplitude, grid)
+        M, f = reduced_ode.extract_coupling(state, cfg.amplitude)
         coupling_M.append(M)
         coupling_f.append(f)
 
@@ -204,7 +201,7 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
         if not np.all(np.isfinite(state.coeffs)):
             raise IntegrationError("state became non-finite", t)
         if record_coupling:
-            M, f = reduced_ode.extract_coupling(state, cfg.amplitude, grid)
+            M, f = reduced_ode.extract_coupling(state, cfg.amplitude)
             coupling_M.append(M)
             coupling_f.append(f)
         if k % cfg.snapshot_stride == 0 or k == nsteps:

@@ -7,20 +7,22 @@ coefficient vector w = (w_2^2, ..., w_2^{-2}) obeys
 
 where A is a constant Hermitian coupling matrix, c a constant source, and
 M(t), f(t) integral couplings to the degree >= 3 remainder that vanish when
-that remainder does.  The equilibrium (4 nu I + i A)^{-1} c also has a closed
-form; both routes are implemented and cross-checked.
+that remainder does; both read one table of adjacent-degree interactions.
+The equilibrium (4 nu I + i A)^{-1} c also has a closed form; both routes
+are implemented and cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import QuadratureGrid
-from .operators import KillingParams, convection, linear_part
-from .sht import SpectralField, real_analysis
+from .harmonics import build_grid
+from .operators import KillingParams, linear_part
+from .sht import SpectralField
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
@@ -198,58 +200,56 @@ def propagate_forced(
     return out
 
 
-def extract_coupling(
-    omega: SpectralField, amplitude: float, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Couplings (M, f) from the degree >= 3 part of a state.
+@lru_cache(maxsize=None)
+def adjacent_degree_table(N: int) -> np.ndarray:
+    """T[n-2, i, N+m] = c_n (J(Y_n^m, Y_{n+1}^{mu-m}), Y_2^mu), mu = MODE2_ORDER[i], n = 2..N-1.
 
-    M_{m,k} = (1/6) integral of (I + 6 Lap^{-1}) w_{>=3} times
-    R_{k,m} = (n x grad Y_2^k) . grad conj(Y_2^m); R is a cubic polynomial on
-    the sphere, so only degrees 1 and 3 of it are nonzero and M reads w_3
-    through the cached degree-3 table.  f is the degree-2 row of the two-jet
-    linear part minus the convection, both applied to the remainder
-    h = w_{>=3}: the coupling of degree 3 into degree 2, and the
-    self-transport integral, which equals -(u_h . grad h, Y_2^m) because u_h
-    is divergence-free.  Both vanish identically when w_{>=3} = 0.
+    J(A, B) = (A_theta B_phi - A_phi B_theta) / sin(theta), and u . grad w = J(Lap^{-1} w, w).
+    The degree-2 row of J(Y_a, Y_b) vanishes unless |a - b| = 1 (parity and
+    the triangle rule); c_n = 1/((n+1)(n+2)) - 1/(n(n+1)) folds in both
+    orderings of the stream function.  The phi integral only selects the
+    order sum mu, so each entry is one latitude quadrature.  Cached per N, read-only.
+    """
+    grid = build_grid(N + 1)  # its tables hold the zero rows of orders up to N + 1
+
+    def rows(table, orders, n):  # Pbar_n^{-k} = (-1)^k Pbar_n^k
+        return (-1.0) ** np.minimum(orders, 0)[..., None] * table[np.abs(orders), n]
+
+    mu = np.array(MODE2_ORDER)
+    # The d(cos theta) weights take J's 1/sin(theta) and the phi integral's 2 pi.
+    y2 = rows(grid.plm, mu, 2)[:, None, :] * (2.0 * math.pi * grid.theta_weights / grid.sin_theta)
+    table = np.zeros((N - 2, 5, 2 * N + 1), dtype=complex)
+    for n in range(2, N):
+        m = np.arange(-n, n + 1)
+        partner = mu[:, None] - m[None, :]
+        low, low_theta = rows(grid.plm, m, n), rows(grid.dplm_dtheta, m, n)
+        high, high_theta = rows(grid.plm, partner, n + 1), rows(grid.dplm_dtheta, partner, n + 1)
+        jacobian = partner[..., None] * low_theta * high - m[:, None] * low * high_theta
+        c = 1.0 / ((n + 1.0) * (n + 2.0)) - 1.0 / (n * (n + 1.0))
+        table[n - 2, :, N - n : N + n + 1] = 1j * c * np.sum(jacobian * y2, axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (M, f) of the degree-2 block to w_{>=3}, read off G = T w_{n+1}^{mu-m} without a transform.
+
+    T is the adjacent_degree_table.  M_{mu,k} = G[0, i, N+k], since w_2 meets
+    only w_3; f is the degree-2 row of the two-jet linear part on
+    h = w_{>=3} minus the transport sum_{n >= 3, m} G[n-2, i, N+m] w_n^m.
+    Both vanish identically when w_{>=3} = 0.
     """
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
-    degree3 = omega.full_table()[3]
-    # (1/6) times the degree-3 weight 1 - 6/12 of (I + 6 Lap^{-1}).
-    M = _degree3_coupling_table(grid) @ degree3[N - 3 : N + 4] / 12.0
-    h = omega.highpass(3)
-    f = (linear_part(N, "two_jet", amplitude).apply(h) - convection(h, grid)).mode2_vector()
-    return M, f
-
-
-def _degree3_coupling_table(grid: QuadratureGrid) -> np.ndarray:
-    """T[i, k, m'] = integral of Y_3^{m'} R_{k,i}, m' = -3..3, cached per grid.
-
-    The (1 - 6/12) weight of degree 3 is left to the caller.  R_{k,i} is the
-    Jacobian (Y_theta conj(Y_phi) - Y_phi conj(Y_theta)) / sin(theta) of
-    Y = Y_2^{m_k} against Y_2^{m_i}; its projection P onto Y_3^{m'} gives
-    T[..., m'] = (-1)^{m'} P[..., -m'].
-    """
-    cached = getattr(grid, "_degree3_coupling_table", None)
-    if cached is not None:
-        return cached
-    m = np.array(MODE2_ORDER)
-    sign = np.where(m < 0, (-1.0) ** np.abs(m), 1.0)[:, None]  # Y_2^{-m} = (-1)^m conj(Y_2^m)
-    phase = np.exp(1j * m[:, None] * grid.phi_nodes)[:, None, :]
-    y = (sign * grid.plm[np.abs(m), 2])[:, :, None] * phase
-    y_theta = (sign * grid.dplm_dtheta[np.abs(m), 2])[:, :, None] * phase
-    y_phi = 1j * m[:, None, None] * y
-    sin = grid.sin_theta[:, None]
-
-    def degree3_projection(k, i):
-        jac = (y_theta[k] * np.conj(y_phi[i]) - y_phi[k] * np.conj(y_theta[i])) / sin
-        return real_analysis(jac.real, grid, 3).full_table()[3] + 1j * real_analysis(jac.imag, grid, 3).full_table()[3]
-
-    proj = np.array([[degree3_projection(k, i) for k in range(5)] for i in range(5)])
-    table = proj[:, :, ::-1] * (-1.0) ** np.arange(-3, 4)
-    grid._degree3_coupling_table = table
-    return table
+    w = omega.full_table()
+    mu = np.array(MODE2_ORDER)
+    # Column of w_{n+1}^{mu-m} in the table padded by two zero orders on each side.
+    partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
+    G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
+    transport = np.einsum("nim,nm->i", G[1:], w[3:N])
+    f = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector() - transport
+    return G[0][:, N + mu], f
 
 
 def equilibrium_report(

@@ -64,7 +64,7 @@ class SpectralField:
         n, m = nm
         self._check_index(n, m)
         if m < 0:
-            return complex(self.full_table()[n, self.N + m])
+            return complex(np.conj(self.coeffs[n, -m]) * (-1.0) ** m)
         return complex(self.coeffs[n, m])
 
     def __setitem__(self, nm, value):

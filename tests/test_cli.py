@@ -266,6 +266,15 @@ class TestMain:
             path = write_manifest(tmp_path, doc)
             assert main(["run", str(path)]) == 2, name
             assert f"{name} must be an integer" in capsys.readouterr().err, name
+        # A missing, null, empty or non-string output_dir is rejected, not written to a directory "None".
+        for value in (None, "", 7, ["out"]):
+            path = write_manifest(tmp_path, {**base, "output_dir": value})
+            assert main(["run", str(path)]) == 2, value
+            assert "output_dir" in capsys.readouterr().err, value
+        doc = dict(base)
+        del doc["output_dir"]
+        assert main(["run", str(write_manifest(tmp_path, doc))]) == 2
+        assert "output_dir" in capsys.readouterr().err
 
     def test_run_non_real_m0_coefficient_exit_2(self, tmp_path, capsys):
         base = two_jet_manifest(tmp_path)

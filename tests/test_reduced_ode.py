@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_field
+from sphkol import operators, sht
 from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams, convection, linear_part
 from sphkol.oracles import analyze_complex, gradient_values, nodes_xyz, unit_table, velocity_values
 from sphkol.reduced_ode import (
     MODE2_ORDER,
+    adjacent_degree_table,
     build_system,
     equilibrium_closed_form,
     equilibrium_report,
@@ -237,31 +239,27 @@ class TestPropagateForced:
 
 class TestExtractCoupling:
     def test_vanishes_without_high_degrees(self):
-        grid = build_grid(8)
         omega = rand_field(8, seed=3, degrees=(1, 2))
-        M, f = extract_coupling(omega, 1.0, grid)
+        M, f = extract_coupling(omega, 1.0)
         assert np.max(np.abs(M)) < 1e-11
         assert np.max(np.abs(f)) < 1e-11
 
     def test_quadrature_matches_fine_grid(self):
         omega = rand_field(8, seed=9)
-        coarse = build_grid(8)
-        fine = build_grid(16)
         upcast = SpectralField.zeros(16)
         upcast.coeffs[:9, :9] = omega.coeffs
-        M1, f1 = extract_coupling(omega, 1.3, coarse)
-        M2, f2 = extract_coupling(upcast, 1.3, fine)
+        M1, f1 = extract_coupling(omega, 1.3)
+        M2, f2 = extract_coupling(upcast, 1.3)
         assert np.max(np.abs(M1 - M2)) < 1e-12
         assert np.max(np.abs(f1 - f2)) < 1e-12
 
     def test_coupling_scales_with_high_degree_norm(self):
-        grid = build_grid(8)
         rng = np.random.default_rng(23)
         ratios = []
         for seed in range(6):
             omega = rand_field(8, seed=seed + 100)
             high_norm = omega.highpass_norm(3)
-            M, _ = extract_coupling(omega, 1.0, grid)
+            M, _ = extract_coupling(omega, 1.0)
             ratios.append(np.linalg.norm(M) / high_norm)
         # measured bound constant: finite and stable across draws
         assert max(ratios) < 10.0 * min(ratios) + 1e-12
@@ -275,38 +273,67 @@ class TestExtractCoupling:
         want = f_degree3_term(omega, amplitude)
         got = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        _, f = extract_coupling(omega, amplitude, build_grid(N))
+        _, f = extract_coupling(omega, amplitude)
         transport = convection(omega.highpass(3), build_grid(N)).mode2_vector()
         assert np.max(np.abs(f - (want - transport))) <= 1e-15 * np.max(np.abs(f))
 
     def test_zonal_degree3_entries(self):
         # m = 0 row of f gets no tridiagonal contribution (factor m); transport
         # integral vanishes for a single zonal harmonic.
-        grid = build_grid(8)
         omega = SpectralField.zeros(8)
         omega[3, 0] = 0.25
-        M, f = extract_coupling(omega, 2.0, grid)
+        M, f = extract_coupling(omega, 2.0)
         assert abs(f[2]) < 1e-13
         assert np.max(np.abs(f)) < 1e-13
 
-    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("N", [8, 16, 32])
     @pytest.mark.parametrize("amplitude", [1.0, 1e3])
     def test_matches_cartesian_reference(self, N, amplitude):
         grid = build_grid(N)
         for seed in range(3):
             omega = rand_field(N, seed=40 + seed, amplitude=amplitude)
-            M, f = extract_coupling(omega, 1.3, grid)
+            M, f = extract_coupling(omega, 1.3)
             M_ref, f_ref = cartesian_coupling(omega, 1.3, grid)
             assert np.linalg.norm(M - M_ref) <= 1e-13 * np.linalg.norm(M_ref)
             assert np.linalg.norm(f - f_ref) <= 1e-13 * np.linalg.norm(f_ref)
+
+    def test_table_is_cached_and_read_only(self):
+        table = adjacent_degree_table(8)
+        assert table is adjacent_degree_table(8)
+        assert table.shape == (6, 5, 17)
+        assert not table.flags.writeable
+
+    def test_runs_no_transform(self, monkeypatch):
+        # Table build included (N = 11 is built nowhere else in this suite).
+        def transform(*args, **kwargs):
+            raise AssertionError("transform on the coupling-extraction path")
+
+        for module, name in [(sht, "real_synthesis"), (sht, "real_analysis"), (operators, "real_synthesis"),
+                             (operators, "real_analysis"), (operators, "convection")]:
+            monkeypatch.setattr(module, name, transform)
+        M, f = extract_coupling(rand_field(11, seed=8), 1.3)
+        assert np.all(np.isfinite(M)) and np.max(np.abs(M)) > 0.0
+        assert np.all(np.isfinite(f)) and np.max(np.abs(f)) > 0.0
+
+    @pytest.mark.parametrize("degrees", [(3, 5, 7), (4, 6, 8), (3, 4)])
+    def test_degree2_transport_needs_adjacent_degrees(self, grid16, degrees):
+        # The selection rule behind the adjacent-degree table, read off the grid
+        # convection: J(Y_a, Y_b) has a degree-2 part only when |a - b| = 1.
+        for seed in range(3):
+            h = rand_field(16, seed=13 + seed, degrees=degrees)
+            row = np.linalg.norm(convection(h, grid16).mode2_vector()) / h.norm() ** 2
+            if degrees == (3, 4):
+                assert row > 1e-3
+            else:
+                assert row <= 1e-14
 
     def test_M_reads_degree3_only(self):
         # R_{k,i} is a cubic polynomial, so the degrees >= 4 of w are orthogonal to it.
         grid = build_grid(16)
         omega = rand_field(16, seed=5)
         above = omega + rand_field(16, seed=6, degrees=range(4, 17))
-        M, _ = extract_coupling(omega, 1.0, grid)
-        M_above, _ = extract_coupling(above, 1.0, grid)
+        M, _ = extract_coupling(omega, 1.0)
+        M_above, _ = extract_coupling(above, 1.0)
         assert np.max(np.abs(M_above - M)) <= 1e-15
         M_ref, _ = cartesian_coupling(omega, 1.0, grid)
         M_ref_above, _ = cartesian_coupling(above, 1.0, grid)
