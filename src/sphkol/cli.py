@@ -194,41 +194,56 @@ def _check(name: str, measured: float | None, tolerance: float, note: str | None
     }
 
 
+ROUNDOFF_FLOOR = 1e-14  # relative to |w(t)|: a decaying norm cannot be resolved below it
+
+
+def _state_norm(rec) -> float:
+    """|w(t)| from a snapshot's degree-1, degree-2 and degree >= 3 parts."""
+    return math.sqrt(rec.norm_eq1**2 + float(np.linalg.norm(rec.mode2)) ** 2 + rec.norm_ge3**2)
+
+
+def _worst_ratio(records, bound_fn, norm_fn) -> float:
+    """max over records of norm / max(bound, ROUNDOFF_FLOOR |w(t)|) - 1, floored at 0.
+
+    Once a decay bound falls below the round-off of the state, the norm is
+    held to that floor instead: it still fails if it rises above it.
+    """
+    worst = 0.0
+    for rec in records:
+        norm, bound = norm_fn(rec), bound_fn(rec)
+        if norm > bound:  # only a norm above its bound can raise the worst ratio
+            worst = max(worst, norm / max(bound, ROUNDOFF_FLOOR * _state_norm(rec)) - 1.0)
+    return worst
+
+
 def _decay_margin(records, rate: float, norm_fn) -> float:
-    """max over snapshots of norm(t) / (norm(0) e^{-rate t}) - 1; 0 for an empty start."""
+    """max over snapshots of norm(t) / (norm(0) e^{-rate t}) - 1 above the round-off floor; 0 for an empty start."""
     n0 = norm_fn(records[0])
     if n0 < 1e-14:
         return 0.0
-    worst = 0.0
-    for rec in records[1:]:
-        bound = n0 * math.exp(-rate * rec.t)
-        if bound < 1e-300:
-            continue
-        worst = max(worst, norm_fn(rec) / bound - 1.0)
-    return worst
+    return _worst_ratio(records[1:], lambda rec: n0 * math.exp(-rate * rec.t), norm_fn)
 
 
 def _envelope_margin(records, nu: float) -> float | None:
     """Degree-2 distance against the e^{-2 nu t} envelope anchored past the transient.
 
-    None when no snapshot reaches t = 1/nu: the envelope is not tested.
+    None when no snapshot reaches t = 1/nu: the envelope is not tested.  The
+    round-off floor of _worst_ratio applies.
     """
     anchor = next((r for r in records if r.t >= 1.0 / nu), None)
     if anchor is None:
         return None
     if anchor.norm_eq2_dist < 1e-12:
         return 0.0
-    worst = 0.0
-    for rec in records:
-        if rec.t <= anchor.t:
-            continue
-        bound = anchor.norm_eq2_dist * math.exp(-2.0 * nu * (rec.t - anchor.t))
-        worst = max(worst, rec.norm_eq2_dist / bound - 1.0)
-    return worst
+    return _worst_ratio(
+        [rec for rec in records if rec.t > anchor.t],
+        lambda rec: anchor.norm_eq2_dist * math.exp(-2.0 * nu * (rec.t - anchor.t)),
+        lambda rec: rec.norm_eq2_dist,
+    )
 
 
-def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
-    """The two_jet, one_jet and rotating scenarios: one PDE run, its checks and files."""
+def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
+    """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files and step counts."""
     scenario = manifest.scenario
     Omega = manifest.Omega if scenario == "rotating" else 0.0
     cfg = _solver_config(manifest.cfg, "one_jet" if scenario == "one_jet" else "two_jet", Omega)
@@ -241,6 +256,12 @@ def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list
         params = reduced_ode.rotating_frame_params(params, Omega)
     write_trajectory_csv(records, outdir / "trajectory.csv", header_comment=header)
     files = {"trajectory": "trajectory.csv"}
+    steps = {
+        "mode": "fixed" if cfg.dt is not None else "controlled",
+        "accepted": records[-1].steps,
+        "rejected": records[-1].rejected,
+        "rtol": None if cfg.dt is not None else pde_solver.STEP_RTOL,
+    }
 
     # Degree-1 data is conserved, in a rotating frame up to the phases exp(i m Omega t).
     m1_orders = np.array([1.0, 0.0, -1.0])
@@ -252,7 +273,7 @@ def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list
     if scenario == "one_jet":
         ge2 = _decay_margin(records, 4.0 * cfg.nu, lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3))
         checks.append(_check("degree_ge2_decay", ge2, 1e-6))
-        return checks, files
+        return {"checks": checks, "files": files, "steps": steps}
 
     checks.append(
         _check("degree_ge3_decay", _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3), 1e-6)
@@ -268,7 +289,7 @@ def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list
     report = reduced_ode.equilibrium_report(params, cfg.amplitude, cfg.nu, "closed_form")
     (outdir / "equilibrium.json").write_text(dumps17(report, indent=2) + "\n")
     files["equilibrium"] = "equilibrium.json"
-    return checks, files
+    return {"checks": checks, "files": files, "steps": steps}
 
 
 def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, float]:
@@ -278,7 +299,7 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
     return reports, float(np.linalg.norm(cf - sv))
 
 
-def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
+def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
     try:
         nu = float(manifest.cfg["nu"])
         amplitude = float(manifest.cfg["amplitude"])
@@ -291,15 +312,15 @@ def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[l
     for method, rep in reports.items():
         files[method] = f"equilibrium_{method}.json"
         (outdir / files[method]).write_text(dumps17(rep, indent=2) + "\n")
-    return [_check("equilibrium_cross_check", diff, 1e-12)], files
+    return {"checks": [_check("equilibrium_cross_check", diff, 1e-12)], "files": files}
 
 
-def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> tuple[list[dict], dict]:
+def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
     lmax = manifest.lmax if manifest.lmax is not None else _integer(manifest.cfg.get("N", 16), "N")
     residuals = oracles.identity_oracle_residuals(manifest.seed, lmax)
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
-    return checks, {"residuals": "oracle_residuals.json"}
+    return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
 
 
 def run_manifest(manifest) -> tuple[int, dict]:
@@ -309,19 +330,14 @@ def run_manifest(manifest) -> tuple[int, dict]:
     outdir.mkdir(parents=True, exist_ok=True)
 
     if man.scenario in ("two_jet", "one_jet", "rotating"):
-        checks, files = _run_flow_scenario(man, outdir)
+        body = _run_flow_scenario(man, outdir)
     elif man.scenario == "reduced_only":
-        checks, files = _run_reduced_scenario(man, outdir)
+        body = _run_reduced_scenario(man, outdir)
     else:
-        checks, files = _run_oracles_scenario(man, outdir)
+        body = _run_oracles_scenario(man, outdir)
 
-    report = {
-        "scenario": man.scenario,
-        "seed": man.seed,
-        "checks": checks,
-        "files": files,
-        "all_pass": all(c["pass"] for c in checks),
-    }
+    report = {"scenario": man.scenario, "seed": man.seed, **body}
+    report["all_pass"] = all(c["pass"] for c in body["checks"])
     (outdir / "report.json").write_text(dumps17(report, indent=2) + "\n")
     return (0 if report["all_pass"] else 1), report
 

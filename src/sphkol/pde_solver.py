@@ -9,10 +9,19 @@ integrated exactly through an integrating factor; the rest, operators.linear_par
 and the convection, rides on classical RK4 stages (Lawson scheme), so zonal
 states decay exactly and degree-1 states are fixed points of the discrete map
 up to round-off.
+
+Snapshots sit on a lattice of default_dt (or the given dt) rounded to
+t_end / nsteps, at every snapshot_stride-th lattice time and at the end.  A
+given dt, and every run_with_coupling, steps on that lattice.  With dt = None
+the steps between snapshot times are error-controlled: the embedded
+third-order member of the RK4(3)IP pair (Balac & Mahe 2013) estimates the
+local error at no extra convection, since its last stage is the next step's
+first (FSAL).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +33,9 @@ from .operators import KillingParams, angular_derivatives, convection, inverse_l
 from .serialize import format_float
 from .sht import SpectralField
 
+STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|u_n|, |u_n+1|)
+MIN_STEP = 1e-14  # as a fraction of t_end: a controlled step below it is a failure
+
 TRAJECTORY_HEADER = (
     "t,norm_eq1,norm_eq2_dist,norm_ge3,"
     "re_w22,im_w22,re_w21,im_w21,re_w20,im_w20,re_w2m1,im_w2m1,re_w2m2,im_w2m2"
@@ -31,7 +43,7 @@ TRAJECTORY_HEADER = (
 
 
 class IntegrationError(RuntimeError):
-    """The time stepper produced a non-finite state."""
+    """The time stepper produced a non-finite state or could not keep its error in bounds."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (t = {t:.6g})")
@@ -40,7 +52,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run parameters; dt = None selects the CFL-style default at run time.
+    """Run parameters; dt = None selects error-controlled steps between snapshot times.
 
     Omega is the rotation rate of the frame, defined for the two-jet flow.
     """
@@ -79,7 +91,10 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshot diagnostics: conserved part, degree-2 distance, high-degree norm."""
+    """Snapshot diagnostics: conserved part, degree-2 distance, high-degree norm.
+
+    steps and rejected count the accepted and rejected steps taken up to t.
+    """
 
     t: float
     norm_eq1: float
@@ -87,6 +102,8 @@ class TrajectoryRecord:
     norm_ge3: float
     mode2: np.ndarray
     mode1: np.ndarray
+    steps: int = 0
+    rejected: int = 0
     snapshot: SpectralField | None = None
 
 
@@ -111,39 +128,51 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
     """min(0.1/(nu N^2), 0.5/(|v|_inf N)), from the initial condition only.
 
     The speed |v| = |grad psi| = sqrt(psi_theta^2 + psi_phi^2 / sin^2 theta),
-    psi = Lap^{-1} w, is sampled on the grid.
+    psi = Lap^{-1} w, is sampled on the grid.  Rounded to t_end / nsteps, it
+    spaces the snapshot lattice and is the first trial step of a controlled
+    run; it is not the step a controlled run keeps.
     """
     dt = 0.1 / (cfg.nu * cfg.N**2)
     psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega0).coeffs, grid)
-    vmax = float(np.sqrt(np.max(psi_theta**2 + (psi_phi / grid.sin_theta[:, None]) ** 2)))
+    vmax = float(np.max(np.hypot(psi_theta, psi_phi / grid.sin_theta[:, None])))  # hypot: no overflow in the squares
     if vmax > 0.0:
         dt = min(dt, 0.5 / (vmax * cfg.N))
     return dt
 
 
 class Stepper:
-    """Lawson-RK4 stepper with the diffusion factors frozen for a fixed dt.
+    """Lawson-RK4 stepper whose diffusion factors are frozen for the current dt.
 
     The rest of the linear part comes from operators.linear_part, built once
-    per configuration.
+    per configuration.  set_dt changes the step; a fixed-step run never calls it.
     """
 
     def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float):
         self.grid = grid
-        self.dt = dt
         self.linear = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega)
-        lin = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
-        self.exp_half = np.exp(lin * (dt / 2.0))
-        self.exp_full = np.exp(lin * dt)
+        self.diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
+        self.set_dt(dt)
+
+    def set_dt(self, dt: float):
+        self.dt = dt
+        self.exp_half = np.exp(self.diffusion * (dt / 2.0))
+        self.exp_full = np.exp(self.diffusion * dt)
 
     def nonlinear(self, state: SpectralField) -> SpectralField:
         """Everything the integrating factor leaves out: the linear part and -u . grad w."""
         return self.linear.apply(state) - convection(state, self.grid)
 
-    def step(self, state: SpectralField) -> SpectralField:
+    def step(self, state: SpectralField, k1: np.ndarray | None = None, estimate: bool = False):
+        """One step of size dt; k1 = nonlinear(state).coeffs when the caller already has it.
+
+        With estimate, returns (new state, k5, err): k5 = nonlinear(new state).coeffs
+        is the next step's k1, and err = (dt/10)(k4 - k5) is the fourth-order
+        solution minus the embedded third-order one of the RK4(3)IP pair.
+        """
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
         u = state.coeffs
-        k1 = self.nonlinear(state).coeffs
+        if k1 is None:
+            k1 = self.nonlinear(state).coeffs
         u2 = e_half * (u + (dt / 2.0) * k1)
         k2 = self.nonlinear(SpectralField(state.N, u2)).coeffs
         u3 = e_half * u + (dt / 2.0) * k2
@@ -151,7 +180,47 @@ class Stepper:
         u4 = e_full * u + dt * e_half * k3
         k4 = self.nonlinear(SpectralField(state.N, u4)).coeffs
         advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        return SpectralField(state.N, advanced)
+        new = SpectralField(state.N, advanced)
+        if not estimate:
+            return new
+        k5 = self.nonlinear(new).coeffs
+        return new, k5, (dt / 10.0) * (k4 - k5)
+
+
+def _controlled(stepper: Stepper, state: SpectralField, targets, t_end: float):
+    """Error-controlled steps from t = 0 that land on each target time in turn.
+
+    Yields (t, state, accepted, rejected) at every target t.  A step is accepted when
+    |err| <= STEP_RTOL max(|u_n|, |u_n+1|) (norms of the stored m >= 0 half);
+    the next trial is h clip(0.9 (1/e)^(1/4), 0.2, 5) with e the ratio of the
+    two.  A non-finite trial is a rejection at the smallest factor.  A step
+    shortened to land on a target leaves the controller its longer proposal.
+    """
+    t, h = 0.0, stepper.dt
+    accepted = rejected = 0
+    k1 = stepper.nonlinear(state).coeffs
+    for target in targets:
+        while t < target:
+            lands = t + 1.01 * h >= target  # never leave a sliver of a step before the target
+            trial = target - t if lands else h
+            stepper.set_dt(trial)
+            new, k5, err = stepper.step(state, k1, estimate=True)
+            err_norm = float(np.linalg.norm(err))
+            tol = STEP_RTOL * float(max(np.linalg.norm(state.coeffs), np.linalg.norm(new.coeffs)))
+            # e = |err| / tol: infinite for a non-finite trial, 0 for an exact step (the zero state has tol = 0).
+            ratio = math.inf if not math.isfinite(err_norm + tol) else (err_norm / tol if err_norm else 0.0)
+            factor = min(5.0, max(0.2, 0.9 * ratio**-0.25)) if ratio else 5.0
+            if ratio <= 1.0:
+                accepted += 1
+                t = target if lands else t + trial
+                state, k1 = new, k5
+                h = max(h, trial * factor) if lands else trial * factor
+            else:
+                rejected += 1
+                h = trial * factor
+                if h < MIN_STEP * t_end:
+                    raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
+        yield target, state, accepted, rejected
 
 
 def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, record_coupling: bool = False):
@@ -174,7 +243,7 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
     coupling_M = [] if record_coupling else None
     coupling_f = [] if record_coupling else None
 
-    def snap(t, state):
+    def snap(t, state, steps=0, rejected=0):
         mode2 = state.mode2_vector()
         w_inf = 0.0 if params is None else reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
         records.append(
@@ -185,11 +254,19 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
                 norm_ge3=state.highpass_norm(3),
                 mode2=mode2,
                 mode1=state.mode1_vector(),
+                steps=steps,
+                rejected=rejected,
                 snapshot=state.copy() if cfg.store_snapshots else None,
             )
         )
 
     snap(0.0, state)
+    if cfg.dt is None and not record_coupling:
+        snapshot_steps = itertools.chain(range(cfg.snapshot_stride, nsteps, cfg.snapshot_stride), [nsteps])
+        for t, state, accepted, rejected in _controlled(stepper, state, (k * dt for k in snapshot_steps), cfg.t_end):
+            snap(t, state, accepted, rejected)
+        return records, None
+
     if record_coupling:
         M, f = reduced_ode.extract_coupling(state, cfg.amplitude)
         coupling_M.append(M)
@@ -205,7 +282,7 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
             coupling_M.append(M)
             coupling_f.append(f)
         if k % cfg.snapshot_stride == 0 or k == nsteps:
-            snap(t, state)
+            snap(t, state, k)
 
     coupling = None
     if record_coupling:

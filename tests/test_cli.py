@@ -1,10 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
-from sphkol import cli
+from sphkol import cli, pde_solver
 from sphkol.cli import (
     ManifestError,
     fit_rate,
@@ -219,6 +220,59 @@ class TestManifests:
         assert envelope["name"] == "degree2_convergence_envelope"
         assert isinstance(envelope["measured"], float) and envelope["measured"] <= 1e-6
 
+    def test_report_counts_steps(self, tmp_path):
+        _, report = run_manifest(two_jet_manifest(tmp_path))
+        steps = report["steps"]
+        assert steps["mode"] == "controlled" and steps["rtol"] == pde_solver.STEP_RTOL
+        assert steps["accepted"] >= 2
+        doc = two_jet_manifest(tmp_path, "fixed")
+        doc["cfg"]["dt"] = 0.01
+        _, report = run_manifest(doc)
+        assert report["steps"] == {"mode": "fixed", "accepted": 50, "rejected": 0, "rtol": None}
+        saved = json.loads((tmp_path / "fixed" / "report.json").read_text())
+        assert saved["steps"] == report["steps"]
+        assert list(saved) == ["scenario", "seed", "checks", "files", "steps", "all_pass"]
+
+    def test_long_run_checks_stop_at_round_off(self, tmp_path, monkeypatch):
+        # norm_ge3 tracks 0.01 e^{-10 t} down to about 1e-18 |w| and then stays at
+        # round-off while its bound keeps falling to 4e-46: below 1e-14 |w| the
+        # norm is held to that floor instead of the bound.
+        doc = two_jet_manifest(tmp_path, "long")
+        doc["cfg"].update(nu=1.0, t_end=10.0)
+        captured = []
+        solve = pde_solver.run
+
+        def keep(*args):
+            captured.append(solve(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(pde_solver, "run", keep)
+        code, report = run_manifest(doc)
+        assert code == 0, report["checks"]
+        records = captured[0]
+        assert records[-1].t == pytest.approx(10.0)
+        assert records[-1].norm_ge3 > 1e6 * 0.01 * math.exp(-100.0)
+
+        def violated(column, value, t):
+            def fake(*args):
+                out = [copy.copy(rec) for rec in records]
+                rec = min(out, key=lambda r: abs(r.t - t))
+                setattr(rec, column, value)
+                return out
+            return fake
+
+        # Violations: above a bound that clears the floor (t = 2), above the floor
+        # where the bound has fallen below it (t = 5), and above the envelope (t = 9).
+        for column, value, t, check in (
+            ("norm_ge3", 1e-9, 2.0, "degree_ge3_decay"),
+            ("norm_ge3", 1e-12, 5.0, "degree_ge3_decay"),
+            ("norm_eq2_dist", 1e-9, 9.0, "degree2_convergence_envelope"),
+        ):
+            monkeypatch.setattr(pde_solver, "run", violated(column, value, t))
+            code, report = run_manifest({**doc, "output_dir": str(tmp_path / "bad")})
+            assert code == 1
+            assert [c["name"] for c in report["checks"] if not c["pass"]] == [check]
+
 
 class TestMain:
     def test_run_exit_codes(self, tmp_path, capsys):
@@ -322,6 +376,13 @@ class TestMain:
         path = write_manifest(tmp_path, two_jet_manifest(tmp_path))
         assert main(["run", str(path)]) == 3
         assert f"numerical failure ({type(error).__name__})" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_controlled_blowup_exit_3(self, tmp_path, capsys):
+        doc = two_jet_manifest(tmp_path)
+        doc["init"] = [{"n": 3, "m": 1, "re": 1e200, "im": 0.0}]
+        assert main(["run", str(write_manifest(tmp_path, doc))]) == 3
+        assert "numerical failure (IntegrationError): step size fell below" in capsys.readouterr().err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

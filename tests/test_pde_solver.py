@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_real_field_layout, rand_field
+from sphkol import pde_solver
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
 from sphkol.oracles import velocity_values
@@ -203,6 +204,132 @@ class TestStep:
         k = round(info.value.t / 0.1)
         assert 1 <= k <= 4 and info.value.t == pytest.approx(0.1 * k)
         assert f"t = {info.value.t:.6g}" in str(info.value)
+
+
+def lattice(omega0, cfg, grid):
+    """(nsteps, dt) of the default-dt lattice, and its snapshot times: every snapshot_stride-th point and the end."""
+    nsteps = math.ceil(cfg.t_end / default_dt(omega0, cfg, grid) - 1e-12)
+    dt = cfg.t_end / nsteps
+    times = [0.0] + [k * dt for k in range(cfg.snapshot_stride, nsteps, cfg.snapshot_stride)] + [nsteps * dt]
+    return nsteps, dt, times
+
+
+def classic_step(nonlinear, diffusion, state, dt):
+    """The Lawson-RK4 step as it stood before step control, kept here for a bitwise comparison."""
+    lin = diffusion[:, None]
+    e_half = np.exp(lin * (dt / 2.0))
+    e_full = np.exp(lin * dt)
+    u = state.coeffs
+    k1 = nonlinear(state).coeffs
+    u2 = e_half * (u + (dt / 2.0) * k1)
+    k2 = nonlinear(SpectralField(state.N, u2)).coeffs
+    u3 = e_half * u + (dt / 2.0) * k2
+    k3 = nonlinear(SpectralField(state.N, u3)).coeffs
+    u4 = e_full * u + dt * e_half * k3
+    k4 = nonlinear(SpectralField(state.N, u4)).coeffs
+    advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return SpectralField(state.N, advanced)
+
+
+def count_nonlinear(monkeypatch):
+    """A list that gets one entry per Stepper.nonlinear call from now on."""
+    calls = []
+    nonlinear = Stepper.nonlinear
+
+    def counted(self, state):
+        calls.append(None)
+        return nonlinear(self, state)
+
+    monkeypatch.setattr(Stepper, "nonlinear", counted)
+    return calls
+
+
+class TestControlledSteps:
+    @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
+    def test_snapshot_times_sit_on_the_lattice(self, grid8, flow):
+        omega0 = rand_field(8, seed=31, amplitude=0.6, decay=0.4)
+        cfg = two_jet_cfg(
+            t_end=0.3, snapshot_stride=7, jet_order="one_jet" if flow == "one_jet" else "two_jet",
+            Omega=1.5 if flow == "rotating" else 0.0,
+        )
+        recs = run(omega0, cfg, grid8)
+        nsteps, _, times = lattice(omega0, cfg, grid8)
+        assert [r.t for r in recs] == times  # bitwise
+        assert 0 < recs[-1].steps < nsteps
+        steps = [r.steps for r in recs]
+        assert steps == sorted(steps) and recs[0].steps == recs[0].rejected == 0
+
+    def test_matches_fine_fixed_step_reference(self, grid16):
+        omega0 = rand_field(16, seed=41, amplitude=0.5, decay=0.4)
+        cfg = SolverConfig(nu=0.5, amplitude=1.0, N=16, t_end=0.125, snapshot_stride=10, store_snapshots=True)
+        recs = run(omega0, cfg, grid16)
+        _, lattice_dt, _ = lattice(omega0, cfg, grid16)
+        fine = SolverConfig(
+            nu=0.5, amplitude=1.0, N=16, t_end=cfg.t_end, dt=lattice_dt / 4,
+            snapshot_stride=4 * cfg.snapshot_stride, store_snapshots=True,
+        )
+        ref = run(omega0, fine, grid16)
+        assert len(ref) == len(recs)
+        for got, want in zip(recs, ref):
+            assert got.t == pytest.approx(want.t, rel=1e-14)
+            assert (got.snapshot - want.snapshot).norm() <= 1e-9 * want.snapshot.norm()
+
+    def test_embedded_estimate_is_fourth_order(self, grid8):
+        omega0 = rand_field(8, seed=303, amplitude=0.8, decay=0.4, degrees=range(1, 6))
+        cfg = two_jet_cfg(nu=0.5)
+        errs = []
+        for h in (0.005, 0.0025):
+            new, k5, err = Stepper(cfg, grid8, h).step(omega0, estimate=True)
+            assert np.array_equal(new.coeffs, one_step(omega0, cfg, grid8, h).coeffs)
+            assert np.array_equal(k5, Stepper(cfg, grid8, h).nonlinear(new).coeffs)
+            errs.append(np.linalg.norm(err))
+        assert 16.0 * 0.8 <= errs[0] / errs[1] <= 16.0 * 1.2
+
+    @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
+    def test_fixed_step_is_the_classic_step(self, grid8, flow, monkeypatch):
+        omega0 = rand_field(8, seed=51, amplitude=0.6, decay=0.4)
+        dt = 0.01
+        cfg = two_jet_cfg(
+            t_end=0.05, dt=dt, snapshot_stride=100, store_snapshots=True,
+            jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
+        )
+        stepper = Stepper(cfg, grid8, dt)
+        state = omega0
+        for _ in range(5):
+            state = classic_step(stepper.nonlinear, linear_diffusion_factors(8, cfg.nu), state, dt)
+        calls = count_nonlinear(monkeypatch)
+        recs = run(omega0, cfg, grid8)
+        assert np.array_equal(recs[-1].snapshot.coeffs, state.coeffs)
+        assert (recs[-1].steps, recs[-1].rejected) == (5, 0)
+        assert len(calls) == 4 * 5  # no stage beyond the four of each step
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_reports_time(self, grid8, monkeypatch):
+        attempts = []
+        step = Stepper.step
+
+        def counted(self, *args, **kwargs):
+            attempts.append(self.dt)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(Stepper, "step", counted)
+        cfg = two_jet_cfg(t_end=0.4)
+        with pytest.raises(IntegrationError) as info:
+            run(single(8, 3, 1, 1e200), cfg, grid8)
+        assert 0.0 <= info.value.t < 0.4
+        assert f"t = {info.value.t:.6g}" in str(info.value)
+        assert 1 <= len(attempts) <= 30
+        assert attempts[-1] * 0.2 < pde_solver.MIN_STEP * cfg.t_end
+
+    def test_step_counts(self, grid8, monkeypatch):
+        omega0 = rand_field(8, seed=61, amplitude=0.6, decay=0.4)
+        fixed = run(omega0, two_jet_cfg(t_end=0.1, dt=0.01, snapshot_stride=3), grid8)
+        assert [(r.steps, r.rejected) for r in fixed] == [(0, 0), (3, 0), (6, 0), (9, 0), (10, 0)]
+        calls = count_nonlinear(monkeypatch)
+        controlled = run(omega0, two_jet_cfg(t_end=0.1, snapshot_stride=3), grid8)
+        assert controlled[-1].steps >= len(controlled) - 1
+        # Four stages per attempt, the first one reused from the attempt before (FSAL).
+        assert len(calls) == 4 * (controlled[-1].steps + controlled[-1].rejected) + 1
 
 
 class TestRun:
