@@ -31,48 +31,22 @@ from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
 from .serialize import dumps17
 from .sht import MeanModeError, SpectralField
 
-SCENARIOS = ("two_jet", "one_jet", "rotating", "reduced_only", "identity_oracles")
+# Scenario -> (top-level keys it reads besides scenario, output_dir, cfg and seed; the cfg keys it reads).
+# A flow scenario's cfg may name jet_order, as long as it names the scenario's own flow.
+FLOW_CFG = ("nu", "amplitude", "N", "t_end", "dt", "snapshot_stride", "jet_order")
+MANIFEST_KEYS = {
+    "two_jet": (("init",), FLOW_CFG),
+    "one_jet": (("init",), FLOW_CFG),
+    "rotating": (("init", "Omega"), FLOW_CFG),
+    "reduced_only": (("init",), ("nu", "amplitude", "N")),
+    "identity_oracles": (("lmax",), ("N",)),
+}
+SCENARIOS = tuple(MANIFEST_KEYS)
+JET_ORDER = {"two_jet": "two_jet", "one_jet": "one_jet", "rotating": "two_jet"}  # flow scenario -> base flow
 
 
 class ManifestError(ValueError):
     """The experiment manifest is malformed or inconsistent."""
-
-
-@dataclass
-class ExperimentManifest:
-    """Validated scenario description; mirrors the manifest JSON document."""
-
-    scenario: str
-    output_dir: str
-    cfg: dict
-    init: object = None
-    Omega: float | None = None
-    seed: int = 0
-    lmax: int | None = None
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentManifest":
-        if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
-            raise ManifestError(f"scenario must be one of {SCENARIOS}")
-        if not isinstance(doc.get("output_dir"), str) or not doc["output_dir"]:
-            raise ManifestError("manifest needs an output_dir, a non-empty string")
-        if doc["scenario"] == "rotating" and doc.get("Omega") is None:
-            raise ManifestError("rotating scenario needs Omega")
-        if not isinstance(doc.get("cfg", {}), dict):
-            raise ManifestError("cfg must be an object")
-        try:
-            Omega = None if doc.get("Omega") is None else float(doc["Omega"])
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"Omega must be a number: {exc}") from exc
-        return cls(
-            scenario=doc["scenario"],
-            output_dir=doc["output_dir"],
-            cfg=doc.get("cfg", {}),
-            init=doc.get("init"),
-            Omega=Omega,
-            seed=_integer(doc.get("seed", 0), "seed"),
-            lmax=None if doc.get("lmax") is None else _integer(doc["lmax"], "lmax"),
-        )
 
 
 @dataclass
@@ -173,8 +147,36 @@ def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
         raise ManifestError(f"bad solver configuration: {exc}") from exc
 
 
+def _checked(doc) -> dict:
+    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed and lmax parsed."""
+    if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
+        raise ManifestError(f"scenario must be one of {SCENARIOS}")
+    scenario = doc["scenario"]
+    if not isinstance(doc.get("output_dir"), str) or not doc["output_dir"]:
+        raise ManifestError("manifest needs an output_dir, a non-empty string")
+    cfg = doc.get("cfg", {})
+    if not isinstance(cfg, dict):
+        raise ManifestError("cfg must be an object")
+    top_keys, cfg_keys = MANIFEST_KEYS[scenario]
+    top_keys += ("scenario", "output_dir", "cfg", "seed")
+    for where, keys, allowed in (("", doc, top_keys), ("cfg ", cfg, cfg_keys)):
+        unknown = ", ".join(repr(key) for key in keys if key not in allowed)
+        if unknown:
+            raise ManifestError(f"{scenario} manifest {where}has key(s) no run reads: {unknown}")
+    if scenario in JET_ORDER and cfg.get("jet_order", JET_ORDER[scenario]) != JET_ORDER[scenario]:
+        raise ManifestError(f"cfg.jet_order {cfg['jet_order']!r} is not the {scenario} scenario's flow")
+    if scenario == "rotating" and doc.get("Omega") is None:
+        raise ManifestError("rotating scenario needs Omega")
+    try:
+        Omega = float(doc.get("Omega", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"Omega must be a number: {exc}") from exc
+    lmax = None if doc.get("lmax") is None else _integer(doc["lmax"], "lmax")
+    return {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed"), "lmax": lmax}
+
+
 def load_manifest(path) -> dict:
-    """Read a manifest file; ExperimentManifest.from_dict validates it."""
+    """Read a manifest file; run_manifest checks it."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -242,12 +244,11 @@ def _envelope_margin(records, nu: float) -> float | None:
     )
 
 
-def _run_flow_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
+def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files and step counts."""
-    scenario = manifest.scenario
-    Omega = manifest.Omega if scenario == "rotating" else 0.0
-    cfg = _solver_config(manifest.cfg, "one_jet" if scenario == "one_jet" else "two_jet", Omega)
-    omega0 = _parse_init(manifest.init, cfg.N)
+    scenario, Omega = doc["scenario"], doc["Omega"]
+    cfg = _solver_config(doc["cfg"], JET_ORDER[scenario], Omega)
+    omega0 = _parse_init(doc.get("init"), cfg.N)
     records = pde_solver.run(omega0, cfg, build_grid(cfg.N))
     params = KillingParams.from_field(omega0)
     header = None
@@ -299,14 +300,14 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
     return reports, float(np.linalg.norm(cf - sv))
 
 
-def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
+def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
     try:
-        nu = float(manifest.cfg["nu"])
-        amplitude = float(manifest.cfg["amplitude"])
+        nu = float(doc["cfg"]["nu"])
+        amplitude = float(doc["cfg"]["amplitude"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
-    N = _integer(manifest.cfg.get("N", 4), "N")
-    params = KillingParams.from_field(_parse_init(manifest.init, N))
+    N = _integer(doc["cfg"].get("N", 4), "N")
+    params = KillingParams.from_field(_parse_init(doc.get("init"), N))
     reports, diff = _equilibrium_cross_check(params, amplitude, nu)
     files = {}
     for method, rep in reports.items():
@@ -315,9 +316,9 @@ def _run_reduced_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
     return {"checks": [_check("equilibrium_cross_check", diff, 1e-12)], "files": files}
 
 
-def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
-    lmax = manifest.lmax if manifest.lmax is not None else _integer(manifest.cfg.get("N", 16), "N")
-    residuals = oracles.identity_oracle_residuals(manifest.seed, lmax)
+def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
+    lmax = doc["lmax"] if doc["lmax"] is not None else _integer(doc["cfg"].get("N", 16), "N")
+    residuals = oracles.identity_oracle_residuals(doc["seed"], lmax)
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
     return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
@@ -325,18 +326,14 @@ def _run_oracles_scenario(manifest: ExperimentManifest, outdir: Path) -> dict:
 
 def run_manifest(manifest) -> tuple[int, dict]:
     """Execute a manifest (dict or path); returns (exit_code, report)."""
-    man = ExperimentManifest.from_dict(manifest if isinstance(manifest, dict) else load_manifest(manifest))
-    outdir = Path(os.environ.get("SPHKOL_OUT", man.output_dir))
+    doc = _checked(manifest if isinstance(manifest, dict) else load_manifest(manifest))
+    outdir = Path(os.environ.get("SPHKOL_OUT", doc["output_dir"]))
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if man.scenario in ("two_jet", "one_jet", "rotating"):
-        body = _run_flow_scenario(man, outdir)
-    elif man.scenario == "reduced_only":
-        body = _run_reduced_scenario(man, outdir)
-    else:
-        body = _run_oracles_scenario(man, outdir)
+    runner = {"reduced_only": _run_reduced_scenario, "identity_oracles": _run_oracles_scenario}
+    body = runner.get(doc["scenario"], _run_flow_scenario)(doc, outdir)
 
-    report = {"scenario": man.scenario, "seed": man.seed, **body}
+    report = {"scenario": doc["scenario"], "seed": doc["seed"], **body}
     report["all_pass"] = all(c["pass"] for c in body["checks"])
     (outdir / "report.json").write_text(dumps17(report, indent=2) + "\n")
     return (0 if report["all_pass"] else 1), report

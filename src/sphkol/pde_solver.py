@@ -11,8 +11,9 @@ states decay exactly and degree-1 states are fixed points of the discrete map
 up to round-off.
 
 Snapshots sit on a lattice of default_dt (or the given dt) rounded to
-t_end / nsteps, at every snapshot_stride-th lattice time and at the end.  A
-given dt, and every run_with_coupling, steps on that lattice.  With dt = None
+t_end / nsteps, at every snapshot_stride-th lattice time and at the end.
+run and run_with_coupling read one generator of lattice states.  A given dt,
+which run_with_coupling always passes, steps on the lattice.  With dt = None
 the steps between snapshot times are error-controlled: the embedded
 third-order member of the RK4(3)IP pair (Balac & Mahe 2013) estimates the
 local error at no extra convection, since its last stage is the next step's
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,7 +191,7 @@ class Stepper:
 def _controlled(stepper: Stepper, state: SpectralField, targets, t_end: float):
     """Error-controlled steps from t = 0 that land on each target time in turn.
 
-    Yields (t, state, accepted, rejected) at every target t.  A step is accepted when
+    Yields (t, state, accepted, rejected, True) at every target t, True marking a snapshot.  A step is accepted when
     |err| <= STEP_RTOL max(|u_n|, |u_n+1|) (norms of the stored m >= 0 half);
     the next trial is h clip(0.9 (1/e)^(1/4), 0.2, 5) with e the ratio of the
     two.  A non-finite trial is a rejection at the smallest factor.  A step
@@ -220,10 +221,15 @@ def _controlled(stepper: Stepper, state: SpectralField, targets, t_end: float):
                 h = trial * factor
                 if h < MIN_STEP * t_end:
                     raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
-        yield target, state, accepted, rejected
+        yield target, state, accepted, rejected, True
 
 
-def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, record_coupling: bool = False):
+def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid):
+    """Yield (t, state, steps, rejected, is_snapshot) from t = 0 on the snapshot lattice.
+
+    With a given dt every lattice step is yielded; with dt = None only the
+    snapshot times, reached by error-controlled steps.
+    """
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
     if cfg.N > grid.N:
@@ -232,86 +238,76 @@ def _integrate(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, r
     dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
     nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
     dt = cfg.t_end / nsteps
-
-    # Degree-2 attractor: zero for the one-jet flow, the equilibrium turning with the frame for the two-jet one.
-    params = KillingParams.from_field(omega0) if cfg.jet_order == "two_jet" else None
-
     stepper = Stepper(cfg, grid, dt)
-    state = omega0
 
-    records: list[TrajectoryRecord] = []
-    coupling_M = [] if record_coupling else None
-    coupling_f = [] if record_coupling else None
-
-    def snap(t, state, steps=0, rejected=0):
-        mode2 = state.mode2_vector()
-        w_inf = 0.0 if params is None else reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
-        records.append(
-            TrajectoryRecord(
-                t=t,
-                norm_eq1=state.degree_norm(1),
-                norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf)),
-                norm_ge3=state.highpass_norm(3),
-                mode2=mode2,
-                mode1=state.mode1_vector(),
-                steps=steps,
-                rejected=rejected,
-                snapshot=state.copy() if cfg.store_snapshots else None,
-            )
-        )
-
-    snap(0.0, state)
-    if cfg.dt is None and not record_coupling:
+    yield 0.0, omega0, 0, 0, True
+    if cfg.dt is None:
+        # Lazy: a blown-up field makes nsteps astronomically large.
         snapshot_steps = itertools.chain(range(cfg.snapshot_stride, nsteps, cfg.snapshot_stride), [nsteps])
-        for t, state, accepted, rejected in _controlled(stepper, state, (k * dt for k in snapshot_steps), cfg.t_end):
-            snap(t, state, accepted, rejected)
-        return records, None
+        yield from _controlled(stepper, omega0, (k * dt for k in snapshot_steps), cfg.t_end)
+        return
 
-    if record_coupling:
-        M, f = reduced_ode.extract_coupling(state, cfg.amplitude)
-        coupling_M.append(M)
-        coupling_f.append(f)
-
+    state = omega0
     for k in range(1, nsteps + 1):
         state = stepper.step(state)
         t = k * dt
         if not np.all(np.isfinite(state.coeffs)):
             raise IntegrationError("state became non-finite", t)
-        if record_coupling:
-            M, f = reduced_ode.extract_coupling(state, cfg.amplitude)
-            coupling_M.append(M)
-            coupling_f.append(f)
-        if k % cfg.snapshot_stride == 0 or k == nsteps:
-            snap(t, state, k)
+        yield t, state, k, 0, k % cfg.snapshot_stride == 0 or k == nsteps
 
-    coupling = None
-    if record_coupling:
-        coupling = CouplingSeries(
-            times=dt * np.arange(nsteps + 1),
-            M=np.array(coupling_M),
-            f=np.array(coupling_f),
-        )
-    return records, coupling
+
+def _record(cfg: SolverConfig, params: KillingParams | None, t, state, steps, rejected) -> TrajectoryRecord:
+    """Snapshot diagnostics off one +-m table; params None stands for the one-jet attractor, zero."""
+    table, N = state.full_table(), cfg.N
+    mode2 = table[2, N - 2 : N + 3][::-1].copy()  # m = 2, 1, 0, -1, -2
+    w_inf = 0.0 if params is None else reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
+    return TrajectoryRecord(
+        t=t,
+        norm_eq1=float(np.linalg.norm(table[1])),
+        norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf)),
+        norm_ge3=float(np.linalg.norm(table[3:])),
+        mode2=mode2,
+        mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
+        steps=steps,
+        rejected=rejected,
+        snapshot=state.copy() if cfg.store_snapshots else None,
+    )
 
 
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[TrajectoryRecord]:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
-    records, _ = _integrate(omega0, cfg, grid)
-    return records
+    params = KillingParams.from_field(omega0) if cfg.jet_order == "two_jet" else None
+    return [
+        _record(cfg, params, t, state, steps, rejected)
+        for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid)
+        if is_snapshot
+    ]
 
 
 def run_with_coupling(
     omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid
 ) -> tuple[list[TrajectoryRecord], CouplingSeries]:
-    """As run(), also extracting (M, f) couplings at every step for two-jet reduced-ODE cross-checks.
+    """As run(), also extracting the (M, f) couplings at every lattice time, t = 0 included.
 
-    The reduced system they close is the non-rotating one, so Omega must be 0.
+    propagate_forced reads them on a uniform lattice, so dt = None steps at the
+    lattice dt, not under control.  They close the non-rotating two-jet system.
     """
     if cfg.jet_order != "two_jet" or cfg.Omega != 0.0:
         raise ValueError(
             f"coupling extraction needs non-rotating two_jet dynamics, not {cfg.jet_order!r} at Omega = {cfg.Omega!r}"
         )
-    return _integrate(omega0, cfg, grid, record_coupling=True)
+    if cfg.dt is None:
+        cfg = replace(cfg, dt=min(cfg.t_end, default_dt(omega0, cfg, grid)))
+    params = KillingParams.from_field(omega0)
+    records, times, M, f = [], [], [], []
+    for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid):
+        M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
+        times.append(t)
+        M.append(M_t)
+        f.append(f_t)
+        if is_snapshot:
+            records.append(_record(cfg, params, t, state, steps, rejected))
+    return records, CouplingSeries(times=np.array(times), M=np.array(M), f=np.array(f))
 
 
 def write_trajectory_csv(records, path, header_comment: str | None = None):

@@ -124,16 +124,6 @@ class SpectralField:
         """L^2 norm on the sphere (Parseval over the full table)."""
         return float(np.linalg.norm(self.full_table()))
 
-    def degree_norm(self, n: int) -> float:
-        return float(np.linalg.norm(self.full_table()[n]))
-
-    def highpass_norm(self, n_min: int) -> float:
-        return float(np.linalg.norm(self.full_table()[n_min:]))
-
-    def mode1_vector(self) -> np.ndarray:
-        """Degree-1 coefficients ordered (m=1, 0, -1)."""
-        return self.full_table()[1, self.N - 1 : self.N + 2][::-1].copy()
-
     def mode2_vector(self) -> np.ndarray:
         """Degree-2 coefficients ordered (m=2, 1, 0, -1, -2)."""
         if self.N < 2:

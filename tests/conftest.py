@@ -36,6 +36,19 @@ def select_degree(u, n):
     return out
 
 
+def degree_norm(u, n):
+    return float(np.linalg.norm(u.full_table()[n]))
+
+
+def highpass_norm(u, n_min):
+    return float(np.linalg.norm(u.full_table()[n_min:]))
+
+
+def mode1_vector(u):
+    """Degree-1 coefficients ordered (m=1, 0, -1)."""
+    return u.full_table()[1, u.N - 1 : u.N + 2][::-1].copy()
+
+
 def assert_real_field_layout(u):
     """Row 0 (the mean mode) and the entries with m > n are exactly zero, column 0 exactly real."""
     assert np.all(u.coeffs[0] == 0.0)

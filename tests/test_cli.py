@@ -199,6 +199,47 @@ class TestManifests:
         with pytest.raises(ManifestError, match="m >= 0"):
             run_manifest(negative_order)
 
+    def test_unread_keys_rejected(self, tmp_path, capsys):
+        base = two_jet_manifest(tmp_path)
+        red = {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4},
+               "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "out")}
+        oracles = {"scenario": "identity_oracles", "lmax": 8, "output_dir": str(tmp_path / "out")}
+        for doc, named in [
+            ({**base, "cfg": {**base["cfg"], "snapshot_strid": 5, "dt_": 0.01}}, "cfg has key(s) no run reads: "
+             "'snapshot_strid', 'dt_'"),
+            ({**base, "Omega": 2.0}, "'Omega'"),
+            ({**base, "cfg": {**base["cfg"], "Omega": 2.0}}, "'Omega'"),
+            ({**base, "lmax": 8}, "'lmax'"),
+            ({**base, "cfg": {**base["cfg"], "jet_order": "one_jet"}}, "jet_order 'one_jet'"),
+            ({**base, "scenario": "rotating", "Omega": 1.0, "cfg": {**base["cfg"], "jet_order": "one_jet"}},
+             "jet_order 'one_jet'"),
+            ({**red, "cfg": {**red["cfg"], "t_end": 1.0}}, "'t_end'"),
+            ({**red, "cfg": {**red["cfg"], "jet_order": "two_jet"}}, "'jet_order'"),
+            ({**red, "Omega": 1.0}, "'Omega'"),
+            ({**oracles, "init": base["init"]}, "'init'"),
+            ({**oracles, "cfg": {"N": 8, "nu": 1.0}}, "'nu'"),
+        ]:
+            assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, named
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        code, _ = run_manifest({**base, "cfg": {**base["cfg"], "jet_order": "two_jet"}})
+        assert code == 0
+
+    def test_top_level_rejection_writes_nothing(self, tmp_path):
+        base = two_jet_manifest(tmp_path)
+        oracles = {"scenario": "identity_oracles", "lmax": 8, "output_dir": str(tmp_path / "out")}
+        for doc in (
+            {**base, "cfg": [1]},
+            {**base, "seed": 1.5},
+            {**base, "scenario": "rotating"},
+            {**base, "scenario": "rotating", "Omega": "fast"},
+            {**base, "extra": 1},
+            {**oracles, "lmax": True},
+        ):
+            with pytest.raises(ManifestError):
+                run_manifest(doc)
+            assert not (tmp_path / "out").exists(), doc
+
     def test_envelope_not_applicable_before_one_over_nu(self, tmp_path, capsys):
         # nu = 0.5 and t_end = 0.5: no snapshot reaches t = 1/nu = 2.
         path = write_manifest(tmp_path, two_jet_manifest(tmp_path))

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import assert_real_field_layout, rand_field
+from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field
 from sphkol import pde_solver
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
@@ -459,6 +460,50 @@ class TestRun:
             run(single(8, 2, 0, 0.5j), cfg, grid8)
         with pytest.raises(ValueError, match="degree"):
             run(SpectralField.zeros(6), cfg, grid8)
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.t, a.norm_eq1, a.norm_eq2_dist, a.norm_ge3) == (b.t, b.norm_eq1, b.norm_eq2_dist, b.norm_ge3)
+        assert np.array_equal(a.mode2, b.mode2) and np.array_equal(a.mode1, b.mode1)
+        assert (a.steps, a.rejected) == (b.steps, b.rejected)
+        assert np.array_equal(a.snapshot.coeffs, b.snapshot.coeffs)
+
+
+class TestLatticeDriver:
+    """run and run_with_coupling read the same lattice states and build records the same way."""
+
+    def test_coupling_run_records_equal_run(self, grid8):
+        omega0 = rand_field(8, seed=81, amplitude=0.5, decay=0.4)
+        cfg = two_jet_cfg(t_end=0.1, dt=0.01, snapshot_stride=3, store_snapshots=True)
+        recs, coupling = run_with_coupling(omega0, cfg, grid8)
+        assert_same_records(recs, run(omega0, cfg, grid8))
+        assert coupling.times.tolist() == [k * 0.01 for k in range(11)]
+
+    def test_coupling_run_without_dt_steps_on_the_lattice(self, grid8):
+        omega0 = rand_field(8, seed=82, amplitude=0.5, decay=0.4)
+        cfg = two_jet_cfg(t_end=0.1, snapshot_stride=3, store_snapshots=True)
+        nsteps, dt, _ = lattice(omega0, cfg, grid8)
+        recs, coupling = run_with_coupling(omega0, cfg, grid8)
+        assert coupling.times.tolist() == [k * dt for k in range(nsteps + 1)]  # bitwise
+        assert coupling.M.shape == (nsteps + 1, 5, 5) and coupling.f.shape == (nsteps + 1, 5)
+        assert_same_records(recs, run(omega0, replace(cfg, dt=dt), grid8))
+
+    @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
+    def test_records_read_their_snapshot(self, grid8, flow):
+        omega0 = rand_field(8, seed=83, amplitude=0.6, decay=0.4)
+        cfg = two_jet_cfg(
+            t_end=0.2, snapshot_stride=3, store_snapshots=True,
+            jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
+        )
+        recs = run(omega0, cfg, grid8)
+        assert len(recs) > 2
+        for rec in recs:
+            assert rec.norm_eq1 == degree_norm(rec.snapshot, 1)
+            assert rec.norm_ge3 == highpass_norm(rec.snapshot, 3)
+            assert np.array_equal(rec.mode1, mode1_vector(rec.snapshot))
+            assert np.array_equal(rec.mode2, rec.snapshot.mode2_vector())
 
 
 class TestTrajectoryCsv:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_real_field_layout, rand_field, select_degree
+from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, select_degree
 from refimpl import ynm_reference
 from sphkol.harmonics import build_grid
 from sphkol.operators import angular_derivatives
@@ -86,7 +86,7 @@ class TestSpectralField:
         u[2, -1] = 3.0
         assert np.allclose(u.mode2_vector(), [1 + 2j, -3.0, 0, 3.0, 1 - 2j])
         u[1, 0] = 0.5
-        assert np.allclose(u.mode1_vector(), [0, 0.5, 0])
+        assert np.allclose(mode1_vector(u), [0, 0.5, 0])
 
 
 class TestAnalyze:
@@ -197,7 +197,7 @@ class TestRoundtripProperties:
         back = analyze(synthesize(u, grid8))
         assert back.N == 8
         assert np.max(np.abs(back.coeffs[:6, :6] - u.coeffs)) < 1e-12
-        assert back.highpass_norm(6) < 1e-12
+        assert highpass_norm(back, 6) < 1e-12
 
 
 def einsum_synthesis(half, grid, table):
@@ -304,5 +304,5 @@ class TestGridField:
     def test_random_field_reality(self):
         u = random_real_field(7, np.random.default_rng(4), degrees=(2, 5))
         assert_real_field_layout(u)
-        assert u.degree_norm(3) == 0.0
-        assert u.degree_norm(5) > 0.0
+        assert degree_norm(u, 3) == 0.0
+        assert degree_norm(u, 5) > 0.0
