@@ -191,7 +191,8 @@ class Stepper:
 def _controlled(stepper: Stepper, state: SpectralField, targets, t_end: float):
     """Error-controlled steps from t = 0 that land on each target time in turn.
 
-    Yields (t, state, accepted, rejected, True) at every target t, True marking a snapshot.  A step is accepted when
+    Yields (t, state, accepted, rejected, True) at every target t, each a
+    snapshot.  A step is accepted when
     |err| <= STEP_RTOL max(|u_n|, |u_n+1|) (norms of the stored m >= 0 half);
     the next trial is h clip(0.9 (1/e)^(1/4), 0.2, 5) with e the ratio of the
     two.  A non-finite trial is a rejection at the smallest factor.  A step
