@@ -148,7 +148,7 @@ def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
 
 
 def _checked(doc) -> dict:
-    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed and lmax parsed."""
+    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed, lmax and inputs parsed."""
     if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
         raise ManifestError(f"scenario must be one of {SCENARIOS}")
     scenario = doc["scenario"]
@@ -172,7 +172,30 @@ def _checked(doc) -> dict:
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"Omega must be a number: {exc}") from exc
     lmax = None if doc.get("lmax") is None else _integer(doc["lmax"], "lmax")
-    return {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed"), "lmax": lmax}
+    parsed = {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed"), "lmax": lmax}
+    return {**parsed, **_scenario_inputs(parsed)}
+
+
+def _scenario_inputs(doc: dict) -> dict:
+    """What the scenario reads from cfg and init, parsed before its output directory exists.
+
+    Flow scenarios get their SolverConfig ("solver") and initial field
+    ("omega0"); reduced_only its two equilibrium reports and their difference,
+    which check nu and the amplitude; identity_oracles its degree ("lmax").
+    """
+    scenario, cfg = doc["scenario"], doc["cfg"]
+    if scenario in JET_ORDER:
+        solver = _solver_config(cfg, JET_ORDER[scenario], doc["Omega"])
+        return {"solver": solver, "omega0": _parse_init(doc.get("init"), solver.N)}
+    if scenario == "reduced_only":
+        try:
+            nu, amplitude = float(cfg["nu"]), float(cfg["amplitude"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
+        params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
+        reports, diff = _equilibrium_cross_check(params, amplitude, nu)
+        return {"reports": reports, "difference": diff}
+    return {"lmax": doc["lmax"] if doc["lmax"] is not None else _integer(cfg.get("N", 16), "N")}
 
 
 def load_manifest(path) -> dict:
@@ -246,9 +269,7 @@ def _envelope_margin(records, nu: float) -> float | None:
 
 def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files and step counts."""
-    scenario, Omega = doc["scenario"], doc["Omega"]
-    cfg = _solver_config(doc["cfg"], JET_ORDER[scenario], Omega)
-    omega0 = _parse_init(doc.get("init"), cfg.N)
+    scenario, Omega, cfg, omega0 = doc["scenario"], doc["Omega"], doc["solver"], doc["omega0"]
     records = pde_solver.run(omega0, cfg, build_grid(cfg.N))
     params = KillingParams.from_field(omega0)
     header = None
@@ -301,31 +322,25 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
 
 
 def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
-    try:
-        nu = float(doc["cfg"]["nu"])
-        amplitude = float(doc["cfg"]["amplitude"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
-    N = _integer(doc["cfg"].get("N", 4), "N")
-    params = KillingParams.from_field(_parse_init(doc.get("init"), N))
-    reports, diff = _equilibrium_cross_check(params, amplitude, nu)
     files = {}
-    for method, rep in reports.items():
+    for method, rep in doc["reports"].items():
         files[method] = f"equilibrium_{method}.json"
         (outdir / files[method]).write_text(dumps17(rep, indent=2) + "\n")
-    return {"checks": [_check("equilibrium_cross_check", diff, 1e-12)], "files": files}
+    return {"checks": [_check("equilibrium_cross_check", doc["difference"], 1e-12)], "files": files}
 
 
 def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
-    lmax = doc["lmax"] if doc["lmax"] is not None else _integer(doc["cfg"].get("N", 16), "N")
-    residuals = oracles.identity_oracle_residuals(doc["seed"], lmax)
+    residuals = oracles.identity_oracle_residuals(doc["seed"], doc["lmax"])
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
     return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
 
 
 def run_manifest(manifest) -> tuple[int, dict]:
-    """Execute a manifest (dict or path); returns (exit_code, report)."""
+    """Execute a manifest (dict or path); returns (exit_code, report).
+
+    A manifest rejected for its keys, cfg or init leaves no output directory behind.
+    """
     doc = _checked(manifest if isinstance(manifest, dict) else load_manifest(manifest))
     outdir = Path(os.environ.get("SPHKOL_OUT", doc["output_dir"]))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -115,6 +115,16 @@ class QuadratureGrid:
         return np.sin(self.theta_nodes)
 
     @cached_property
+    def inv_sin_theta(self) -> np.ndarray:
+        """1 / sin(theta) as an (n_theta, 1) column."""
+        return (1.0 / self.sin_theta)[:, None]
+
+    @cached_property
+    def analysis_weights(self) -> np.ndarray:
+        """2 pi w_j as an (n_theta, 1) column: the colatitude weights times the longitude integral's 2 pi."""
+        return (2.0 * math.pi * self.theta_weights)[:, None]
+
+    @cached_property
     def plm(self) -> np.ndarray:
         """Normalized Legendre table, shape (N+1, N+1, n_theta), indexed [m, n, j]."""
         return legendre_table(self.N, self.cos_theta)

@@ -68,9 +68,17 @@ def laplacian(u: SpectralField) -> SpectralField:
     return -1.0 * laplacian_power(u, 1.0)
 
 
+@lru_cache(maxsize=None)
+def _inverse_laplacian_column(N: int) -> np.ndarray:
+    """-1/(n(n+1)) for n = 0..N as an (N+1, 1) column with the n = 0 slot zero, cached per N."""
+    column = -_power_factors(N, -1.0)[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def inverse_laplacian(u: SpectralField) -> SpectralField:
     """Inverse of the Laplacian on mean-zero fields; laplacian(inverse_laplacian(u)) = u."""
-    return -1.0 * laplacian_power(u, -1.0)
+    return SpectralField(u.N, u.coeffs * _inverse_laplacian_column(u.N))
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,17 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
     return tables
 
 
+@lru_cache(maxsize=None)
+def _phi_derivative_row(size: int) -> np.ndarray:
+    """i m for m = 0..size-1, the d/dphi multiplier of the m >= 0 columns; cached per size, read-only."""
+    row = 1j * np.arange(size)
+    row.flags.writeable = False
+    return row
+
+
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half."""
-    d_phi = 1j * np.arange(half.shape[0])
+    d_phi = _phi_derivative_row(half.shape[0])
     return real_synthesis(half, grid, grid.dplm_dtheta), real_synthesis(half * d_phi, grid, grid.plm)
 
 
@@ -144,5 +160,7 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     """
     psi_theta, psi_phi = angular_derivatives(inverse_laplacian(omega).coeffs, grid)
     w_theta, w_phi = angular_derivatives(omega.coeffs, grid)
-    jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
+    jacobian = np.multiply(psi_theta, w_phi, out=psi_theta)
+    jacobian -= np.multiply(psi_phi, w_theta, out=psi_phi)
+    jacobian *= grid.inv_sin_theta
     return real_analysis(jacobian, grid, omega.N)

@@ -237,18 +237,23 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     T is the adjacent_degree_table.  M_{mu,k} = G[0, i, N+k], since w_2 meets
     only w_3; f is the degree-2 row of the two-jet linear part on
     h = w_{>=3} minus the transport sum_{n >= 3, m} G[n-2, i, N+m] w_n^m.
-    Both vanish identically when w_{>=3} = 0.
+    That row is down[3] w_3, as only degree 3 couples down to degree 2; its
+    m < 0 entries are the mirrors (-1)^m conj of the m > 0 ones.  Both
+    vanish identically when w_{>=3} = 0.
     """
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
     w = omega.full_table()
+    # The +-m table between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
+    padded = np.zeros((N + 1, 2 * N + 5), dtype=complex)
+    padded[:, 2:-2] = w
     mu = np.array(MODE2_ORDER)
-    # Column of w_{n+1}^{mu-m} in the table padded by two zero orders on each side.
     partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
-    G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
+    G = adjacent_degree_table(N) * padded[3:, partner]
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    f = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector() - transport
+    linear = linear_part(N, "two_jet", amplitude).down[3, :3] * omega.coeffs[3, :3]  # m = 0, 1, 2
+    f = np.concatenate([linear[::-1], np.conj(linear[1:]) * np.array([-1.0, 1.0])]) - transport
     return G[0][:, N + mu], f
 
 

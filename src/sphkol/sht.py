@@ -5,12 +5,13 @@ A real field is stored as its coefficients u_n^m for 1 <= n <= N and
 per order m and an inverse real FFT in longitude, analysis a real FFT followed
 by Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
 band-limited data.  The Legendre sums over all orders are one real batched
-matrix product per call.
+matrix product per call.  Both FFTs use norm="forward": the inverse sums the
+longitude series unscaled, and the forward one returns the longitude means
+that the weights 2 pi w_j (grid.analysis_weights) integrate.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -141,16 +142,31 @@ class SpectralField:
 
     @classmethod
     def from_json_dict(cls, doc) -> "SpectralField":
-        """Field from a parsed to_json_text document; "im" defaults to 0, m < 0 follows from reality."""
+        """Field from a parsed to_json_text document; "im" defaults to 0, m < 0 follows from reality.
+
+        The entries are checked and stored as arrays; the first bad one is
+        checked again on its own, so that the error names it.
+        """
         out = cls.zeros(int(doc["N"]))
-        for item in doc["coeffs"]:
-            n, m = int(item["n"]), int(item["m"])
-            if m < 0:
+        items = list(doc["coeffs"])
+        if not items:
+            return out
+        n = np.array([int(item["n"]) for item in items])
+        m = np.array([int(item["m"]) for item in items])
+        re = np.array([float(item["re"]) for item in items])
+        im = np.array([float(item.get("im", 0.0)) for item in items])
+        finite = np.isfinite(re) & np.isfinite(im)
+        bad = (m < 0) | ~finite | (n < 1) | (n > out.N) | (m > n) | ((m == 0) & (im != 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            if m[k] < 0:
                 raise ValueError("coefficients are listed for m >= 0; negative orders are implied")
-            value = complex(float(item["re"]), float(item.get("im", 0.0)))
-            if not cmath.isfinite(value):
-                raise ValueError(f"coefficient ({n}, {m}) is not finite")
-            out[n, m] = value
+            if not finite[k]:
+                raise ValueError(f"coefficient ({n[k]}, {m[k]}) is not finite")
+            out[int(n[k]), int(m[k])] = complex(re[k], im[k])  # raises: out of range, or imaginary at m = 0
+        im[m == 0] = 0.0
+        out.coeffs.real[n, m] = re
+        out.coeffs.imag[n, m] = im
         return out
 
     def save(self, path):
@@ -177,15 +193,14 @@ class GridField:
             raise ValueError(f"sample shape {self.values.shape} != grid shape {expected}")
 
 
-def _per_order_product(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """table[m] @ rows[m] for every order m, with real table (m, p, q) and complex rows (m, q).
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The (m, q, 2) real/imaginary view of a complex (q, m) array, never a copy; its last axis must be contiguous.
 
-    The rows are multiplied as their (m, q, 2) real/imaginary view, so the
-    batched matmul stays real and reaches BLAS; the (m, p, 2) product is
-    viewed back as complex (m, p).
+    Read through it, the Legendre sum over every order, table[m] @ a[:, m],
+    is one real batched matmul that reaches BLAS and writes its output view
+    in place.
     """
-    pairs = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(*rows.shape, 2)
-    return np.matmul(table, pairs).view(complex)[..., 0]
+    return a[..., None].view(float).swapaxes(0, 1)
 
 
 def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
@@ -202,8 +217,9 @@ def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) ->
         raise ValueError(f"field degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
     spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
-    spec[:, : N + 1] = _per_order_product(table[: N + 1, : N + 1, :].transpose(0, 2, 1), half.T).T
-    return np.fft.irfft(spec, n=K, axis=1) * K
+    rows = np.ascontiguousarray(half, dtype=complex)
+    np.matmul(table[: N + 1, : N + 1, :].transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
+    return np.fft.irfft(spec, n=K, axis=1, norm="forward")
 
 
 def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> SpectralField:
@@ -218,13 +234,14 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None
         N = grid.N
     if N > grid.N:
         raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
-    K = grid.n_phi
-    fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
-    half = _per_order_product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T.copy()
+    fhat = np.fft.rfft(values, axis=1, norm="forward")[:, : N + 1]
+    half = np.empty((N + 1, N + 1), dtype=complex)
+    np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(grid.analysis_weights * fhat), out=_pairs(half))
     mean = abs(half[0, 0])
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if mean > MEAN_TOL * scale:
-        raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
+    if mean > MEAN_TOL:  # below it the check passes at any sample scale
+        scale = max(1.0, float(np.max(np.abs(values))))
+        if mean > MEAN_TOL * scale:
+            raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
     half[:, 0] = half[:, 0].real
     half[0] = 0.0
     return SpectralField(N=N, coeffs=half)

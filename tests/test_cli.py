@@ -240,6 +240,25 @@ class TestManifests:
                 run_manifest(doc)
             assert not (tmp_path / "out").exists(), doc
 
+    def test_cfg_or_init_rejection_writes_nothing(self, tmp_path, capsys):
+        base = two_jet_manifest(tmp_path)
+        cfg = {key: value for key, value in base["cfg"].items() if key != "nu"}
+        (tmp_path / "unreadable.json").write_text("{not json")
+        red = {"scenario": "reduced_only", "cfg": {"nu": math.nan, "amplitude": 1.0, "N": 4},
+               "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "out")}
+        for doc, named in [
+            ({"scenario": "two_jet", "cfg": {}, "output_dir": str(tmp_path / "out")}, "'nu'"),
+            ({**base, "cfg": cfg}, "'nu'"),
+            ({**base, "scenario": "rotating", "Omega": math.nan}, "Omega must be finite"),
+            ({**base, "init": str(tmp_path / "unreadable.json")}, "bad initial field"),
+            ({**base, "init": str(tmp_path / "missing.json")}, "bad initial field"),
+            (red, "nu must be"),
+            ({"scenario": "identity_oracles", "cfg": {"N": 6.5}, "output_dir": str(tmp_path / "out")}, "N must be"),
+        ]:
+            assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, named
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "out").exists(), named
+
     def test_envelope_not_applicable_before_one_over_nu(self, tmp_path, capsys):
         # nu = 0.5 and t_end = 0.5: no snapshot reaches t = 1/nu = 2.
         path = write_manifest(tmp_path, two_jet_manifest(tmp_path))

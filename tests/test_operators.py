@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import highpass_norm, rand_field, select_degree
+from sphkol import operators
 from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
 from sphkol.operators import (
     KillingParams,
@@ -29,6 +30,32 @@ from sphkol.oracles import (
 )
 from sphkol.reduced_ode import killing_degree2_matrix
 from sphkol.sht import MeanModeError, SpectralField, analyze, synthesize
+
+
+def reference_convection(omega, grid):
+    """convection with backward-normalized FFTs (irfft * K), -laplacian_power(w, -1) and division by sin(theta)."""
+    N, K = omega.N, grid.n_phi
+
+    def product(table, rows):  # table[m] @ rows[m] as one real batched matmul
+        pairs = np.ascontiguousarray(rows, dtype=complex).view(float).reshape(*rows.shape, 2)
+        return np.matmul(table, pairs).view(complex)[..., 0]
+
+    def synthesis(half, table):
+        spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
+        spec[:, : N + 1] = product(table[: N + 1, : N + 1, :].transpose(0, 2, 1), half.T).T
+        return np.fft.irfft(spec, n=K, axis=1) * K
+
+    def derivatives(half):
+        return synthesis(half, grid.dplm_dtheta), synthesis(half * (1j * np.arange(N + 1)), grid.plm)
+
+    psi_theta, psi_phi = derivatives((-1.0 * laplacian_power(omega, -1.0)).coeffs)
+    w_theta, w_phi = derivatives(omega.coeffs)
+    jacobian = (psi_theta * w_phi - psi_phi * w_theta) / grid.sin_theta[:, None]
+    fhat = np.fft.rfft(jacobian, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
+    half = product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T.copy()
+    half[:, 0] = half[:, 0].real
+    half[0] = 0.0
+    return SpectralField(N, half)
 
 
 def single(N, n, m, value=1.0):
@@ -102,6 +129,10 @@ class TestLaplacianFamily:
         u = rand_field(8, seed=12)
         v = inverse_laplacian(laplacian(u))
         assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-13
+
+    def test_inverse_laplacian_keeps_the_two_multiplier_values(self):
+        u = rand_field(12, seed=6)
+        assert np.array_equal(inverse_laplacian(u).coeffs, (-1.0 * laplacian_power(u, -1.0)).coeffs)
 
     def test_half_power_equals_gradient_norm(self, grid8):
         # |(-Lap)^(1/2) u|_L2 = |grad u|_L2, checked by quadrature
@@ -287,6 +318,29 @@ class TestConvection:
         want = analyze_complex(product, grid, N)
         got = convection(omega, grid).full_table()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [16, 32, 64])
+    @pytest.mark.parametrize("amplitude", [1.0, 1e6])
+    def test_matches_the_backward_normalized_reference(self, N, amplitude):
+        # Forward-normalized FFTs, the cached 2 pi w_j and 1/sin(theta) columns
+        # and the one-multiply inverse Laplacian change only the rounding.
+        grid = build_grid(N)
+        for seed in range(3):
+            omega = rand_field(N, seed=seed, amplitude=amplitude, decay=0.3)
+            want = reference_convection(omega, grid).coeffs
+            got = convection(omega, grid).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_four_syntheses_and_one_analysis(self, grid16, monkeypatch):
+        calls = {"real_synthesis": 0, "real_analysis": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(operators, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(operators, name, counted)
+        convection(rand_field(16, seed=5), grid16)
+        assert calls == {"real_synthesis": 4, "real_analysis": 1}
 
     @pytest.mark.parametrize("N", [16, 32])
     def test_mean_check_scales_with_the_product(self, N):

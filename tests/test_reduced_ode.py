@@ -237,7 +237,27 @@ class TestPropagateForced:
             propagate_forced(sys, np.zeros(5, dtype=complex), M, f, 0.1, 1.0)
 
 
+def operator_form_coupling(omega, amplitude):
+    """(M, f) through np.pad and linear_part(...).apply on w_{>=3}, the form the degree-3 read must match bitwise."""
+    N = omega.N
+    w = omega.full_table()
+    mu = np.array(MODE2_ORDER)
+    partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
+    G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
+    transport = np.einsum("nim,nm->i", G[1:], w[3:N])
+    f = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector() - transport
+    return G[0][:, N + mu], f
+
+
 class TestExtractCoupling:
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_bitwise_equal_to_the_operator_form(self, N):
+        for seed, amplitude in [(0, 1.0), (1, 1e3), (2, -2.5)]:
+            omega = rand_field(N, seed=60 + seed, amplitude=amplitude, decay=0.3)
+            M, f = extract_coupling(omega, amplitude)
+            M_ref, f_ref = operator_form_coupling(omega, amplitude)
+            assert np.array_equal(M, M_ref) and np.array_equal(f, f_ref)
+
     def test_vanishes_without_high_degrees(self):
         omega = rand_field(8, seed=3, degrees=(1, 2))
         M, f = extract_coupling(omega, 1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,47 @@ class TestSerialization:
     def test_non_real_m0_rejected(self):
         with pytest.raises(ValueError, match="must be real"):
             SpectralField.from_json_dict({"N": 3, "coeffs": [{"n": 2, "m": 0, "re": 1.0, "im": 0.5}]})
+
+    def test_inline_entries_stored_as_the_loop_stores_them(self):
+        # Strings and floats parse as int()/float() do, "im" defaults to 0, a later
+        # duplicate wins, and signed zeros land as the one-entry-at-a-time loop puts them.
+        def loop(doc):
+            out = SpectralField.zeros(int(doc["N"]))
+            for item in doc["coeffs"]:
+                out[int(item["n"]), int(item["m"])] = complex(float(item["re"]), float(item.get("im", 0.0)))
+            return out
+
+        u = rand_field(8, seed=9)
+        entries = [{"n": n, "m": m, "re": u.coeffs[n, m].real, "im": u.coeffs[n, m].imag}
+                   for n in range(1, 9) for m in range(n + 1)]
+        entries += [
+            {"n": "2", "m": 1.0, "re": "0.25", "im": -0.5},
+            {"n": 3, "m": 0, "re": -0.0, "im": -0.0},
+            {"n": 4, "m": 2, "re": 1.5},
+            {"n": 4, "m": 2, "re": 2.5, "im": 1.0},
+            {"n": 5, "m": 3, "re": 0.0, "im": -0.0},
+        ]
+        for doc in ({"N": 8, "coeffs": entries}, {"N": 8, "coeffs": entries[::-1]}, {"N": 2, "coeffs": []}):
+            got, want = SpectralField.from_json_dict(doc).coeffs, loop(doc).coeffs
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "entry,error,message",
+        [
+            ({"n": 4, "m": 0, "re": 1.0}, IndexError, "degree n=4 outside 1..3"),
+            ({"n": 0, "m": 0, "re": 1.0}, IndexError, "degree n=0 outside 1..3"),
+            ({"n": 10**30, "m": 0, "re": 1.0}, IndexError, "degree n=1000000000000000000000000000000 outside"),
+            ({"n": 2, "m": 3, "re": 1.0}, IndexError, "order |m|=3 exceeds degree n=2"),
+            ({"n": 3, "m": 0, "re": 1.0, "im": 2.0}, ValueError, "(3, 0) of a real field must be real"),
+            ({"n": 2, "m": 1, "re": math.inf}, ValueError, "(2, 1) is not finite"),
+            ({"n": 2, "m": -1, "re": 1.0}, ValueError, "m >= 0"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, entry, error, message):
+        good = {"n": 1, "m": 1, "re": 0.5}
+        later = {"n": 2, "m": 0, "re": 1.0, "im": 9.0}  # bad too, but not the first
+        with pytest.raises(error, match=re.escape(message)):
+            SpectralField.from_json_dict({"N": 3, "coeffs": [good, entry, later]})
 
 
 class TestGridField:
