@@ -268,9 +268,10 @@ def _envelope_margin(records, nu: float) -> float | None:
 
 
 def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
-    """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files and step counts."""
+    """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files, step counts and grid shape."""
     scenario, Omega, cfg, omega0 = doc["scenario"], doc["Omega"], doc["solver"], doc["omega0"]
-    records = pde_solver.run(omega0, cfg, build_grid(cfg.N))
+    grid = build_grid(cfg.N)
+    records = pde_solver.run(omega0, cfg, grid)
     params = KillingParams.from_field(omega0)
     header = None
     if scenario == "rotating":
@@ -284,6 +285,7 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
         "rejected": records[-1].rejected,
         "rtol": None if cfg.dt is not None else pde_solver.STEP_RTOL,
     }
+    shape = {"n_theta": grid.n_theta, "n_phi": grid.n_phi}
 
     # Degree-1 data is conserved, in a rotating frame up to the phases exp(i m Omega t).
     m1_orders = np.array([1.0, 0.0, -1.0])
@@ -295,7 +297,7 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     if scenario == "one_jet":
         ge2 = _decay_margin(records, 4.0 * cfg.nu, lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3))
         checks.append(_check("degree_ge2_decay", ge2, 1e-6))
-        return {"checks": checks, "files": files, "steps": steps}
+        return {"checks": checks, "files": files, "steps": steps, "grid": shape}
 
     checks.append(
         _check("degree_ge3_decay", _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3), 1e-6)
@@ -311,7 +313,7 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     report = reduced_ode.equilibrium_report(params, cfg.amplitude, cfg.nu, "closed_form")
     (outdir / "equilibrium.json").write_text(dumps17(report, indent=2) + "\n")
     files["equilibrium"] = "equilibrium.json"
-    return {"checks": checks, "files": files, "steps": steps}
+    return {"checks": checks, "files": files, "steps": steps, "grid": shape}
 
 
 def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, float]:

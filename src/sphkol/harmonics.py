@@ -125,6 +125,36 @@ class QuadratureGrid:
         return (2.0 * math.pi * self.theta_weights)[:, None]
 
     @cached_property
+    def fourier_synthesis(self) -> np.ndarray:
+        """Real longitude-sum matrix, shape (2(N+1), n_phi): rows c_m cos(m phi) and -c_m sin(m phi) per m.
+
+        c_0 = 1 and c_m = 2, so the (re, im)-interleaved m >= 0 spectrum times
+        it is the real series over |m| <= N.  The m = 0 imaginary row is zero:
+        that part is ignored, as irfft ignores it.  The angles reduce m k mod
+        n_phi before scaling.  Read-only.
+        """
+        K = self.n_phi
+        angle = (2.0 * math.pi / K) * (np.outer(np.arange(self.N + 1), np.arange(K)) % K)
+        matrix = np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=1).reshape(2 * (self.N + 1), K)
+        matrix[0], matrix[1] = 1.0, 0.0
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def fourier_analysis(self) -> np.ndarray:
+        """Real longitude-mean matrix, shape (n_phi, 2(N+1)): columns cos(m phi) / n_phi and -sin(m phi) / n_phi.
+
+        Samples times it are the (re, im)-interleaved means
+        (1/n_phi) sum_k f(phi_k) exp(-i m phi_k) for m = 0..N, which
+        rfft(norm="forward") returns.  Read-only.
+        """
+        scale = np.full((2 * (self.N + 1), 1), 0.5 / self.n_phi)
+        scale[:2] = 1.0 / self.n_phi
+        matrix = np.ascontiguousarray((scale * self.fourier_synthesis).T)
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
     def plm(self) -> np.ndarray:
         """Normalized Legendre table, shape (N+1, N+1, n_theta), indexed [m, n, j]."""
         return legendre_table(self.N, self.cos_theta)

@@ -2,12 +2,21 @@
 
 A real field is stored as its coefficients u_n^m for 1 <= n <= N and
 0 <= m <= n; the m < 0 ones follow from reality.  Synthesis is a Legendre sum
-per order m and an inverse real FFT in longitude, analysis a real FFT followed
-by Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
+per order m and a real longitude sum, analysis a longitude mean followed by
+Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
 band-limited data.  The Legendre sums over all orders are one real batched
-matrix product per call.  Both FFTs use norm="forward": the inverse sums the
-longitude series unscaled, and the forward one returns the longitude means
-that the weights 2 pi w_j (grid.analysis_weights) integrate.
+matrix product per call.
+
+The longitude stage has two forms, chosen by grid size inside both kernels.
+On grids with n_phi <= MATMUL_MAX_NPHI it is one real matmul of the
+(re, im)-interleaved spectrum by a cached grid matrix (grid.fourier_synthesis,
+grid.fourier_analysis).  At N = 16 (n_phi = 64) that took a synthesis from 23
+to 15 us and an analysis from 32 to 19 us; at n_phi = 128 the synthesis
+matmul already lost to irfft at N = 32 (53 against 46 us), which set the
+constant.  Larger grids use the FFTs, with norm="forward": the inverse sums
+the longitude series unscaled, and the forward one returns the longitude
+means.  Either way the weights 2 pi w_j (grid.analysis_weights) integrate the
+means.
 """
 
 from __future__ import annotations
@@ -15,12 +24,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .harmonics import QuadratureGrid
 from .serialize import dumps17
 
+
+# Largest longitude count whose Fourier stage is one real matmul by a cached
+# grid matrix; larger grids use the FFT.
+MATMUL_MAX_NPHI = 64
 
 # Largest mean-mode projection real_analysis accepts, relative to max(1, max |samples|).
 MEAN_TOL = 1e-10
@@ -78,13 +92,21 @@ class SpectralField:
             value = value.conjugate() if m % 2 == 0 else -value.conjugate()
         self.coeffs[n, abs(m)] = value.real if m == 0 else value
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _mirror_signs(N: int) -> np.ndarray:
+        """(-1)^m for m = N, N-1, ..., 1, the signs of the mirrored columns; cached per N, read-only."""
+        signs = ((-1.0) ** np.arange(1, N + 1))[::-1].copy()
+        signs.flags.writeable = False
+        return signs
+
     def full_table(self) -> np.ndarray:
         """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror."""
         N = self.N
-        out = np.zeros((N + 1, 2 * N + 1), dtype=complex)
+        out = np.empty((N + 1, 2 * N + 1), dtype=complex)
         out[:, N:] = self.coeffs
-        mirror = np.conj(self.coeffs[:, 1:]) * ((-1.0) ** np.arange(1, N + 1))[None, :]
-        out[:, :N] = mirror[:, ::-1]
+        mirror = np.conjugate(self.coeffs[:, :0:-1], out=out[:, :N])
+        mirror *= self._mirror_signs(N)
         return out
 
     def copy(self) -> "SpectralField":
@@ -145,7 +167,8 @@ class SpectralField:
         """Field from a parsed to_json_text document; "im" defaults to 0, m < 0 follows from reality.
 
         The entries are checked and stored as arrays; the first bad one is
-        checked again on its own, so that the error names it.
+        checked again on its own, so that the error names it.  An (n, m)
+        listed twice is an error, named at its second entry.
         """
         out = cls.zeros(int(doc["N"]))
         items = list(doc["coeffs"])
@@ -164,6 +187,11 @@ class SpectralField:
             if not finite[k]:
                 raise ValueError(f"coefficient ({n[k]}, {m[k]}) is not finite")
             out[int(n[k]), int(m[k])] = complex(re[k], im[k])  # raises: out of range, or imaginary at m = 0
+        first = np.zeros(n.size, dtype=bool)
+        first[np.unique(n * (out.N + 1) + m, return_index=True)[1]] = True
+        if not first.all():
+            k = int(np.argmin(first))
+            raise ValueError(f"coefficient ({n[k]}, {m[k]}) is listed more than once")
         im[m == 0] = 0.0
         out.coeffs.real[n, m] = re
         out.coeffs.imag[n, m] = im
@@ -216,9 +244,15 @@ def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) ->
     if N > grid.N:
         raise ValueError(f"field degree {N} exceeds grid degree {grid.N}")
     K = grid.n_phi
-    spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
+    small = K <= MATMUL_MAX_NPHI
+    if small:
+        spec = np.empty((grid.n_theta, N + 1), dtype=complex)
+    else:
+        spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
     rows = np.ascontiguousarray(half, dtype=complex)
     np.matmul(table[: N + 1, : N + 1, :].transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
+    if small:
+        return spec.view(float) @ grid.fourier_synthesis[: 2 * (N + 1)]
     return np.fft.irfft(spec, n=K, axis=1, norm="forward")
 
 
@@ -234,9 +268,14 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None
         N = grid.N
     if N > grid.N:
         raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
-    fhat = np.fft.rfft(values, axis=1, norm="forward")[:, : N + 1]
+    if grid.n_phi <= MATMUL_MAX_NPHI:
+        means = values @ grid.fourier_analysis[:, : 2 * (N + 1)]
+        means *= grid.analysis_weights
+        weighted = means.view(complex)
+    else:
+        weighted = grid.analysis_weights * np.fft.rfft(values, axis=1, norm="forward")[:, : N + 1]
     half = np.empty((N + 1, N + 1), dtype=complex)
-    np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(grid.analysis_weights * fhat), out=_pairs(half))
+    np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(weighted), out=_pairs(half))
     mean = abs(half[0, 0])
     if mean > MEAN_TOL:  # below it the check passes at any sample scale
         scale = max(1.0, float(np.max(np.abs(values))))

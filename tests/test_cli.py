@@ -291,7 +291,8 @@ class TestManifests:
         assert report["steps"] == {"mode": "fixed", "accepted": 50, "rejected": 0, "rtol": None}
         saved = json.loads((tmp_path / "fixed" / "report.json").read_text())
         assert saved["steps"] == report["steps"]
-        assert list(saved) == ["scenario", "seed", "checks", "files", "steps", "all_pass"]
+        assert list(saved) == ["scenario", "seed", "checks", "files", "steps", "grid", "all_pass"]
+        assert saved["grid"] == {"n_theta": 14, "n_phi": 32}
 
     def test_long_run_checks_stop_at_round_off(self, tmp_path, monkeypatch):
         # norm_ge3 tracks 0.01 e^{-10 t} down to about 1e-18 |w| and then stays at
@@ -362,6 +363,15 @@ class TestMain:
             path = write_manifest(tmp_path, {**base, "init": init})
             assert main(["run", str(path)]) == 2
             assert "not finite" in capsys.readouterr().err
+        # A coefficient listed twice, inline or in a field file, is rejected, not
+        # overwritten by the later entry.
+        twice = base["init"] + [{"n": 2, "m": 1, "re": 5.0}, {"n": 2, "m": 1, "re": 0.0, "im": 2.0}]
+        field_path = tmp_path / "twice.json"
+        field_path.write_text(json.dumps({"N": 8, "coeffs": twice}))
+        for init in (twice, str(field_path)):
+            path = write_manifest(tmp_path, {**base, "init": init})
+            assert main(["run", str(path)]) == 2
+            assert "(2, 1) is listed more than once" in capsys.readouterr().err
         path = write_manifest(tmp_path, {**base, "scenario": "rotating", "Omega": math.nan})
         assert main(["run", str(path)]) == 2
         assert "Omega must be finite" in capsys.readouterr().err

@@ -342,6 +342,20 @@ class TestConvection:
         convection(rand_field(16, seed=5), grid16)
         assert calls == {"real_synthesis": 4, "real_analysis": 1}
 
+    def test_small_grid_runs_without_the_fft(self, grid16, monkeypatch):
+        # n_phi = 64 <= MATMUL_MAX_NPHI: both longitude stages are matmuls by the grid's Fourier matrices.
+        assert grid16.n_phi == 64
+        omega = rand_field(16, seed=5)
+        want = reference_convection(omega, grid16).coeffs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called on a matmul-stage grid")
+
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        got = convection(omega, grid16).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("N", [16, 32])
     def test_mean_check_scales_with_the_product(self, N):
         # The round-off leak here is ~1e-8 on a product of size ~1.5e8, which an

@@ -81,6 +81,15 @@ class TestSpectralField:
         assert np.array_equal(full, want)
         assert u.norm() == pytest.approx(float(np.sqrt(np.sum(np.abs(want) ** 2))), rel=1e-14)
 
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_full_table_bitwise_equals_the_sign_formula(self, N):
+        u = rand_field(N, seed=N)
+        u.coeffs[1, 1] = complex(-0.0, 0.25)  # the sign bits of zeros must match too
+        want = np.zeros((N + 1, 2 * N + 1), dtype=complex)
+        want[:, N:] = u.coeffs
+        want[:, :N] = (np.conj(u.coeffs[:, 1:]) * ((-1.0) ** np.arange(1, N + 1))[None, :])[:, ::-1]
+        assert np.array_equal(u.full_table().view(np.uint64), want.view(np.uint64))
+
     def test_mode_vectors(self):
         u = SpectralField.zeros(4)
         u[2, 2] = 1 + 2j
@@ -210,17 +219,21 @@ def einsum_synthesis(half, grid, table):
     return np.fft.irfft(spec, n=K, axis=1) * K
 
 
-def einsum_projection(values, grid):
+def einsum_projection(values, grid, N=None):
     """Dense einsum m >= 0 projections of real_analysis before it became a batched matmul."""
-    N, K = grid.N, grid.n_phi
+    N, K = grid.N if N is None else N, grid.n_phi
     fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
     return np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], grid.theta_weights[:, None] * fhat)
 
 
 class TestKernelsAtBenchmarkSizes:
-    """The batched real kernels against the dense einsum contraction, at the benchmark's N."""
+    """The batched real kernels against the dense einsum contraction, at the benchmark's N.
 
-    @pytest.fixture(scope="class", params=[16, 32, 64])
+    N = 21 is the largest degree whose grid (n_phi = 64) takes the matmul
+    longitude stage, N = 22 the smallest that takes the FFT (n_phi = 128).
+    """
+
+    @pytest.fixture(scope="class", params=[16, 21, 22, 32, 64])
     def grid(self, request):
         return build_grid(request.param)
 
@@ -248,6 +261,28 @@ class TestKernelsAtBenchmarkSizes:
             want = einsum_projection(values, grid)
             got = real_analysis(values, grid).coeffs
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("table_name", ["plm", "dplm_dtheta"])
+    def test_synthesis_of_a_lower_degree_half(self, grid, table_name):
+        half = random_real_field(grid.N - 5, np.random.default_rng(grid.N + 3), 1.0, 0.1).coeffs
+        table = getattr(grid, table_name)
+        want = einsum_synthesis(half, grid, table)
+        got = real_synthesis(half, grid, table)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_analysis_to_a_lower_degree(self, grid):
+        values = synthesize(random_real_field(grid.N, np.random.default_rng(grid.N + 4), 1.0, 0.1), grid).values
+        want = einsum_projection(values, grid, grid.N - 5)
+        got = real_analysis(values, grid, grid.N - 5).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_synthesis_ignores_an_imaginary_m0_part(self, grid):
+        # The m = 0 column's imaginary part is dropped, as irfft drops it.
+        half = random_real_field(grid.N, np.random.default_rng(grid.N + 5), 1.0, 0.1).coeffs.copy()
+        half[1:, 0] += 1j * np.linspace(0.5, 2.0, grid.N)
+        want = einsum_synthesis(half, grid, grid.plm)
+        got = real_synthesis(half, grid, grid.plm)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_synthesis_matches_reference_harmonics(self):
         grid = build_grid(16)
@@ -297,8 +332,8 @@ class TestSerialization:
             SpectralField.from_json_dict({"N": 3, "coeffs": [{"n": 2, "m": 0, "re": 1.0, "im": 0.5}]})
 
     def test_inline_entries_stored_as_the_loop_stores_them(self):
-        # Strings and floats parse as int()/float() do, "im" defaults to 0, a later
-        # duplicate wins, and signed zeros land as the one-entry-at-a-time loop puts them.
+        # Strings and floats parse as int()/float() do, "im" defaults to 0, and
+        # signed zeros land as the one-entry-at-a-time loop puts them.
         def loop(doc):
             out = SpectralField.zeros(int(doc["N"]))
             for item in doc["coeffs"]:
@@ -306,15 +341,14 @@ class TestSerialization:
             return out
 
         u = rand_field(8, seed=9)
-        entries = [{"n": n, "m": m, "re": u.coeffs[n, m].real, "im": u.coeffs[n, m].imag}
+        odd = {
+            (2, 1): {"n": "2", "m": 1.0, "re": "0.25", "im": -0.5},
+            (3, 0): {"n": 3, "m": 0, "re": -0.0, "im": -0.0},
+            (4, 2): {"n": 4, "m": 2, "re": 1.5},
+            (5, 3): {"n": 5, "m": 3, "re": 0.0, "im": -0.0},
+        }
+        entries = [odd.get((n, m), {"n": n, "m": m, "re": u.coeffs[n, m].real, "im": u.coeffs[n, m].imag})
                    for n in range(1, 9) for m in range(n + 1)]
-        entries += [
-            {"n": "2", "m": 1.0, "re": "0.25", "im": -0.5},
-            {"n": 3, "m": 0, "re": -0.0, "im": -0.0},
-            {"n": 4, "m": 2, "re": 1.5},
-            {"n": 4, "m": 2, "re": 2.5, "im": 1.0},
-            {"n": 5, "m": 3, "re": 0.0, "im": -0.0},
-        ]
         for doc in ({"N": 8, "coeffs": entries}, {"N": 8, "coeffs": entries[::-1]}, {"N": 2, "coeffs": []}):
             got, want = SpectralField.from_json_dict(doc).coeffs, loop(doc).coeffs
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -336,6 +370,12 @@ class TestSerialization:
         later = {"n": 2, "m": 0, "re": 1.0, "im": 9.0}  # bad too, but not the first
         with pytest.raises(error, match=re.escape(message)):
             SpectralField.from_json_dict({"N": 3, "coeffs": [good, entry, later]})
+
+    @pytest.mark.parametrize("doc_n", [2, "2", 2.0])
+    def test_duplicate_entry_is_named(self, doc_n):
+        entries = [{"n": 2, "m": 1, "re": 5.0}, {"n": 1, "m": 0, "re": 1.0}, {"n": doc_n, "m": 1, "im": 2.0, "re": 0}]
+        with pytest.raises(ValueError, match=re.escape("coefficient (2, 1) is listed more than once")):
+            SpectralField.from_json_dict({"N": 3, "coeffs": entries})
 
 
 class TestGridField:
