@@ -6,9 +6,13 @@ Subcommands:
     equilibrium              degree-2 equilibrium by both routes
     oracles                  randomized integral-identity suites (sphkol.oracles)
 
+sphkol.oracles is imported only by the oracles subcommand and the
+identity_oracles scenario, which needs lmax >= oracles.MIN_LMAX.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
-The environment variable SPHKOL_OUT overrides the manifest's output directory.
+A non-empty SPHKOL_OUT overrides the manifest's output directory; an empty
+one counts as unset.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles, pde_solver, reduced_ode
+from . import pde_solver, reduced_ode
 from .harmonics import build_grid
 from .operators import KillingParams
 from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
@@ -181,7 +185,8 @@ def _scenario_inputs(doc: dict) -> dict:
 
     Flow scenarios get their SolverConfig ("solver") and initial field
     ("omega0"); reduced_only its two equilibrium reports and their difference,
-    which check nu and the amplitude; identity_oracles its degree ("lmax").
+    which check nu and the amplitude; identity_oracles its degree ("lmax"),
+    at least oracles.MIN_LMAX.
     """
     scenario, cfg = doc["scenario"], doc["cfg"]
     if scenario in JET_ORDER:
@@ -195,7 +200,12 @@ def _scenario_inputs(doc: dict) -> dict:
         params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
         reports, diff = _equilibrium_cross_check(params, amplitude, nu)
         return {"reports": reports, "difference": diff}
-    return {"lmax": doc["lmax"] if doc["lmax"] is not None else _integer(cfg.get("N", 16), "N")}
+    from .oracles import MIN_LMAX
+
+    lmax = doc["lmax"] if doc["lmax"] is not None else _integer(cfg.get("N", 16), "N")
+    if lmax < MIN_LMAX:
+        raise ManifestError(f"identity_oracles needs lmax >= {MIN_LMAX}, got {lmax}")
+    return {"lmax": lmax}
 
 
 def load_manifest(path) -> dict:
@@ -332,7 +342,9 @@ def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
 
 
 def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
-    residuals = oracles.identity_oracle_residuals(doc["seed"], doc["lmax"])
+    from .oracles import identity_oracle_residuals
+
+    residuals = identity_oracle_residuals(doc["seed"], doc["lmax"])
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
     checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
     return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
@@ -341,10 +353,10 @@ def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
 def run_manifest(manifest) -> tuple[int, dict]:
     """Execute a manifest (dict or path); returns (exit_code, report).
 
-    A manifest rejected for its keys, cfg or init leaves no output directory behind.
+    A manifest rejected for its keys, cfg, init or lmax leaves no output directory behind.
     """
     doc = _checked(manifest if isinstance(manifest, dict) else load_manifest(manifest))
-    outdir = Path(os.environ.get("SPHKOL_OUT", doc["output_dir"]))
+    outdir = Path(os.environ.get("SPHKOL_OUT") or doc["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
 
     runner = {"reduced_only": _run_reduced_scenario, "identity_oracles": _run_oracles_scenario}
@@ -424,8 +436,9 @@ def main(argv=None) -> int:
             doc["max_difference"] = diff  # vector norm: bounds every entry's difference
             print(dumps17(doc, indent=2))
             return 0
-        # oracles
-        residuals = oracles.identity_oracle_residuals(args.seed, args.lmax)
+        from .oracles import identity_oracle_residuals  # the oracles subcommand
+
+        residuals = identity_oracle_residuals(args.seed, args.lmax)
         worst = 0.0
         for name, value in residuals.items():
             print(f"{name}: {value:.3e}")

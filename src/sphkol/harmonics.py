@@ -174,11 +174,6 @@ class QuadratureGrid:
             deriv[: n + 1, n] = (n * s * plm[: n + 1, n] - (2.0 * n + 1.0) * a[n, : n + 1] * lower) / sin_t
         return deriv
 
-    def integrate(self, values: np.ndarray):
-        """Surface integral of node samples over the sphere."""
-        phi_mean = np.sum(values, axis=1) * (2.0 * math.pi / self.n_phi)
-        return np.sum(self.theta_weights * phi_mean)
-
 
 def build_grid(N: int) -> QuadratureGrid:
     """Quadrature grid for truncation degree N (node counts per the 3/2-rule)."""

@@ -1,6 +1,6 @@
 """Spectral differential operators and the convection term.
 
-The Laplacian family acts as degree multipliers.  linear_part builds the
+inverse_laplacian is a cached degree multiplier.  linear_part builds the
 non-diffusive linear part of all three flows: the one-jet and Coriolis terms
 act diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
 convection term goes through the grid (pseudospectral, dealiased by grid
@@ -53,31 +53,19 @@ class KillingParams:
 
 
 @lru_cache(maxsize=None)
-def _power_factors(N: int, s: float) -> np.ndarray:
-    """(n(n+1))^s for n = 0..N with the n = 0 slot zero, cached per (N, s)."""
-    return np.array([0.0] + [float(n * (n + 1)) ** s for n in range(1, N + 1)])
-
-
-def laplacian_power(u: SpectralField, s: float) -> SpectralField:
-    """Fractional operator (-Laplacian)^s: multiply degree n by (n(n+1))^s."""
-    return u.apply_degree_multiplier(_power_factors(u.N, s))
-
-
-def laplacian(u: SpectralField) -> SpectralField:
-    """Laplace-Beltrami operator (degree multiplier -n(n+1))."""
-    return -1.0 * laplacian_power(u, 1.0)
-
-
-@lru_cache(maxsize=None)
 def _inverse_laplacian_column(N: int) -> np.ndarray:
-    """-1/(n(n+1)) for n = 0..N as an (N+1, 1) column with the n = 0 slot zero, cached per N."""
-    column = -_power_factors(N, -1.0)[:, None]
+    """-1/(n(n+1)) for n = 0..N as an (N+1, 1) column with the n = 0 slot zero, cached per N.
+
+    Each value is formed as -(n(n+1))^(-1.0), which differs from -1/(n(n+1))
+    in the last bit at some n (140, 438, ...); the outputs depend on this form.
+    """
+    column = -np.array([0.0] + [float(n * (n + 1)) ** -1.0 for n in range(1, N + 1)])[:, None]
     column.flags.writeable = False
     return column
 
 
 def inverse_laplacian(u: SpectralField) -> SpectralField:
-    """Inverse of the Laplacian on mean-zero fields; laplacian(inverse_laplacian(u)) = u."""
+    """Inverse of the Laplacian on mean-zero fields: degree n is multiplied by -1/(n(n+1))."""
     return SpectralField(u.N, u.coeffs * _inverse_laplacian_column(u.N))
 
 

@@ -6,9 +6,12 @@ suite can check it: vectors as Cartesian 3-components at the grid nodes,
 complex coefficient tables split into two real fields, the Killing vector
 fields X(x) = a x x through which the paper proves its conservation and
 convergence results, and the map from a rotating-frame state to the
-non-rotating one.  A complex table is a full (N+1, 2N+1) array with entry
+non-rotating one.  The quadrature integral, degree multipliers, Laplacian
+powers and the closed-form degree-2 rotation table live here too: only the
+checks use them.  A complex table is a full (N+1, 2N+1) array with entry
 (n, m) at [n, N+m]; a real field passes SpectralField.full_table().  No
-solver module imports this one.
+solver module imports this one, and the cli loads it only for the oracle
+runs.
 """
 
 from __future__ import annotations
@@ -18,12 +21,48 @@ import math
 import numpy as np
 
 from .harmonics import QuadratureGrid, build_grid, recurrence_table
-from .operators import KillingParams, convection, inverse_laplacian, laplacian
-from .reduced_ode import MODE2_ORDER, killing_degree2_matrix
+from .operators import KillingParams, convection, inverse_laplacian
+from .reduced_ode import MODE2_ORDER, _degree2_generator
 from .sht import SpectralField, analyze, random_real_field, real_analysis, real_synthesis, synthesize
 
 
 Y10_PER_COS_THETA = 2.0 * math.sqrt(math.pi / 3.0)  # cos(theta) = this * Y_1^0
+MIN_LMAX = 4  # smallest degree the identity-oracle suites run at
+
+
+def integrate(grid: QuadratureGrid, values: np.ndarray):
+    """Surface integral of node samples over the sphere."""
+    phi_mean = np.sum(values, axis=1) * (2.0 * math.pi / grid.n_phi)
+    return np.sum(grid.theta_weights * phi_mean)
+
+
+def apply_degree_multiplier(u: SpectralField, factors: np.ndarray) -> SpectralField:
+    """Multiply every degree-n row of u by factors[n] (factors[0] is ignored)."""
+    out = u.coeffs * np.asarray(factors)[:, None]
+    out[0] = 0.0
+    return SpectralField(N=u.N, coeffs=out)
+
+
+def laplacian_power(u: SpectralField, s: float) -> SpectralField:
+    """Fractional operator (-Laplacian)^s: multiply degree n by (n(n+1))^s."""
+    factors = np.array([0.0] + [float(n * (n + 1)) ** s for n in range(1, u.N + 1)])
+    return apply_degree_multiplier(u, factors)
+
+
+def laplacian(u: SpectralField) -> SpectralField:
+    """Laplace-Beltrami operator (degree multiplier -n(n+1))."""
+    return -1.0 * laplacian_power(u, 1.0)
+
+
+def killing_degree2_matrix(axis) -> np.ndarray:
+    """Closed-form matrix of X . grad on the degree-2 span, rows/cols ordered m = 2..-2.
+
+    X(x) = a x x is the Killing field of the rotation axis a.  Column k holds
+    the expansion coefficients of X . grad Y_2^{m_k}; the degree-2 span is
+    invariant, so this matrix is the whole story.
+    """
+    a1, a2, a3 = np.asarray(axis, dtype=float)
+    return _degree2_generator(1j * a3, 1j * a1 + a2, 1j * a1 - a2)
 
 
 def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
@@ -73,7 +112,7 @@ def dphi_x(grid: QuadratureGrid) -> np.ndarray:
 
 def inner(grid: QuadratureGrid, u: np.ndarray, v: np.ndarray):
     """L^2 inner product (u, v) = integral of u * conj(v)."""
-    return grid.integrate(u * np.conj(v))
+    return integrate(grid, u * np.conj(v))
 
 
 def unit_table(N: int, n: int, m: int) -> np.ndarray:
@@ -158,7 +197,7 @@ def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: Qu
     grad_f = gradient_values(f.full_table(), grid).real
     grad_g = gradient_values(g.full_table(), grid).real
     integrand = lap_f * np.sum(grad_g * x_field, axis=-1) + lap_g * np.sum(grad_f * x_field, axis=-1)
-    return float(grid.integrate(integrand))
+    return float(integrate(grid, integrand))
 
 
 def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) -> tuple[float, float]:
@@ -169,8 +208,8 @@ def killing_pairing_residuals(omega: SpectralField, axis, grid: QuadratureGrid) 
     psi_vals = synthesize(psi, grid).values
     grad_w = gradient_values(omega.full_table(), grid).real
     grad_psi = gradient_values(psi.full_table(), grid).real
-    first = grid.integrate(np.sum(grad_psi * x_field, axis=-1) * w_vals)
-    second = grid.integrate(np.sum(grad_w * x_field, axis=-1) * psi_vals)
+    first = integrate(grid, np.sum(grad_psi * x_field, axis=-1) * w_vals)
+    second = integrate(grid, np.sum(grad_w * x_field, axis=-1) * psi_vals)
     return float(first), float(second)
 
 
@@ -183,14 +222,14 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     transport pairings, the degree-1 projections of convection, the
     closed-form degree-2 rotation table, and the tangent-basis identities.
     """
-    if lmax < 4:
-        raise ValueError("oracle suites need lmax >= 4")
+    if lmax < MIN_LMAX:
+        raise ValueError(f"oracle suites need lmax >= {MIN_LMAX}")
     rng = np.random.default_rng(seed)
     grid = build_grid(lmax)
     res: dict[str, float] = {}
 
     ones = np.ones((grid.n_theta, grid.n_phi))
-    res["surface_area"] = abs(float(grid.integrate(ones)) - 4.0 * math.pi) / (4.0 * math.pi)
+    res["surface_area"] = abs(float(integrate(grid, ones)) - 4.0 * math.pi) / (4.0 * math.pi)
 
     # orthonormality on a seeded sample of harmonic pairs
     indices = [(n, m) for n in range(1, lmax + 1) for m in range(-n, n + 1)]
@@ -239,7 +278,7 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
         vals = synthesize(f, grid)
         lap_grid = synthesize(laplacian(analyze(vals)), grid)
         n_arr = np.arange(lmax + 1)
-        expected = synthesize(f.apply_degree_multiplier(-(n_arr * (n_arr + 1.0))), grid)
+        expected = synthesize(apply_degree_multiplier(f, -(n_arr * (n_arr + 1.0))), grid)
         scale = max(1.0, float(np.max(np.abs(expected.values))))
         worst = max(worst, float(np.max(np.abs(lap_grid.values - expected.values))) / scale)
     res["laplacian_eigenfunction"] = worst

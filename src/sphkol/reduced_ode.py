@@ -51,17 +51,6 @@ def _degree2_generator(diagonal, upper, lower) -> np.ndarray:
     return np.diag(orders * diagonal) + np.diag(s * upper, 1) + np.diag(s * lower, -1)
 
 
-def killing_degree2_matrix(axis) -> np.ndarray:
-    """Closed-form matrix of X . grad on the degree-2 span, rows/cols ordered m = 2..-2.
-
-    X(x) = a x x is the Killing field of the rotation axis a.  Column k holds
-    the expansion coefficients of X . grad Y_2^{m_k}; the degree-2 span is
-    invariant, so this matrix is the whole story.
-    """
-    a1, a2, a3 = np.asarray(axis, dtype=float)
-    return _degree2_generator(1j * a3, 1j * a1 + a2, 1j * a1 - a2)
-
-
 def _check_flow_parameters(amplitude: float, nu: float) -> None:
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
@@ -73,8 +62,8 @@ def build_system(params: KillingParams, amplitude: float, nu: float) -> ReducedS
     """Assemble A and c from the degree-1 data.
 
     A is the degree-2 rotation by the Killing field of the degree-1 data,
-    A = -(2i/3) killing_degree2_matrix(params.axis), built from (alpha, b)
-    directly so that no rounding of the axis enters it.
+    A = -(2i/3) oracles.killing_degree2_matrix(params.axis), built from
+    (alpha, b) directly so that no rounding of the axis enters it.
     """
     _check_flow_parameters(amplitude, nu)
     alpha, b = complex(params.alpha), float(params.b)

@@ -130,19 +130,6 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(N=self.N, coeffs=-self.coeffs)
 
-    def highpass(self, n_min: int) -> "SpectralField":
-        """Projection u_{>=n_min}."""
-        out = SpectralField.zeros(self.N)
-        out.coeffs[n_min:] = self.coeffs[n_min:]
-        return out
-
-    def apply_degree_multiplier(self, factors: np.ndarray) -> "SpectralField":
-        """Multiply every degree-n row by factors[n] (factors[0] is ignored)."""
-        f = np.asarray(factors)
-        out = self.coeffs * f[:, None]
-        out[0] = 0.0
-        return SpectralField(N=self.N, coeffs=out)
-
     def norm(self) -> float:
         """L^2 norm on the sphere (Parseval over the full table)."""
         return float(np.linalg.norm(self.full_table()))

@@ -36,6 +36,13 @@ def select_degree(u, n):
     return out
 
 
+def highpass(u, n_min):
+    """Projection u_{>=n_min}."""
+    out = SpectralField.zeros(u.N)
+    out.coeffs[n_min:] = u.coeffs[n_min:]
+    return out
+
+
 def degree_norm(u, n):
     return float(np.linalg.norm(u.full_table()[n]))
 

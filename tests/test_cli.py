@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,22 @@ class TestManifests:
         assert (target / "report.json").exists()
         assert not (tmp_path / "out").exists()
 
+    def test_empty_env_var_counts_as_unset(self, tmp_path, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("SPHKOL_OUT", "")
+        doc = {
+            "scenario": "reduced_only",
+            "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4},
+            "init": [{"n": 1, "m": 1, "re": 1.0, "im": 0.0}],
+            "output_dir": str(tmp_path / "red"),
+        }
+        code, _ = run_manifest(doc)
+        assert code == 0
+        assert (tmp_path / "red" / "report.json").exists()
+        assert list(cwd.iterdir()) == []
+
     def test_bad_manifest_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
             run_manifest(write_manifest(tmp_path, {"scenario": "nope", "output_dir": "x"}))
@@ -254,6 +274,8 @@ class TestManifests:
             ({**base, "init": str(tmp_path / "missing.json")}, "bad initial field"),
             (red, "nu must be"),
             ({"scenario": "identity_oracles", "cfg": {"N": 6.5}, "output_dir": str(tmp_path / "out")}, "N must be"),
+            ({"scenario": "identity_oracles", "lmax": 3, "output_dir": str(tmp_path / "out")}, "lmax >= 4"),
+            ({"scenario": "identity_oracles", "cfg": {"N": 3}, "output_dir": str(tmp_path / "out")}, "lmax >= 4"),
         ]:
             assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, named
             assert named in capsys.readouterr().err
@@ -552,3 +574,18 @@ class TestOracleSuite:
     def test_lmax_floor(self):
         with pytest.raises(ValueError):
             identity_oracle_residuals(seed=0, lmax=3)
+
+
+def test_solver_path_does_not_load_oracles():
+    """A fresh interpreter importing the cli and the solver loads no sphkol.oracles, and the root re-exports nothing."""
+    probe = (
+        "import json, sys, types\n"
+        "import sphkol, sphkol.cli, sphkol.pde_solver\n"
+        "public = [k for k, v in vars(sphkol).items() if not k.startswith('_') and not isinstance(v, types.ModuleType)]\n"
+        "print(json.dumps({'oracles': 'sphkol.oracles' in sys.modules, 'public': public}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"oracles": False, "public": []}

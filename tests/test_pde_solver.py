@@ -8,7 +8,7 @@ from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1
 from sphkol import pde_solver
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
-from sphkol.oracles import velocity_values
+from sphkol.oracles import apply_degree_multiplier, velocity_values
 from sphkol.pde_solver import (
     IntegrationError,
     SolverConfig,
@@ -39,7 +39,7 @@ def two_jet_cfg(**kw):
 
 def rhs(omega, cfg, grid):
     """Full right-hand side: the diffusion the stepper integrates exactly plus its explicit part."""
-    diffusion = omega.apply_degree_multiplier(linear_diffusion_factors(omega.N, cfg.nu))
+    diffusion = apply_degree_multiplier(omega, linear_diffusion_factors(omega.N, cfg.nu))
     return diffusion + Stepper(cfg, grid, cfg.t_end).nonlinear(omega)
 
 

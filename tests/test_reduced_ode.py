@@ -3,11 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import highpass_norm, rand_field
+from conftest import highpass, highpass_norm, rand_field
 from sphkol import operators, sht
 from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams, convection, linear_part
-from sphkol.oracles import analyze_complex, gradient_values, nodes_xyz, unit_table, velocity_values
+from sphkol.oracles import (
+    analyze_complex,
+    apply_degree_multiplier,
+    gradient_values,
+    integrate,
+    killing_degree2_matrix,
+    nodes_xyz,
+    unit_table,
+    velocity_values,
+)
 from sphkol.reduced_ode import (
     MODE2_ORDER,
     adjacent_degree_table,
@@ -16,7 +25,6 @@ from sphkol.reduced_ode import (
     equilibrium_report,
     equilibrium_solve,
     extract_coupling,
-    killing_degree2_matrix,
     propagate_exact,
     propagate_forced,
 )
@@ -65,14 +73,14 @@ def cartesian_degree2_tables(grid):
 def cartesian_coupling(omega, amplitude, grid):
     """Reference (M, f): extract_coupling's integrals by quadrature of Cartesian node samples."""
     N = omega.N
-    high = omega.highpass(3)
+    high = highpass(omega, 3)
     grad_conj, jacobians = cartesian_degree2_tables(grid)
     weights = np.array([0.0] + [1.0 - 6.0 / (n * (n + 1.0)) for n in range(1, N + 1)])
-    g_vals = synthesize(high.apply_degree_multiplier(weights), grid).values
-    M = np.array([[grid.integrate(g_vals * jacobians[k][i]) / 6.0 for k in range(5)] for i in range(5)])
+    g_vals = synthesize(apply_degree_multiplier(high, weights), grid).values
+    M = np.array([[integrate(grid, g_vals * jacobians[k][i]) / 6.0 for k in range(5)] for i in range(5)])
     high_vals = synthesize(high, grid).values
     u_high = velocity_values(high, grid)
-    transport = [grid.integrate(high_vals * np.sum(u_high * grad_conj[i], axis=-1)) for i in range(5)]
+    transport = [integrate(grid, high_vals * np.sum(u_high * grad_conj[i], axis=-1)) for i in range(5)]
     return M, f_degree3_term(omega, amplitude) + np.array(transport)
 
 
@@ -245,7 +253,7 @@ def operator_form_coupling(omega, amplitude):
     partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
     G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    f = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector() - transport
+    f = linear_part(N, "two_jet", amplitude).apply(highpass(omega, 3)).mode2_vector() - transport
     return G[0][:, N + mu], f
 
 
@@ -291,10 +299,10 @@ class TestExtractCoupling:
         N = 12
         omega = rand_field(N, seed=71)
         want = f_degree3_term(omega, amplitude)
-        got = linear_part(N, "two_jet", amplitude).apply(omega.highpass(3)).mode2_vector()
+        got = linear_part(N, "two_jet", amplitude).apply(highpass(omega, 3)).mode2_vector()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         _, f = extract_coupling(omega, amplitude)
-        transport = convection(omega.highpass(3), build_grid(N)).mode2_vector()
+        transport = convection(highpass(omega, 3), build_grid(N)).mode2_vector()
         assert np.max(np.abs(f - (want - transport))) <= 1e-15 * np.max(np.abs(f))
 
     def test_zonal_degree3_entries(self):
