@@ -36,14 +36,13 @@ from .serialize import dumps17
 from .sht import MeanModeError, SpectralField
 
 # Scenario -> (top-level keys it reads besides scenario, output_dir, cfg and seed; the cfg keys it reads).
-# A flow scenario's cfg may name jet_order, as long as it names the scenario's own flow.
-FLOW_CFG = ("nu", "amplitude", "N", "t_end", "dt", "snapshot_stride", "jet_order")
+FLOW_CFG = ("nu", "amplitude", "N", "t_end", "dt", "snapshot_stride")
 MANIFEST_KEYS = {
     "two_jet": (("init",), FLOW_CFG),
     "one_jet": (("init",), FLOW_CFG),
     "rotating": (("init", "Omega"), FLOW_CFG),
     "reduced_only": (("init",), ("nu", "amplitude", "N")),
-    "identity_oracles": (("lmax",), ("N",)),
+    "identity_oracles": (("lmax",), ()),
 }
 SCENARIOS = tuple(MANIFEST_KEYS)
 JET_ORDER = {"two_jet": "two_jet", "one_jet": "one_jet", "rotating": "two_jet"}  # flow scenario -> base flow
@@ -122,11 +121,9 @@ def _integer(value, name: str) -> int:
 
 
 def _parse_init(init, N: int) -> SpectralField:
-    """The initial field from an inline coefficient list, a field file path or {"path": ...}."""
-    if isinstance(init, dict) and "path" in init:
-        init = init["path"]
+    """The initial field from an inline coefficient list or a field file path."""
     if not isinstance(init, (str, list)):
-        raise ManifestError("init must be an inline coefficient list or a file path")
+        raise ManifestError(f"init must be an inline coefficient list or a file path, not {init!r}")
     try:
         if isinstance(init, str):
             return SpectralField.load(init)
@@ -152,7 +149,7 @@ def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
 
 
 def _checked(doc) -> dict:
-    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed, lmax and inputs parsed."""
+    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed and inputs parsed."""
     if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
         raise ManifestError(f"scenario must be one of {SCENARIOS}")
     scenario = doc["scenario"]
@@ -167,16 +164,13 @@ def _checked(doc) -> dict:
         unknown = ", ".join(repr(key) for key in keys if key not in allowed)
         if unknown:
             raise ManifestError(f"{scenario} manifest {where}has key(s) no run reads: {unknown}")
-    if scenario in JET_ORDER and cfg.get("jet_order", JET_ORDER[scenario]) != JET_ORDER[scenario]:
-        raise ManifestError(f"cfg.jet_order {cfg['jet_order']!r} is not the {scenario} scenario's flow")
     if scenario == "rotating" and doc.get("Omega") is None:
         raise ManifestError("rotating scenario needs Omega")
     try:
         Omega = float(doc.get("Omega", 0.0))
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"Omega must be a number: {exc}") from exc
-    lmax = None if doc.get("lmax") is None else _integer(doc["lmax"], "lmax")
-    parsed = {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed"), "lmax": lmax}
+    parsed = {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed")}
     return {**parsed, **_scenario_inputs(parsed)}
 
 
@@ -184,25 +178,28 @@ def _scenario_inputs(doc: dict) -> dict:
     """What the scenario reads from cfg and init, parsed before its output directory exists.
 
     Flow scenarios get their SolverConfig ("solver") and initial field
-    ("omega0"); reduced_only its two equilibrium reports and their difference,
-    which check nu and the amplitude; identity_oracles its degree ("lmax"),
-    at least oracles.MIN_LMAX.
+    ("omega0") of degree N; reduced_only its two equilibrium reports and their
+    cross-check, which check nu and the amplitude; identity_oracles its degree
+    ("lmax", 16 when left out), at least oracles.MIN_LMAX.
     """
     scenario, cfg = doc["scenario"], doc["cfg"]
     if scenario in JET_ORDER:
         solver = _solver_config(cfg, JET_ORDER[scenario], doc["Omega"])
-        return {"solver": solver, "omega0": _parse_init(doc.get("init"), solver.N)}
+        omega0 = _parse_init(doc.get("init"), solver.N)
+        if omega0.N != solver.N:
+            raise ManifestError(f"initial condition degree {omega0.N} != configured N {solver.N}")
+        return {"solver": solver, "omega0": omega0}
     if scenario == "reduced_only":
         try:
             nu, amplitude = float(cfg["nu"]), float(cfg["amplitude"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
         params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
-        reports, diff = _equilibrium_cross_check(params, amplitude, nu)
-        return {"reports": reports, "difference": diff}
+        reports, check = _equilibrium_cross_check(params, amplitude, nu)
+        return {"reports": reports, "check": check}
     from .oracles import MIN_LMAX
 
-    lmax = doc["lmax"] if doc["lmax"] is not None else _integer(cfg.get("N", 16), "N")
+    lmax = _integer(16 if doc.get("lmax") is None else doc["lmax"], "lmax")
     if lmax < MIN_LMAX:
         raise ManifestError(f"identity_oracles needs lmax >= {MIN_LMAX}, got {lmax}")
     return {"lmax": lmax}
@@ -326,11 +323,24 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}
 
 
-def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, float]:
-    """Closed-form and solved equilibrium reports, keyed by method, and the vector norm of their difference."""
+def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, dict]:
+    """Closed-form and solved equilibrium reports, keyed by method, and the check of their difference.
+
+    The difference is the vector norm of the two 5-vectors' difference, held
+    to 1e-12 max(1, |closed form|): round-off grows with the equilibrium.
+    """
     reports = {m: reduced_ode.equilibrium_report(params, amplitude, nu, m) for m in ("closed_form", "solve")}
     cf, sv = (np.array([complex(z["re"], z["im"]) for z in rep["omega_inf"]]) for rep in reports.values())
-    return reports, float(np.linalg.norm(cf - sv))
+    tolerance = 1e-12 * max(1.0, float(np.linalg.norm(cf)))
+    return reports, _check("equilibrium_cross_check", float(np.linalg.norm(cf - sv)), tolerance)
+
+
+def _oracle_checks(seed: int, lmax: int) -> tuple[dict, list[dict]]:
+    """The identity-oracle residuals by name and a check of each against 1e-10."""
+    from .oracles import identity_oracle_residuals
+
+    residuals = identity_oracle_residuals(seed, lmax)
+    return residuals, [_check(name, value, 1e-10) for name, value in residuals.items()]
 
 
 def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
@@ -338,15 +348,12 @@ def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
     for method, rep in doc["reports"].items():
         files[method] = f"equilibrium_{method}.json"
         (outdir / files[method]).write_text(dumps17(rep, indent=2) + "\n")
-    return {"checks": [_check("equilibrium_cross_check", doc["difference"], 1e-12)], "files": files}
+    return {"checks": [doc["check"]], "files": files}
 
 
 def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
-    from .oracles import identity_oracle_residuals
-
-    residuals = identity_oracle_residuals(doc["seed"], doc["lmax"])
+    residuals, checks = _oracle_checks(doc["seed"], doc["lmax"])
     (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
-    checks = [_check(name, value, 1e-10) for name, value in residuals.items()]
     return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
 
 
@@ -432,18 +439,14 @@ def main(argv=None) -> int:
             params = KillingParams(alpha=complex(args.alpha_re, args.alpha_im), b=args.b)
             if args.omega is not None:
                 params = reduced_ode.rotating_frame_params(params, args.omega)
-            doc, diff = _equilibrium_cross_check(params, args.a, args.nu)
-            doc["max_difference"] = diff  # vector norm: bounds every entry's difference
+            doc, check = _equilibrium_cross_check(params, args.a, args.nu)
+            doc["max_difference"] = check["measured"]  # vector norm: bounds every entry's difference
             print(dumps17(doc, indent=2))
-            return 0
-        from .oracles import identity_oracle_residuals  # the oracles subcommand
-
-        residuals = identity_oracle_residuals(args.seed, args.lmax)
-        worst = 0.0
+            return 0 if check["pass"] else 1
+        residuals, checks = _oracle_checks(args.seed, args.lmax)  # the oracles subcommand
         for name, value in residuals.items():
             print(f"{name}: {value:.3e}")
-            worst = max(worst, value)
-        return 0 if worst < 1e-10 else 1
+        return 0 if all(c["pass"] for c in checks) else 1
     except (IntegrationError, MeanModeError, ArithmeticError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3

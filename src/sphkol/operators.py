@@ -58,6 +58,7 @@ def _inverse_laplacian_column(N: int) -> np.ndarray:
 
     Each value is formed as -(n(n+1))^(-1.0), which differs from -1/(n(n+1))
     in the last bit at some n (140, 438, ...); the outputs depend on this form.
+    linear_part reads its 1/(n(n+1)) from here too.
     """
     column = -np.array([0.0] + [float(n * (n + 1)) ** -1.0 for n in range(1, N + 1)])[:, None]
     column.flags.writeable = False
@@ -102,9 +103,7 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
     (I + 6 Lap^{-1})-weighted product on degrees >= 3.  The tables are cached
     per argument tuple and read-only.
     """
-    n = np.arange(N + 1, dtype=float)
-    inv_lam = np.zeros(N + 1)
-    inv_lam[1:] = 1.0 / (n[1:] * (n[1:] + 1.0))
+    inv_lam = -_inverse_laplacian_column(N)[:, 0]  # 1/(n(n+1)), 0 at n = 0
     im = 1j * np.arange(N + 1)
     per_degree = 2.0 * Omega * inv_lam
     down = np.zeros((N + 1, N + 1), dtype=complex)

@@ -65,7 +65,6 @@ class SolverConfig:
     dt: float | None = None
     snapshot_stride: int = 10
     jet_order: str = "two_jet"
-    store_snapshots: bool = False
     Omega: float = 0.0
 
     def __post_init__(self):
@@ -105,7 +104,6 @@ class TrajectoryRecord:
     mode1: np.ndarray
     steps: int = 0
     rejected: int = 0
-    snapshot: SpectralField | None = None
 
 
 @dataclass
@@ -271,7 +269,6 @@ def _record(cfg: SolverConfig, params: KillingParams | None, t, state, steps, re
         mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
         steps=steps,
         rejected=rejected,
-        snapshot=state.copy() if cfg.store_snapshots else None,
     )
 
 

@@ -127,9 +127,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(N=self.N, coeffs=-self.coeffs)
-
     def norm(self) -> float:
         """L^2 norm on the sphere (Parseval over the full table)."""
         return float(np.linalg.norm(self.full_table()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphkol import pde_solver
 from sphkol.harmonics import build_grid
 from sphkol.sht import SpectralField, random_real_field
 
@@ -27,6 +28,15 @@ def grid32():
 
 def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):
     return random_real_field(N, np.random.default_rng(seed), amplitude=amplitude, decay=decay, degrees=degrees)
+
+
+def snapshot_states(omega0, cfg, grid):
+    """(t, state) at each snapshot time of the run of cfg, read from the generator that run reads."""
+    return [
+        (t, state)
+        for t, state, _, _, is_snapshot in pde_solver._lattice_states(omega0, cfg, grid)
+        if is_snapshot
+    ]
 
 
 def select_degree(u, n):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import highpass_norm, rand_field
+from conftest import highpass_norm, rand_field, snapshot_states
 from sphkol.cli import _envelope_margin, fit_rate
 from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams
@@ -252,13 +252,11 @@ def test_criterion_11_rotating_equivalence():
     grid = build_grid(12)
     nu, Omega = 1.0, 2.0
     zeta0 = rand_field(12, seed=505, amplitude=0.4, decay=0.45)
-    cfg = SolverConfig(
-        nu=nu, amplitude=1.0, N=12, t_end=1.0 / nu, snapshot_stride=10_000, store_snapshots=True
-    )
-    rot_records = run(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)
-    direct_records = run(frame_map(zeta0, Omega, 0.0), cfg, grid)
-    mapped = frame_map(rot_records[-1].snapshot, Omega, rot_records[-1].t)
-    diff = (mapped - direct_records[-1].snapshot).norm()
+    cfg = SolverConfig(nu=nu, amplitude=1.0, N=12, t_end=1.0 / nu, snapshot_stride=10_000)
+    t_rot, rot_state = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)[-1]
+    _, direct_state = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid)[-1]
+    mapped = frame_map(rot_state, Omega, t_rot)
+    diff = (mapped - direct_state).norm()
 
     p = KillingParams(alpha=1.0 + 0j, b=0.0)
     eq_rot = rotating_equilibrium(p, 1.0, 1.0, 1.5, 0.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphkol import cli, pde_solver
+from sphkol import cli, pde_solver, reduced_ode
 from sphkol.cli import (
     ManifestError,
     fit_rate,
@@ -38,6 +38,22 @@ def two_jet_manifest(tmp_path, outname="out"):
         ],
         "seed": 7,
         "output_dir": str(tmp_path / outname),
+    }
+
+
+LARGE_EQUILIBRIUM_ARGV = ["equilibrium", "--nu", "0.01", "--a", "1000", "--alpha-re", "2", "--b", "-1"]
+
+
+def large_equilibrium_manifest(tmp_path):
+    """reduced_only at nu = 0.01, a = 1000 with alpha = 2, b = -1 (LARGE_EQUILIBRIUM_ARGV)."""
+    return {
+        "scenario": "reduced_only",
+        "cfg": {"nu": 0.01, "amplitude": 1000.0, "N": 4},
+        "init": [
+            {"n": 1, "m": 1, "re": 2.0 * 2.0 * math.sqrt(6.0 * math.pi)},
+            {"n": 1, "m": 0, "re": -1.0 * 2.0 * math.sqrt(3.0 * math.pi)},
+        ],
+        "output_dir": str(tmp_path / "red"),
     }
 
 
@@ -120,11 +136,10 @@ class TestManifests:
             b = (tmp_path / "out2" / name).read_bytes()
             assert a == b
 
-    def test_one_jet_scenario(self, tmp_path):
+    def test_one_jet_scenario(self, tmp_path, capsys):
         doc = {
             "scenario": "one_jet",
-            "cfg": {"nu": 0.5, "amplitude": 1.0, "N": 8, "t_end": 0.5, "snapshot_stride": 20,
-                    "jet_order": "one_jet"},
+            "cfg": {"nu": 0.5, "amplitude": 1.0, "N": 8, "t_end": 0.5, "snapshot_stride": 20},
             "init": [{"n": 2, "m": 0, "re": 0.01, "im": 0.0}],
             "output_dir": str(tmp_path / "oj"),
         }
@@ -132,6 +147,11 @@ class TestManifests:
         assert code == 0
         names = [c["name"] for c in report["checks"]]
         assert "degree_ge2_decay" in names
+        # The scenario names the flow; a cfg.jet_order, even the scenario's own, is a key no run reads.
+        aliased = {**doc, "cfg": {**doc["cfg"], "jet_order": "one_jet"}, "output_dir": str(tmp_path / "alias")}
+        assert main(["run", str(write_manifest(tmp_path, aliased))]) == 2
+        assert "cfg has key(s) no run reads: 'jet_order'" in capsys.readouterr().err
+        assert not (tmp_path / "alias").exists()
 
     def test_rotating_scenario(self, tmp_path):
         doc = {
@@ -230,20 +250,20 @@ class TestManifests:
             ({**base, "Omega": 2.0}, "'Omega'"),
             ({**base, "cfg": {**base["cfg"], "Omega": 2.0}}, "'Omega'"),
             ({**base, "lmax": 8}, "'lmax'"),
-            ({**base, "cfg": {**base["cfg"], "jet_order": "one_jet"}}, "jet_order 'one_jet'"),
+            ({**base, "cfg": {**base["cfg"], "jet_order": "one_jet"}}, "cfg has key(s) no run reads: 'jet_order'"),
+            ({**base, "cfg": {**base["cfg"], "jet_order": "two_jet"}}, "cfg has key(s) no run reads: 'jet_order'"),
             ({**base, "scenario": "rotating", "Omega": 1.0, "cfg": {**base["cfg"], "jet_order": "one_jet"}},
-             "jet_order 'one_jet'"),
+             "cfg has key(s) no run reads: 'jet_order'"),
             ({**red, "cfg": {**red["cfg"], "t_end": 1.0}}, "'t_end'"),
             ({**red, "cfg": {**red["cfg"], "jet_order": "two_jet"}}, "'jet_order'"),
             ({**red, "Omega": 1.0}, "'Omega'"),
             ({**oracles, "init": base["init"]}, "'init'"),
             ({**oracles, "cfg": {"N": 8, "nu": 1.0}}, "'nu'"),
+            ({**oracles, "lmax": None, "cfg": {"N": 6.2}}, "cfg has key(s) no run reads: 'N'"),
         ]:
             assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, named
             assert named in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
-        code, _ = run_manifest({**base, "cfg": {**base["cfg"], "jet_order": "two_jet"}})
-        assert code == 0
 
     def test_top_level_rejection_writes_nothing(self, tmp_path):
         base = two_jet_manifest(tmp_path)
@@ -266,16 +286,22 @@ class TestManifests:
         (tmp_path / "unreadable.json").write_text("{not json")
         red = {"scenario": "reduced_only", "cfg": {"nu": math.nan, "amplitude": 1.0, "N": 4},
                "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "out")}
+        (tmp_path / "degree8.json").write_text(json.dumps({"N": 8, "coeffs": base["init"]}))
         for doc, named in [
             ({"scenario": "two_jet", "cfg": {}, "output_dir": str(tmp_path / "out")}, "'nu'"),
             ({**base, "cfg": cfg}, "'nu'"),
             ({**base, "scenario": "rotating", "Omega": math.nan}, "Omega must be finite"),
             ({**base, "init": str(tmp_path / "unreadable.json")}, "bad initial field"),
             ({**base, "init": str(tmp_path / "missing.json")}, "bad initial field"),
+            ({**base, "init": {"path": str(tmp_path / "degree8.json")}}, "not {'path': "),
+            ({**base, "init": str(tmp_path / "degree8.json"), "cfg": {**base["cfg"], "N": 16}},
+             "initial condition degree 8 != configured N 16"),
             (red, "nu must be"),
-            ({"scenario": "identity_oracles", "cfg": {"N": 6.5}, "output_dir": str(tmp_path / "out")}, "N must be"),
+            ({"scenario": "identity_oracles", "cfg": {"N": 6.5}, "output_dir": str(tmp_path / "out")},
+             "cfg has key(s) no run reads: 'N'"),
             ({"scenario": "identity_oracles", "lmax": 3, "output_dir": str(tmp_path / "out")}, "lmax >= 4"),
-            ({"scenario": "identity_oracles", "cfg": {"N": 3}, "output_dir": str(tmp_path / "out")}, "lmax >= 4"),
+            ({"scenario": "identity_oracles", "cfg": {"N": 3}, "output_dir": str(tmp_path / "out")},
+             "cfg has key(s) no run reads: 'N'"),
         ]:
             assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, named
             assert named in capsys.readouterr().err
@@ -405,7 +431,6 @@ class TestMain:
             ({**base, "cfg": {**base["cfg"], "snapshot_stride": True}}, "snapshot_stride"),
             ({**base, "seed": 7.5}, "seed"),
             ({**oracles, "lmax": 8.5}, "lmax"),
-            ({**oracles, "lmax": None, "cfg": {"N": 6.2}}, "N"),
             ({"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4.5},
               "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "red")}, "N"),
         ]:
@@ -501,10 +526,16 @@ class TestMain:
         assert "cannot read" in capsys.readouterr().err
 
     def test_init_missing_file_exit_2(self, tmp_path, capsys):
-        for init in (str(tmp_path / "missing.json"), {"path": str(tmp_path / "missing.json")}):
-            path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": init})
-            assert main(["run", str(path)]) == 2
-            assert "configuration error: bad initial field" in capsys.readouterr().err
+        path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": str(tmp_path / "missing.json")})
+        assert main(["run", str(path)]) == 2
+        assert "configuration error: bad initial field" in capsys.readouterr().err
+        # A field file is named by its path alone; {"path": ...} is not an init form.
+        path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": {"path": str(tmp_path / "missing.json")}})
+        assert main(["run", str(path)]) == 2
+        assert "configuration error: init must be an inline coefficient list or a file path, not {'path': " in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_init_file_degree_out_of_range_exit_2(self, tmp_path, capsys):
         field_path = tmp_path / "init.json"
@@ -559,6 +590,32 @@ class TestMain:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["closed_form"]["b"] == pytest.approx(1.0)
+
+    def test_equilibrium_cross_check_scales_with_the_equilibrium(self, tmp_path, capsys):
+        # nu = 0.01, a = 1000, alpha = 2, b = -1: |w_inf| is about 911, and the two
+        # routes differ by 3.2e-12 from round-off alone, 3.5e-15 relative.
+        path = write_manifest(tmp_path, large_equilibrium_manifest(tmp_path))
+        assert main(["run", str(path)]) == 0, capsys.readouterr().out
+        check = json.loads((tmp_path / "red" / "report.json").read_text())["checks"][0]
+        closed = json.loads((tmp_path / "red" / "equilibrium_closed_form.json").read_text())["omega_inf"]
+        assert check["tolerance"] == 1e-12 * np.linalg.norm([complex(z["re"], z["im"]) for z in closed])
+        assert 1e-12 < check["measured"] <= check["tolerance"]
+        capsys.readouterr()
+        assert main(LARGE_EQUILIBRIUM_ARGV) == 0
+        assert json.loads(capsys.readouterr().out)["max_difference"] == check["measured"]
+
+    def test_equilibrium_disagreement_exits_1(self, tmp_path, monkeypatch, capsys):
+        # A solve off by 1e-9 relative fails the scenario and the subcommand alike, at any amplitude.
+        solve = reduced_ode.equilibrium_solve
+        monkeypatch.setattr(reduced_ode, "equilibrium_solve", lambda system: solve(system) * (1.0 + 1e-9))
+        unit = {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4},
+                "init": [{"n": 1, "m": 1, "re": 2.0 * math.sqrt(6.0 * math.pi)}], "output_dir": str(tmp_path / "unit")}
+        for doc in (unit, large_equilibrium_manifest(tmp_path)):
+            assert main(["run", str(write_manifest(tmp_path, doc))]) == 1, doc
+            assert "[FAIL] equilibrium_cross_check" in capsys.readouterr().out
+        for argv in (["equilibrium", "--nu", "1", "--a", "1", "--alpha-re", "1", "--b", "0"], LARGE_EQUILIBRIUM_ARGV):
+            assert main(argv) == 1, argv
+            assert json.loads(capsys.readouterr().out)["max_difference"] > 1e-10
 
     def test_oracles_subcommand(self, capsys):
         assert main(["oracles", "--seed", "3", "--lmax", "6"]) == 0

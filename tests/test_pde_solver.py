@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field
+from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, snapshot_states
 from sphkol import pde_solver
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
@@ -262,18 +262,18 @@ class TestControlledSteps:
 
     def test_matches_fine_fixed_step_reference(self, grid16):
         omega0 = rand_field(16, seed=41, amplitude=0.5, decay=0.4)
-        cfg = SolverConfig(nu=0.5, amplitude=1.0, N=16, t_end=0.125, snapshot_stride=10, store_snapshots=True)
-        recs = run(omega0, cfg, grid16)
+        cfg = SolverConfig(nu=0.5, amplitude=1.0, N=16, t_end=0.125, snapshot_stride=10)
+        states = snapshot_states(omega0, cfg, grid16)
         _, lattice_dt, _ = lattice(omega0, cfg, grid16)
         fine = SolverConfig(
             nu=0.5, amplitude=1.0, N=16, t_end=cfg.t_end, dt=lattice_dt / 4,
-            snapshot_stride=4 * cfg.snapshot_stride, store_snapshots=True,
+            snapshot_stride=4 * cfg.snapshot_stride,
         )
-        ref = run(omega0, fine, grid16)
-        assert len(ref) == len(recs)
-        for got, want in zip(recs, ref):
-            assert got.t == pytest.approx(want.t, rel=1e-14)
-            assert (got.snapshot - want.snapshot).norm() <= 1e-9 * want.snapshot.norm()
+        ref = snapshot_states(omega0, fine, grid16)
+        assert len(ref) == len(states)
+        for (t, got), (t_ref, want) in zip(states, ref):
+            assert t == pytest.approx(t_ref, rel=1e-14)
+            assert (got - want).norm() <= 1e-9 * want.norm()
 
     def test_embedded_estimate_is_fourth_order(self, grid8):
         omega0 = rand_field(8, seed=303, amplitude=0.8, decay=0.4, degrees=range(1, 6))
@@ -291,16 +291,17 @@ class TestControlledSteps:
         omega0 = rand_field(8, seed=51, amplitude=0.6, decay=0.4)
         dt = 0.01
         cfg = two_jet_cfg(
-            t_end=0.05, dt=dt, snapshot_stride=100, store_snapshots=True,
+            t_end=0.05, dt=dt, snapshot_stride=100,
             jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
         )
         stepper = Stepper(cfg, grid8, dt)
         state = omega0
         for _ in range(5):
             state = classic_step(stepper.nonlinear, linear_diffusion_factors(8, cfg.nu), state, dt)
+        _, last = snapshot_states(omega0, cfg, grid8)[-1]
         calls = count_nonlinear(monkeypatch)
         recs = run(omega0, cfg, grid8)
-        assert np.array_equal(recs[-1].snapshot.coeffs, state.coeffs)
+        assert np.array_equal(last.coeffs, state.coeffs)
         assert (recs[-1].steps, recs[-1].rejected) == (5, 0)
         assert len(calls) == 4 * 5  # no stage beyond the four of each step
 
@@ -359,10 +360,9 @@ class TestRun:
 
     def test_reality_preserved(self, grid8):
         omega0 = rand_field(8, seed=6, amplitude=0.6)
-        cfg = two_jet_cfg(nu=0.5, t_end=0.5, snapshot_stride=50, store_snapshots=True)
-        recs = run(omega0, cfg, grid8)
-        for rec in recs:
-            assert_real_field_layout(rec.snapshot)
+        cfg = two_jet_cfg(nu=0.5, t_end=0.5, snapshot_stride=50)
+        for _, state in snapshot_states(omega0, cfg, grid8):
+            assert_real_field_layout(state)
 
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_reality_exact_by_construction(self, grid8, flow):
@@ -372,11 +372,11 @@ class TestRun:
         omega0 = rand_field(8, seed=12, amplitude=0.6, decay=0.4)
         jet_order = "one_jet" if flow == "one_jet" else "two_jet"
         Omega = 2.0 if flow == "rotating" else 0.0
-        cfg = two_jet_cfg(t_end=0.3, snapshot_stride=3, jet_order=jet_order, store_snapshots=True, Omega=Omega)
-        recs = run(omega0, cfg, grid8)
-        assert len(recs) > 10
-        for rec in recs:
-            assert_real_field_layout(rec.snapshot)
+        cfg = two_jet_cfg(t_end=0.3, snapshot_stride=3, jet_order=jet_order, Omega=Omega)
+        states = snapshot_states(omega0, cfg, grid8)
+        assert len(states) > 10
+        for _, state in states:
+            assert_real_field_layout(state)
 
     def test_high_degree_bound_generic(self, grid8):
         omega0 = rand_field(8, seed=7, amplitude=0.5, decay=0.4)
@@ -468,7 +468,6 @@ def assert_same_records(got, want):
         assert (a.t, a.norm_eq1, a.norm_eq2_dist, a.norm_ge3) == (b.t, b.norm_eq1, b.norm_eq2_dist, b.norm_ge3)
         assert np.array_equal(a.mode2, b.mode2) and np.array_equal(a.mode1, b.mode1)
         assert (a.steps, a.rejected) == (b.steps, b.rejected)
-        assert np.array_equal(a.snapshot.coeffs, b.snapshot.coeffs)
 
 
 class TestLatticeDriver:
@@ -476,14 +475,14 @@ class TestLatticeDriver:
 
     def test_coupling_run_records_equal_run(self, grid8):
         omega0 = rand_field(8, seed=81, amplitude=0.5, decay=0.4)
-        cfg = two_jet_cfg(t_end=0.1, dt=0.01, snapshot_stride=3, store_snapshots=True)
+        cfg = two_jet_cfg(t_end=0.1, dt=0.01, snapshot_stride=3)
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
         assert_same_records(recs, run(omega0, cfg, grid8))
         assert coupling.times.tolist() == [k * 0.01 for k in range(11)]
 
     def test_coupling_run_without_dt_steps_on_the_lattice(self, grid8):
         omega0 = rand_field(8, seed=82, amplitude=0.5, decay=0.4)
-        cfg = two_jet_cfg(t_end=0.1, snapshot_stride=3, store_snapshots=True)
+        cfg = two_jet_cfg(t_end=0.1, snapshot_stride=3)
         nsteps, dt, _ = lattice(omega0, cfg, grid8)
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
         assert coupling.times.tolist() == [k * dt for k in range(nsteps + 1)]  # bitwise
@@ -494,16 +493,18 @@ class TestLatticeDriver:
     def test_records_read_their_snapshot(self, grid8, flow):
         omega0 = rand_field(8, seed=83, amplitude=0.6, decay=0.4)
         cfg = two_jet_cfg(
-            t_end=0.2, snapshot_stride=3, store_snapshots=True,
+            t_end=0.2, snapshot_stride=3,
             jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
         )
         recs = run(omega0, cfg, grid8)
-        assert len(recs) > 2
-        for rec in recs:
-            assert rec.norm_eq1 == degree_norm(rec.snapshot, 1)
-            assert rec.norm_ge3 == highpass_norm(rec.snapshot, 3)
-            assert np.array_equal(rec.mode1, mode1_vector(rec.snapshot))
-            assert np.array_equal(rec.mode2, rec.snapshot.mode2_vector())
+        states = snapshot_states(omega0, cfg, grid8)
+        assert len(recs) == len(states) > 2
+        for rec, (t, state) in zip(recs, states):
+            assert rec.t == t
+            assert rec.norm_eq1 == degree_norm(state, 1)
+            assert rec.norm_ge3 == highpass_norm(state, 3)
+            assert np.array_equal(rec.mode1, mode1_vector(state))
+            assert np.array_equal(rec.mode2, state.mode2_vector())
 
 
 class TestTrajectoryCsv:

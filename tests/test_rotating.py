@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_field
+from conftest import rand_field, snapshot_states
 from refimpl import ynm_reference
 from sphkol.operators import KillingParams, linear_part
 from sphkol.oracles import frame_map, integrate, synthesize_complex
@@ -114,11 +114,11 @@ class TestRotatingEquilibrium:
 class TestRunRotating:
     def test_zero_rotation_bitwise_identical(self, grid8):
         zeta0 = rand_field(8, seed=9, amplitude=0.4)
-        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, snapshot_stride=16, store_snapshots=True)
-        plain = run(zeta0, cfg, grid8)
-        rotated = run_in_frame(zeta0, cfg, grid8, 0.0)
-        for a, b in zip(plain, rotated):
-            assert np.array_equal(a.snapshot.coeffs, b.snapshot.coeffs)
+        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, snapshot_stride=16)
+        plain = snapshot_states(zeta0, cfg, grid8)
+        rotated = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=0.0), grid8)
+        for (_, a), (_, b) in zip(plain, rotated):
+            assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_degree_one_phase_law(self, grid8):
         zeta0 = SpectralField.zeros(8)
@@ -135,12 +135,12 @@ class TestRunRotating:
     def test_frame_equivalence(self, grid12):
         zeta0 = rand_field(12, seed=10, amplitude=0.4, decay=0.45)
         nu, Omega = 1.0, 2.0
-        cfg = SolverConfig(nu=nu, amplitude=1.0, N=12, t_end=1.0, snapshot_stride=128, store_snapshots=True)
-        rot = run_in_frame(zeta0, cfg, grid12, Omega)
-        direct = run(frame_map(zeta0, Omega, 0.0), cfg, grid12)
-        for rr, rd in zip(rot, direct):
-            mapped = frame_map(rr.snapshot, Omega, rr.t)
-            assert (mapped - rd.snapshot).norm() < 1e-9
+        cfg = SolverConfig(nu=nu, amplitude=1.0, N=12, t_end=1.0, snapshot_stride=128)
+        rot = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=Omega), grid12)
+        direct = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid12)
+        for (t, rr), (_, rd) in zip(rot, direct):
+            mapped = frame_map(rr, Omega, t)
+            assert (mapped - rd).norm() < 1e-9
 
     def test_degree_two_distance_decays_at_4nu_without_high_degrees(self, grid8):
         zeta0 = SpectralField.zeros(8)
