@@ -7,12 +7,15 @@ Subcommands:
     oracles                  randomized integral-identity suites (sphkol.oracles)
 
 sphkol.oracles is imported only by the oracles subcommand and the
-identity_oracles scenario, which needs lmax >= oracles.MIN_LMAX.
+identity_oracles scenario.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
-A non-empty SPHKOL_OUT overrides the manifest's output directory; an empty
-one counts as unset.
+Each input is checked once, by the code that reads it.  A scenario computes
+everything before run_manifest creates its output directory, so a run that
+fails writes nothing; a directory or file that cannot be written is a
+configuration error.  A non-empty SPHKOL_OUT overrides the manifest's output
+directory; an empty one counts as unset.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import pde_solver, reduced_ode
 from .harmonics import build_grid
 from .operators import KillingParams
-from .pde_solver import IntegrationError, SolverConfig, write_trajectory_csv
+from .pde_solver import IntegrationError, SolverConfig, trajectory_csv
 from .serialize import dumps17
 from .sht import MeanModeError, SpectralField
 
@@ -149,7 +152,7 @@ def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
 
 
 def _checked(doc) -> dict:
-    """The manifest with its top level and keys checked; Omega (0 unless rotating), seed and inputs parsed."""
+    """The manifest with its top level and keys checked; Omega (0 unless rotating) and seed parsed."""
     if not isinstance(doc, dict) or doc.get("scenario") not in SCENARIOS:
         raise ManifestError(f"scenario must be one of {SCENARIOS}")
     scenario = doc["scenario"]
@@ -170,39 +173,7 @@ def _checked(doc) -> dict:
         Omega = float(doc.get("Omega", 0.0))
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"Omega must be a number: {exc}") from exc
-    parsed = {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed")}
-    return {**parsed, **_scenario_inputs(parsed)}
-
-
-def _scenario_inputs(doc: dict) -> dict:
-    """What the scenario reads from cfg and init, parsed before its output directory exists.
-
-    Flow scenarios get their SolverConfig ("solver") and initial field
-    ("omega0") of degree N; reduced_only its two equilibrium reports and their
-    cross-check, which check nu and the amplitude; identity_oracles its degree
-    ("lmax", 16 when left out), at least oracles.MIN_LMAX.
-    """
-    scenario, cfg = doc["scenario"], doc["cfg"]
-    if scenario in JET_ORDER:
-        solver = _solver_config(cfg, JET_ORDER[scenario], doc["Omega"])
-        omega0 = _parse_init(doc.get("init"), solver.N)
-        if omega0.N != solver.N:
-            raise ManifestError(f"initial condition degree {omega0.N} != configured N {solver.N}")
-        return {"solver": solver, "omega0": omega0}
-    if scenario == "reduced_only":
-        try:
-            nu, amplitude = float(cfg["nu"]), float(cfg["amplitude"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
-        params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
-        reports, check = _equilibrium_cross_check(params, amplitude, nu)
-        return {"reports": reports, "check": check}
-    from .oracles import MIN_LMAX
-
-    lmax = _integer(16 if doc.get("lmax") is None else doc["lmax"], "lmax")
-    if lmax < MIN_LMAX:
-        raise ManifestError(f"identity_oracles needs lmax >= {MIN_LMAX}, got {lmax}")
-    return {"lmax": lmax}
+    return {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed")}
 
 
 def load_manifest(path) -> dict:
@@ -274,9 +245,16 @@ def _envelope_margin(records, nu: float) -> float | None:
     )
 
 
-def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
+# A scenario runner maps the checked manifest to (report body, outputs): the body
+# holds the checks and names each file by its role; outputs maps each file name
+# to its text or to a JSON document.
+
+
+def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
     """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files, step counts and grid shape."""
-    scenario, Omega, cfg, omega0 = doc["scenario"], doc["Omega"], doc["solver"], doc["omega0"]
+    scenario, Omega = doc["scenario"], doc["Omega"]
+    cfg = _solver_config(doc["cfg"], JET_ORDER[scenario], Omega)
+    omega0 = _parse_init(doc.get("init"), cfg.N)
     grid = build_grid(cfg.N)
     records = pde_solver.run(omega0, cfg, grid)
     params = KillingParams.from_field(omega0)
@@ -284,7 +262,7 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     if scenario == "rotating":
         header = f"Omega={Omega:.17g}"
         params = reduced_ode.rotating_frame_params(params, Omega)
-    write_trajectory_csv(records, outdir / "trajectory.csv", header_comment=header)
+    outputs = {"trajectory.csv": trajectory_csv(records, header_comment=header)}
     files = {"trajectory": "trajectory.csv"}
     steps = {
         "mode": "fixed" if cfg.dt is not None else "controlled",
@@ -304,7 +282,7 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
     if scenario == "one_jet":
         ge2 = _decay_margin(records, 4.0 * cfg.nu, lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3))
         checks.append(_check("degree_ge2_decay", ge2, 1e-6))
-        return {"checks": checks, "files": files, "steps": steps, "grid": shape}
+        return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
 
     checks.append(
         _check("degree_ge3_decay", _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3), 1e-6)
@@ -317,10 +295,10 @@ def _run_flow_scenario(doc: dict, outdir: Path) -> dict:
             note="run ends before t = 1/nu",
         )
     )
-    report = reduced_ode.equilibrium_report(params, cfg.amplitude, cfg.nu, "closed_form")
-    (outdir / "equilibrium.json").write_text(dumps17(report, indent=2) + "\n")
+    system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
+    outputs["equilibrium.json"] = reduced_ode.equilibrium_report(system, params, cfg.amplitude, "closed_form")
     files["equilibrium"] = "equilibrium.json"
-    return {"checks": checks, "files": files, "steps": steps, "grid": shape}
+    return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
 
 
 def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, dict]:
@@ -329,7 +307,8 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
     The difference is the vector norm of the two 5-vectors' difference, held
     to 1e-12 max(1, |closed form|): round-off grows with the equilibrium.
     """
-    reports = {m: reduced_ode.equilibrium_report(params, amplitude, nu, m) for m in ("closed_form", "solve")}
+    system = reduced_ode.build_system(params, amplitude, nu)
+    reports = {m: reduced_ode.equilibrium_report(system, params, amplitude, m) for m in ("closed_form", "solve")}
     cf, sv = (np.array([complex(z["re"], z["im"]) for z in rep["omega_inf"]]) for rep in reports.values())
     tolerance = 1e-12 * max(1.0, float(np.linalg.norm(cf)))
     return reports, _check("equilibrium_cross_check", float(np.linalg.norm(cf - sv)), tolerance)
@@ -343,35 +322,47 @@ def _oracle_checks(seed: int, lmax: int) -> tuple[dict, list[dict]]:
     return residuals, [_check(name, value, 1e-10) for name, value in residuals.items()]
 
 
-def _run_reduced_scenario(doc: dict, outdir: Path) -> dict:
-    files = {}
-    for method, rep in doc["reports"].items():
-        files[method] = f"equilibrium_{method}.json"
-        (outdir / files[method]).write_text(dumps17(rep, indent=2) + "\n")
-    return {"checks": [doc["check"]], "files": files}
+def _run_reduced_scenario(doc: dict) -> tuple[dict, dict]:
+    """The closed-form and solved equilibria of the init's degree-1 data, and their cross-check."""
+    cfg = doc["cfg"]
+    try:
+        nu, amplitude = float(cfg["nu"]), float(cfg["amplitude"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
+    params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
+    reports, check = _equilibrium_cross_check(params, amplitude, nu)
+    files = {method: f"equilibrium_{method}.json" for method in reports}
+    return {"checks": [check], "files": files}, {files[method]: rep for method, rep in reports.items()}
 
 
-def _run_oracles_scenario(doc: dict, outdir: Path) -> dict:
-    residuals, checks = _oracle_checks(doc["seed"], doc["lmax"])
-    (outdir / "oracle_residuals.json").write_text(dumps17(residuals, indent=2) + "\n")
-    return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}
+def _run_oracles_scenario(doc: dict) -> tuple[dict, dict]:
+    """The identity-oracle residuals at degree lmax (16 when left out)."""
+    lmax = _integer(16 if doc.get("lmax") is None else doc["lmax"], "lmax")
+    residuals, checks = _oracle_checks(doc["seed"], lmax)
+    return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}, {"oracle_residuals.json": residuals}
 
 
 def run_manifest(manifest) -> tuple[int, dict]:
     """Execute a manifest (dict or path); returns (exit_code, report).
 
-    A manifest rejected for its keys, cfg, init or lmax leaves no output directory behind.
+    The output directory is created only once the scenario has computed all
+    it writes, so a run that fails writes nothing.
     """
     doc = _checked(manifest if isinstance(manifest, dict) else load_manifest(manifest))
-    outdir = Path(os.environ.get("SPHKOL_OUT") or doc["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     runner = {"reduced_only": _run_reduced_scenario, "identity_oracles": _run_oracles_scenario}
-    body = runner.get(doc["scenario"], _run_flow_scenario)(doc, outdir)
+    body, outputs = runner.get(doc["scenario"], _run_flow_scenario)(doc)
 
     report = {"scenario": doc["scenario"], "seed": doc["seed"], **body}
     report["all_pass"] = all(c["pass"] for c in body["checks"])
-    (outdir / "report.json").write_text(dumps17(report, indent=2) + "\n")
+    outputs["report.json"] = report
+    outdir = Path(os.environ.get("SPHKOL_OUT") or doc["output_dir"])
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            text = content if isinstance(content, str) else dumps17(content, indent=2) + "\n"
+            (outdir / name).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ManifestError(f"cannot write output to {outdir}: {exc}") from exc
     return (0 if report["all_pass"] else 1), report
 
 

@@ -223,7 +223,7 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     closed-form degree-2 rotation table, and the tangent-basis identities.
     """
     if lmax < MIN_LMAX:
-        raise ValueError(f"oracle suites need lmax >= {MIN_LMAX}")
+        raise ValueError(f"oracle suites need lmax >= {MIN_LMAX}, got {lmax}")
     rng = np.random.default_rng(seed)
     grid = build_grid(lmax)
     res: dict[str, float] = {}

@@ -255,15 +255,22 @@ def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGr
         yield t, state, k, 0, k % cfg.snapshot_stride == 0 or k == nsteps
 
 
-def _record(cfg: SolverConfig, params: KillingParams | None, t, state, steps, rejected) -> TrajectoryRecord:
-    """Snapshot diagnostics off one +-m table; params None stands for the one-jet attractor, zero."""
+def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
+    """A run's static degree-2 attractor: zero for one-jet, else the closed form of omega0's rotating_frame_params."""
+    if cfg.jet_order != "two_jet":
+        return np.zeros(5, dtype=complex)
+    params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), cfg.Omega)
+    return reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
+
+
+def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected) -> TrajectoryRecord:
+    """Snapshot diagnostics off one +-m table; the attractor turns by exp(i m Omega t) in a rotating frame."""
     table, N = state.full_table(), cfg.N
     mode2 = table[2, N - 2 : N + 3][::-1].copy()  # m = 2, 1, 0, -1, -2
-    w_inf = 0.0 if params is None else reduced_ode.rotating_equilibrium(params, cfg.amplitude, cfg.nu, cfg.Omega, t)
     return TrajectoryRecord(
         t=t,
         norm_eq1=float(np.linalg.norm(table[1])),
-        norm_eq2_dist=float(np.linalg.norm(mode2 - w_inf)),
+        norm_eq2_dist=float(np.linalg.norm(mode2 - attractor * reduced_ode.frame_phases(cfg.Omega, t))),
         norm_ge3=float(np.linalg.norm(table[3:])),
         mode2=mode2,
         mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
@@ -274,9 +281,9 @@ def _record(cfg: SolverConfig, params: KillingParams | None, t, state, steps, re
 
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[TrajectoryRecord]:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
-    params = KillingParams.from_field(omega0) if cfg.jet_order == "two_jet" else None
+    attractor = _attractor(omega0, cfg)
     return [
-        _record(cfg, params, t, state, steps, rejected)
+        _record(cfg, attractor, t, state, steps, rejected)
         for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid)
         if is_snapshot
     ]
@@ -296,7 +303,7 @@ def run_with_coupling(
         )
     if cfg.dt is None:
         cfg = replace(cfg, dt=min(cfg.t_end, default_dt(omega0, cfg, grid)))
-    params = KillingParams.from_field(omega0)
+    attractor = _attractor(omega0, cfg)
     records, times, M, f = [], [], [], []
     for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid):
         M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
@@ -304,24 +311,17 @@ def run_with_coupling(
         M.append(M_t)
         f.append(f_t)
         if is_snapshot:
-            records.append(_record(cfg, params, t, state, steps, rejected))
+            records.append(_record(cfg, attractor, t, state, steps, rejected))
     return records, CouplingSeries(times=np.array(times), M=np.array(M), f=np.array(f))
 
 
-def write_trajectory_csv(records, path, header_comment: str | None = None):
-    """Write snapshot diagnostics; 17-significant-digit floats, LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for rec in records:
-            cells = [
-                format_float(rec.t),
-                format_float(rec.norm_eq1),
-                format_float(rec.norm_eq2_dist),
-                format_float(rec.norm_ge3),
-            ]
-            for z in rec.mode2:
-                cells.append(format_float(z.real))
-                cells.append(format_float(z.imag))
-            fh.write(",".join(cells) + "\n")
+def trajectory_csv(records, header_comment: str | None = None) -> str:
+    """Snapshot diagnostics as CSV text: 17-significant-digit floats, LF line ends."""
+    lines = [] if header_comment is None else [f"# {header_comment}"]
+    lines.append(TRAJECTORY_HEADER)
+    for rec in records:
+        values = [rec.t, rec.norm_eq1, rec.norm_eq2_dist, rec.norm_ge3]
+        for z in rec.mode2:
+            values += [z.real, z.imag]
+        lines.append(",".join(format_float(v) for v in values))
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +34,11 @@ class ReducedSystem:
     A: np.ndarray
     c: np.ndarray
     nu: float
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """The constant linear operator 4 nu I + i A, so that dw/dt = -operator w + c unforced."""
+        return 4.0 * self.nu * np.eye(5, dtype=complex) + 1j * self.A
 
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.A - self.A.conj().T)))
@@ -74,9 +79,8 @@ def build_system(params: KillingParams, amplitude: float, nu: float) -> ReducedS
 
 def equilibrium_solve(sys: ReducedSystem) -> np.ndarray:
     """Equilibrium as the direct linear solve (4 nu I + i A) w = c."""
-    mat = 4.0 * sys.nu * np.eye(5, dtype=complex) + 1j * sys.A
-    w = np.linalg.solve(mat, sys.c)
-    resid = np.linalg.norm(mat @ w - sys.c)
+    w = np.linalg.solve(sys.operator, sys.c)
+    resid = np.linalg.norm(sys.operator @ w - sys.c)
     scale = np.linalg.norm(sys.c)
     if scale > 0 and resid > 1e-12 * scale:
         raise ArithmeticError(f"equilibrium solve residual {resid:.3e} exceeds tolerance")
@@ -103,23 +107,11 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     """Degree-1 data with the rigid rotation 2 Omega cos(theta) added: b -> b + 2 Omega / 3.
 
     The static equilibrium of these parameters is the rotating-frame attractor
-    at t = 0.
+    at t = 0; at time t it has turned mode-wise by frame_phases(Omega, t).
     """
     if not math.isfinite(Omega):
         raise ValueError("Omega must be finite")
     return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
-
-
-def rotating_equilibrium(
-    params: KillingParams, amplitude: float, nu: float, Omega: float, t: float
-) -> np.ndarray:
-    """Degree-2 attractor of the two-jet flow in a frame rotating at Omega, at time t.
-
-    The static equilibrium of rotating_frame_params rotates mode-wise with
-    phases exp(i m Omega t); Omega = 0 gives the static equilibrium.
-    """
-    w_inf = equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu)
-    return w_inf * frame_phases(Omega, t)
 
 
 def frame_phases(Omega: float, t: float) -> np.ndarray:
@@ -170,10 +162,10 @@ def propagate_forced(
             f"coupling series must hold {expected} half-step samples; "
             f"got M {M_series.shape}, f {f_series.shape}"
         )
-    base = 4.0 * sys.nu * np.eye(5, dtype=complex) + 1j * sys.A
+    operator = sys.operator
 
     def rhs(idx, w):
-        return -(base + M_series[idx]) @ w + f_series[idx] + sys.c
+        return -(operator + M_series[idx]) @ w + f_series[idx] + sys.c
 
     out = np.empty((nsteps + 1, 5), dtype=complex)
     w = np.asarray(w0, dtype=complex).copy()
@@ -246,21 +238,17 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     return G[0][:, N + mu], f
 
 
-def equilibrium_report(
-    params: KillingParams, amplitude: float, nu: float, method: str = "closed_form"
-) -> dict:
-    """JSON-ready equilibrium record for one parameter point."""
-    sys = build_system(params, amplitude, nu)
+def equilibrium_report(sys: ReducedSystem, params: KillingParams, amplitude: float, method: str) -> dict:
+    """JSON-ready equilibrium record of sys = build_system(params, amplitude, nu) by one route."""
     if method == "closed_form":
-        w = equilibrium_closed_form(params, amplitude, nu)
+        w = equilibrium_closed_form(params, amplitude, sys.nu)
     elif method == "solve":
         w = equilibrium_solve(sys)
     else:
         raise ValueError(f"unknown method {method!r}")
-    mat = 4.0 * nu * np.eye(5, dtype=complex) + 1j * sys.A
-    residual = float(np.linalg.norm(mat @ w - sys.c))
+    residual = float(np.linalg.norm(sys.operator @ w - sys.c))
     return {
-        "nu": float(nu),
+        "nu": float(sys.nu),
         "a": float(amplitude),
         "alpha": {"re": params.alpha.real, "im": params.alpha.imag},
         "b": float(params.b),

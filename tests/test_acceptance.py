@@ -27,7 +27,7 @@ from sphkol.reduced_ode import (
     equilibrium_solve,
     propagate_exact,
     propagate_forced,
-    rotating_equilibrium,
+    rotating_frame_params,
 )
 from sphkol.sht import GridField, SpectralField, analyze, synthesize
 
@@ -259,7 +259,7 @@ def test_criterion_11_rotating_equivalence():
     diff = (mapped - direct_state).norm()
 
     p = KillingParams(alpha=1.0 + 0j, b=0.0)
-    eq_rot = rotating_equilibrium(p, 1.0, 1.0, 1.5, 0.0)
+    eq_rot = equilibrium_closed_form(rotating_frame_params(p, 1.5), 1.0, 1.0)  # the attractor at t = 0
     eq_b1 = equilibrium_closed_form(KillingParams(alpha=1.0 + 0j, b=1.0), 1.0, 1.0)
     eq_diff = float(np.max(np.abs(eq_rot - eq_b1)))
     ok = diff < 1e-7 and eq_diff < 1e-12

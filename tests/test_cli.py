@@ -117,7 +117,9 @@ class TestManifests:
         code, report = run_manifest(doc)
         assert code == 0
         out = tmp_path / "out"
-        lines = (out / "trajectory.csv").read_text().splitlines()
+        raw = (out / "trajectory.csv").read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().splitlines()
         assert lines[0] == TRAJECTORY_HEADER
         eq = json.loads((out / "equilibrium.json").read_text())
         assert eq["method"] == "closed_form"
@@ -500,6 +502,17 @@ class TestMain:
         doc["init"] = [{"n": 3, "m": 1, "re": 1e200, "im": 0.0}]
         assert main(["run", str(write_manifest(tmp_path, doc))]) == 3
         assert "numerical failure (IntegrationError): step size fell below" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_dir_exit_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("a regular file")
+        for target in (tmp_path / "file" / "out", tmp_path / "file"):
+            doc = {**two_jet_manifest(tmp_path), "output_dir": str(target)}
+            assert main(["run", str(write_manifest(tmp_path, doc))]) == 2, target
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: cannot write output to {target}: "), err
+            assert err.count("\n") == 1, err
+        assert (tmp_path / "file").read_text() == "a regular file"
 
     def test_fit_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

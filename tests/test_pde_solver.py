@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, snapshot_states
-from sphkol import pde_solver
+from sphkol import pde_solver, reduced_ode
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
 from sphkol.oracles import apply_degree_multiplier, velocity_values
@@ -18,7 +18,7 @@ from sphkol.pde_solver import (
     linear_diffusion_factors,
     run,
     run_with_coupling,
-    write_trajectory_csv,
+    trajectory_csv,
 )
 from sphkol.reduced_ode import build_system, propagate_exact, propagate_forced
 from sphkol.sht import SpectralField
@@ -429,6 +429,27 @@ class TestRun:
         final = recs[-1].mode2
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-7
 
+    @pytest.mark.parametrize("stride", [1, 5, 1000])
+    @pytest.mark.parametrize(
+        "flow, calls", [({}, 1), ({"Omega": 1.5}, 1), ({"jet_order": "one_jet"}, 0)], ids=["two_jet", "rotating", "one_jet"]
+    )
+    def test_attractor_computed_once_per_run(self, grid8, monkeypatch, flow, calls, stride):
+        closed_form, counted = reduced_ode.equilibrium_closed_form, []
+
+        def counting(*args):
+            counted.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(reduced_ode, "equilibrium_closed_form", counting)
+        omega0 = rand_field(8, seed=78, amplitude=0.4)
+        recs = run(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
+        assert len(recs) == 1 + math.ceil(10 / stride)
+        assert len(counted) == calls
+        if not flow:
+            counted.clear()
+            run_with_coupling(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride), grid8)
+            assert len(counted) == 1
+
     def test_coupling_rejects_one_jet(self, grid8):
         cfg = two_jet_cfg(t_end=0.01, jet_order="one_jet")
         with pytest.raises(ValueError, match="two_jet"):
@@ -508,24 +529,20 @@ class TestLatticeDriver:
 
 
 class TestTrajectoryCsv:
-    def test_format(self, grid8, tmp_path):
+    def test_format(self, grid8):
         cfg = two_jet_cfg(nu=0.5, t_end=0.2, snapshot_stride=20)
         recs = run(single(8, 3, 0, 0.01), cfg, grid8)
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(recs, path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        lines = raw.decode().splitlines()
+        text = trajectory_csv(recs)
+        assert "\r" not in text and text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == TRAJECTORY_HEADER
         assert len(lines) == 1 + len(recs)
         cells = lines[1].split(",")
         assert len(cells) == 14
         assert float(cells[3]) == pytest.approx(0.01)
 
-    def test_comment_line(self, grid8, tmp_path):
+    def test_comment_line(self, grid8):
         cfg = two_jet_cfg(t_end=0.1, snapshot_stride=100)
         recs = run(single(8, 1, 0), cfg, grid8)
-        path = tmp_path / "t.csv"
-        write_trajectory_csv(recs, path, header_comment="Omega=2")
-        first = path.read_text().splitlines()[0]
+        first = trajectory_csv(recs, header_comment="Omega=2").splitlines()[0]
         assert first == "# Omega=2"

@@ -172,7 +172,8 @@ class TestEquilibrium:
             assert lhs.real == pytest.approx(rhs, rel=1e-9)
 
     def test_report_schema(self):
-        rep = equilibrium_report(KillingParams(alpha=1.0, b=0.0), 1.0, 1.0, "solve")
+        params = KillingParams(alpha=1.0, b=0.0)
+        rep = equilibrium_report(build_system(params, 1.0, 1.0), params, 1.0, "solve")
         assert set(rep) == {"nu", "a", "alpha", "b", "omega_inf", "method", "residual"}
         assert len(rep["omega_inf"]) == 5
         assert rep["residual"] < 1e-12

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import rand_field, snapshot_states
 from refimpl import ynm_reference
+from sphkol.cli import run_manifest
 from sphkol.operators import KillingParams, linear_part
 from sphkol.oracles import frame_map, integrate, synthesize_complex
 from sphkol.pde_solver import SolverConfig, run
-from sphkol.reduced_ode import equilibrium_closed_form, rotating_equilibrium
+from sphkol.reduced_ode import equilibrium_closed_form, frame_phases, rotating_frame_params
 from sphkol.sht import SpectralField, synthesize
 
 
@@ -22,6 +23,11 @@ def single(N, n, m, value=1.0):
 def coriolis_term(zeta, Omega):
     """-2 Omega d_phi Lap^{-1} zeta: the linear part of a rotating two-jet run with no base flow."""
     return linear_part(zeta.N, "two_jet", 0.0, Omega).apply(zeta)
+
+
+def rotating_attractor(params, amplitude, nu, Omega, t):
+    """The degree-2 attractor in a frame rotating at Omega at time t, composed as pde_solver.run composes it."""
+    return equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu) * frame_phases(Omega, t)
 
 
 def run_in_frame(zeta0, cfg, grid, Omega):
@@ -93,32 +99,41 @@ class TestFrameMap:
 class TestRotatingEquilibrium:
     def test_zero_rotation_reduces_to_static(self):
         p = KillingParams(alpha=0.4 + 0.2j, b=0.6)
-        got = rotating_equilibrium(p, 1.0, 0.8, 0.0, 2.5)
+        got = rotating_attractor(p, 1.0, 0.8, 0.0, 2.5)
         want = equilibrium_closed_form(p, 1.0, 0.8)
         assert np.max(np.abs(got - want)) == 0.0
 
     def test_entrywise_modulus_constant_in_time(self):
         p = KillingParams(alpha=0.4 + 0.2j, b=0.6)
-        base = np.abs(rotating_equilibrium(p, 1.0, 0.8, 1.7, 0.0))
+        base = np.abs(rotating_attractor(p, 1.0, 0.8, 1.7, 0.0))
         for t in (0.3, 1.0, 4.0):
-            assert np.allclose(np.abs(rotating_equilibrium(p, 1.0, 0.8, 1.7, t)), base, atol=1e-14)
+            assert np.allclose(np.abs(rotating_attractor(p, 1.0, 0.8, 1.7, t)), base, atol=1e-14)
 
     def test_rotation_shifts_zonal_parameter(self):
         # zeta_{0,1}^0 = 0 with Omega = 3/2 matches the static closed form at b = 1
         p = KillingParams(alpha=1.0 + 0j, b=0.0)
-        got = rotating_equilibrium(p, 1.0, 1.0, 1.5, 0.0)
+        got = rotating_attractor(p, 1.0, 1.0, 1.5, 0.0)
         want = equilibrium_closed_form(KillingParams(alpha=1.0 + 0j, b=1.0), 1.0, 1.0)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestRunRotating:
-    def test_zero_rotation_bitwise_identical(self, grid8):
+    def test_zero_rotation_bitwise_identical(self, tmp_path):
+        # The rotating scenario at Omega = 0 writes what two_jet writes for the same manifest.
         zeta0 = rand_field(8, seed=9, amplitude=0.4)
-        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, snapshot_stride=16)
-        plain = snapshot_states(zeta0, cfg, grid8)
-        rotated = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=0.0), grid8)
-        for (_, a), (_, b) in zip(plain, rotated):
-            assert np.array_equal(a.coeffs, b.coeffs)
+        init = [
+            {"n": n, "m": m, "re": zeta0[n, m].real, "im": zeta0[n, m].imag} for n in range(1, 9) for m in range(n + 1)
+        ]
+        doc = {"cfg": {"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 0.25, "snapshot_stride": 16}, "init": init}
+        for scenario, extra in (("rotating", {"Omega": 0.0}), ("two_jet", {})):
+            code, _ = run_manifest({**doc, **extra, "scenario": scenario, "output_dir": str(tmp_path / scenario)})
+            assert code == 0, scenario
+        rotating = (tmp_path / "rotating" / "trajectory.csv").read_text().splitlines()
+        assert rotating[0] == "# Omega=0"
+        assert rotating[1:] == (tmp_path / "two_jet" / "trajectory.csv").read_text().splitlines()
+        assert len(rotating) > 3
+        equilibrium = [(tmp_path / scenario / "equilibrium.json").read_bytes() for scenario in ("rotating", "two_jet")]
+        assert equilibrium[0] == equilibrium[1]
 
     def test_degree_one_phase_law(self, grid8):
         zeta0 = SpectralField.zeros(8)
