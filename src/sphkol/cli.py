@@ -269,6 +269,7 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         "accepted": records[-1].steps,
         "rejected": records[-1].rejected,
         "rtol": None if cfg.dt is not None else pde_solver.STEP_RTOL,
+        "dt_lattice": pde_solver.lattice(omega0, cfg, grid)[1],
     }
     shape = {"n_theta": grid.n_theta, "n_phi": grid.n_phi}
 

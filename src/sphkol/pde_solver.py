@@ -4,24 +4,29 @@ Two-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(5/pi) cos(theta) d_phi (I + 
 One-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) w - u . grad w
 
 with u = n x grad Lap^{-1} w; a two-jet run in a frame rotating at Omega adds
-the Coriolis term -2 Omega d_phi Lap^{-1} w.  The diagonal diffusion is
-integrated exactly through an integrating factor; the rest, operators.linear_part
-and the convection, rides on classical RK4 stages (Lawson scheme), so zonal
-states decay exactly and degree-1 states are fixed points of the discrete map
-up to round-off.
+the Coriolis term -2 Omega d_phi Lap^{-1} w.  The diagonal diffusion D is
+integrated exactly through an integrating factor (Lawson schemes); the rest N,
+operators.linear_part and the convection, rides on explicit Runge-Kutta stages,
+so zonal states decay exactly and degree-1 states are fixed points of the
+discrete map up to round-off.
 
 Snapshots sit on a lattice of default_dt (or the given dt) rounded to
 t_end / nsteps, at every snapshot_stride-th lattice time and at the end.
 run and run_with_coupling read one generator of lattice states.  A given dt,
-which run_with_coupling always passes, steps on the lattice.  With dt = None
-the steps between snapshot times are error-controlled: the embedded
-third-order member of the RK4(3)IP pair (Balac & Mahe 2013) estimates the
-local error at no extra convection, since its last stage is the next step's
-first (FSAL).
+which run_with_coupling always passes, takes classical Lawson-RK4 steps on the
+lattice.  With dt = None the steps are error-controlled Lawson steps of the
+Dormand-Prince 5(4) pair (Dormand & Prince 1980), FSAL, on the deviation
+v = w - w* from the paper's attractor w* = w_1 + w_2^inf, which a rotating
+frame turns by exp(i m Omega t); its rate G(v) = N(w* + v) + (D - i m Omega) w*
+vanishes at v = 0, so the scheme keeps the attractor fixed.  Steps do not land
+on snapshot times: a snapshot inside a step is read off the Lawson form of the
+continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
+only the last step lands on the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -34,8 +39,39 @@ from .operators import KillingParams, angular_derivatives, convection, inverse_l
 from .serialize import format_float
 from .sht import SpectralField
 
-STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|u_n|, |u_n+1|)
+STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|w_n|, |w_n+1|)
 MIN_STEP = 1e-14  # as a fraction of t_end: a controlled step below it is a failure
+# A controlled step ends at most REACH / |D_N| past the first snapshot time it
+# covers, so no dense-output factor e^{(theta - c_j) h D} exceeds e^REACH.
+REACH = 6.0
+
+# Dormand-Prince 5(4): nodes, stage rows (the last row is the fifth-order
+# solution, FSAL), fifth- minus fourth-order weights, and the continuous
+# extension b_j(theta) = sum_p DP_DENSE[p - 1, j] theta^p.
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
+_FIRST, _LAST = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+DP_DENSE = np.array([
+    _FIRST,
+    3.0 * DP_A[6] - 2.0 * _FIRST - _LAST + _DP_D,
+    _FIRST + _LAST - 2.0 * DP_A[6] - 2.0 * _DP_D,
+    _DP_D,
+])
+# c_i - c_j where a_ij can be nonzero, 0 above it, so that no factor overflows
+_DP_LAG = np.array([[max(ci - cj, 0.0) for cj in DP_C] for ci in DP_C])
 
 TRAJECTORY_HEADER = (
     "t,norm_eq1,norm_eq2_dist,norm_ge3,"
@@ -53,7 +89,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run parameters; dt = None selects error-controlled steps between snapshot times.
+    """Run parameters; dt = None selects error-controlled steps.
 
     Omega is the rotation rate of the frame, defined for the two-jet flow.
     """
@@ -93,7 +129,8 @@ class SolverConfig:
 class TrajectoryRecord:
     """Snapshot diagnostics: conserved part, degree-2 distance, high-degree norm.
 
-    steps and rejected count the accepted and rejected steps taken up to t.
+    steps and rejected count the accepted and rejected steps taken up to t;
+    under error control the count includes the step that covers t.
     """
 
     t: float
@@ -140,16 +177,23 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
 
 
 class Stepper:
-    """Lawson-RK4 stepper whose diffusion factors are frozen for the current dt.
+    """Lawson steps of size dt: classical RK4, or Dormand-Prince 5(4) attempts.
 
     The rest of the linear part comes from operators.linear_part, built once
-    per configuration.  set_dt changes the step; a fixed-step run never calls it.
+    per configuration.  A controlled run gives about, the coefficients of w*,
+    steps the deviation from it and changes dt by set_dt before each attempt.
+    A fixed-step run keeps its dt and builds no Dormand-Prince factor.
     """
 
-    def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float):
+    def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, about: np.ndarray | None = None):
         self.grid = grid
+        self.N = cfg.N
         self.linear = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega)
         self.diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
+        # w* turns by exp(i m Omega t) (not at all when Omega = 0); the stages add
+        # its rate term (D - i m Omega) w*, which turns with it.
+        self.about, self.turn = about, 1j * cfg.Omega * np.arange(cfg.N + 1)
+        self.about_rate = None if about is None else (self.diffusion - self.turn) * about
         self.set_dt(dt)
 
     def set_dt(self, dt: float):
@@ -157,21 +201,38 @@ class Stepper:
         self.exp_half = np.exp(self.diffusion * (dt / 2.0))
         self.exp_full = np.exp(self.diffusion * dt)
 
+    @functools.cached_property
+    def stages(self) -> np.ndarray:
+        """v and k_1..k_7 of the last Dormand-Prince attempt, stacked along axis 1."""
+        return np.empty((self.N + 1, 8, self.N + 1), dtype=complex)
+
+    def attractor_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """w*(t) and (D - i m Omega) w*(t), so that G(0) = 0 at every t."""
+        if not self.turn.any():
+            return self.about, self.about_rate
+        phase = np.exp(self.turn * t)
+        return self.about * phase, self.about_rate * phase
+
     def nonlinear(self, state: SpectralField) -> SpectralField:
         """Everything the integrating factor leaves out: the linear part and -u . grad w."""
         return self.linear.apply(state) - convection(state, self.grid)
 
-    def step(self, state: SpectralField, k1: np.ndarray | None = None, estimate: bool = False):
-        """One step of size dt; k1 = nonlinear(state).coeffs when the caller already has it.
+    def step(self, state, k1: np.ndarray | None = None, t: float = 0.0):
+        """One step of size dt.
 
-        With estimate, returns (new state, k5, err): k5 = nonlinear(new state).coeffs
-        is the next step's k1, and err = (dt/10)(k4 - k5) is the fourth-order
-        solution minus the embedded third-order one of the RK4(3)IP pair.
+        Alone, the classic Lawson-RK4 step of the SpectralField state.  Given
+        k1 = G(v) = nonlinear(w* + v).coeffs + (D - i m Omega) w* at time t,
+        one Lawson DP5(4) attempt from t on the deviation coefficients
+        v = state: returns (v_new, w* + v_new, err) at t + dt, err being the
+        fifth-order solution minus the embedded fourth-order one.  It leaves v
+        and the seven stage rates in stages for dense(); the last, G(v_new), is
+        the next attempt's k1 (FSAL).
         """
+        if k1 is not None:
+            return self._dormand_prince(state, k1, t)
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
         u = state.coeffs
-        if k1 is None:
-            k1 = self.nonlinear(state).coeffs
+        k1 = self.nonlinear(state).coeffs
         u2 = e_half * (u + (dt / 2.0) * k1)
         k2 = self.nonlinear(SpectralField(state.N, u2)).coeffs
         u3 = e_half * u + (dt / 2.0) * k2
@@ -179,73 +240,117 @@ class Stepper:
         u4 = e_full * u + dt * e_half * k3
         k4 = self.nonlinear(SpectralField(state.N, u4)).coeffs
         advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        new = SpectralField(state.N, advanced)
-        if not estimate:
-            return new
-        k5 = self.nonlinear(new).coeffs
-        return new, k5, (dt / 10.0) * (k4 - k5)
+        return SpectralField(state.N, advanced)
+
+    def _dormand_prince(self, v: np.ndarray, k1: np.ndarray, t: float):
+        dt, stages = self.dt, self.stages
+        stages[:, 0], stages[:, 1] = v, k1
+        parts = stages.view(float)  # per degree, a real matmul by the rows below
+        # Per degree n, row i maps [v, k_1..k_7] to stage i + 1: every factor is
+        # e^{(c_i - c_j) dt D_n} with c_i >= c_j, so none exceeds 1.
+        lag = np.exp(np.multiply.outer(self.diffusion[:, 0] * dt, _DP_LAG))  # (N+1, 7, 7)
+        rows = np.concatenate([lag[:, :, :1], dt * DP_A * lag], axis=2)
+        for i in range(1, 7):
+            u = (rows[:, i : i + 1, : i + 1] @ parts[:, : i + 1]).view(complex)[:, 0]
+            about, about_rate = self.attractor_at(t + DP_C[i] * dt)
+            w = about + u
+            stages[:, i + 1] = self.nonlinear(SpectralField(self.N, w)).coeffs
+            stages[:, i + 1] += about_rate
+        err_row = np.concatenate([np.zeros((self.N + 1, 1)), dt * DP_E * lag[:, 6]], axis=1)
+        return u, w, (err_row[:, None, :] @ parts).view(complex)[:, 0]
+
+    def dense(self, theta: float) -> np.ndarray:
+        """The deviation at t_n + theta dt inside the last attempt.
+
+        e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j: the
+        factors with c_j > theta grow like e^{(1 - theta) dt |D|}, which the
+        caller bounds.
+        """
+        decay = self.diffusion * self.dt  # (N+1, 1)
+        weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
+        row = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=1)
+        return (row[:, None, :] @ self.stages.view(float)).view(complex)[:, 0]
 
 
-def _controlled(stepper: Stepper, state: SpectralField, targets, t_end: float):
-    """Error-controlled steps from t = 0 that land on each target time in turn.
+def _controlled(stepper: Stepper, omega0: SpectralField, snapshot_times, t_last: float, t_end: float):
+    """Error-controlled Lawson DP5(4) steps about w*(t) = stepper.attractor_at(t) from t = 0 to t_last.
 
-    Yields (t, state, accepted, rejected, True) at every target t, each a
-    snapshot.  A step is accepted when
-    |err| <= STEP_RTOL max(|u_n|, |u_n+1|) (norms of the stored m >= 0 half);
-    the next trial is h clip(0.9 (1/e)^(1/4), 0.2, 5) with e the ratio of the
-    two.  A non-finite trial is a rejection at the smallest factor.  A step
-    shortened to land on a target leaves the controller its longer proposal.
+    Yields (t, state, accepted, rejected, True) at every snapshot time t, in
+    order; the counts include the step that covers t.  A step is accepted
+    when |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0
+    half); the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio
+    of the two.  A non-finite trial is a rejection at the smallest factor.  A
+    step ends at most REACH / |D_N| past the first pending snapshot time, and
+    one shortened so leaves the controller its longer proposal.  Only the last
+    step lands, on t_last.
     """
+    reach = REACH / -float(stepper.diffusion[-1, 0])
+    v = omega0.coeffs - stepper.about
+    k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
+    w_norm = float(np.linalg.norm(omega0.coeffs))
     t, h = 0.0, stepper.dt
     accepted = rejected = 0
-    k1 = stepper.nonlinear(state).coeffs
-    for target in targets:
-        while t < target:
-            lands = t + 1.01 * h >= target  # never leave a sliver of a step before the target
-            trial = target - t if lands else h
-            stepper.set_dt(trial)
-            new, k5, err = stepper.step(state, k1, estimate=True)
-            err_norm = float(np.linalg.norm(err))
-            tol = STEP_RTOL * float(max(np.linalg.norm(state.coeffs), np.linalg.norm(new.coeffs)))
-            # e = |err| / tol: infinite for a non-finite trial, 0 for an exact step (the zero state has tol = 0).
-            ratio = math.inf if not math.isfinite(err_norm + tol) else (err_norm / tol if err_norm else 0.0)
-            factor = min(5.0, max(0.2, 0.9 * ratio**-0.25)) if ratio else 5.0
-            if ratio <= 1.0:
-                accepted += 1
-                t = target if lands else t + trial
-                state, k1 = new, k5
-                h = max(h, trial * factor) if lands else trial * factor
-            else:
-                rejected += 1
-                h = trial * factor
-                if h < MIN_STEP * t_end:
-                    raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
-        yield target, state, accepted, rejected, True
+    pending = next(snapshot_times)
+    while t < t_last:
+        trial = min(h, pending + reach - t)
+        lands = t + 1.01 * trial >= t_last and t_last <= pending + reach  # never leave a sliver before the end
+        if lands:
+            trial = t_last - t
+        stepper.set_dt(trial)
+        v_new, w_new, err = stepper.step(v, k1, t)
+        err_norm, new_norm = float(np.linalg.norm(err)), float(np.linalg.norm(w_new))
+        tol = STEP_RTOL * max(w_norm, new_norm)
+        # e = |err| / tol: infinite for a non-finite trial, 0 for an exact step (the zero state has tol = 0).
+        ratio = math.inf if not math.isfinite(err_norm + tol) else (err_norm / tol if err_norm else 0.0)
+        factor = min(5.0, max(0.2, 0.9 * ratio**-0.2)) if ratio else 5.0
+        if ratio > 1.0:
+            rejected += 1
+            h = trial * factor
+            if h < MIN_STEP * t_end:
+                raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
+            continue
+        accepted += 1
+        t_new = t_last if lands else t + trial
+        while pending <= t_new:
+            at = w_new if pending == t_new else stepper.attractor_at(pending)[0] + stepper.dense((pending - t) / trial)
+            yield pending, SpectralField(omega0.N, at), accepted, rejected, True
+            pending = next(snapshot_times, math.inf)
+        h = max(h, trial * factor) if trial < h else trial * factor
+        t, v, k1, w_norm = t_new, v_new, stepper.stages[:, 7].copy(), new_norm
 
 
-def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid):
+def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
+    """(nsteps, dt) of the snapshot lattice: the given dt or default_dt, rounded to t_end / nsteps."""
+    dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
+    nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
+    return nsteps, cfg.t_end / nsteps
+
+
+def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray):
     """Yield (t, state, steps, rejected, is_snapshot) from t = 0 on the snapshot lattice.
 
     With a given dt every lattice step is yielded; with dt = None only the
-    snapshot times, reached by error-controlled steps.
+    snapshot times, read off error-controlled steps about w* = w_1(0) plus the
+    run's degree-2 attractor (see _attractor), both turned by exp(i m Omega t).
     """
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
     if cfg.N > grid.N:
         raise ValueError("grid does not support the configured truncation degree")
 
-    dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
-    nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
-    dt = cfg.t_end / nsteps
-    stepper = Stepper(cfg, grid, dt)
-
+    nsteps, dt = lattice(omega0, cfg, grid)
     yield 0.0, omega0, 0, 0, True
     if cfg.dt is None:
+        about = np.zeros_like(omega0.coeffs)
+        about[1] = omega0.coeffs[1]
+        about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
         # Lazy: a blown-up field makes nsteps astronomically large.
         snapshot_steps = itertools.chain(range(cfg.snapshot_stride, nsteps, cfg.snapshot_stride), [nsteps])
-        yield from _controlled(stepper, omega0, (k * dt for k in snapshot_steps), cfg.t_end)
+        stepper = Stepper(cfg, grid, dt, about)
+        yield from _controlled(stepper, omega0, (k * dt for k in snapshot_steps), nsteps * dt, cfg.t_end)
         return
 
+    stepper = Stepper(cfg, grid, dt)
     state = omega0
     for k in range(1, nsteps + 1):
         state = stepper.step(state)
@@ -284,7 +389,7 @@ def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[
     attractor = _attractor(omega0, cfg)
     return [
         _record(cfg, attractor, t, state, steps, rejected)
-        for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid)
+        for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid, attractor)
         if is_snapshot
     ]
 
@@ -305,7 +410,7 @@ def run_with_coupling(
         cfg = replace(cfg, dt=min(cfg.t_end, default_dt(omega0, cfg, grid)))
     attractor = _attractor(omega0, cfg)
     records, times, M, f = [], [], [], []
-    for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid):
+    for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid, attractor):
         M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
         times.append(t)
         M.append(M_t)

@@ -335,10 +335,11 @@ class TestManifests:
         steps = report["steps"]
         assert steps["mode"] == "controlled" and steps["rtol"] == pde_solver.STEP_RTOL
         assert steps["accepted"] >= 2
+        assert steps["dt_lattice"] == 0.5 / 160  # default_dt 0.1 / (nu N^2) = 1/320, rounded to t_end / nsteps
         doc = two_jet_manifest(tmp_path, "fixed")
         doc["cfg"]["dt"] = 0.01
         _, report = run_manifest(doc)
-        assert report["steps"] == {"mode": "fixed", "accepted": 50, "rejected": 0, "rtol": None}
+        assert report["steps"] == {"mode": "fixed", "accepted": 50, "rejected": 0, "rtol": None, "dt_lattice": 0.01}
         saved = json.loads((tmp_path / "fixed" / "report.json").read_text())
         assert saved["steps"] == report["steps"]
         assert list(saved) == ["scenario", "seed", "checks", "files", "steps", "grid", "all_pass"]
@@ -383,6 +384,24 @@ class TestManifests:
             code, report = run_manifest({**doc, "output_dir": str(tmp_path / "bad")})
             assert code == 1
             assert [c["name"] for c in report["checks"] if not c["pass"]] == [check]
+
+    @pytest.mark.parametrize("scenario", ["two_jet", "rotating"])
+    def test_long_controlled_run_passes_every_check(self, tmp_path, scenario):
+        # Controlled steps about the (turning) attractor keep it fixed, so the
+        # degree-2 distance keeps following its envelope instead of settling at
+        # about STEP_RTOL |w|, which failed the envelope from t_end = 11 on.
+        doc = {**two_jet_manifest(tmp_path, "longer"), "scenario": scenario}
+        doc["cfg"].update(nu=1.0, t_end=20.0)
+        if scenario == "rotating":
+            doc["Omega"] = 1.5
+        code, report = run_manifest(doc)
+        assert code == 0, report["checks"]
+        assert report["steps"]["mode"] == "controlled"
+        degree1 = "degree1_phase_law" if scenario == "rotating" else "degree1_conservation"
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            (degree1, True), ("degree_ge3_decay", True), ("degree2_convergence_envelope", True)
+        ]
+        assert report["checks"][2]["measured"] == 0.0
 
 
 class TestMain:

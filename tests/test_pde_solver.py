@@ -276,15 +276,54 @@ class TestControlledSteps:
             assert (got - want).norm() <= 1e-9 * want.norm()
 
     def test_embedded_estimate_is_fourth_order(self, grid8):
+        # err is the fifth-order solution minus the embedded fourth-order one: O(h^5).
         omega0 = rand_field(8, seed=303, amplitude=0.8, decay=0.4, degrees=range(1, 6))
         cfg = two_jet_cfg(nu=0.5)
         errs = []
-        for h in (0.005, 0.0025):
-            new, k5, err = Stepper(cfg, grid8, h).step(omega0, estimate=True)
-            assert np.array_equal(new.coeffs, one_step(omega0, cfg, grid8, h).coeffs)
-            assert np.array_equal(k5, Stepper(cfg, grid8, h).nonlinear(new).coeffs)
+        for h in (0.01, 0.005):
+            stepper = Stepper(cfg, grid8, h, about=np.zeros_like(omega0.coeffs))
+            new, w_new, err = stepper.step(omega0.coeffs, stepper.nonlinear(omega0).coeffs)
+            assert np.array_equal(w_new, new)  # about 0, the deviation is the state
+            assert np.array_equal(stepper.stages[:, 7], stepper.nonlinear(SpectralField(8, new)).coeffs)  # FSAL
             errs.append(np.linalg.norm(err))
-        assert 16.0 * 0.8 <= errs[0] / errs[1] <= 16.0 * 1.2
+        assert 32.0 * 0.8 <= errs[0] / errs[1] <= 32.0 * 1.2
+
+    @pytest.mark.parametrize("Omega", [0.0, 1.5])
+    def test_attractor_is_a_fixed_point(self, grid8, Omega):
+        # From w* = w_1 + w_2^inf, which a rotating frame turns by exp(i m Omega t),
+        # the deviation's rate is zero up to round-off: the degree-2 distance and
+        # the degree-1 phase law stay at round-off, and the steps grow freely.
+        omega0 = single(8, 1, 0, 1.0)
+        omega0[1, 1] = 0.5
+        cfg = two_jet_cfg(nu=1.0, t_end=20.0, snapshot_stride=1000, Omega=Omega)
+        attractor = pde_solver._attractor(omega0, cfg)
+        for m in range(3):
+            omega0[2, m] = attractor[2 - m]
+        recs = run(omega0, cfg, grid8)
+        assert max(r.norm_eq2_dist for r in recs) < 1e-15
+        assert max(r.norm_ge3 for r in recs) < 1e-15
+        phases = np.exp(1j * Omega * np.array([1.0, 0.0, -1.0]))
+        assert max(np.max(np.abs(r.mode1 - phases**r.t * recs[0].mode1)) for r in recs) < 1e-15
+        assert recs[-1].steps < 100
+
+    def test_sparse_snapshots_match_a_fixed_step_reference(self, grid16):
+        # nu = 2 at N = 16: |D_N| = 540, so a step ends at most REACH / 540 = 0.011
+        # past a snapshot, while the steps between snapshots grow past 0.04.  The
+        # dense-output factors e^{(c_j - theta) h |D_N|} are bounded by e^REACH;
+        # unbounded, they wreck the snapshots.
+        omega0 = rand_field(16, seed=41, amplitude=0.5, decay=0.4)
+        cfg = SolverConfig(nu=2.0, amplitude=1.0, N=16, t_end=2.0, snapshot_stride=1280)
+        nsteps, _, times = lattice(omega0, cfg, grid16)
+        assert (nsteps, len(times)) == (10240, 9)
+        reach = pde_solver.REACH / (cfg.nu * (16 * 17 - 2))
+        assert cfg.t_end / run(omega0, cfg, grid16)[-1].steps > 4 * reach
+        states = snapshot_states(omega0, cfg, grid16)
+        fine = SolverConfig(nu=2.0, amplitude=1.0, N=16, t_end=2.0, dt=2.0 / 512, snapshot_stride=64)
+        ref = snapshot_states(omega0, fine, grid16)
+        assert len(ref) == len(states)
+        for (t, got), (t_ref, want) in zip(states, ref):
+            assert t == pytest.approx(t_ref, rel=1e-14)
+            assert (got - want).norm() <= 1e-9 * want.norm()
 
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_fixed_step_is_the_classic_step(self, grid8, flow, monkeypatch):
@@ -310,9 +349,10 @@ class TestControlledSteps:
         attempts = []
         step = Stepper.step
 
-        def counted(self, *args, **kwargs):
+        def counted(self, state, k1=None, t=0.0):
+            assert k1 is not None  # every attempt is a Dormand-Prince one
             attempts.append(self.dt)
-            return step(self, *args, **kwargs)
+            return step(self, state, k1, t)
 
         monkeypatch.setattr(Stepper, "step", counted)
         cfg = two_jet_cfg(t_end=0.4)
@@ -329,9 +369,9 @@ class TestControlledSteps:
         assert [(r.steps, r.rejected) for r in fixed] == [(0, 0), (3, 0), (6, 0), (9, 0), (10, 0)]
         calls = count_nonlinear(monkeypatch)
         controlled = run(omega0, two_jet_cfg(t_end=0.1, snapshot_stride=3), grid8)
-        assert controlled[-1].steps >= len(controlled) - 1
-        # Four stages per attempt, the first one reused from the attempt before (FSAL).
-        assert len(calls) == 4 * (controlled[-1].steps + controlled[-1].rejected) + 1
+        assert controlled[-1].steps < len(controlled) - 1  # steps do not land on snapshot times
+        # Six new stages per attempt: the first is the attempt before's last (FSAL).
+        assert len(calls) == 6 * (controlled[-1].steps + controlled[-1].rejected) + 1
 
 
 class TestRun:
@@ -444,6 +484,11 @@ class TestRun:
         omega0 = rand_field(8, seed=78, amplitude=0.4)
         recs = run(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
         assert len(recs) == 1 + math.ceil(10 / stride)
+        assert len(counted) == calls
+        # Under control the same attractor is also the one the steps are taken about.
+        counted.clear()
+        recs = run(omega0, two_jet_cfg(t_end=0.05, snapshot_stride=stride, **flow), grid8)
+        assert len(recs) == 1 + math.ceil(16 / stride) and recs[-1].steps > 0
         assert len(counted) == calls
         if not flow:
             counted.clear()
