@@ -11,17 +11,16 @@ so zonal states decay exactly and degree-1 states are fixed points of the
 discrete map up to round-off.
 
 Snapshots sit on a lattice of default_dt (or the given dt) rounded to
-t_end / nsteps, at every snapshot_stride-th lattice time and at the end.
-run and run_with_coupling read one generator of lattice states.  A given dt,
-which run_with_coupling always passes, takes classical Lawson-RK4 steps on the
-lattice.  With dt = None the steps are error-controlled Lawson steps of the
-Dormand-Prince 5(4) pair (Dormand & Prince 1980), FSAL, on the deviation
-v = w - w* from the paper's attractor w* = w_1 + w_2^inf, which a rotating
-frame turns by exp(i m Omega t); its rate G(v) = N(w* + v) + (D - i m Omega) w*
-vanishes at v = 0, so the scheme keeps the attractor fixed.  Steps do not land
-on snapshot times: a snapshot inside a step is read off the Lawson form of the
-continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
-only the last step lands on the end.
+t_end / nsteps, at every snapshot_stride-th lattice time and at the end.  run
+with a given dt takes one classical Lawson-RK4 step per lattice time.  run with
+dt = None, and run_with_coupling, which samples every lattice time, take
+error-controlled Lawson steps of the Dormand-Prince 5(4) pair (Dormand & Prince
+1980), FSAL, on the deviation v = w - w* from the paper's attractor
+w* = w_1 + w_2^inf, which a rotating frame turns by exp(i m Omega t); its rate
+G(v) = N(w* + v) + (D - i m Omega) w* vanishes at v = 0, so the scheme keeps
+the attractor fixed.  These steps do not land on lattice times: a lattice state
+inside a step is read off the Lawson form of the continuous extension (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), and only the last step lands on the end.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +88,9 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Run parameters; dt = None selects error-controlled steps.
+    """Run parameters; dt spaces the snapshot lattice, and None selects default_dt and error control.
 
+    run_with_coupling always steps under error control, whatever dt says.
     Omega is the rotation rate of the frame, defined for the two-jet flow.
     """
 
@@ -129,8 +129,9 @@ class SolverConfig:
 class TrajectoryRecord:
     """Snapshot diagnostics: conserved part, degree-2 distance, high-degree norm.
 
-    steps and rejected count the accepted and rejected steps taken up to t;
-    under error control the count includes the step that covers t.
+    steps and rejected count the accepted and rejected steps taken up to t.
+    Controlled steps (run with dt = None, and run_with_coupling) do not land
+    on lattice times, so the count includes the step that covers t.
     """
 
     t: float
@@ -145,7 +146,7 @@ class TrajectoryRecord:
 
 @dataclass
 class CouplingSeries:
-    """Per-step couplings (M, f) of the degree-2 block to the remainder."""
+    """Couplings (M, f) of the degree-2 block to the remainder, at every lattice time."""
 
     times: np.ndarray
     M: np.ndarray
@@ -272,25 +273,34 @@ class Stepper:
         return (row[:, None, :] @ self.stages.view(float)).view(complex)[:, 0]
 
 
-def _controlled(stepper: Stepper, omega0: SpectralField, snapshot_times, t_last: float, t_end: float):
-    """Error-controlled Lawson DP5(4) steps about w*(t) = stepper.attractor_at(t) from t = 0 to t_last.
+def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray, stride: int):
+    """Yield (t, state, steps, rejected) at t = 0, every stride-th lattice time and the end.
 
-    Yields (t, state, accepted, rejected, True) at every snapshot time t, in
-    order; the counts include the step that covers t.  A step is accepted
-    when |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0
-    half); the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio
-    of the two.  A non-finite trial is a rejection at the smallest factor.  A
-    step ends at most REACH / |D_N| past the first pending snapshot time, and
-    one shortened so leaves the controller its longer proposal.  Only the last
-    step lands, on t_last.
+    Error-controlled Lawson DP5(4) steps about w* = w_1(0) plus the run's
+    degree-2 attractor (see _attractor), both turned by exp(i m Omega t); the
+    counts include the step that covers t.  A step is accepted when
+    |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0 half);
+    the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio of the
+    two.  A non-finite trial is a rejection at the smallest factor.  A step
+    ends at most REACH / |D_N| past the first pending sample time, and one
+    shortened so leaves the controller its longer proposal.
     """
+    nsteps, dt = _checked_lattice(omega0, cfg, grid)
+    about = np.zeros_like(omega0.coeffs)
+    about[1] = omega0.coeffs[1]
+    about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
+    stepper = Stepper(cfg, grid, dt, about)
+    # Lazy: a blown-up field makes nsteps astronomically large.
+    sample_times = (k * dt for k in itertools.chain(range(stride, nsteps, stride), [nsteps]))
+    t_last = nsteps * dt
+    yield 0.0, omega0, 0, 0
     reach = REACH / -float(stepper.diffusion[-1, 0])
     v = omega0.coeffs - stepper.about
     k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
     w_norm = float(np.linalg.norm(omega0.coeffs))
     t, h = 0.0, stepper.dt
     accepted = rejected = 0
-    pending = next(snapshot_times)
+    pending = next(sample_times)
     while t < t_last:
         trial = min(h, pending + reach - t)
         lands = t + 1.01 * trial >= t_last and t_last <= pending + reach  # never leave a sliver before the end
@@ -306,15 +316,15 @@ def _controlled(stepper: Stepper, omega0: SpectralField, snapshot_times, t_last:
         if ratio > 1.0:
             rejected += 1
             h = trial * factor
-            if h < MIN_STEP * t_end:
+            if h < MIN_STEP * cfg.t_end:
                 raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
             continue
         accepted += 1
         t_new = t_last if lands else t + trial
         while pending <= t_new:
             at = w_new if pending == t_new else stepper.attractor_at(pending)[0] + stepper.dense((pending - t) / trial)
-            yield pending, SpectralField(omega0.N, at), accepted, rejected, True
-            pending = next(snapshot_times, math.inf)
+            yield pending, SpectralField(omega0.N, at), accepted, rejected
+            pending = next(sample_times, math.inf)
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, stepper.stages[:, 7].copy(), new_norm
 
@@ -326,30 +336,23 @@ def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> t
     return nsteps, cfg.t_end / nsteps
 
 
-def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray):
-    """Yield (t, state, steps, rejected, is_snapshot) from t = 0 on the snapshot lattice.
-
-    With a given dt every lattice step is yielded; with dt = None only the
-    snapshot times, read off error-controlled steps about w* = w_1(0) plus the
-    run's degree-2 attractor (see _attractor), both turned by exp(i m Omega t).
-    """
+def _checked_lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
+    """lattice(), once omega0 and grid are checked against cfg."""
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
     if cfg.N > grid.N:
         raise ValueError("grid does not support the configured truncation degree")
+    return lattice(omega0, cfg, grid)
 
-    nsteps, dt = lattice(omega0, cfg, grid)
-    yield 0.0, omega0, 0, 0, True
+
+def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray):
+    """Yield (t, state, steps, rejected) at run's snapshot times: with a given dt one classical
+    Lawson-RK4 step per lattice time, else _controlled's steps sampled at every snapshot_stride-th one."""
     if cfg.dt is None:
-        about = np.zeros_like(omega0.coeffs)
-        about[1] = omega0.coeffs[1]
-        about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
-        # Lazy: a blown-up field makes nsteps astronomically large.
-        snapshot_steps = itertools.chain(range(cfg.snapshot_stride, nsteps, cfg.snapshot_stride), [nsteps])
-        stepper = Stepper(cfg, grid, dt, about)
-        yield from _controlled(stepper, omega0, (k * dt for k in snapshot_steps), nsteps * dt, cfg.t_end)
+        yield from _controlled(omega0, cfg, grid, attractor, cfg.snapshot_stride)
         return
-
+    nsteps, dt = _checked_lattice(omega0, cfg, grid)
+    yield 0.0, omega0, 0, 0
     stepper = Stepper(cfg, grid, dt)
     state = omega0
     for k in range(1, nsteps + 1):
@@ -357,7 +360,8 @@ def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGr
         t = k * dt
         if not np.all(np.isfinite(state.coeffs)):
             raise IntegrationError("state became non-finite", t)
-        yield t, state, k, 0, k % cfg.snapshot_stride == 0 or k == nsteps
+        if k % cfg.snapshot_stride == 0 or k == nsteps:
+            yield t, state, k, 0
 
 
 def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
@@ -387,36 +391,34 @@ def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected)
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[TrajectoryRecord]:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
     attractor = _attractor(omega0, cfg)
-    return [
-        _record(cfg, attractor, t, state, steps, rejected)
-        for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid, attractor)
-        if is_snapshot
-    ]
+    return [_record(cfg, attractor, *snapshot) for snapshot in _lattice_states(omega0, cfg, grid, attractor)]
 
 
 def run_with_coupling(
     omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid
 ) -> tuple[list[TrajectoryRecord], CouplingSeries]:
-    """As run(), also extracting the (M, f) couplings at every lattice time, t = 0 included.
+    """As run() under error control, also extracting the (M, f) couplings at every lattice time, t = 0 included.
 
-    propagate_forced reads them on a uniform lattice, so dt = None steps at the
-    lattice dt, not under control.  They close the non-rotating two-jet system.
+    cfg.dt (or default_dt), rounded as lattice() rounds it, spaces these
+    samples, not the steps; each is read off the steps' dense output.  Records
+    are kept at every snapshot_stride-th sample and at the end.  The couplings
+    close the non-rotating two-jet system.
     """
     if cfg.jet_order != "two_jet" or cfg.Omega != 0.0:
         raise ValueError(
             f"coupling extraction needs non-rotating two_jet dynamics, not {cfg.jet_order!r} at Omega = {cfg.Omega!r}"
         )
-    if cfg.dt is None:
-        cfg = replace(cfg, dt=min(cfg.t_end, default_dt(omega0, cfg, grid)))
     attractor = _attractor(omega0, cfg)
     records, times, M, f = [], [], [], []
-    for t, state, steps, rejected, is_snapshot in _lattice_states(omega0, cfg, grid, attractor):
+    for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, 1)):
         M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
         times.append(t)
         M.append(M_t)
         f.append(f_t)
-        if is_snapshot:
+        if k % cfg.snapshot_stride == 0:
             records.append(_record(cfg, attractor, t, state, steps, rejected))
+    if k % cfg.snapshot_stride:  # the end, off the stride
+        records.append(_record(cfg, attractor, t, state, steps, rejected))
     return records, CouplingSeries(times=np.array(times), M=np.array(M), f=np.array(f))
 
 

@@ -34,10 +34,7 @@ def snapshot_states(omega0, cfg, grid):
     """(t, state) at each snapshot time of the run of cfg, read from the generator that run reads."""
     return [
         (t, state)
-        for t, state, _, _, is_snapshot in pde_solver._lattice_states(
-            omega0, cfg, grid, pde_solver._attractor(omega0, cfg)
-        )
-        if is_snapshot
+        for t, state, _, _ in pde_solver._lattice_states(omega0, cfg, grid, pde_solver._attractor(omega0, cfg))
     ]
 
 

@@ -537,23 +537,55 @@ def assert_same_records(got, want):
 
 
 class TestLatticeDriver:
-    """run and run_with_coupling read the same lattice states and build records the same way."""
+    """run_with_coupling samples every lattice time of controlled steps and builds records the way run does."""
 
     def test_coupling_run_records_equal_run(self, grid8):
+        # A given dt spaces the samples, not the steps: the records agree with a
+        # fine fixed-step run, not bitwise with the fixed run at that dt.
         omega0 = rand_field(8, seed=81, amplitude=0.5, decay=0.4)
         cfg = two_jet_cfg(t_end=0.1, dt=0.01, snapshot_stride=3)
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
-        assert_same_records(recs, run(omega0, cfg, grid8))
-        assert coupling.times.tolist() == [k * 0.01 for k in range(11)]
+        assert coupling.times.tolist() == [k * 0.01 for k in range(11)]  # bitwise
+        assert [r.t for r in recs] == [k * 0.01 for k in (0, 3, 6, 9, 10)]
+        assert recs[-1].steps < 10
+        fine = run(omega0, two_jet_cfg(t_end=0.1, dt=0.01 / 16, snapshot_stride=3 * 16), grid8)
+        assert len(fine) == len(recs)
+        for got, want in zip(recs, fine):
+            assert got.t == pytest.approx(want.t, rel=1e-14)
+            for name in ("mode2", "mode1", "norm_eq1", "norm_eq2_dist", "norm_ge3"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
 
     def test_coupling_run_without_dt_steps_on_the_lattice(self, grid8):
+        # The run samples every lattice time, so its steps are those of run with
+        # snapshot_stride = 1; its records are that run's at every stride-th sample and the end.
         omega0 = rand_field(8, seed=82, amplitude=0.5, decay=0.4)
         cfg = two_jet_cfg(t_end=0.1, snapshot_stride=3)
         nsteps, dt, _ = lattice(omega0, cfg, grid8)
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
         assert coupling.times.tolist() == [k * dt for k in range(nsteps + 1)]  # bitwise
         assert coupling.M.shape == (nsteps + 1, 5, 5) and coupling.f.shape == (nsteps + 1, 5)
-        assert_same_records(recs, run(omega0, replace(cfg, dt=dt), grid8))
+        every = run(omega0, replace(cfg, snapshot_stride=1), grid8)
+        assert_same_records(recs, [r for k, r in enumerate(every) if k % 3 == 0 or k == nsteps])
+        assert 0 < recs[-1].steps < nsteps
+
+    def test_coupling_bench_configuration(self, grid16):
+        # N = 16, nu = 1, t_end = 1/8 sampled at dt = 1/2048: a handful of
+        # controlled steps give (M, f) at all 257 lattice times, against a
+        # reference that takes one fixed Lawson-RK4 step per lattice time.
+        omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
+        dt = 1.0 / 2048
+        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9)
+        recs, coupling = run_with_coupling(omega0, cfg, grid16)
+        assert recs[-1].steps <= 20
+        stepper, states = Stepper(cfg, grid16, dt), [omega0]
+        for _ in range(256):
+            states.append(stepper.step(states[-1]))
+        M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.amplitude) for state in states))
+        assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
+        for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
+            axes = tuple(range(1, want.ndim))
+            assert np.max(np.linalg.norm(got - want, axis=axes) / np.linalg.norm(want, axis=axes)) <= 1e-9
 
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_records_read_their_snapshot(self, grid8, flow):
