@@ -60,10 +60,10 @@ def main():
         fit_c = fit_rate(*series(recs, lambda r: r.norm_eq2_dist), window, reference_rate=-4.0 * nu, tolerance=0.001)
 
         fits = (fit_a, fit_b, fit_c)
-        all_passed = all_passed and all(f.passed for f in fits)
-        marks = [("ok" if f.passed else "OFF") for f in fits]
+        all_passed = all_passed and all(f["pass"] for f in fits)
+        marks = [("ok" if f["pass"] else "OFF") for f in fits]
         print(
-            f"{nu:6.2f} {fit_a.fitted_rate:14.6f} {fit_b.fitted_rate:14.6f} {fit_c.fitted_rate:15.6f}"
+            f"{nu:6.2f} {fit_a['fitted_rate']:14.6f} {fit_b['fitted_rate']:14.6f} {fit_c['fitted_rate']:15.6f}"
             f"   [{marks[0]}/{marks[1]}/{marks[2]}]"
         )
     return 0 if all_passed else 1

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,34 +54,13 @@ class ManifestError(ValueError):
     """The experiment manifest is malformed or inconsistent."""
 
 
-@dataclass
-class RateFit:
-    """Least-squares exponent of log(norm) vs t over a window."""
-
-    window: tuple[float, float]
-    fitted_rate: float
-    r_squared: float
-    reference_rate: float | None
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "window": [self.window[0], self.window[1]],
-            "fitted_rate": self.fitted_rate,
-            "r_squared": self.r_squared,
-            "reference_rate": self.reference_rate,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-
-def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> RateFit:
+def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> dict:
     """Fit values ~ exp(rate * t) over the window; pass needs rate match and r^2 >= 0.999.
 
-    A series identically below 1e-14 short-circuits to a pass at the reference
-    rate (nothing left to measure); nonpositive values above that floor are a
-    data error.
+    Returns the document `sphkol fit` prints.  A non-finite sample in the
+    window is a data error, named by its t.  A series identically below 1e-14
+    short-circuits to a pass at the reference rate (nothing left to measure);
+    nonpositive values above that floor are a data error.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -91,26 +69,37 @@ def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> Rate
     if int(mask.sum()) < 10:
         raise ValueError(f"need at least 10 samples in window [{lo}, {hi}], have {int(mask.sum())}")
     tw, vw = t[mask], v[mask]
+    finite = np.isfinite(vw)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"non-finite sample {float(vw[k])} at t = {float(tw[k])} in the fit window")
     if np.all(np.abs(vw) < 1e-14):
-        ref = 0.0 if reference_rate is None else float(reference_rate)
-        return RateFit((lo, hi), ref, 1.0, reference_rate, tolerance, True)
-    if np.any((vw <= 0.0) & (np.abs(vw) > 1e-14)):
-        raise ValueError("nonpositive norms inside the fit window")
-    keep = vw >= 1e-14
-    if int(keep.sum()) < 10:
-        raise ValueError("fewer than 10 usable samples above the 1e-14 floor")
-    x, y = tw[keep], np.log(vw[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    if reference_rate is None:
-        passed = True
-    elif reference_rate == 0.0:
-        passed = abs(slope) <= tolerance and r2 >= 0.999
+        rate, r2, passed = 0.0 if reference_rate is None else float(reference_rate), 1.0, True
     else:
-        passed = abs(slope - reference_rate) / abs(reference_rate) <= tolerance and r2 >= 0.999
-    return RateFit((lo, hi), float(slope), float(r2), reference_rate, tolerance, bool(passed))
+        if np.any((vw <= 0.0) & (np.abs(vw) > 1e-14)):
+            raise ValueError("nonpositive norms inside the fit window")
+        keep = vw >= 1e-14
+        if int(keep.sum()) < 10:
+            raise ValueError("fewer than 10 usable samples above the 1e-14 floor")
+        x, y = tw[keep], np.log(vw[keep])
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        rate, r2 = float(slope), 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+        if reference_rate is None:
+            passed = True
+        elif reference_rate == 0.0:
+            passed = abs(rate) <= tolerance and r2 >= 0.999
+        else:
+            passed = abs(rate - reference_rate) / abs(reference_rate) <= tolerance and r2 >= 0.999
+    return {
+        "window": [lo, hi],
+        "fitted_rate": rate,
+        "r_squared": r2,
+        "reference_rate": reference_rate,
+        "tolerance": tolerance,
+        "pass": bool(passed),
+    }
 
 
 def _integer(value, name: str) -> int:
@@ -274,31 +263,23 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
     shape = {"n_theta": grid.n_theta, "n_phi": grid.n_phi}
 
     # Degree-1 data is conserved, in a rotating frame up to the phases exp(i m Omega t).
-    m1_orders = np.array([1.0, 0.0, -1.0])
     drift = max(
-        float(np.max(np.abs(rec.mode1 - np.exp(1j * Omega * rec.t * m1_orders) * records[0].mode1)))
+        float(np.max(np.abs(rec.mode1 - reduced_ode.frame_phases(Omega, rec.t, (1, 0, -1)) * records[0].mode1)))
         for rec in records
     )
     checks = [_check("degree1_phase_law" if scenario == "rotating" else "degree1_conservation", drift, 1e-9)]
     if scenario == "one_jet":
         ge2 = _decay_margin(records, 4.0 * cfg.nu, lambda r: math.hypot(r.norm_eq2_dist, r.norm_ge3))
         checks.append(_check("degree_ge2_decay", ge2, 1e-6))
-        return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
-
-    checks.append(
-        _check("degree_ge3_decay", _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3), 1e-6)
-    )
-    checks.append(
-        _check(
-            "degree2_convergence_envelope",
-            _envelope_margin(records, cfg.nu),
-            1e-6,
-            note="run ends before t = 1/nu",
-        )
-    )
-    system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
-    outputs["equilibrium.json"] = reduced_ode.equilibrium_report(system, params, cfg.amplitude, "closed_form")
-    files["equilibrium"] = "equilibrium.json"
+    else:
+        ge3 = _decay_margin(records, 10.0 * cfg.nu, lambda r: r.norm_ge3)
+        checks.append(_check("degree_ge3_decay", ge3, 1e-6))
+        envelope = _envelope_margin(records, cfg.nu)
+        checks.append(_check("degree2_convergence_envelope", envelope, 1e-6, note="run ends before t = 1/nu"))
+        system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
+        w = reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
+        outputs["equilibrium.json"] = reduced_ode.equilibrium_report(system, params, cfg.amplitude, "closed_form", w)
+        files["equilibrium"] = "equilibrium.json"
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
 
 
@@ -309,8 +290,12 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
     to 1e-12 max(1, |closed form|): round-off grows with the equilibrium.
     """
     system = reduced_ode.build_system(params, amplitude, nu)
-    reports = {m: reduced_ode.equilibrium_report(system, params, amplitude, m) for m in ("closed_form", "solve")}
-    cf, sv = (np.array([complex(z["re"], z["im"]) for z in rep["omega_inf"]]) for rep in reports.values())
+    cf = reduced_ode.equilibrium_closed_form(params, amplitude, nu)
+    sv = reduced_ode.equilibrium_solve(system)
+    reports = {
+        method: reduced_ode.equilibrium_report(system, params, amplitude, method, w)
+        for method, w in (("closed_form", cf), ("solve", sv))
+    }
     tolerance = 1e-12 * max(1.0, float(np.linalg.norm(cf)))
     return reports, _check("equilibrium_cross_check", float(np.linalg.norm(cf - sv)), tolerance)
 
@@ -425,8 +410,8 @@ def main(argv=None) -> int:
             lo, _, hi = args.window.partition(":")
             t, v = _load_csv_series(args.input, args.column)
             fit = fit_rate(t, v, (float(lo), float(hi)), args.reference, args.tolerance)
-            print(dumps17(fit.to_dict(), indent=2))
-            return 0 if fit.passed else 1
+            print(dumps17(fit, indent=2))
+            return 0 if fit["pass"] else 1
         if args.command == "equilibrium":
             params = KillingParams(alpha=complex(args.alpha_re, args.alpha_im), b=args.b)
             if args.omega is not None:

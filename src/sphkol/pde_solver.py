@@ -182,8 +182,9 @@ class Stepper:
 
     The rest of the linear part comes from operators.linear_part, built once
     per configuration.  A controlled run gives about, the coefficients of w*,
-    steps the deviation from it and changes dt by set_dt before each attempt.
-    A fixed-step run keeps its dt and builds no Dormand-Prince factor.
+    steps the deviation from it and sets dt before each attempt.  The
+    classical step's factors exp_half and exp_full are built once, for the
+    dt given; a fixed-step run keeps it and builds no Dormand-Prince factor.
     """
 
     def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, about: np.ndarray | None = None):
@@ -195,9 +196,6 @@ class Stepper:
         # its rate term (D - i m Omega) w*, which turns with it.
         self.about, self.turn = about, 1j * cfg.Omega * np.arange(cfg.N + 1)
         self.about_rate = None if about is None else (self.diffusion - self.turn) * about
-        self.set_dt(dt)
-
-    def set_dt(self, dt: float):
         self.dt = dt
         self.exp_half = np.exp(self.diffusion * (dt / 2.0))
         self.exp_full = np.exp(self.diffusion * dt)
@@ -306,7 +304,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
         lands = t + 1.01 * trial >= t_last and t_last <= pending + reach  # never leave a sliver before the end
         if lands:
             trial = t_last - t
-        stepper.set_dt(trial)
+        stepper.dt = trial
         v_new, w_new, err = stepper.step(v, k1, t)
         err_norm, new_norm = float(np.linalg.norm(err)), float(np.linalg.norm(w_new))
         tol = STEP_RTOL * max(w_norm, new_norm)

@@ -114,9 +114,9 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
 
 
-def frame_phases(Omega: float, t: float) -> np.ndarray:
-    """exp(i m Omega t) for the degree-2 orders m in MODE2_ORDER."""
-    return np.exp(1j * Omega * t * np.array(MODE2_ORDER, dtype=float))
+def frame_phases(Omega: float, t: float, orders=MODE2_ORDER) -> np.ndarray:
+    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER."""
+    return np.exp(1j * Omega * t * np.array(orders, dtype=float))
 
 
 def propagate_exact(sys: ReducedSystem, w0: np.ndarray, t: float) -> np.ndarray:
@@ -238,14 +238,8 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     return G[0][:, N + mu], f
 
 
-def equilibrium_report(sys: ReducedSystem, params: KillingParams, amplitude: float, method: str) -> dict:
-    """JSON-ready equilibrium record of sys = build_system(params, amplitude, nu) by one route."""
-    if method == "closed_form":
-        w = equilibrium_closed_form(params, amplitude, sys.nu)
-    elif method == "solve":
-        w = equilibrium_solve(sys)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def equilibrium_report(sys: ReducedSystem, params: KillingParams, amplitude: float, method: str, w) -> dict:
+    """JSON-ready record of the equilibrium w of sys = build_system(params, amplitude, nu), found by method."""
     residual = float(np.linalg.norm(sys.operator @ w - sys.c))
     return {
         "nu": float(sys.nu),

@@ -137,18 +137,9 @@ class SpectralField:
             raise ValueError("field has no degree-2 modes")
         return self.full_table()[2, self.N - 2 : self.N + 3][::-1].copy()
 
-    def to_json_text(self) -> str:
-        """Serialize m >= 0 entries; negative orders are implied by reality."""
-        entries = []
-        for n in range(1, self.N + 1):
-            for m in range(0, n + 1):
-                c = self.coeffs[n, m]
-                entries.append({"n": n, "m": m, "re": c.real, "im": c.imag})
-        return dumps17({"N": self.N, "coeffs": entries})
-
     @classmethod
     def from_json_dict(cls, doc) -> "SpectralField":
-        """Field from a parsed to_json_text document; "im" defaults to 0, m < 0 follows from reality.
+        """Field from a parsed save() document; "im" defaults to 0, m < 0 follows from reality.
 
         The entries are checked and stored as arrays; the first bad one is
         checked again on its own, so that the error names it.  An (n, m)
@@ -182,9 +173,14 @@ class SpectralField:
         return out
 
     def save(self, path):
+        """Write N and the m >= 0 entries as JSON; negative orders are implied by reality."""
+        entries = [
+            {"n": n, "m": m, "re": self.coeffs[n, m].real, "im": self.coeffs[n, m].imag}
+            for n in range(1, self.N + 1)
+            for m in range(n + 1)
+        ]
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_json_text())
-            fh.write("\n")
+            fh.write(dumps17({"N": self.N, "coeffs": entries}) + "\n")
 
     @classmethod
     def load(cls, path) -> "SpectralField":

@@ -61,14 +61,14 @@ class TestFitRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 2.0, 81)
         fit = fit_rate(t, np.exp(-10.0 * t), (0.0, 2.0), reference_rate=-10.0, tolerance=0.001)
-        assert fit.fitted_rate == pytest.approx(-10.0, abs=1e-6)
-        assert fit.r_squared > 0.999999
-        assert fit.passed
+        assert fit["fitted_rate"] == pytest.approx(-10.0, abs=1e-6)
+        assert fit["r_squared"] > 0.999999
+        assert fit["pass"]
 
     def test_zero_series_short_circuits(self):
         t = np.linspace(0.0, 1.0, 20)
         fit = fit_rate(t, np.zeros_like(t), (0.0, 1.0), reference_rate=-5.0)
-        assert fit.passed and fit.fitted_rate == -5.0
+        assert fit["pass"] and fit["fitted_rate"] == -5.0
 
     def test_negative_values_are_a_data_error(self):
         t = np.linspace(0.0, 1.0, 20)
@@ -87,13 +87,13 @@ class TestFitRate:
         t = np.linspace(0.0, 1.0, 40)
         v = np.exp(-t) * np.exp(rng.standard_normal(40))
         fit = fit_rate(t, v, (0.0, 1.0), reference_rate=-1.0, tolerance=0.5)
-        assert not fit.passed  # r^2 gate
+        assert not fit["pass"]  # r^2 gate
 
     def test_no_reference_reports_only(self):
         t = np.linspace(0.0, 1.0, 30)
         fit = fit_rate(t, np.exp(-2.0 * t), (0.0, 1.0))
-        assert fit.passed and fit.reference_rate is None
-        assert fit.fitted_rate == pytest.approx(-2.0, abs=1e-9)
+        assert fit["pass"] and fit["reference_rate"] is None
+        assert fit["fitted_rate"] == pytest.approx(-2.0, abs=1e-9)
 
     def test_zonal_run_fits_viscous_rate(self, grid8):
         from sphkol.pde_solver import SolverConfig, run
@@ -107,8 +107,8 @@ class TestFitRate:
         t = np.array([r.t for r in recs])
         v = np.array([r.norm_ge3 for r in recs])
         fit = fit_rate(t, v, (1.0, 2.0), reference_rate=-10.0 * nu, tolerance=0.001)
-        assert fit.passed
-        assert fit.fitted_rate == pytest.approx(-5.0, rel=1e-6)
+        assert fit["pass"]
+        assert fit["fitted_rate"] == pytest.approx(-5.0, rel=1e-6)
 
 
 class TestManifests:
@@ -556,6 +556,24 @@ class TestMain:
         missing = tmp_path / "missing.csv"
         assert main(["fit", "--input", str(missing), "--column", "norm_ge3", "--window", "0:1"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, bad", [("nan", range(3, 15)), ("inf", [20])])
+    def test_fit_non_finite_sample_exit_2(self, tmp_path, capsys, value, bad):
+        # A run of NaNs must not be fitted on the samples left over, and one inf
+        # is a data error named by its t, not a failure to print the fit.
+        csv_path = tmp_path / "series.csv"
+        t = np.linspace(0.0, 1.0, 41)
+        v = [f"{math.exp(-2.0 * ti)}" for ti in t]
+        for k in bad:
+            v[k] = value
+        csv_path.write_text("\n".join(["t,norm_ge3"] + [f"{ti},{vi}" for ti, vi in zip(t, v)]) + "\n")
+        argv = ["fit", "--input", str(csv_path), "--column", "norm_ge3", "--window", "0:1", "--reference", "-2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: non-finite sample {value} at t = {float(t[bad[0]])} in the fit window" in (
+            captured.err
+        )
 
     def test_init_missing_file_exit_2(self, tmp_path, capsys):
         path = write_manifest(tmp_path, {**two_jet_manifest(tmp_path), "init": str(tmp_path / "missing.json")})

@@ -173,7 +173,8 @@ class TestEquilibrium:
 
     def test_report_schema(self):
         params = KillingParams(alpha=1.0, b=0.0)
-        rep = equilibrium_report(build_system(params, 1.0, 1.0), params, 1.0, "solve")
+        sys = build_system(params, 1.0, 1.0)
+        rep = equilibrium_report(sys, params, 1.0, "solve", equilibrium_solve(sys))
         assert set(rep) == {"nu", "a", "alpha", "b", "omega_inf", "method", "residual"}
         assert len(rep["omega_inf"]) == 5
         assert rep["residual"] < 1e-12
