@@ -1,4 +1,4 @@
-"""Batch experiment runner and verification reporting.
+"""Batch experiment runner, verification reporting, and every sphkol file format.
 
 Subcommands:
     run <manifest.json>      execute a scenario, write CSV/JSON outputs
@@ -8,6 +8,12 @@ Subcommands:
 
 sphkol.oracles is imported only by the oracles subcommand and the
 identity_oracles scenario.
+
+This is the package's one I/O layer: it reads manifests, field files and
+trajectory CSVs and writes every output, while harmonics, sht, operators,
+pde_solver and reduced_ode read and write nothing.  Floats are written with
+17 significant digits (format_float, dumps17), not json's repr, whose digit
+count varies by value, so that the files are byte-stable across platforms.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
@@ -33,8 +39,7 @@ import numpy as np
 from . import pde_solver, reduced_ode
 from .harmonics import build_grid
 from .operators import KillingParams
-from .pde_solver import IntegrationError, SolverConfig, trajectory_csv
-from .serialize import dumps17
+from .pde_solver import IntegrationError, SolverConfig
 from .sht import MeanModeError, SpectralField
 
 # Scenario -> (top-level keys it reads besides scenario, output_dir, cfg and seed; the cfg keys it reads).
@@ -48,10 +53,48 @@ MANIFEST_KEYS = {
 }
 SCENARIOS = tuple(MANIFEST_KEYS)
 JET_ORDER = {"two_jet": "two_jet", "one_jet": "one_jet", "rotating": "two_jet"}  # flow scenario -> base flow
+TRAJECTORY_HEADER = (
+    "t,norm_eq1,norm_eq2_dist,norm_ge3,"
+    "re_w22,im_w22,re_w21,im_w21,re_w20,im_w20,re_w2m1,im_w2m1,re_w2m2,im_w2m2"
+)
 
 
 class ManifestError(ValueError):
     """The experiment manifest is malformed or inconsistent."""
+
+
+def format_float(x: float) -> str:
+    """x with 17 significant digits; a non-finite x is a ValueError."""
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("non-finite float cannot be serialized")
+    return format(float(x), ".17g")
+
+
+def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
+    """Serialize dicts/lists/str/bool/None/int/float; floats use 17 significant digits."""
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, complex):
+        raise TypeError("serialize complex values as explicit re/im pairs")
+    if isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        pairs = obj.items() if keyed else ((None, v) for v in obj)
+        items = [(f"{dumps17(str(k))}: " if keyed else "") + dumps17(v, indent, _level + 1) for k, v in pairs]
+        first, last = "{}" if keyed else "[]"
+        if not items or not indent:
+            return first + ", ".join(items) + last
+        pad = "\n" + " " * (indent * (_level + 1))
+        return first + pad + ("," + pad).join(items) + "\n" + " " * (indent * _level) + last
+    try:
+        return dumps17(obj.item(), indent, _level)  # numpy scalars
+    except AttributeError:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> dict:
@@ -112,14 +155,68 @@ def _integer(value, name: str) -> int:
         raise ManifestError(f"{name} must be an integer: {exc}") from exc
 
 
+def field_from_entries(N, entries) -> SpectralField:
+    """The degree-N field of a list of m >= 0 entries {"n", "m", "re", "im"}; "im" defaults to 0.
+
+    The entries are checked and stored as arrays; the first bad one is
+    checked again on its own, so that the error names it.  An (n, m)
+    listed twice is an error, named at its second entry.  Orders m < 0
+    follow from reality.
+    """
+    out = SpectralField.zeros(int(N))
+    items = list(entries)
+    if not items:
+        return out
+    n = np.array([int(item["n"]) for item in items])
+    m = np.array([int(item["m"]) for item in items])
+    re = np.array([float(item["re"]) for item in items])
+    im = np.array([float(item.get("im", 0.0)) for item in items])
+    finite = np.isfinite(re) & np.isfinite(im)
+    bad = (m < 0) | ~finite | (n < 1) | (n > out.N) | (m > n) | ((m == 0) & (im != 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if m[k] < 0:
+            raise ValueError("coefficients are listed for m >= 0; negative orders are implied")
+        if not finite[k]:
+            raise ValueError(f"coefficient ({n[k]}, {m[k]}) is not finite")
+        out[int(n[k]), int(m[k])] = complex(re[k], im[k])  # raises: out of range, or imaginary at m = 0
+    first = np.zeros(n.size, dtype=bool)
+    first[np.unique(n * (out.N + 1) + m, return_index=True)[1]] = True
+    if not first.all():
+        k = int(np.argmin(first))
+        raise ValueError(f"coefficient ({n[k]}, {m[k]}) is listed more than once")
+    im[m == 0] = 0.0
+    out.coeffs.real[n, m] = re
+    out.coeffs.imag[n, m] = im
+    return out
+
+
+def save_field(field: SpectralField, path) -> None:
+    """Write N and the m >= 0 entries as JSON; negative orders are implied by reality."""
+    entries = [
+        {"n": n, "m": m, "re": field.coeffs[n, m].real, "im": field.coeffs[n, m].imag}
+        for n in range(1, field.N + 1)
+        for m in range(n + 1)
+    ]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(dumps17({"N": field.N, "coeffs": entries}) + "\n")
+
+
+def load_field(path) -> SpectralField:
+    """The field of a save_field file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    return field_from_entries(doc["N"], doc["coeffs"])
+
+
 def _parse_init(init, N: int) -> SpectralField:
     """The initial field from an inline coefficient list or a field file path."""
     if not isinstance(init, (str, list)):
         raise ManifestError(f"init must be an inline coefficient list or a file path, not {init!r}")
     try:
         if isinstance(init, str):
-            return SpectralField.load(init)
-        return SpectralField.from_json_dict({"N": N, "coeffs": init})
+            return load_field(init)
+        return field_from_entries(N, init)
     except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ManifestError(f"bad initial field: {exc}") from exc
 
@@ -163,15 +260,6 @@ def _checked(doc) -> dict:
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"Omega must be a number: {exc}") from exc
     return {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed")}
-
-
-def load_manifest(path) -> dict:
-    """Read a manifest file; run_manifest checks it."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest: {exc}") from exc
 
 
 def _check(name: str, measured: float | None, tolerance: float, note: str | None = None) -> dict:
@@ -249,7 +337,7 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
     params = KillingParams.from_field(omega0)
     header = None
     if scenario == "rotating":
-        header = f"Omega={Omega:.17g}"
+        header = f"Omega={format_float(Omega)}"
         params = reduced_ode.rotating_frame_params(params, Omega)
     outputs = {"trajectory.csv": trajectory_csv(records, header_comment=header)}
     files = {"trajectory": "trajectory.csv"}
@@ -278,9 +366,23 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         checks.append(_check("degree2_convergence_envelope", envelope, 1e-6, note="run ends before t = 1/nu"))
         system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
         w = reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
-        outputs["equilibrium.json"] = reduced_ode.equilibrium_report(system, params, cfg.amplitude, "closed_form", w)
+        outputs["equilibrium.json"] = equilibrium_report(system, params, cfg.amplitude, "closed_form", w)
         files["equilibrium"] = "equilibrium.json"
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
+
+
+def equilibrium_report(sys: reduced_ode.ReducedSystem, params: KillingParams, amplitude: float, method: str, w) -> dict:
+    """JSON-ready record of the equilibrium w of sys = build_system(params, amplitude, nu), found by method."""
+    residual = float(np.linalg.norm(sys.operator @ w - sys.c))
+    return {
+        "nu": float(sys.nu),
+        "a": float(amplitude),
+        "alpha": {"re": params.alpha.real, "im": params.alpha.imag},
+        "b": float(params.b),
+        "omega_inf": [{"re": z.real, "im": z.imag} for z in w],
+        "method": method,
+        "residual": residual,
+    }
 
 
 def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float) -> tuple[dict, dict]:
@@ -293,7 +395,7 @@ def _equilibrium_cross_check(params: KillingParams, amplitude: float, nu: float)
     cf = reduced_ode.equilibrium_closed_form(params, amplitude, nu)
     sv = reduced_ode.equilibrium_solve(system)
     reports = {
-        method: reduced_ode.equilibrium_report(system, params, amplitude, method, w)
+        method: equilibrium_report(system, params, amplitude, method, w)
         for method, w in (("closed_form", cf), ("solve", sv))
     }
     tolerance = 1e-12 * max(1.0, float(np.linalg.norm(cf)))
@@ -334,7 +436,13 @@ def run_manifest(manifest) -> tuple[int, dict]:
     The output directory is created only once the scenario has computed all
     it writes, so a run that fails writes nothing.
     """
-    doc = _checked(manifest if isinstance(manifest, dict) else load_manifest(manifest))
+    if not isinstance(manifest, dict):
+        try:
+            with open(manifest) as fh:
+                manifest = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ManifestError(f"cannot read manifest: {exc}") from exc
+    doc = _checked(manifest)
     runner = {"reduced_only": _run_reduced_scenario, "identity_oracles": _run_oracles_scenario}
     body, outputs = runner.get(doc["scenario"], _run_flow_scenario)(doc)
 
@@ -352,20 +460,40 @@ def run_manifest(manifest) -> tuple[int, dict]:
     return (0 if report["all_pass"] else 1), report
 
 
+def trajectory_csv(records, header_comment: str | None = None) -> str:
+    """Snapshot diagnostics as CSV text: 17-significant-digit floats, LF line ends."""
+    lines = [] if header_comment is None else [f"# {header_comment}"]
+    lines.append(TRAJECTORY_HEADER)
+    for rec in records:
+        values = [rec.t, rec.norm_eq1, rec.norm_eq2_dist, rec.norm_ge3, *rec.mode2.view(float)]  # re, im of each
+        lines.append(",".join(format_float(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
 def _load_csv_series(path, column: str):
-    times, values = [], []
+    """The t column and the named one of a CSV with '#' comment lines; a bad cell is named by line and column."""
     try:
-        with open(path) as fh:
-            rows = [line for line in fh if not line.startswith("#")]
+        with open(path, newline="") as fh:
+            rows = [(k, cells) for k, line in enumerate(fh, 1) if not line.startswith("#")
+                    for cells in csv.reader([line]) if cells]  # blank lines skipped
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(rows)
-    if reader.fieldnames is None or column not in reader.fieldnames:
-        raise ValueError(f"column {column!r} not present in {path}")
-    for row in reader:
-        times.append(float(row["t"]))
-        values.append(float(row[column]))
-    return np.array(times), np.array(values)
+    header = rows[0][1] if rows else []
+    for name in ("t", column):
+        if name not in header:
+            raise ValueError(f"column {name!r} not present in {path}")
+    cols = [header.index(name) for name in ("t", column)]
+    series = np.empty((len(rows) - 1, 2))
+    for (k, cells), out in zip(rows[1:], series):
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {k}: expected {len(header)} cells, found {len(cells)}")
+        for j, col in enumerate(cols):
+            try:
+                out[j] = float(cells[col])
+            except ValueError:
+                where = f"{path} line {k}, column {col + 1} ({header[col]})"
+                raise ValueError(f"{where}: not a number: {cells[col]!r}") from None
+    return series[:, 0], series[:, 1]
 
 
 def main(argv=None) -> int:
@@ -407,9 +535,12 @@ def main(argv=None) -> int:
                       f"(tolerance {check['tolerance']:.3e})")
             return code
         if args.command == "fit":
-            lo, _, hi = args.window.partition(":")
+            try:
+                lo, hi = map(float, args.window.split(":"))  # a wrong count of parts is a ValueError too
+            except ValueError:
+                raise ValueError(f"--window must be lo:hi with two numbers, got {args.window!r}") from None
             t, v = _load_csv_series(args.input, args.column)
-            fit = fit_rate(t, v, (float(lo), float(hi)), args.reference, args.tolerance)
+            fit = fit_rate(t, v, (lo, hi), args.reference, args.tolerance)
             print(dumps17(fit, indent=2))
             return 0 if fit["pass"] else 1
         if args.command == "equilibrium":

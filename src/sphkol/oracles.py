@@ -7,11 +7,12 @@ complex coefficient tables split into two real fields, the Killing vector
 fields X(x) = a x x through which the paper proves its conservation and
 convergence results, and the map from a rotating-frame state to the
 non-rotating one.  The quadrature integral, degree multipliers, Laplacian
-powers and the closed-form degree-2 rotation table live here too: only the
-checks use them.  A complex table is a full (N+1, 2N+1) array with entry
-(n, m) at [n, N+m]; a real field passes SpectralField.full_table().  No
-solver module imports this one, and the cli loads it only for the oracle
-runs.
+powers, the closed-form degree-2 rotation table and the exact unforced
+propagator of the 5-mode system (with the Hermiticity check it rests on) live
+here too: only the checks use them.  A complex table is a full (N+1, 2N+1)
+array with entry (n, m) at [n, N+m]; a real field passes
+SpectralField.full_table().  No solver module imports this one, and the cli
+loads it only for the oracle runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .harmonics import QuadratureGrid, build_grid, recurrence_table
 from .operators import KillingParams, convection, inverse_laplacian
-from .reduced_ode import MODE2_ORDER, _degree2_generator
+from .reduced_ode import MODE2_ORDER, ReducedSystem, _degree2_generator, equilibrium_solve
 from .sht import SpectralField, analyze, random_real_field, real_analysis, real_synthesis, synthesize
 
 
@@ -63,6 +64,29 @@ def killing_degree2_matrix(axis) -> np.ndarray:
     """
     a1, a2, a3 = np.asarray(axis, dtype=float)
     return _degree2_generator(1j * a3, 1j * a1 + a2, 1j * a1 - a2)
+
+
+def hermiticity_residual(sys: ReducedSystem) -> float:
+    """max |A - A^H| of a reduced system's coupling matrix."""
+    return float(np.max(np.abs(sys.A - sys.A.conj().T)))
+
+
+def propagate_exact(sys: ReducedSystem, w0: np.ndarray, t: float) -> np.ndarray:
+    """Unforced solution w(t) = exp(-(4 nu I + i A) t)(w0 - w_inf) + w_inf.
+
+    A is Hermitian, so the propagator is a pure phase factor exp(-i mu_k t)
+    per eigenvector times the scalar decay exp(-4 nu t).
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    herm = hermiticity_residual(sys)
+    if herm > 1e-13:
+        raise ArithmeticError(f"coupling matrix lost Hermiticity ({herm:.3e})")
+    w_inf = equilibrium_solve(sys)
+    mu, vecs = np.linalg.eigh(sys.A)
+    phases = np.exp(-4.0 * sys.nu * t - 1j * mu * t)
+    delta = vecs @ (phases * (vecs.conj().T @ (np.asarray(w0, dtype=complex) - w_inf)))
+    return delta + w_inf
 
 
 def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:

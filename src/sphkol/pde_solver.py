@@ -35,7 +35,6 @@ import numpy as np
 from . import reduced_ode
 from .harmonics import QuadratureGrid
 from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, linear_part
-from .serialize import format_float
 from .sht import SpectralField
 
 STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|w_n|, |w_n+1|)
@@ -71,11 +70,6 @@ DP_DENSE = np.array([
 ])
 # c_i - c_j where a_ij can be nonzero, 0 above it, so that no factor overflows
 _DP_LAG = np.array([[max(ci - cj, 0.0) for cj in DP_C] for ci in DP_C])
-
-TRAJECTORY_HEADER = (
-    "t,norm_eq1,norm_eq2_dist,norm_ge3,"
-    "re_w22,im_w22,re_w21,im_w21,re_w20,im_w20,re_w2m1,im_w2m1,re_w2m2,im_w2m2"
-)
 
 
 class IntegrationError(RuntimeError):
@@ -419,14 +413,3 @@ def run_with_coupling(
         records.append(_record(cfg, attractor, t, state, steps, rejected))
     return records, CouplingSeries(times=np.array(times), M=np.array(M), f=np.array(f))
 
-
-def trajectory_csv(records, header_comment: str | None = None) -> str:
-    """Snapshot diagnostics as CSV text: 17-significant-digit floats, LF line ends."""
-    lines = [] if header_comment is None else [f"# {header_comment}"]
-    lines.append(TRAJECTORY_HEADER)
-    for rec in records:
-        values = [rec.t, rec.norm_eq1, rec.norm_eq2_dist, rec.norm_ge3]
-        for z in rec.mode2:
-            values += [z.real, z.imag]
-        lines.append(",".join(format_float(v) for v in values))
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ where A is a constant Hermitian coupling matrix, c a constant source, and
 M(t), f(t) integral couplings to the degree >= 3 remainder that vanish when
 that remainder does; both read one table of adjacent-degree interactions.
 The equilibrium (4 nu I + i A)^{-1} c also has a closed form; both routes
-are implemented and cross-checked.
+are implemented, and sphkol.cli cross-checks and reports them.  The exact
+unforced propagator, which only the checks use, is in sphkol.oracles.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class ReducedSystem:
     def operator(self) -> np.ndarray:
         """The constant linear operator 4 nu I + i A, so that dw/dt = -operator w + c unforced."""
         return 4.0 * self.nu * np.eye(5, dtype=complex) + 1j * self.A
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.A - self.A.conj().T)))
 
 
 def _degree2_generator(diagonal, upper, lower) -> np.ndarray:
@@ -117,24 +115,6 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
 def frame_phases(Omega: float, t: float, orders=MODE2_ORDER) -> np.ndarray:
     """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER."""
     return np.exp(1j * Omega * t * np.array(orders, dtype=float))
-
-
-def propagate_exact(sys: ReducedSystem, w0: np.ndarray, t: float) -> np.ndarray:
-    """Unforced solution w(t) = exp(-(4 nu I + i A) t)(w0 - w_inf) + w_inf.
-
-    A is Hermitian, so the propagator is a pure phase factor exp(-i mu_k t)
-    per eigenvector times the scalar decay exp(-4 nu t).
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    herm = sys.hermiticity_residual()
-    if herm > 1e-13:
-        raise ArithmeticError(f"coupling matrix lost Hermiticity ({herm:.3e})")
-    w_inf = equilibrium_solve(sys)
-    mu, vecs = np.linalg.eigh(sys.A)
-    phases = np.exp(-4.0 * sys.nu * t - 1j * mu * t)
-    delta = vecs @ (phases * (vecs.conj().T @ (np.asarray(w0, dtype=complex) - w_inf)))
-    return delta + w_inf
 
 
 def propagate_forced(
@@ -237,16 +217,3 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     f = np.concatenate([linear[::-1], np.conj(linear[1:]) * np.array([-1.0, 1.0])]) - transport
     return G[0][:, N + mu], f
 
-
-def equilibrium_report(sys: ReducedSystem, params: KillingParams, amplitude: float, method: str, w) -> dict:
-    """JSON-ready record of the equilibrium w of sys = build_system(params, amplitude, nu), found by method."""
-    residual = float(np.linalg.norm(sys.operator @ w - sys.c))
-    return {
-        "nu": float(sys.nu),
-        "a": float(amplitude),
-        "alpha": {"re": params.alpha.real, "im": params.alpha.imag},
-        "b": float(params.b),
-        "omega_inf": [{"re": z.real, "im": z.imag} for z in w],
-        "method": method,
-        "residual": residual,
-    }

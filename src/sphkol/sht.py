@@ -5,7 +5,7 @@ A real field is stored as its coefficients u_n^m for 1 <= n <= N and
 per order m and a real longitude sum, analysis a longitude mean followed by
 Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
 band-limited data.  The Legendre sums over all orders are one real batched
-matrix product per call.
+matrix product per call.  Field files are read and written by sphkol.cli.
 
 The longitude stage has two forms, chosen by grid size inside both kernels.
 On grids with n_phi <= MATMUL_MAX_NPHI it is one real matmul of the
@@ -21,7 +21,6 @@ means.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import QuadratureGrid
-from .serialize import dumps17
 
 
 # Largest longitude count whose Fourier stage is one real matmul by a cached
@@ -136,56 +134,6 @@ class SpectralField:
         if self.N < 2:
             raise ValueError("field has no degree-2 modes")
         return self.full_table()[2, self.N - 2 : self.N + 3][::-1].copy()
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "SpectralField":
-        """Field from a parsed save() document; "im" defaults to 0, m < 0 follows from reality.
-
-        The entries are checked and stored as arrays; the first bad one is
-        checked again on its own, so that the error names it.  An (n, m)
-        listed twice is an error, named at its second entry.
-        """
-        out = cls.zeros(int(doc["N"]))
-        items = list(doc["coeffs"])
-        if not items:
-            return out
-        n = np.array([int(item["n"]) for item in items])
-        m = np.array([int(item["m"]) for item in items])
-        re = np.array([float(item["re"]) for item in items])
-        im = np.array([float(item.get("im", 0.0)) for item in items])
-        finite = np.isfinite(re) & np.isfinite(im)
-        bad = (m < 0) | ~finite | (n < 1) | (n > out.N) | (m > n) | ((m == 0) & (im != 0.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            if m[k] < 0:
-                raise ValueError("coefficients are listed for m >= 0; negative orders are implied")
-            if not finite[k]:
-                raise ValueError(f"coefficient ({n[k]}, {m[k]}) is not finite")
-            out[int(n[k]), int(m[k])] = complex(re[k], im[k])  # raises: out of range, or imaginary at m = 0
-        first = np.zeros(n.size, dtype=bool)
-        first[np.unique(n * (out.N + 1) + m, return_index=True)[1]] = True
-        if not first.all():
-            k = int(np.argmin(first))
-            raise ValueError(f"coefficient ({n[k]}, {m[k]}) is listed more than once")
-        im[m == 0] = 0.0
-        out.coeffs.real[n, m] = re
-        out.coeffs.imag[n, m] = im
-        return out
-
-    def save(self, path):
-        """Write N and the m >= 0 entries as JSON; negative orders are implied by reality."""
-        entries = [
-            {"n": n, "m": m, "re": self.coeffs[n, m].real, "im": self.coeffs[n, m].imag}
-            for n in range(1, self.N + 1)
-            for m in range(n + 1)
-        ]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(dumps17({"N": self.N, "coeffs": entries}) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SpectralField":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's recurrence/transform code
 paths: Legendre functions come from exact rational differentiation of the
 Rodrigues polynomial, and sphere integrals from a dense composite-Simpson
-rule in colatitude with a uniform longitude sum.
+rule in colatitude with a uniform longitude sum.  Time steps come from the
+classical Lawson-RK4 formulas, written out here, applied to the explicit
+right-hand side the caller passes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from sphkol.sht import SpectralField
 
 
 def legendre_poly_coeffs(n: int) -> list[Fraction]:
@@ -69,3 +73,28 @@ def sphere_integral_simpson(fn, n_theta: int = 2001, n_phi: int = 256):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return (phi_integral @ weights) * h / 3.0
+
+
+def classic_step(nonlinear, diffusion, state, dt):
+    """One classical Lawson-RK4 step of d_t w = D w + nonlinear(w), D the per-degree factors diffusion."""
+    lin = diffusion[:, None]
+    e_half = np.exp(lin * (dt / 2.0))
+    e_full = np.exp(lin * dt)
+    u = state.coeffs
+    k1 = nonlinear(state).coeffs
+    u2 = e_half * (u + (dt / 2.0) * k1)
+    k2 = nonlinear(SpectralField(state.N, u2)).coeffs
+    u3 = e_half * u + (dt / 2.0) * k2
+    k3 = nonlinear(SpectralField(state.N, u3)).coeffs
+    u4 = e_full * u + dt * e_half * k3
+    k4 = nonlinear(SpectralField(state.N, u4)).coeffs
+    advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return SpectralField(state.N, advanced)
+
+
+def classic_states(nonlinear, diffusion, state, dt, nsteps):
+    """state and the states after each of nsteps classic_step steps of size dt."""
+    states = [state]
+    for _ in range(nsteps):
+        states.append(classic_step(nonlinear, diffusion, states[-1], dt))
+    return states

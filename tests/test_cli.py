@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -11,14 +12,18 @@ import pytest
 
 from sphkol import cli, pde_solver, reduced_ode
 from sphkol.cli import (
+    TRAJECTORY_HEADER,
     ManifestError,
+    field_from_entries,
     fit_rate,
     main,
     run_manifest,
+    save_field,
 )
+from sphkol.harmonics import build_grid
 from sphkol.oracles import identity_oracle_residuals
-from sphkol.pde_solver import TRAJECTORY_HEADER, IntegrationError
-from sphkol.sht import MeanModeError
+from sphkol.pde_solver import IntegrationError, SolverConfig
+from sphkol.sht import MeanModeError, SpectralField
 
 
 def write_manifest(tmp_path, doc, name="manifest.json"):
@@ -552,6 +557,49 @@ class TestMain:
         csv_path.write_text("t,x\n0,1\n1,2\n")
         assert main(["fit", "--input", str(csv_path), "--column", "nope", "--window", "0:1"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,norm_ge3\n0,1\n", "column 't' not present in {path}"),
+            ("t,norm_ge3\n0.1\n", "{path} line 2: expected 2 cells, found 1"),
+            ("t,norm_ge3\n0,1\n0.1,2,3\n", "{path} line 3: expected 2 cells, found 3"),
+            ("t,norm_ge3\n0,1\n0.1,\n", "{path} line 3, column 2 (norm_ge3): not a number: ''"),
+            ("# Omega=2\nt,x,norm_ge3\n0,1,1\nzero,1,1\n", "{path} line 4, column 1 (t): not a number: 'zero'"),
+        ],
+    )
+    def test_fit_bad_csv_exit_2_naming_line_and_column(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text(text)
+        assert main(["fit", "--input", str(csv_path), "--column", "norm_ge3", "--window", "0:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message.format(path=csv_path)}\n"
+
+    @pytest.mark.parametrize("window", ["0-1", "a:1", "0:", "0:1:2"])
+    def test_fit_bad_window_exit_2(self, tmp_path, capsys, window):
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_text("t,norm_ge3\n0,1\n")
+        assert main(["fit", "--input", str(csv_path), "--column", "norm_ge3", "--window", window]) == 2
+        assert capsys.readouterr().err == f"configuration error: --window must be lo:hi with two numbers, got {window!r}\n"
+
+    def test_fit_reads_the_csv_a_run_wrote(self, tmp_path, capsys):
+        # The rotating trajectory starts with a '# Omega=...' comment; the t and
+        # norm_ge3 columns read back equal the run's records bitwise.
+        init = [{"n": 1, "m": 1, "re": 0.4}, {"n": 2, "m": 2, "re": 0.2, "im": -0.1}, {"n": 3, "m": 1, "re": 0.05}]
+        cfg = {"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 0.5, "snapshot_stride": 16}
+        doc = {"scenario": "rotating", "cfg": cfg, "Omega": 1.5, "init": init, "output_dir": str(tmp_path / "rot")}
+        assert run_manifest(doc)[0] == 0
+        path = tmp_path / "rot" / "trajectory.csv"
+        assert path.read_text().startswith("# Omega=1.5\n")
+        records = pde_solver.run(field_from_entries(8, init), SolverConfig(**cfg, Omega=1.5), build_grid(8))
+        t, ge3 = cli._load_csv_series(path, "norm_ge3")
+        assert len(records) >= 10
+        assert np.array_equal(t.view(np.uint64), np.array([r.t for r in records]).view(np.uint64))
+        assert np.array_equal(ge3.view(np.uint64), np.array([r.norm_ge3 for r in records]).view(np.uint64))
+        assert main(["fit", "--input", str(path), "--column", "norm_ge3", "--window", "0:0.5"]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert fit["window"] == [0.0, 0.5] and fit["fitted_rate"] < -10.0
+
     def test_fit_missing_input_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert main(["fit", "--input", str(missing), "--column", "norm_ge3", "--window", "0:1"]) == 2
@@ -606,13 +654,11 @@ class TestMain:
         assert code == 1
 
     def test_init_from_field_file(self, tmp_path):
-        from sphkol.sht import SpectralField
-
         field = SpectralField.zeros(8)
         field[1, 0] = 1.0
         field[3, 0] = 0.01
         path = tmp_path / "init.json"
-        field.save(path)
+        save_field(field, path)
         doc = {
             "scenario": "two_jet",
             "cfg": {"nu": 0.5, "amplitude": 1.0, "N": 8, "t_end": 0.25, "snapshot_stride": 20},
@@ -696,3 +742,20 @@ def test_solver_path_does_not_load_oracles():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"oracles": False, "public": []}
+
+
+def test_compute_modules_load_no_io_layer():
+    """Importing every compute module loads no json, csv, cli or serializer, and none calls open: cli owns the formats."""
+    probe = (
+        "import sys\n"
+        "import sphkol.harmonics, sphkol.sht, sphkol.operators, sphkol.pde_solver, sphkol.reduced_ode\n"
+        "print(sorted(m for m in ('json', 'csv', 'sphkol.cli', 'sphkol.serialize') if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    for name in ("harmonics", "sht", "operators", "pde_solver", "reduced_ode"):
+        tree = ast.parse(Path(src, "sphkol", f"{name}.py").read_text())
+        assert not any(isinstance(node, ast.Name) and node.id == "open" for node in ast.walk(tree)), name

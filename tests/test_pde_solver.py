@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, snapshot_states
+from refimpl import classic_states, classic_step
 from sphkol import pde_solver, reduced_ode
+from sphkol.cli import TRAJECTORY_HEADER, trajectory_csv
 from sphkol.harmonics import build_grid
 from sphkol.operators import KillingParams, convection
-from sphkol.oracles import apply_degree_multiplier, velocity_values
+from sphkol.oracles import apply_degree_multiplier, propagate_exact, velocity_values
 from sphkol.pde_solver import (
     IntegrationError,
     SolverConfig,
     Stepper,
-    TRAJECTORY_HEADER,
     default_dt,
     linear_diffusion_factors,
     run,
     run_with_coupling,
-    trajectory_csv,
 )
-from sphkol.reduced_ode import build_system, propagate_exact, propagate_forced
+from sphkol.reduced_ode import build_system, propagate_forced
 from sphkol.sht import SpectralField
 
 
@@ -215,23 +215,6 @@ def lattice(omega0, cfg, grid):
     return nsteps, dt, times
 
 
-def classic_step(nonlinear, diffusion, state, dt):
-    """The Lawson-RK4 step as it stood before step control, kept here for a bitwise comparison."""
-    lin = diffusion[:, None]
-    e_half = np.exp(lin * (dt / 2.0))
-    e_full = np.exp(lin * dt)
-    u = state.coeffs
-    k1 = nonlinear(state).coeffs
-    u2 = e_half * (u + (dt / 2.0) * k1)
-    k2 = nonlinear(SpectralField(state.N, u2)).coeffs
-    u3 = e_half * u + (dt / 2.0) * k2
-    k3 = nonlinear(SpectralField(state.N, u3)).coeffs
-    u4 = e_full * u + dt * e_half * k3
-    k4 = nonlinear(SpectralField(state.N, u4)).coeffs
-    advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralField(state.N, advanced)
-
-
 def count_nonlinear(monkeypatch):
     """A list that gets one entry per Stepper.nonlinear call from now on."""
     calls = []
@@ -318,8 +301,10 @@ class TestControlledSteps:
         reach = pde_solver.REACH / (cfg.nu * (16 * 17 - 2))
         assert cfg.t_end / run(omega0, cfg, grid16)[-1].steps > 4 * reach
         states = snapshot_states(omega0, cfg, grid16)
-        fine = SolverConfig(nu=2.0, amplitude=1.0, N=16, t_end=2.0, dt=2.0 / 512, snapshot_stride=64)
-        ref = snapshot_states(omega0, fine, grid16)
+        dt = 2.0 / 512
+        nonlinear = Stepper(cfg, grid16, dt).nonlinear
+        fine = classic_states(nonlinear, linear_diffusion_factors(16, cfg.nu), omega0, dt, 512)
+        ref = [(k * dt, fine[k]) for k in range(0, 513, 64)]
         assert len(ref) == len(states)
         for (t, got), (t_ref, want) in zip(states, ref):
             assert t == pytest.approx(t_ref, rel=1e-14)
@@ -572,15 +557,14 @@ class TestLatticeDriver:
     def test_coupling_bench_configuration(self, grid16):
         # N = 16, nu = 1, t_end = 1/8 sampled at dt = 1/2048: a handful of
         # controlled steps give (M, f) at all 257 lattice times, against a
-        # reference that takes one fixed Lawson-RK4 step per lattice time.
+        # reference that takes one classic Lawson-RK4 step per lattice time.
         omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
         dt = 1.0 / 2048
         cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9)
         recs, coupling = run_with_coupling(omega0, cfg, grid16)
         assert recs[-1].steps <= 20
-        stepper, states = Stepper(cfg, grid16, dt), [omega0]
-        for _ in range(256):
-            states.append(stepper.step(states[-1]))
+        nonlinear = Stepper(cfg, grid16, dt).nonlinear
+        states = classic_states(nonlinear, linear_diffusion_factors(16, cfg.nu), omega0, dt, 256)
         M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.amplitude) for state in states))
         assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
         for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
