@@ -18,9 +18,10 @@ error-controlled Lawson steps of the Dormand-Prince 5(4) pair (Dormand & Prince
 1980), FSAL, on the deviation v = w - w* from the paper's attractor
 w* = w_1 + w_2^inf, which a rotating frame turns by exp(i m Omega t); its rate
 G(v) = N(w* + v) + (D - i m Omega) w* vanishes at v = 0, so the scheme keeps
-the attractor fixed.  These steps do not land on lattice times: a lattice state
+the attractor fixed.  These steps do not aim at lattice times: a lattice state
 inside a step is read off the Lawson form of the continuous extension (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6), and only the last step lands on the end.
+Norsett & Wanner, Solving ODEs I, II.6), whose rows are built for a batch of a
+step's samples at once, and only the last step is made to land on the end.
 """
 
 from __future__ import annotations
@@ -252,17 +253,25 @@ class Stepper:
         err_row = np.concatenate([np.zeros((self.N + 1, 1)), dt * DP_E * lag[:, 6]], axis=1)
         return u, w, (err_row[:, None, :] @ parts).view(complex)[:, 0]
 
-    def dense(self, theta: float) -> np.ndarray:
-        """The deviation at t_n + theta dt inside the last attempt.
+    def dense(self, t: float, times: list[float]):
+        """Yield the state at each of times inside the last attempt, which starts at t.
 
-        e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j: the
-        factors with c_j > theta grow like e^{(1 - theta) dt |D|}, which the
-        caller bounds.
+        At theta = (s - t) / dt it is w*(s) plus the deviation
+        e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.  The
+        rows of that sum are built for all of times at once; each state is one
+        (N+1, 1, 8) @ stages product, so take them before the next attempt.
+        The caller bounds the number of times, and the factors with
+        c_j > theta, which grow like e^{(1 - theta) dt |D|}.
         """
+        theta = ((np.array(times) - t) / self.dt)[:, None, None]
         decay = self.diffusion * self.dt  # (N+1, 1)
         weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
-        row = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=1)
-        return (row[:, None, :] @ self.stages.view(float)).view(complex)[:, 0]
+        rows = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=2)
+        phases = np.exp(np.multiply.outer(times, self.turn)) if self.turn.any() else itertools.repeat(None)
+        parts = self.stages.view(float)
+        for row, phase in zip(rows[:, :, None, :], phases):
+            about = self.about if phase is None else self.about * phase
+            yield about + (row @ parts).view(complex)[:, 0]
 
 
 def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray, stride: int):
@@ -275,7 +284,9 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio of the
     two.  A non-finite trial is a rejection at the smallest factor.  A step
     ends at most REACH / |D_N| past the first pending sample time, and one
-    shortened so leaves the controller its longer proposal.
+    shortened so leaves the controller its longer proposal.  The samples an
+    accepted step covers are read off Stepper.dense up to 2(N+1) at a time,
+    so one row build per batch; a sample the step ends on takes the new state.
     """
     nsteps, dt = _checked_lattice(omega0, cfg, grid)
     about = np.zeros_like(omega0.coeffs)
@@ -287,6 +298,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     t_last = nsteps * dt
     yield 0.0, omega0, 0, 0
     reach = REACH / -float(stepper.diffusion[-1, 0])
+    batch = 2 * (cfg.N + 1)  # samples per dense() row build: its rows take no more room than stages
     v = omega0.coeffs - stepper.about
     k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
     w_norm = float(np.linalg.norm(omega0.coeffs))
@@ -314,9 +326,13 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
         accepted += 1
         t_new = t_last if lands else t + trial
         while pending <= t_new:
-            at = w_new if pending == t_new else stepper.attractor_at(pending)[0] + stepper.dense((pending - t) / trial)
-            yield pending, SpectralField(omega0.N, at), accepted, rejected
-            pending = next(sample_times, math.inf)
+            times = []
+            while pending <= t_new and len(times) < batch:
+                times.append(pending)
+                pending = next(sample_times, math.inf)
+            states = stepper.dense(t, times[:-1] if times[-1] == t_new else times)
+            for s in times:  # the landing sample, if any, is the last: it takes w_new
+                yield s, SpectralField(omega0.N, next(states, w_new)), accepted, rejected
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, stepper.stages[:, 7].copy(), new_norm
 

@@ -27,6 +27,11 @@ from .sht import SpectralField
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
+_MIRROR_SIGNS_12 = np.array([-1.0, 1.0])  # (-1)^m for m = 1, 2
+# extract_coupling's gather per N: the flat index of each w_{n+1}^{mu-m} in its padded table,
+# and the column of each mu.  A dict, not an lru_cache, which bench/tracing.py would wrap
+# with a span per sample.
+_GATHER: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -128,9 +133,15 @@ def propagate_forced(
     """RK4 integration of the nonautonomous system with sampled couplings.
 
     M_series and f_series must be sampled on the half-step lattice of the
-    integrator: spacing dt/2, covering [0, t_end], so 2 * nsteps + 1 samples.
-    Returns the trajectory at the integer steps, shape (nsteps + 1, 5).
+    integrator: spacing dt/2, covering [0, t_end], so 2 * nsteps + 1 samples;
+    dt must be positive and t_end non-negative, both finite.  Each sample's
+    rate -(operator + M) is formed once, one step at a time, so no array of
+    them is held.  Returns the trajectory at the integer steps, shape (nsteps + 1, 5).
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-12 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -142,22 +153,21 @@ def propagate_forced(
             f"coupling series must hold {expected} half-step samples; "
             f"got M {M_series.shape}, f {f_series.shape}"
         )
-    operator = sys.operator
-
-    def rhs(idx, w):
-        return -(operator + M_series[idx]) @ w + f_series[idx] + sys.c
-
+    operator, c = sys.operator, sys.c
     out = np.empty((nsteps + 1, 5), dtype=complex)
     w = np.asarray(w0, dtype=complex).copy()
     out[0] = w
+    start = -(operator + M_series[0])
     for k in range(nsteps):
         i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        k1 = rhs(i0, w)
-        k2 = rhs(i1, w + 0.5 * dt * k1)
-        k3 = rhs(i1, w + 0.5 * dt * k2)
-        k4 = rhs(i2, w + dt * k3)
+        mid, end = -(operator + M_series[i1]), -(operator + M_series[i2])
+        k1 = start @ w + f_series[i0] + c
+        k2 = mid @ (w + 0.5 * dt * k1) + f_series[i1] + c
+        k3 = mid @ (w + 0.5 * dt * k2) + f_series[i1] + c
+        k4 = end @ (w + dt * k3) + f_series[i2] + c
         w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = w
+        start = end
     return out
 
 
@@ -205,15 +215,18 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
-    w = omega.full_table()
+    if N not in _GATHER:
+        mu = np.array(MODE2_ORDER)
+        partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
+        _GATHER[N] = (np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner, N + mu)
+    gather, columns = _GATHER[N]
     # The +-m table between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
     padded = np.zeros((N + 1, 2 * N + 5), dtype=complex)
-    padded[:, 2:-2] = w
-    mu = np.array(MODE2_ORDER)
-    partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
-    G = adjacent_degree_table(N) * padded[3:, partner]
+    w = omega.full_table(out=padded[:, 2:-2])
+    G = padded.ravel().take(gather)  # padded[3:, partner], n = 2..N-1
+    np.multiply(adjacent_degree_table(N), G, out=G)
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
     linear = linear_part(N, "two_jet", amplitude).down[3, :3] * omega.coeffs[3, :3]  # m = 0, 1, 2
-    f = np.concatenate([linear[::-1], np.conj(linear[1:]) * np.array([-1.0, 1.0])]) - transport
-    return G[0][:, N + mu], f
+    f = np.concatenate([linear[::-1], np.conj(linear[1:]) * _MIRROR_SIGNS_12]) - transport
+    return G[0][:, columns], f
 

@@ -98,10 +98,11 @@ class SpectralField:
         signs.flags.writeable = False
         return signs
 
-    def full_table(self) -> np.ndarray:
-        """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror."""
+    def full_table(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror, in out if given."""
         N = self.N
-        out = np.empty((N + 1, 2 * N + 1), dtype=complex)
+        if out is None:
+            out = np.empty((N + 1, 2 * N + 1), dtype=complex)
         out[:, N:] = self.coeffs
         mirror = np.conjugate(self.coeffs[:, :0:-1], out=out[:, :N])
         mirror *= self._mirror_signs(N)

@@ -5,7 +5,9 @@ paths: Legendre functions come from exact rational differentiation of the
 Rodrigues polynomial, and sphere integrals from a dense composite-Simpson
 rule in colatitude with a uniform longitude sum.  Time steps come from the
 classical Lawson-RK4 formulas, written out here, applied to the explicit
-right-hand side the caller passes.
+right-hand side the caller passes.  The dense output one theta at a time, and
+the forced 5-mode right-hand side with its rate formed at every stage, are the
+bitwise references for the package's batched dense reads and shared rates.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sphkol.pde_solver import DP_C, DP_DENSE
 from sphkol.sht import SpectralField
 
 
@@ -98,3 +101,37 @@ def classic_states(nonlinear, diffusion, state, dt, nsteps):
     for _ in range(nsteps):
         states.append(classic_step(nonlinear, diffusion, states[-1], dt))
     return states
+
+
+def dense_state(stepper, t, s):
+    """The state at time s inside stepper's last Dormand-Prince attempt from t, one theta = (s - t) / dt at a time.
+
+    w*(s) + e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.
+    """
+    theta = (s - t) / stepper.dt
+    decay = stepper.diffusion * stepper.dt
+    weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
+    row = np.concatenate([np.exp(theta * decay), stepper.dt * weights * np.exp(decay * (theta - DP_C))], axis=1)
+    deviation = (row[:, None, :] @ stepper.stages.view(float)).view(complex)[:, 0]
+    return stepper.attractor_at(s)[0] + deviation
+
+
+def propagate_forced_reference(sys, w0, M_series, f_series, dt, t_end):
+    """RK4 of dw/dt = -(operator + M(t)) w + f(t) + c on the half-step samples, the operator added at every stage."""
+    nsteps = int(round(t_end / dt))
+
+    def rhs(idx, w):
+        return -(sys.operator + M_series[idx]) @ w + f_series[idx] + sys.c
+
+    out = np.empty((nsteps + 1, 5), dtype=complex)
+    w = np.asarray(w0, dtype=complex).copy()
+    out[0] = w
+    for k in range(nsteps):
+        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
+        k1 = rhs(i0, w)
+        k2 = rhs(i1, w + 0.5 * dt * k1)
+        k3 = rhs(i1, w + 0.5 * dt * k2)
+        k4 = rhs(i2, w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = w
+    return out

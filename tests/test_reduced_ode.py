@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import highpass, highpass_norm, rand_field
+from refimpl import propagate_forced_reference
 from sphkol import operators, sht
 from sphkol.cli import equilibrium_report
 from sphkol.harmonics import build_grid, recurrence_table
@@ -246,6 +247,46 @@ class TestPropagateForced:
         f = np.zeros((5, 5), dtype=complex)
         with pytest.raises(ValueError, match="half-step samples"):
             propagate_forced(sys, np.zeros(5, dtype=complex), M, f, 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "dt, t_end, message",
+        [
+            (0.0, 1.0, "dt must be positive and finite, got 0.0"),
+            (-0.1, 1.0, "dt must be positive and finite, got -0.1"),
+            (math.inf, 1.0, "dt must be positive and finite, got inf"),
+            (math.nan, 1.0, "dt must be positive and finite, got nan"),
+            (0.1, -1.0, "t_end must be non-negative and finite, got -1.0"),
+            (0.1, math.inf, "t_end must be non-negative and finite, got inf"),
+            (0.1, math.nan, "t_end must be non-negative and finite, got nan"),
+        ],
+    )
+    def test_bad_step_or_end_rejected(self, dt, t_end, message):
+        sys = build_system(KillingParams(alpha=0.5, b=0.0), 1.0, 1.0)
+        M = np.zeros((21, 5, 5), dtype=complex)
+        f = np.zeros((21, 5), dtype=complex)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            propagate_forced(sys, np.zeros(5, dtype=complex), M, f, dt, t_end)
+
+    def test_zero_end_returns_the_start(self):
+        sys = build_system(KillingParams(alpha=0.5, b=0.0), 1.0, 1.0)
+        w0 = np.arange(5) + 1j
+        traj = propagate_forced(sys, w0, np.zeros((1, 5, 5)), np.zeros((1, 5)), 0.1, 0.0)
+        assert traj.shape == (1, 5) and np.array_equal(traj[0], w0)
+
+    def test_bitwise_equal_to_the_per_stage_operator_form(self):
+        # Each sample's rate -(operator + M) is formed once and shared by the
+        # stages that read it; the reference forms it again at every stage.
+        rng = np.random.default_rng(17)
+        sys = build_system(KillingParams(alpha=0.4 - 0.3j, b=0.7), 1.2, 0.8)
+        nsteps, dt = 40, 1.0 / 64
+        M = rng.standard_normal((2 * nsteps + 1, 5, 5)) + 1j * rng.standard_normal((2 * nsteps + 1, 5, 5))
+        f = rng.standard_normal((2 * nsteps + 1, 5)) + 1j * rng.standard_normal((2 * nsteps + 1, 5))
+        w0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        M_before = M.copy()
+        traj = propagate_forced(sys, w0, M, f, dt, nsteps * dt)
+        want = propagate_forced_reference(sys, w0, M, f, dt, nsteps * dt)
+        assert np.array_equal(traj.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(M, M_before)  # the caller's series is left as it was
 
 
 def operator_form_coupling(omega, amplitude):
