@@ -254,12 +254,12 @@ class Stepper:
         return u, w, (err_row[:, None, :] @ parts).view(complex)[:, 0]
 
     def dense(self, t: float, times: list[float]):
-        """Yield the state at each of times inside the last attempt, which starts at t.
+        """Yield the deviation at each of times inside the last attempt, which starts at t.
 
-        At theta = (s - t) / dt it is w*(s) plus the deviation
+        At theta = (s - t) / dt it is
         e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.  The
-        rows of that sum are built for all of times at once; each state is one
-        (N+1, 1, 8) @ stages product, so take them before the next attempt.
+        rows of that sum are built for all of times at once; each deviation is
+        one (N+1, 1, 8) @ stages product, so take them before the next attempt.
         The caller bounds the number of times, and the factors with
         c_j > theta, which grow like e^{(1 - theta) dt |D|}.
         """
@@ -267,11 +267,9 @@ class Stepper:
         decay = self.diffusion * self.dt  # (N+1, 1)
         weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
         rows = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=2)
-        phases = np.exp(np.multiply.outer(times, self.turn)) if self.turn.any() else itertools.repeat(None)
         parts = self.stages.view(float)
-        for row, phase in zip(rows[:, :, None, :], phases):
-            about = self.about if phase is None else self.about * phase
-            yield about + (row @ parts).view(complex)[:, 0]
+        for row in rows[:, :, None, :]:
+            yield (row @ parts).view(complex)[:, 0]
 
 
 def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray, stride: int):
@@ -330,9 +328,12 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
             while pending <= t_new and len(times) < batch:
                 times.append(pending)
                 pending = next(sample_times, math.inf)
-            states = stepper.dense(t, times[:-1] if times[-1] == t_new else times)
-            for s in times:  # the landing sample, if any, is the last: it takes w_new
-                yield s, SpectralField(omega0.N, next(states, w_new)), accepted, rejected
+            read = times[:-1] if times[-1] == t_new else times
+            if read:
+                for s, deviation in zip(read, stepper.dense(t, read)):
+                    yield s, SpectralField(omega0.N, stepper.attractor_at(s)[0] + deviation), accepted, rejected
+            if len(read) < len(times):  # the sample the step ends on
+                yield t_new, SpectralField(omega0.N, w_new), accepted, rejected
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, stepper.stages[:, 7].copy(), new_norm
 

@@ -28,10 +28,6 @@ from .sht import SpectralField
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
 _MIRROR_SIGNS_12 = np.array([-1.0, 1.0])  # (-1)^m for m = 1, 2
-# extract_coupling's gather per N: the flat index of each w_{n+1}^{mu-m} in its padded table,
-# and the column of each mu.  A dict, not an lru_cache, which bench/tracing.py would wrap
-# with a span per sample.
-_GATHER: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -202,6 +198,14 @@ def adjacent_degree_table(N: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _coupling_gather(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """extract_coupling's indices: the flat index of each w_{n+1}^{mu-m}, n = 2..N-1, in its padded table, and the column of each mu."""
+    mu = np.array(MODE2_ORDER)
+    partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
+    return np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner, N + mu
+
+
 def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (M, f) of the degree-2 block to w_{>=3}, read off G = T w_{n+1}^{mu-m} without a transform.
 
@@ -215,11 +219,7 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     N = omega.N
     if N < 3:
         return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
-    if N not in _GATHER:
-        mu = np.array(MODE2_ORDER)
-        partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
-        _GATHER[N] = (np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner, N + mu)
-    gather, columns = _GATHER[N]
+    gather, columns = _coupling_gather(N)
     # The +-m table between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
     padded = np.zeros((N + 1, 2 * N + 5), dtype=complex)
     w = omega.full_table(out=padded[:, 2:-2])

@@ -103,17 +103,16 @@ def classic_states(nonlinear, diffusion, state, dt, nsteps):
     return states
 
 
-def dense_state(stepper, t, s):
-    """The state at time s inside stepper's last Dormand-Prince attempt from t, one theta = (s - t) / dt at a time.
+def dense_deviation(stepper, t, s):
+    """The deviation at time s inside stepper's last Dormand-Prince attempt from t, one theta = (s - t) / dt at a time.
 
-    w*(s) + e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.
+    e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.
     """
     theta = (s - t) / stepper.dt
     decay = stepper.diffusion * stepper.dt
     weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
     row = np.concatenate([np.exp(theta * decay), stepper.dt * weights * np.exp(decay * (theta - DP_C))], axis=1)
-    deviation = (row[:, None, :] @ stepper.stages.view(float)).view(complex)[:, 0]
-    return stepper.attractor_at(s)[0] + deviation
+    return (row[:, None, :] @ stepper.stages.view(float)).view(complex)[:, 0]
 
 
 def propagate_forced_reference(sys, w0, M_series, f_series, dt, t_end):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, snapshot_states
-from refimpl import classic_states, classic_step, dense_state
+from refimpl import classic_states, classic_step, dense_deviation
 from sphkol import pde_solver, reduced_ode
 from sphkol.cli import TRAJECTORY_HEADER, trajectory_csv
 from sphkol.harmonics import build_grid
@@ -368,21 +368,26 @@ def controlled_about(omega0, cfg):
 
 
 def checked_dense(monkeypatch):
-    """A list that gets (t, dt, times) per Stepper.dense row build from now on.
+    """Lists that get (t, dt, times) per Stepper.dense row build, and t + dt per step attempt, from now on.
 
-    Every state read is checked bitwise against refimpl.dense_state, the per-theta form.
+    Every deviation read is checked bitwise against refimpl.dense_deviation, the per-theta form.
     """
-    builds = []
-    dense = Stepper.dense
+    builds, ends = [], []
+    dense, step = Stepper.dense, Stepper.step
 
     def checked(self, t, times):
         builds.append((t, self.dt, list(times)))
-        for s, state in zip(times, dense(self, t, times)):
-            assert np.array_equal(state.view(np.uint64), dense_state(self, t, s).view(np.uint64))
-            yield state
+        for s, deviation in zip(times, dense(self, t, times)):
+            assert np.array_equal(deviation.view(np.uint64), dense_deviation(self, t, s).view(np.uint64))
+            yield deviation
+
+    def attempt(self, state, k1=None, t=0.0):
+        ends.append(t + self.dt)
+        return step(self, state, k1, t)
 
     monkeypatch.setattr(Stepper, "dense", checked)
-    return builds
+    monkeypatch.setattr(Stepper, "step", attempt)
+    return builds, ends
 
 
 class TestDenseOutput:
@@ -399,44 +404,48 @@ class TestDenseOutput:
         _, w_new, _ = stepper.step(omega0.coeffs - about, stepper.nonlinear(omega0).coeffs + about_rate, t)
         times = [t + h * (k + 1) / size for k in range(size)]
         assert times[-1] == t + h  # the landing sample, theta = 1
-        states = list(stepper.dense(t, times))
-        assert len(states) == size
-        for s, state in zip(times, states):
-            assert np.array_equal(state.view(np.uint64), dense_state(stepper, t, s).view(np.uint64))
+        deviations = list(stepper.dense(t, times))
+        assert len(deviations) == size
+        for s, deviation in zip(times, deviations):
+            assert np.array_equal(deviation.view(np.uint64), dense_deviation(stepper, t, s).view(np.uint64))
         # At theta = 1 the continuous extension is the fifth-order solution.
-        assert np.linalg.norm(states[-1] - w_new) <= 1e-14 * np.linalg.norm(w_new)
+        landed = stepper.attractor_at(times[-1])[0] + deviations[-1]
+        assert np.linalg.norm(landed - w_new) <= 1e-14 * np.linalg.norm(w_new)
 
     def test_row_builds_stay_bounded_on_a_fine_lattice(self, grid8, monkeypatch):
         # Steps over a thousand samples long: a row build takes at most 2(N+1) of
         # them, so its size does not grow with the lattice's density.
         omega0 = rand_field(8, seed=92, amplitude=0.5, decay=0.4)
         cfg = two_jet_cfg(t_end=0.01, dt=2e-6, snapshot_stride=10**9)
-        builds = checked_dense(monkeypatch)
+        builds, ends = checked_dense(monkeypatch)
         _, coupling = run_with_coupling(omega0, cfg, grid8)
         assert max(h for _, h, _ in builds) >= 1000 * 2e-6
         assert max(len(times) for _, _, times in builds) == 2 * (8 + 1)
-        assert_every_sample_read(builds, coupling, cfg)
+        assert_every_sample_read(builds, ends, coupling, cfg)
 
     def test_row_builds_per_step_at_the_bench_configuration(self, grid16, monkeypatch):
         # coupling_n16: at most ceil(S / 2(N+1)) row builds for a step's S samples.
         omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
         cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=1.0 / 2048, snapshot_stride=10**9)
-        builds = checked_dense(monkeypatch)
+        builds, ends = checked_dense(monkeypatch)
         recs, coupling = run_with_coupling(omega0, cfg, grid16)
         starts = sorted({t for t, _, _ in builds})
         assert len(starts) <= recs[-1].steps
         for start, end in zip(starts, starts[1:] + [cfg.t_end]):  # a step's samples lie in (start, end]
             samples = int(np.count_nonzero((coupling.times > start) & (coupling.times <= end)))
             assert 1 <= sum(t == start for t, _, _ in builds) <= math.ceil(samples / (2 * (16 + 1)))
-        assert_every_sample_read(builds, coupling, cfg)
+        assert_every_sample_read(builds, ends, coupling, cfg)
 
 
-def assert_every_sample_read(builds, coupling, cfg):
-    """Each sample after t = 0 is read off the dense output once, or is the end of the step that lands on it."""
+def assert_every_sample_read(builds, ends, coupling, cfg):
+    """Each sample after t = 0 is read off the dense output once, or is the end of a step that lands on it.
+
+    No row build is made for no sample.
+    """
+    assert all(times for _, _, times in builds)
     read = [s for _, _, times in builds for s in times]
     assert len(read) == len(set(read))
-    ends = {t + h for t, h, _ in builds} | {cfg.t_end}
-    assert set(coupling.times[1:].tolist()) - set(read) <= ends
+    assert set(coupling.times[1:].tolist()) - set(read) <= set(ends) | {cfg.t_end}
 
 
 class TestRun:
