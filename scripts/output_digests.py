@@ -1,0 +1,97 @@
+"""Print the sha256 of every output of a fixed set of small (N = 8) runs.
+
+The set covers every scenario and subcommand: two_jet (error-controlled and
+at a given dt), one_jet (its init read from a field file), rotating
+(Omega = 1.5), reduced_only and identity_oracles through ``cli.main(["run",
+...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
+subcommands through ``cli.main``.  All run in one process, in a temporary
+directory.
+
+Usage: python scripts/output_digests.py
+
+Prints ``<sha256>  <run>/<file>`` for each file a run writes and for its
+stdout, and ``<code>  <run>/exit`` for its exit code.  Two checkouts give the
+same lines exactly when their outputs are byte-identical, so
+
+    python scripts/output_digests.py > a.txt   (in each checkout)
+    diff a.txt b.txt
+
+checks that a change keeps every output.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sphkol import cli  # noqa: E402
+
+INIT = [
+    {"n": 1, "m": 0, "re": 0.8},
+    {"n": 1, "m": 1, "re": 0.2, "im": 0.4},
+    {"n": 2, "m": 0, "re": 0.5},
+    {"n": 2, "m": 1, "re": -0.3, "im": 0.1},
+    {"n": 2, "m": 2, "re": 0.05, "im": -0.2},
+    {"n": 3, "m": 1, "re": 0.1, "im": 0.05},
+    {"n": 4, "m": 3, "re": -0.04, "im": 0.02},
+    {"n": 8, "m": 5, "re": 0.01, "im": -0.01},
+]
+CFG = {"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, "snapshot_stride": 5}
+
+
+def manifests(root: Path) -> dict:
+    """The manifest of each run by name; writes the one_jet field file."""
+    field_file = root / "init.json"
+    cli.save_field(cli.field_from_entries(8, INIT), field_file)
+    flow = {"cfg": CFG, "init": INIT, "seed": 7}
+    docs = {
+        "two_jet": {**flow, "scenario": "two_jet"},
+        "two_jet_dt": {**flow, "scenario": "two_jet", "cfg": {**CFG, "dt": 0.01}},
+        "one_jet": {**flow, "scenario": "one_jet", "init": str(field_file)},
+        "rotating": {**flow, "scenario": "rotating", "Omega": 1.5},
+        "reduced_only": {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 8}, "init": INIT},
+        "identity_oracles": {"scenario": "identity_oracles", "lmax": 8, "seed": 3},
+    }
+    return {name: {**doc, "output_dir": str(root / name)} for name, doc in docs.items()}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    os.environ.pop("SPHKOL_OUT", None)  # each run writes to its own output_dir
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        runs = {}
+        for name, doc in manifests(root).items():
+            path = root / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            runs[name] = ["run", str(path)]
+        runs["equilibrium"] = ["equilibrium", "--nu", "1", "--a", "1", "--alpha-re", "0.3", "--alpha-im", "0.2",
+                               "--b", "0.5", "--omega", "1.5"]
+        runs["oracles"] = ["oracles", "--seed", "5", "--lmax", "8"]
+        runs["fit"] = ["fit", "--input", str(root / "two_jet" / "trajectory.csv"), "--column", "norm_ge3",
+                       "--window", "0.2:1", "--reference", "-10", "--tolerance", "0.5"]
+        for name, argv in runs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            outdir = root / name
+            files = sorted(outdir.iterdir()) if outdir.is_dir() else []
+            lines += [f"{digest(path.read_bytes())}  {name}/{path.name}" for path in files]
+            lines.append(f"{digest(out.getvalue().encode())}  {name}/stdout")
+            lines.append(f"{code}  {name}/exit")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,7 +17,8 @@ count varies by value, so that the files are byte-stable across platforms.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
-Each input is checked once, by the code that reads it.  A scenario computes
+Each input is checked once, by the code that reads it: every number of a
+manifest or a field file by _number.  A scenario computes
 everything before run_manifest creates its output directory, so a run that
 fails writes nothing; a directory or file that cannot be written is a
 configuration error.  A non-empty SPHKOL_OUT overrides the manifest's output
@@ -100,11 +101,15 @@ def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
 def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> dict:
     """Fit values ~ exp(rate * t) over the window; pass needs rate match and r^2 >= 0.999.
 
-    Returns the document `sphkol fit` prints.  A non-finite sample in the
-    window is a data error, named by its t.  A series identically below 1e-14
-    short-circuits to a pass at the reference rate (nothing left to measure);
-    nonpositive values above that floor are a data error.
+    Returns the document `sphkol fit` prints.  A negative or non-finite
+    tolerance, a non-finite reference_rate, a non-finite sample in the window
+    (named by its t) and nonpositive values above 1e-14 are data errors; a
+    series identically below that short-circuits to a pass at the reference.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    if reference_rate is not None and not math.isfinite(reference_rate):
+        raise ValueError(f"reference_rate must be finite, got {reference_rate!r}")
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     lo, hi = float(window[0]), float(window[1])
@@ -145,32 +150,47 @@ def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> dict
     }
 
 
-def _integer(value, name: str) -> int:
-    """A manifest integer; a boolean or a number with a fractional part is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ManifestError(f"{name} must be an integer, got {value!r}")
+def _number(value, name: str, integer: bool = False):
+    """value read as int() (integer) or float() reads it, or a ManifestError that names it.
+
+    A boolean, and a fractional part where an integer is read, are rejected,
+    not truncated.  A list is a column, read into an array: plain ints (or
+    floats) take one type check; else each entry k is read as "{name} of
+    entry {k}" (k from 0), so the first bad one is named.
+    """
+    if isinstance(value, list):
+        kinds = int if integer else (int, float)
+        if all(kind is not bool and issubclass(kind, kinds) for kind in set(map(type, value))):
+            try:
+                return np.array(value, dtype=None if integer else float)
+            except OverflowError:
+                pass  # an int too large for a float: named below
+        return np.array([_number(item, f"{name} of entry {k}", integer) for k, item in enumerate(value)])
+    what = "an integer" if integer else "a number"
+    if isinstance(value, bool) or (integer and isinstance(value, float) and not value.is_integer()):
+        raise ManifestError(f"{name} must be {what}, got {value!r}")
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"{name} must be an integer: {exc}") from exc
+        return int(value) if integer else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"{name} must be {what}: {exc}") from exc
 
 
 def field_from_entries(N, entries) -> SpectralField:
     """The degree-N field of a list of m >= 0 entries {"n", "m", "re", "im"}; "im" defaults to 0.
 
-    The entries are checked and stored as arrays; the first bad one is
-    checked again on its own, so that the error names it.  An (n, m)
+    _number reads each column into an array; the first entry the array checks
+    find bad is checked again on its own, so that the error names it.  An (n, m)
     listed twice is an error, named at its second entry.  Orders m < 0
     follow from reality.
     """
-    out = SpectralField.zeros(int(N))
+    out = SpectralField.zeros(_number(N, "N", integer=True))
     items = list(entries)
     if not items:
         return out
-    n = np.array([int(item["n"]) for item in items])
-    m = np.array([int(item["m"]) for item in items])
-    re = np.array([float(item["re"]) for item in items])
-    im = np.array([float(item.get("im", 0.0)) for item in items])
+    n = _number([item["n"] for item in items], "n", integer=True)
+    m = _number([item["m"] for item in items], "m", integer=True)
+    re = _number([item["re"] for item in items], "re")
+    im = _number([item.get("im", 0.0) for item in items], "im")
     finite = np.isfinite(re) & np.isfinite(im)
     bad = (m < 0) | ~finite | (n < 1) | (n > out.N) | (m > n) | ((m == 0) & (im != 0.0))
     if bad.any():
@@ -224,12 +244,12 @@ def _parse_init(init, N: int) -> SpectralField:
 def _solver_config(doc: dict, jet_order: str, Omega: float) -> SolverConfig:
     try:
         return SolverConfig(
-            nu=float(doc["nu"]),
-            amplitude=float(doc["amplitude"]),
-            N=_integer(doc["N"], "N"),
-            t_end=float(doc["t_end"]),
-            dt=None if doc.get("dt") is None else float(doc["dt"]),
-            snapshot_stride=_integer(doc.get("snapshot_stride", 10), "snapshot_stride"),
+            nu=_number(doc["nu"], "nu"),
+            amplitude=_number(doc["amplitude"], "amplitude"),
+            N=_number(doc["N"], "N", integer=True),
+            t_end=_number(doc["t_end"], "t_end"),
+            dt=None if doc.get("dt") is None else _number(doc["dt"], "dt"),
+            snapshot_stride=_number(doc.get("snapshot_stride", 10), "snapshot_stride", integer=True),
             jet_order=jet_order,
             Omega=Omega,
         )
@@ -255,11 +275,8 @@ def _checked(doc) -> dict:
             raise ManifestError(f"{scenario} manifest {where}has key(s) no run reads: {unknown}")
     if scenario == "rotating" and doc.get("Omega") is None:
         raise ManifestError("rotating scenario needs Omega")
-    try:
-        Omega = float(doc.get("Omega", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"Omega must be a number: {exc}") from exc
-    return {**doc, "cfg": cfg, "Omega": Omega, "seed": _integer(doc.get("seed", 0), "seed")}
+    Omega, seed = _number(doc.get("Omega", 0.0), "Omega"), _number(doc.get("seed", 0), "seed", integer=True)
+    return {**doc, "cfg": cfg, "Omega": Omega, "seed": seed}
 
 
 def _check(name: str, measured: float | None, tolerance: float, note: str | None = None) -> dict:
@@ -414,10 +431,10 @@ def _run_reduced_scenario(doc: dict) -> tuple[dict, dict]:
     """The closed-form and solved equilibria of the init's degree-1 data, and their cross-check."""
     cfg = doc["cfg"]
     try:
-        nu, amplitude = float(cfg["nu"]), float(cfg["amplitude"])
-    except (KeyError, TypeError, ValueError) as exc:
+        nu, amplitude = _number(cfg["nu"], "nu"), _number(cfg["amplitude"], "amplitude")
+    except KeyError as exc:
         raise ManifestError(f"reduced_only needs cfg.nu and cfg.amplitude: {exc}") from exc
-    params = KillingParams.from_field(_parse_init(doc.get("init"), _integer(cfg.get("N", 4), "N")))
+    params = KillingParams.from_field(_parse_init(doc.get("init"), _number(cfg.get("N", 4), "N", integer=True)))
     reports, check = _equilibrium_cross_check(params, amplitude, nu)
     files = {method: f"equilibrium_{method}.json" for method in reports}
     return {"checks": [check], "files": files}, {files[method]: rep for method, rep in reports.items()}
@@ -425,7 +442,7 @@ def _run_reduced_scenario(doc: dict) -> tuple[dict, dict]:
 
 def _run_oracles_scenario(doc: dict) -> tuple[dict, dict]:
     """The identity-oracle residuals at degree lmax (16 when left out)."""
-    lmax = _integer(16 if doc.get("lmax") is None else doc["lmax"], "lmax")
+    lmax = _number(16 if doc.get("lmax") is None else doc["lmax"], "lmax", integer=True)
     residuals, checks = _oracle_checks(doc["seed"], lmax)
     return {"checks": checks, "files": {"residuals": "oracle_residuals.json"}}, {"oracle_residuals.json": residuals}
 

@@ -107,31 +107,15 @@ def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
     return out
 
 
-def nodes_xyz(grid: QuadratureGrid) -> np.ndarray:
-    """Cartesian node coordinates, shape (n_theta, n_phi, 3)."""
-    st = grid.sin_theta[:, None]
-    ct = grid.cos_theta[:, None]
-    cp = np.cos(grid.phi_nodes)[None, :]
-    sp = np.sin(grid.phi_nodes)[None, :]
-    return np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
-
-
-def dtheta_x(grid: QuadratureGrid) -> np.ndarray:
-    """Tangent basis vector d x / d theta at each node."""
-    ct = grid.cos_theta[:, None]
-    st = grid.sin_theta[:, None]
-    cp = np.cos(grid.phi_nodes)[None, :]
-    sp = np.sin(grid.phi_nodes)[None, :]
-    return np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
-
-
-def dphi_x(grid: QuadratureGrid) -> np.ndarray:
-    """Tangent basis vector d x / d phi at each node (length sin theta)."""
-    st = grid.sin_theta[:, None]
-    cp = np.cos(grid.phi_nodes)[None, :]
-    sp = np.sin(grid.phi_nodes)[None, :]
-    zero = np.zeros_like(st * cp)
-    return np.stack([-st * sp, st * cp, zero], axis=-1)
+def tangent_frame(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node positions x and the tangent vectors dx/dtheta and dx/dphi (length sin theta), each (n_theta, n_phi, 3)."""
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    cp, sp = np.cos(grid.phi_nodes)[None, :], np.sin(grid.phi_nodes)[None, :]
+    ones = np.ones_like(cp)
+    xyz = np.stack([st * cp, st * sp, ct * ones], axis=-1)
+    dtheta = np.stack([ct * cp, ct * sp, -st * ones], axis=-1)
+    dphi = np.stack([-st * sp, st * cp, np.zeros_like(st * cp)], axis=-1)
+    return xyz, dtheta, dphi
 
 
 def inner(grid: QuadratureGrid, u: np.ndarray, v: np.ndarray):
@@ -181,16 +165,14 @@ def gradient_values(table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     m_factors = 1j * np.arange(-N, N + 1)
     du_dphi = table_synthesis(table * m_factors[None, :], grid, grid.plm)
     inv_sin2 = 1.0 / (grid.sin_theta**2)
-    return (
-        du_dtheta[:, :, None] * dtheta_x(grid)
-        + (du_dphi * inv_sin2[:, None])[:, :, None] * dphi_x(grid)
-    )
+    _, dtheta, dphi = tangent_frame(grid)
+    return du_dtheta[:, :, None] * dtheta + (du_dphi * inv_sin2[:, None])[:, :, None] * dphi
 
 
 def velocity_values(omega: SpectralField, grid: QuadratureGrid) -> np.ndarray:
     """Complex samples of n x grad(inverse_laplacian(omega))."""
     psi = inverse_laplacian(omega).full_table()
-    return np.cross(nodes_xyz(grid), gradient_values(psi, grid))
+    return np.cross(tangent_frame(grid)[0], gradient_values(psi, grid))
 
 
 def _resolve_axis(params) -> np.ndarray:
@@ -202,7 +184,7 @@ def _resolve_axis(params) -> np.ndarray:
 def killing_field_values(axis, grid: QuadratureGrid) -> np.ndarray:
     """Samples of the rotation field X(x) = a x x."""
     a = _resolve_axis(axis)
-    xyz = nodes_xyz(grid)
+    xyz = tangent_frame(grid)[0]
     return np.cross(np.broadcast_to(a, xyz.shape), xyz)
 
 
@@ -345,8 +327,7 @@ def identity_oracle_residuals(seed: int, lmax: int, n_triples: int = 100, n_axes
     res["degree2_rotation_leakage"] = worst_leak
 
     e1, e2, e3 = np.eye(3)
-    dtheta, dphi = dtheta_x(grid), dphi_x(grid)
-    xyz = nodes_xyz(grid)
+    xyz, dtheta, dphi = tangent_frame(grid)
     sin_t = grid.sin_theta[:, None]
     cos_t2 = grid.cos_theta[:, None]
     cp = np.cos(phi)

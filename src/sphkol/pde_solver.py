@@ -286,7 +286,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     accepted step covers are read off Stepper.dense up to 2(N+1) at a time,
     so one row build per batch; a sample the step ends on takes the new state.
     """
-    nsteps, dt = _checked_lattice(omega0, cfg, grid)
+    nsteps, dt = lattice(omega0, cfg, grid)
     about = np.zeros_like(omega0.coeffs)
     about[1] = omega0.coeffs[1]
     about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
@@ -339,19 +339,17 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
 
 
 def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
-    """(nsteps, dt) of the snapshot lattice: the given dt or default_dt, rounded to t_end / nsteps."""
-    dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
-    nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
-    return nsteps, cfg.t_end / nsteps
+    """(nsteps, dt) of the snapshot lattice: the given dt or default_dt, rounded to t_end / nsteps.
 
-
-def _checked_lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
-    """lattice(), once omega0 and grid are checked against cfg."""
+    It checks that omega0 has degree cfg.N and that the grid resolves it.
+    """
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
     if cfg.N > grid.N:
         raise ValueError("grid does not support the configured truncation degree")
-    return lattice(omega0, cfg, grid)
+    dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
+    nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
+    return nsteps, cfg.t_end / nsteps
 
 
 def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray):
@@ -360,7 +358,7 @@ def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGr
     if cfg.dt is None:
         yield from _controlled(omega0, cfg, grid, attractor, cfg.snapshot_stride)
         return
-    nsteps, dt = _checked_lattice(omega0, cfg, grid)
+    nsteps, dt = lattice(omega0, cfg, grid)
     yield 0.0, omega0, 0, 0
     stepper = Stepper(cfg, grid, dt)
     state = omega0

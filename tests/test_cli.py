@@ -94,6 +94,23 @@ class TestFitRate:
         fit = fit_rate(t, v, (0.0, 1.0), reference_rate=-1.0, tolerance=0.5)
         assert not fit["pass"]  # r^2 gate
 
+    @pytest.mark.parametrize(
+        "reference, tolerance, name",
+        [
+            (-2.0, -0.5, "tolerance"),
+            (None, -0.5, "tolerance"),
+            (-2.0, math.nan, "tolerance"),
+            (-2.0, math.inf, "tolerance"),
+            (math.inf, 0.05, "reference_rate"),
+            (-math.inf, 0.05, "reference_rate"),
+            (math.nan, 0.05, "reference_rate"),
+        ],
+    )
+    def test_bad_tolerance_or_reference_is_named(self, reference, tolerance, name):
+        t = np.linspace(0.0, 1.0, 41)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit_rate(t, np.exp(-2.0 * t), (0.0, 1.0), reference_rate=reference, tolerance=tolerance)
+
     def test_no_reference_reports_only(self):
         t = np.linspace(0.0, 1.0, 30)
         fit = fit_rate(t, np.exp(-2.0 * t), (0.0, 1.0))
@@ -451,18 +468,32 @@ class TestMain:
         assert "Omega must be finite" in capsys.readouterr().err
         # Booleans and integers with a fractional part are rejected by name, not truncated.
         oracles = {"scenario": "identity_oracles", "lmax": 8, "output_dir": str(tmp_path / "orc")}
-        for doc, name in [
-            ({**base, "cfg": {**base["cfg"], "N": 8.7}}, "N"),
-            ({**base, "cfg": {**base["cfg"], "snapshot_stride": 2.5}}, "snapshot_stride"),
-            ({**base, "cfg": {**base["cfg"], "snapshot_stride": True}}, "snapshot_stride"),
-            ({**base, "seed": 7.5}, "seed"),
-            ({**oracles, "lmax": 8.5}, "lmax"),
-            ({"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4.5},
-              "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "red")}, "N"),
+        reduced = {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 4},
+                   "init": [{"n": 1, "m": 1, "re": 1.0}], "output_dir": str(tmp_path / "red")}
+        fractional_m = base["init"] + [{"n": 2, "m": 1.5, "re": 0.3}]
+        true_n = [{"n": True, "m": 0, "re": 1.0}] + base["init"][1:]
+        true_re = base["init"] + [{"n": 2, "m": 0, "re": True}]
+        field_path = tmp_path / "fractional.json"
+        field_path.write_text(json.dumps({"N": 8, "coeffs": fractional_m}))
+        for doc, message in [
+            ({**base, "cfg": {**base["cfg"], "N": 8.7}}, "N must be an integer"),
+            ({**base, "cfg": {**base["cfg"], "snapshot_stride": 2.5}}, "snapshot_stride must be an integer"),
+            ({**base, "cfg": {**base["cfg"], "snapshot_stride": True}}, "snapshot_stride must be an integer"),
+            ({**base, "seed": 7.5}, "seed must be an integer"),
+            ({**oracles, "lmax": 8.5}, "lmax must be an integer"),
+            ({**reduced, "cfg": {**reduced["cfg"], "N": 4.5}}, "N must be an integer"),
+            ({**base, "cfg": {**base["cfg"], "nu": True}}, "nu must be a number, got True"),
+            ({**base, "cfg": {**base["cfg"], "dt": True, "t_end": 1.0}}, "dt must be a number, got True"),
+            ({**base, "scenario": "rotating", "Omega": True}, "Omega must be a number, got True"),
+            ({**reduced, "cfg": {**reduced["cfg"], "nu": True}}, "nu must be a number, got True"),
+            ({**base, "init": fractional_m}, "m of entry 3 must be an integer, got 1.5"),
+            ({**base, "init": true_n}, "n of entry 0 must be an integer, got True"),
+            ({**base, "init": true_re}, "re of entry 3 must be a number, got True"),
+            ({**base, "init": str(field_path)}, "m of entry 3 must be an integer, got 1.5"),
         ]:
             path = write_manifest(tmp_path, doc)
-            assert main(["run", str(path)]) == 2, name
-            assert f"{name} must be an integer" in capsys.readouterr().err, name
+            assert main(["run", str(path)]) == 2, message
+            assert message in capsys.readouterr().err, message
         # A missing, null, empty or non-string output_dir is rejected, not written to a directory "None".
         for value in (None, "", 7, ["out"]):
             path = write_manifest(tmp_path, {**base, "output_dir": value})
@@ -599,6 +630,21 @@ class TestMain:
         assert main(["fit", "--input", str(path), "--column", "norm_ge3", "--window", "0:0.5"]) == 0
         fit = json.loads(capsys.readouterr().out)
         assert fit["window"] == [0.0, 0.5] and fit["fitted_rate"] < -10.0
+
+    @pytest.mark.parametrize(
+        "option, value, name",
+        [("--tolerance", "-0.5", "tolerance"), ("--tolerance", "nan", "tolerance"),
+         ("--reference", "inf", "reference_rate"), ("--reference", "nan", "reference_rate")],
+    )
+    def test_fit_bad_tolerance_or_reference_exit_2(self, tmp_path, capsys, option, value, name):
+        csv_path = tmp_path / "series.csv"
+        t = np.linspace(0.0, 1.0, 41)
+        csv_path.write_text("\n".join(["t,norm_ge3"] + [f"{ti},{math.exp(-2.0 * ti)}" for ti in t]) + "\n")
+        argv = ["fit", "--input", str(csv_path), "--column", "norm_ge3", "--window", "0:1", "--reference=-2"]
+        assert main(argv + [f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {name} must be"), captured.err
 
     def test_fit_missing_input_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -17,7 +17,6 @@ from sphkol.operators import (
 from sphkol.oracles import (
     analyze_complex,
     apply_degree_multiplier,
-    dtheta_x,
     gradient_values,
     integrate,
     killing_advect,
@@ -26,8 +25,8 @@ from sphkol.oracles import (
     killing_pairing_residuals,
     laplacian,
     laplacian_power,
-    nodes_xyz,
     synthesize_complex,
+    tangent_frame,
     unit_table,
     velocity_values,
 )
@@ -113,7 +112,7 @@ def velocity(omega, grid):
 
 def tangency_residual(values, grid):
     """Largest radial component of Cartesian vector samples."""
-    return float(np.max(np.abs(np.sum(values * nodes_xyz(grid), axis=-1))))
+    return float(np.max(np.abs(np.sum(values * tangent_frame(grid)[0], axis=-1))))
 
 
 class TestLaplacianFamily:
@@ -158,7 +157,7 @@ class TestGradient:
     def test_zonal_degree_one(self, grid8):
         u = single(8, 1, 0)
         g = gradient(u, grid8)
-        want = -0.5 * math.sqrt(3.0 / math.pi) * np.sin(grid8.theta_nodes)[:, None, None] * dtheta_x(grid8)
+        want = -0.5 * math.sqrt(3.0 / math.pi) * np.sin(grid8.theta_nodes)[:, None, None] * tangent_frame(grid8)[1]
         assert np.max(np.abs(g - want)) < 1e-13
 
     def test_zero_field(self, grid8):
@@ -179,13 +178,13 @@ class TestGradient:
 class TestVelocity:
     def test_degree_one_is_rigid_rotation(self, grid8):
         v = velocity(single(8, 1, 0), grid8)
-        want = 0.25 * math.sqrt(3.0 / math.pi) * np.cross([0.0, 0.0, 1.0], nodes_xyz(grid8))
+        want = 0.25 * math.sqrt(3.0 / math.pi) * np.cross([0.0, 0.0, 1.0], tangent_frame(grid8)[0])
         assert np.max(np.abs(v - want)) < 1e-13
 
     def test_zonal_velocity_is_azimuthal(self, grid8):
         omega = single(8, 2, 0, 0.7) + single(8, 5, 0, -0.2)
         v = velocity(omega, grid8)
-        theta_component = np.sum(v * dtheta_x(grid8), axis=-1)
+        theta_component = np.sum(v * tangent_frame(grid8)[1], axis=-1)
         assert np.max(np.abs(theta_component)) < 1e-13
 
     def test_zero(self, grid8):

@@ -16,8 +16,8 @@ from sphkol.oracles import (
     hermiticity_residual,
     integrate,
     killing_degree2_matrix,
-    nodes_xyz,
     propagate_exact,
+    tangent_frame,
     unit_table,
     velocity_values,
 )
@@ -67,7 +67,7 @@ def cartesian_degree2_tables(grid):
     for m in MODE2_ORDER:
         grads.append(gradient_values(unit_table(grid.N, 2, m), grid))
     grad_conj = [np.conj(g) for g in grads]
-    rotations = [np.cross(nodes_xyz(grid), g) for g in grads]
+    rotations = [np.cross(tangent_frame(grid)[0], g) for g in grads]
     jacobians = [[np.sum(rotations[k] * grad_conj[i], axis=-1) for i in range(5)] for k in range(5)]
     return grad_conj, jacobians
 

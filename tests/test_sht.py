@@ -372,6 +372,9 @@ class TestSerialization:
             ({"n": 3, "m": 0, "re": 1.0, "im": 2.0}, ValueError, "(3, 0) of a real field must be real"),
             ({"n": 2, "m": 1, "re": math.inf}, ValueError, "(2, 1) is not finite"),
             ({"n": 2, "m": -1, "re": 1.0}, ValueError, "m >= 0"),
+            ({"n": 2, "m": 1.5, "re": 1.0}, ValueError, "m of entry 1 must be an integer, got 1.5"),
+            ({"n": True, "m": 0, "re": 1.0}, ValueError, "n of entry 1 must be an integer, got True"),
+            ({"n": 2, "m": 1, "re": 10**400}, ValueError, "re of entry 1 must be a number: int too large"),
         ],
     )
     def test_first_bad_entry_is_named(self, entry, error, message):
