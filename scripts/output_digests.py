@@ -1,8 +1,8 @@
 """Print the sha256 of every output of a fixed set of small (N = 8) runs.
 
-The set covers every scenario and subcommand: two_jet (error-controlled and
-at a given dt), one_jet (its init read from a field file), rotating
-(Omega = 1.5), reduced_only and identity_oracles through ``cli.main(["run",
+The set covers every scenario and subcommand: two_jet and rotating
+(Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
+read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
 ...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
 subcommands through ``cli.main``.  All run in one process, in a temporary
 directory.
@@ -55,6 +55,7 @@ def manifests(root: Path) -> dict:
         "two_jet_dt": {**flow, "scenario": "two_jet", "cfg": {**CFG, "dt": 0.01}},
         "one_jet": {**flow, "scenario": "one_jet", "init": str(field_file)},
         "rotating": {**flow, "scenario": "rotating", "Omega": 1.5},
+        "rotating_dt": {**flow, "scenario": "rotating", "Omega": 1.5, "cfg": {**CFG, "dt": 0.01}},
         "reduced_only": {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 8}, "init": INIT},
         "identity_oracles": {"scenario": "identity_oracles", "lmax": 8, "seed": 3},
     }

@@ -1,8 +1,8 @@
 """Spectral differential operators and the convection term.
 
 inverse_laplacian is a cached degree multiplier.  linear_part builds the
-non-diffusive linear part of all three flows: the one-jet and Coriolis terms
-act diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
+non-diffusive linear part of all three flows: the one-jet, Coriolis and frame
+terms act diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
 convection term goes through the grid (pseudospectral, dealiased by grid
 oversizing), synthesized from the m >= 0 half of real fields.  KillingParams
 packages the nondissipative degree-1 data as the rotation axis of a Killing
@@ -74,8 +74,8 @@ def inverse_laplacian(u: SpectralField) -> SpectralField:
 class LinearPart:
     """Per-(n, m >= 0) factors of the non-diffusive linear part, each of shape (N+1, N+1).
 
-    ``diagonal`` keeps the degree, ``down`` takes w_n^m to degree n-1 and
-    ``up`` takes it to degree n+1; the degree-(N+1) spill is truncated.
+    ``diagonal`` keeps the degree (the stepper integrates it), ``down`` takes w_n^m
+    to degree n-1 and ``up`` to degree n+1; the degree-(N+1) spill is truncated.
     """
 
     diagonal: np.ndarray
@@ -83,10 +83,10 @@ class LinearPart:
     up: np.ndarray
 
     def apply(self, omega: SpectralField) -> SpectralField:
-        """The linear part applied to a real field."""
+        """The degree-changing part, down and up, applied to a real field; the diagonal is left out."""
         w = omega.coeffs
-        out = w * self.diagonal
-        out[:-1] += self.down[1:] * w[1:]
+        out = np.zeros_like(w)
+        out[:-1] = self.down[1:] * w[1:]
         out[2:] += self.up[1:-1] * w[1:-1]
         return SpectralField(omega.N, out)
 
@@ -97,15 +97,15 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
 
     Two-jet: -(a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}), tridiagonal in
     degree through cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m.
-    One-jet: -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}), diagonal.  The Coriolis
-    term -2 Omega d_phi Lap^{-1} adds 2 i Omega m / (n(n+1)) to the diagonal.
-    The diagonal terms are skew in L^2; the two-jet term is skew only in the
-    (I + 6 Lap^{-1})-weighted product on degrees >= 3.  The tables are cached
-    per argument tuple and read-only.
+    One-jet: -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}), diagonal.  In co-rotating
+    coefficients exp(-i m Omega t) w the Coriolis term -2 Omega d_phi Lap^{-1} and the
+    frame add i Omega m (2/(n(n+1)) - 1), 0 at n = 1, to the diagonal.  The diagonal
+    terms are skew in L^2; the two-jet term is skew only in the (I + 6 Lap^{-1})-weighted
+    product on degrees >= 3.  The tables are cached per argument tuple and read-only.
     """
     inv_lam = -_inverse_laplacian_column(N)[:, 0]  # 1/(n(n+1)), 0 at n = 0
     im = 1j * np.arange(N + 1)
-    per_degree = 2.0 * Omega * inv_lam
+    per_degree = 2.0 * Omega * inv_lam - Omega
     down = np.zeros((N + 1, N + 1), dtype=complex)
     up = np.zeros((N + 1, N + 1), dtype=complex)
     if jet_order == "one_jet":  # otherwise "two_jet"

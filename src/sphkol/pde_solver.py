@@ -4,11 +4,11 @@ Two-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(5/pi) cos(theta) d_phi (I + 
 One-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) w - u . grad w
 
 with u = n x grad Lap^{-1} w; a two-jet run in a frame rotating at Omega adds
-the Coriolis term -2 Omega d_phi Lap^{-1} w.  The diagonal diffusion D is
-integrated exactly through an integrating factor (Lawson schemes); the rest N,
-operators.linear_part and the convection, rides on explicit Runge-Kutta stages,
-so zonal states decay exactly and degree-1 states are fixed points of the
-discrete map up to round-off.
+the Coriolis term -2 Omega d_phi Lap^{-1} w and steps exp(-i m Omega t) w.  The
+diffusion D and the skew diagonal S of operators.linear_part are integrated
+exactly through an integrating factor (Lawson schemes); the rest N, the two-jet
+term and the convection, rides on explicit Runge-Kutta stages, so zonal states
+decay exactly and degree-1 states are fixed points of the discrete map up to round-off.
 
 Snapshots sit on a lattice of default_dt (or the given dt) rounded to
 t_end / nsteps, at every snapshot_stride-th lattice time and at the end.  run
@@ -16,9 +16,9 @@ with a given dt takes one classical Lawson-RK4 step per lattice time.  run with
 dt = None, and run_with_coupling, which samples every lattice time, take
 error-controlled Lawson steps of the Dormand-Prince 5(4) pair (Dormand & Prince
 1980), FSAL, on the deviation v = w - w* from the paper's attractor
-w* = w_1 + w_2^inf, which a rotating frame turns by exp(i m Omega t); its rate
-G(v) = N(w* + v) + (D - i m Omega) w* vanishes at v = 0, so the scheme keeps
-the attractor fixed.  These steps do not aim at lattice times: a lattice state
+w* = w_1 + w_2^inf, static in co-rotating coefficients; its rate
+G(v) = N(w* + v) + (D + S) w* vanishes at v = 0, so the scheme keeps the
+attractor fixed.  These steps do not aim at lattice times: a lattice state
 inside a step is read off the Lawson form of the continuous extension (Hairer,
 Norsett & Wanner, Solving ODEs I, II.6), whose rows are built for a batch of a
 step's samples at once, and only the last step is made to land on the end.
@@ -107,8 +107,10 @@ class SolverConfig:
             raise ValueError("t_end must be positive and finite")
         if self.dt is not None and not (0 < self.dt <= self.t_end):
             raise ValueError("dt must lie in (0, t_end]")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be a positive integer")
+        for name in ("N", "snapshot_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.jet_order not in ("one_jet", "two_jet"):
             raise ValueError(f"unknown jet_order {self.jet_order!r}")
         min_degree = 3 if self.jet_order == "two_jet" else 2
@@ -175,11 +177,11 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
 class Stepper:
     """Lawson steps of size dt: classical RK4, or Dormand-Prince 5(4) attempts.
 
-    The rest of the linear part comes from operators.linear_part, built once
-    per configuration.  A controlled run gives about, the coefficients of w*,
-    steps the deviation from it and sets dt before each attempt.  The
-    classical step's factors exp_half and exp_full are built once, for the
-    dt given; a fixed-step run keeps it and builds no Dormand-Prince factor.
+    The linear part comes from operators.linear_part, built once per configuration; its
+    diagonal S rides on the diffusion's factors as a phase, none when S = 0 (skew is None).
+    A controlled run gives about, the static w*, steps the deviation from it and sets dt
+    before each attempt.  The classical step's factors exp_half and exp_full are built
+    once, for the dt given; a fixed-step run keeps it and builds no Dormand-Prince factor.
     """
 
     def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, about: np.ndarray | None = None):
@@ -187,43 +189,37 @@ class Stepper:
         self.N = cfg.N
         self.linear = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega)
         self.diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
-        # w* turns by exp(i m Omega t) (not at all when Omega = 0); the stages add
-        # its rate term (D - i m Omega) w*, which turns with it.
-        self.about, self.turn = about, 1j * cfg.Omega * np.arange(cfg.N + 1)
-        self.about_rate = None if about is None else (self.diffusion - self.turn) * about
+        self.skew = self.linear.diagonal if self.linear.diagonal.any() else None
+        rate = self.diffusion + self.linear.diagonal  # D + S
+        self.about = about
+        self.about_rate = None if about is None else rate * about  # the stages add it
         self.dt = dt
-        self.exp_half = np.exp(self.diffusion * (dt / 2.0))
-        self.exp_full = np.exp(self.diffusion * dt)
+        factor = self.diffusion if self.skew is None else rate
+        self.exp_half = np.exp(factor * (dt / 2.0))
+        self.exp_full = np.exp(factor * dt)
 
     @functools.cached_property
     def stages(self) -> np.ndarray:
         """v and k_1..k_7 of the last Dormand-Prince attempt, stacked along axis 1."""
         return np.empty((self.N + 1, 8, self.N + 1), dtype=complex)
 
-    def attractor_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """w*(t) and (D - i m Omega) w*(t), so that G(0) = 0 at every t."""
-        if not self.turn.any():
-            return self.about, self.about_rate
-        phase = np.exp(self.turn * t)
-        return self.about * phase, self.about_rate * phase
-
     def nonlinear(self, state: SpectralField) -> SpectralField:
-        """Everything the integrating factor leaves out: the linear part and -u . grad w."""
+        """Everything the integrating factor leaves out: the degree-changing linear part and -u . grad w."""
         return self.linear.apply(state) - convection(state, self.grid)
 
-    def step(self, state, k1: np.ndarray | None = None, t: float = 0.0):
+    def step(self, state, k1: np.ndarray | None = None):
         """One step of size dt.
 
         Alone, the classic Lawson-RK4 step of the SpectralField state.  Given
-        k1 = G(v) = nonlinear(w* + v).coeffs + (D - i m Omega) w* at time t,
-        one Lawson DP5(4) attempt from t on the deviation coefficients
-        v = state: returns (v_new, w* + v_new, err) at t + dt, err being the
-        fifth-order solution minus the embedded fourth-order one.  It leaves v
-        and the seven stage rates in stages for dense(); the last, G(v_new), is
-        the next attempt's k1 (FSAL).
+        k1 = G(v) = nonlinear(w* + v).coeffs + (D + S) w*, one Lawson DP5(4)
+        attempt on the deviation coefficients v = state: returns
+        (v_new, w* + v_new, err, G(v_new)), err being the fifth-order solution
+        minus the embedded fourth-order one, and G(v_new) the next attempt's
+        k1 (FSAL).  It leaves v and the seven stage rates in stages for
+        dense(), each k_j turned by exp(-c_j dt S).
         """
         if k1 is not None:
-            return self._dormand_prince(state, k1, t)
+            return self._dormand_prince(state, k1)
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
         u = state.coeffs
         k1 = self.nonlinear(state).coeffs
@@ -236,7 +232,7 @@ class Stepper:
         advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
         return SpectralField(state.N, advanced)
 
-    def _dormand_prince(self, v: np.ndarray, k1: np.ndarray, t: float):
+    def _dormand_prince(self, v: np.ndarray, k1: np.ndarray):
         dt, stages = self.dt, self.stages
         stages[:, 0], stages[:, 1] = v, k1
         parts = stages.view(float)  # per degree, a real matmul by the rows below
@@ -244,19 +240,22 @@ class Stepper:
         # e^{(c_i - c_j) dt D_n} with c_i >= c_j, so none exceeds 1.
         lag = np.exp(np.multiply.outer(self.diffusion[:, 0] * dt, _DP_LAG))  # (N+1, 7, 7)
         rows = np.concatenate([lag[:, :, :1], dt * DP_A * lag], axis=2)
-        for i in range(1, 7):
-            u = (rows[:, i : i + 1, : i + 1] @ parts[:, : i + 1]).view(complex)[:, 0]
-            about, about_rate = self.attractor_at(t + DP_C[i] * dt)
-            w = about + u
-            stages[:, i + 1] = self.nonlinear(SpectralField(self.N, w)).coeffs
-            stages[:, i + 1] += about_rate
+        for i in range(1, 7):  # e^{(c_i - c_j) dt S}: k_j stored turned by -c_j dt, the sum by c_i dt
+            u = self._turn((rows[:, i : i + 1, : i + 1] @ parts[:, : i + 1]).view(complex)[:, 0], DP_C[i] * dt)
+            w = self.about + u
+            k = self.nonlinear(SpectralField(self.N, w)).coeffs + self.about_rate
+            stages[:, i + 1] = self._turn(k, -DP_C[i] * dt)
         err_row = np.concatenate([np.zeros((self.N + 1, 1)), dt * DP_E * lag[:, 6]], axis=1)
-        return u, w, (err_row[:, None, :] @ parts).view(complex)[:, 0]
+        return u, w, self._turn((err_row[:, None, :] @ parts).view(complex)[:, 0], dt), k
+
+    def _turn(self, x: np.ndarray, time: float) -> np.ndarray:
+        """x times e^{time S}; x itself when S = 0."""
+        return x if self.skew is None else x * np.exp(time * self.skew)
 
     def dense(self, t: float, times: list[float]):
         """Yield the deviation at each of times inside the last attempt, which starts at t.
 
-        At theta = (s - t) / dt it is
+        At theta = (s - t) / dt it is e^{theta dt S} times
         e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.  The
         rows of that sum are built for all of times at once; each deviation is
         one (N+1, 1, 8) @ stages product, so take them before the next attempt.
@@ -268,15 +267,15 @@ class Stepper:
         weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
         rows = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=2)
         parts = self.stages.view(float)
-        for row in rows[:, :, None, :]:
-            yield (row @ parts).view(complex)[:, 0]
+        for row, time in zip(rows[:, :, None, :], theta * self.dt):
+            yield self._turn((row @ parts).view(complex)[:, 0], time)
 
 
 def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray, stride: int):
     """Yield (t, state, steps, rejected) at t = 0, every stride-th lattice time and the end.
 
-    Error-controlled Lawson DP5(4) steps about w* = w_1(0) plus the run's
-    degree-2 attractor (see _attractor), both turned by exp(i m Omega t); the
+    Error-controlled Lawson DP5(4) steps about the static w* = w_1(0) plus the
+    run's degree-2 attractor (see _attractor), in co-rotating coefficients; the
     counts include the step that covers t.  A step is accepted when
     |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0 half);
     the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio of the
@@ -309,7 +308,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
         if lands:
             trial = t_last - t
         stepper.dt = trial
-        v_new, w_new, err = stepper.step(v, k1, t)
+        v_new, w_new, err, k_new = stepper.step(v, k1)
         err_norm, new_norm = float(np.linalg.norm(err)), float(np.linalg.norm(w_new))
         tol = STEP_RTOL * max(w_norm, new_norm)
         # e = |err| / tol: infinite for a non-finite trial, 0 for an exact step (the zero state has tol = 0).
@@ -331,11 +330,11 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
             read = times[:-1] if times[-1] == t_new else times
             if read:
                 for s, deviation in zip(read, stepper.dense(t, read)):
-                    yield s, SpectralField(omega0.N, stepper.attractor_at(s)[0] + deviation), accepted, rejected
+                    yield s, SpectralField(omega0.N, stepper.about + deviation), accepted, rejected
             if len(read) < len(times):  # the sample the step ends on
                 yield t_new, SpectralField(omega0.N, w_new), accepted, rejected
         h = max(h, trial * factor) if trial < h else trial * factor
-        t, v, k1, w_norm = t_new, v_new, stepper.stages[:, 7].copy(), new_norm
+        t, v, k1, w_norm = t_new, v_new, k_new, new_norm
 
 
 def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
@@ -380,15 +379,17 @@ def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
 
 
 def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected) -> TrajectoryRecord:
-    """Snapshot diagnostics off one +-m table; the attractor turns by exp(i m Omega t) in a rotating frame."""
+    """Snapshot diagnostics off one +-m table of the co-rotating state; frame_phases turns degrees 1 and 2 back."""
     table, N = state.full_table(), cfg.N
-    mode2 = table[2, N - 2 : N + 3][::-1].copy()  # m = 2, 1, 0, -1, -2
+    norm_eq2_dist = float(np.linalg.norm(table[2, N - 2 : N + 3][::-1] - attractor))  # m = 2, 1, 0, -1, -2
+    if cfg.Omega:
+        table[1:3] *= reduced_ode.frame_phases(cfg.Omega, t, range(-N, N + 1))
     return TrajectoryRecord(
         t=t,
         norm_eq1=float(np.linalg.norm(table[1])),
-        norm_eq2_dist=float(np.linalg.norm(mode2 - attractor * reduced_ode.frame_phases(cfg.Omega, t))),
+        norm_eq2_dist=norm_eq2_dist,
         norm_ge3=float(np.linalg.norm(table[3:])),
-        mode2=mode2,
+        mode2=table[2, N - 2 : N + 3][::-1].copy(),
         mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
         steps=steps,
         rejected=rejected,
@@ -408,13 +409,11 @@ def run_with_coupling(
 
     cfg.dt (or default_dt), rounded as lattice() rounds it, spaces these
     samples, not the steps; each is read off the steps' dense output.  Records
-    are kept at every snapshot_stride-th sample and at the end.  The couplings
-    close the non-rotating two-jet system.
+    are kept at every snapshot_stride-th sample and at the end.  The couplings, co-rotating,
+    close build_system(rotating_frame_params(params, Omega)).
     """
-    if cfg.jet_order != "two_jet" or cfg.Omega != 0.0:
-        raise ValueError(
-            f"coupling extraction needs non-rotating two_jet dynamics, not {cfg.jet_order!r} at Omega = {cfg.Omega!r}"
-        )
+    if cfg.jet_order != "two_jet":
+        raise ValueError(f"coupling extraction needs two_jet dynamics, not {cfg.jet_order!r}")
     attractor = _attractor(omega0, cfg)
     records, times, M, f = [], [], [], []
     for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, 1)):

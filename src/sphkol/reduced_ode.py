@@ -106,7 +106,7 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     """Degree-1 data with the rigid rotation 2 Omega cos(theta) added: b -> b + 2 Omega / 3.
 
     The static equilibrium of these parameters is the rotating-frame attractor
-    at t = 0; at time t it has turned mode-wise by frame_phases(Omega, t).
+    in the co-rotating coefficients pde_solver steps; frame_phases turns them back.
     """
     if not math.isfinite(Omega):
         raise ValueError("Omega must be finite")
@@ -114,7 +114,7 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
 
 
 def frame_phases(Omega: float, t: float, orders=MODE2_ORDER) -> np.ndarray:
-    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER."""
+    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER: co-rotating to frame coefficients."""
     return np.exp(1j * Omega * t * np.array(orders, dtype=float))
 
 

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's recurrence/transform code
 paths: Legendre functions come from exact rational differentiation of the
 Rodrigues polynomial, and sphere integrals from a dense composite-Simpson
 rule in colatitude with a uniform longitude sum.  Time steps come from the
-classical Lawson-RK4 formulas, written out here, applied to the explicit
-right-hand side the caller passes.  The dense output one theta at a time, and
-the forced 5-mode right-hand side with its rate formed at every stage, are the
-bitwise references for the package's batched dense reads and shared rates.
+classical Lawson-RK4 formulas, written out here, applied to the integrating
+factor's rate and the explicit right-hand side the caller passes.  The
+Coriolis term has its closed form here.  The dense output one theta at a
+time, and the forced 5-mode right-hand side with its rate formed at every
+stage, are the bitwise references for the package's batched dense reads and
+shared rates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from sphkol.pde_solver import DP_C, DP_DENSE
+from sphkol.operators import linear_part
+from sphkol.pde_solver import DP_C, DP_DENSE, linear_diffusion_factors
 from sphkol.sht import SpectralField
 
 
@@ -78,11 +81,25 @@ def sphere_integral_simpson(fn, n_theta: int = 2001, n_phi: int = 256):
     return (phi_integral @ weights) * h / 3.0
 
 
-def classic_step(nonlinear, diffusion, state, dt):
-    """One classical Lawson-RK4 step of d_t w = D w + nonlinear(w), D the per-degree factors diffusion."""
-    lin = diffusion[:, None]
-    e_half = np.exp(lin * (dt / 2.0))
-    e_full = np.exp(lin * dt)
+def coriolis_rates(N: int, Omega: float) -> np.ndarray:
+    """2 i Omega m / (n(n+1)) at (n, m), n, m = 0..N, and 0 at n = 0: the Coriolis term -2 Omega d_phi Lap^{-1}."""
+    n = np.arange(1, N + 1, dtype=float)[:, None]
+    out = np.zeros((N + 1, N + 1), dtype=complex)
+    out[1:] = 2j * Omega * np.arange(N + 1) / (n * (n + 1.0))
+    return out
+
+
+def lawson_rate(cfg):
+    """D + S of cfg's run: the diffusion column plus linear_part's skew diagonal, or the column alone when S = 0."""
+    diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
+    skew = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega).diagonal
+    return diffusion + skew if skew.any() else diffusion
+
+
+def classic_step(nonlinear, rate, state, dt):
+    """One classical Lawson-RK4 step of d_t w = rate w + nonlinear(w), rate D + S per coefficient (or per degree)."""
+    e_half = np.exp(rate * (dt / 2.0))
+    e_full = np.exp(rate * dt)
     u = state.coeffs
     k1 = nonlinear(state).coeffs
     u2 = e_half * (u + (dt / 2.0) * k1)
@@ -95,24 +112,26 @@ def classic_step(nonlinear, diffusion, state, dt):
     return SpectralField(state.N, advanced)
 
 
-def classic_states(nonlinear, diffusion, state, dt, nsteps):
+def classic_states(nonlinear, rate, state, dt, nsteps):
     """state and the states after each of nsteps classic_step steps of size dt."""
     states = [state]
     for _ in range(nsteps):
-        states.append(classic_step(nonlinear, diffusion, states[-1], dt))
+        states.append(classic_step(nonlinear, rate, states[-1], dt))
     return states
 
 
 def dense_deviation(stepper, t, s):
     """The deviation at time s inside stepper's last Dormand-Prince attempt from t, one theta = (s - t) / dt at a time.
 
-    e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.
+    e^{theta dt S} (e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k~_j), where the stages hold
+    k~_j = e^{-c_j dt S} k_j and S is the stepper's skew diagonal (none when it is 0).
     """
     theta = (s - t) / stepper.dt
     decay = stepper.diffusion * stepper.dt
     weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
     row = np.concatenate([np.exp(theta * decay), stepper.dt * weights * np.exp(decay * (theta - DP_C))], axis=1)
-    return (row[:, None, :] @ stepper.stages.view(float)).view(complex)[:, 0]
+    deviation = (row[:, None, :] @ stepper.stages.view(float)).view(complex)[:, 0]
+    return deviation if stepper.skew is None else deviation * np.exp(theta * stepper.dt * stepper.skew)
 
 
 def propagate_forced_reference(sys, w0, M_series, f_series, dt, t_end):

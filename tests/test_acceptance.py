@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import highpass_norm, rand_field, snapshot_states
-from refimpl import classic_states
+from refimpl import classic_states, lawson_rate
 from sphkol.cli import _envelope_margin, fit_rate
 from sphkol.harmonics import build_grid, recurrence_table
 from sphkol.operators import KillingParams
@@ -29,12 +29,13 @@ from sphkol.oracles import (
     synthesize_complex,
     unit_table,
 )
-from sphkol.pde_solver import SolverConfig, Stepper, linear_diffusion_factors, run, run_with_coupling
+from sphkol.pde_solver import SolverConfig, Stepper, run, run_with_coupling
 from sphkol.reduced_ode import (
     build_system,
     equilibrium_closed_form,
     equilibrium_solve,
     extract_coupling,
+    frame_phases,
     propagate_forced,
     rotating_frame_params,
 )
@@ -205,9 +206,9 @@ def test_criterion_07_forced_coupling_closure(grid16):
     # The closure gate averages over the run; a sample read at the wrong time
     # inside its step shows here.  The first 64 lattice samples past t = 0
     # against extract_coupling of classic Lawson-RK4 steps of the lattice's dt.
-    nonlinear, diffusion = Stepper(cfg, grid16, cfg.dt).nonlinear, linear_diffusion_factors(16, nu)
+    nonlinear = Stepper(cfg, grid16, cfg.dt).nonlinear
     sample_rel = 0.0
-    for k, state in enumerate(classic_states(nonlinear, diffusion, omega0, cfg.dt, 64)[1:], 1):
+    for k, state in enumerate(classic_states(nonlinear, lawson_rate(cfg), omega0, cfg.dt, 64)[1:], 1):
         M_k, f_k = extract_coupling(state, cfg.amplitude)
         for got, want in ((coupling.M[k], M_k), (coupling.f[k], f_k)):
             sample_rel = max(sample_rel, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
@@ -278,6 +279,8 @@ def test_criterion_11_rotating_equivalence():
     cfg = SolverConfig(nu=nu, amplitude=1.0, N=12, t_end=1.0 / nu, snapshot_stride=10_000)
     t_rot, rot_state = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)[-1]
     _, direct_state = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid)[-1]
+    # The run steps co-rotating coefficients: turn them back to the frame's before mapping.
+    rot_state = SpectralField(12, rot_state.coeffs * frame_phases(Omega, t_rot, range(13)))
     mapped = frame_map(rot_state, Omega, t_rot)
     diff = (mapped - direct_state).norm()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import highpass_norm, rand_field, select_degree
+from refimpl import coriolis_rates
 from sphkol import operators
 from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
 from sphkol.operators import (
@@ -234,7 +235,10 @@ class TestPerturbationOperator:
 
 
 class TestLinearPart:
-    """linear_part against the closed forms of its diagonal terms, and its L^2 structure."""
+    """linear_part against the closed forms of its diagonal terms, and its L^2 structure.
+
+    The diagonal is the skew rate S that the stepper integrates with the diffusion; apply leaves it out.
+    """
 
     def test_one_jet_diagonal_matches_closed_form(self):
         N, a = 12, 1.7
@@ -246,10 +250,12 @@ class TestLinearPart:
         assert not np.any(part.down) and not np.any(part.up)
 
     def test_coriolis_diagonal_matches_closed_form(self):
+        # In co-rotating coefficients the diagonal is the Coriolis term minus the frame rate i m Omega.
         N, Omega = 12, 2.3
         part = linear_part(N, "two_jet", 0.0, Omega)
-        want = (2.0 * Omega * inv_lam(N))[:, None] * (1j * np.arange(N + 1))[None, :]
+        want = coriolis_rates(N, Omega) - 1j * Omega * np.arange(N + 1)
         assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
+        assert not np.any(part.diagonal[1])  # degree 1 is static in co-rotating coefficients
         # The two-jet tables do not depend on Omega.
         plain = linear_part(N, "two_jet", 0.9)
         rotating = linear_part(N, "two_jet", 0.9, Omega)
@@ -265,8 +271,16 @@ class TestLinearPart:
     def test_diagonal_terms_are_skew(self):
         u = rand_field(12, seed=31)
         for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
-            pairing = np.real(np.vdot(part.apply(u).full_table(), u.full_table()))
+            assert np.any(part.diagonal)
+            pairing = np.real(np.vdot(SpectralField(12, part.diagonal * u.coeffs).full_table(), u.full_table()))
             assert abs(pairing) < 1e-14 * u.norm() ** 2
+
+    def test_apply_leaves_the_diagonal_out(self):
+        u = rand_field(12, seed=33)
+        for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
+            assert not np.any(part.apply(u).coeffs)
+        plain, rotating = linear_part(12, "two_jet", 0.9), linear_part(12, "two_jet", 0.9, 1.1)
+        assert np.array_equal(plain.apply(u).coeffs, rotating.apply(u).coeffs)
 
     def test_two_jet_term_is_skew_only_in_the_weighted_product(self):
         # <Lw, w> does not vanish, but <Lw, (I + 6 Lap^{-1}) w> does on degrees >= 3,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_real_field_layout, degree_norm, highpass_norm, mode1_vector, rand_field, snapshot_states
-from refimpl import classic_states, classic_step, dense_deviation
+from refimpl import classic_states, classic_step, dense_deviation, lawson_rate
 from sphkol import pde_solver, reduced_ode
 from sphkol.cli import TRAJECTORY_HEADER, trajectory_csv
 from sphkol.harmonics import build_grid
@@ -20,7 +20,7 @@ from sphkol.pde_solver import (
     run,
     run_with_coupling,
 )
-from sphkol.reduced_ode import build_system, propagate_forced
+from sphkol.reduced_ode import build_system, frame_phases, propagate_forced, rotating_frame_params
 from sphkol.sht import SpectralField
 
 
@@ -38,9 +38,10 @@ def two_jet_cfg(**kw):
 
 
 def rhs(omega, cfg, grid):
-    """Full right-hand side: the diffusion the stepper integrates exactly plus its explicit part."""
+    """Full right-hand side: the diagonal D + S the stepper integrates exactly plus its explicit part."""
+    stepper = Stepper(cfg, grid, cfg.t_end)
     diffusion = apply_degree_multiplier(omega, linear_diffusion_factors(omega.N, cfg.nu))
-    return diffusion + Stepper(cfg, grid, cfg.t_end).nonlinear(omega)
+    return diffusion + SpectralField(omega.N, stepper.linear.diagonal * omega.coeffs) + stepper.nonlinear(omega)
 
 
 def one_step(omega, cfg, grid, dt):
@@ -71,6 +72,12 @@ class TestConfig:
         ):
             with pytest.raises(ValueError):
                 SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, **bad})
+        # A fractional or boolean count is named, not truncated or read as 1.
+        for name, value in (("N", 8.0), ("N", True), ("snapshot_stride", 2.5), ("snapshot_stride", True)):
+            for dt in (None, 0.01):
+                with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                    SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, "dt": dt, name: value})
+        SolverConfig(nu=1.0, amplitude=1.0, N=np.int64(8), t_end=1.0, snapshot_stride=np.int64(3))
         SolverConfig(nu=1.0, amplitude=1.0, N=2, t_end=1.0, jet_order="one_jet")
 
     def test_default_dt_formula(self, grid8):
@@ -265,16 +272,17 @@ class TestControlledSteps:
         errs = []
         for h in (0.01, 0.005):
             stepper = Stepper(cfg, grid8, h, about=np.zeros_like(omega0.coeffs))
-            new, w_new, err = stepper.step(omega0.coeffs, stepper.nonlinear(omega0).coeffs)
+            new, w_new, err, k_new = stepper.step(omega0.coeffs, stepper.nonlinear(omega0).coeffs)
             assert np.array_equal(w_new, new)  # about 0, the deviation is the state
-            assert np.array_equal(stepper.stages[:, 7], stepper.nonlinear(SpectralField(8, new)).coeffs)  # FSAL
+            assert np.array_equal(k_new, stepper.nonlinear(SpectralField(8, new)).coeffs)  # FSAL
+            assert np.array_equal(stepper.stages[:, 7], k_new)  # S = 0: stored unturned
             errs.append(np.linalg.norm(err))
         assert 32.0 * 0.8 <= errs[0] / errs[1] <= 32.0 * 1.2
 
     @pytest.mark.parametrize("Omega", [0.0, 1.5])
     def test_attractor_is_a_fixed_point(self, grid8, Omega):
-        # From w* = w_1 + w_2^inf, which a rotating frame turns by exp(i m Omega t),
-        # the deviation's rate is zero up to round-off: the degree-2 distance and
+        # From w* = w_1 + w_2^inf, static in co-rotating coefficients, the
+        # deviation's rate is zero up to round-off: the degree-2 distance and
         # the degree-1 phase law stay at round-off, and the steps grow freely.
         omega0 = single(8, 1, 0, 1.0)
         omega0[1, 1] = 0.5
@@ -303,7 +311,7 @@ class TestControlledSteps:
         states = snapshot_states(omega0, cfg, grid16)
         dt = 2.0 / 512
         nonlinear = Stepper(cfg, grid16, dt).nonlinear
-        fine = classic_states(nonlinear, linear_diffusion_factors(16, cfg.nu), omega0, dt, 512)
+        fine = classic_states(nonlinear, lawson_rate(cfg), omega0, dt, 512)
         ref = [(k * dt, fine[k]) for k in range(0, 513, 64)]
         assert len(ref) == len(states)
         for (t, got), (t_ref, want) in zip(states, ref):
@@ -321,7 +329,7 @@ class TestControlledSteps:
         stepper = Stepper(cfg, grid8, dt)
         state = omega0
         for _ in range(5):
-            state = classic_step(stepper.nonlinear, linear_diffusion_factors(8, cfg.nu), state, dt)
+            state = classic_step(stepper.nonlinear, lawson_rate(cfg), state, dt)
         _, last = snapshot_states(omega0, cfg, grid8)[-1]
         calls = count_nonlinear(monkeypatch)
         recs = run(omega0, cfg, grid8)
@@ -334,10 +342,10 @@ class TestControlledSteps:
         attempts = []
         step = Stepper.step
 
-        def counted(self, state, k1=None, t=0.0):
+        def counted(self, state, k1=None):
             assert k1 is not None  # every attempt is a Dormand-Prince one
             attempts.append(self.dt)
-            return step(self, state, k1, t)
+            return step(self, state, k1)
 
         monkeypatch.setattr(Stepper, "step", counted)
         cfg = two_jet_cfg(t_end=0.4)
@@ -347,6 +355,12 @@ class TestControlledSteps:
         assert f"t = {info.value.t:.6g}" in str(info.value)
         assert 1 <= len(attempts) <= 30
         assert attempts[-1] * 0.2 < pde_solver.MIN_STEP * cfg.t_end
+
+    def test_rotation_does_not_shrink_the_step(self, grid16):
+        # S rides in the integrating factor: stepped explicitly, it took 371 steps here.
+        omega0 = rand_field(16, seed=3, amplitude=0.5, decay=0.4)
+        cfg = SolverConfig(nu=0.5, amplitude=1.0, N=16, t_end=1.0, snapshot_stride=10**6, Omega=20.0)
+        assert run(omega0, cfg, grid16)[-1].steps < 120
 
     def test_step_counts(self, grid8, monkeypatch):
         omega0 = rand_field(8, seed=61, amplitude=0.6, decay=0.4)
@@ -370,10 +384,12 @@ def controlled_about(omega0, cfg):
 def checked_dense(monkeypatch):
     """Lists that get (t, dt, times) per Stepper.dense row build, and t + dt per step attempt, from now on.
 
-    Every deviation read is checked bitwise against refimpl.dense_deviation, the per-theta form.
+    Every deviation read is checked bitwise against refimpl.dense_deviation, the per-theta form.  An
+    attempt starts where the last one ended when it is given that one's FSAL rate, else where it started.
     """
     builds, ends = [], []
     dense, step = Stepper.dense, Stepper.step
+    last = {"t": 0.0, "dt": 0.0, "fsal": None}
 
     def checked(self, t, times):
         builds.append((t, self.dt, list(times)))
@@ -381,9 +397,13 @@ def checked_dense(monkeypatch):
             assert np.array_equal(deviation.view(np.uint64), dense_deviation(self, t, s).view(np.uint64))
             yield deviation
 
-    def attempt(self, state, k1=None, t=0.0):
-        ends.append(t + self.dt)
-        return step(self, state, k1, t)
+    def attempt(self, state, k1=None):
+        if k1 is last["fsal"]:
+            last["t"] += last["dt"]
+        ends.append(last["t"] + self.dt)
+        out = step(self, state, k1)
+        last.update(dt=self.dt, fsal=out[3])
+        return out
 
     monkeypatch.setattr(Stepper, "dense", checked)
     monkeypatch.setattr(Stepper, "step", attempt)
@@ -400,8 +420,9 @@ class TestDenseOutput:
         cfg = two_jet_cfg(Omega=Omega)
         t, h = 0.3, 0.02
         stepper = Stepper(cfg, grid8, h, about=controlled_about(omega0, cfg))
-        about, about_rate = stepper.attractor_at(t)
-        _, w_new, _ = stepper.step(omega0.coeffs - about, stepper.nonlinear(omega0).coeffs + about_rate, t)
+        assert (stepper.skew is None) == (Omega == 0.0)
+        k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
+        _, w_new, _, _ = stepper.step(omega0.coeffs - stepper.about, k1)
         times = [t + h * (k + 1) / size for k in range(size)]
         assert times[-1] == t + h  # the landing sample, theta = 1
         deviations = list(stepper.dense(t, times))
@@ -409,7 +430,7 @@ class TestDenseOutput:
         for s, deviation in zip(times, deviations):
             assert np.array_equal(deviation.view(np.uint64), dense_deviation(stepper, t, s).view(np.uint64))
         # At theta = 1 the continuous extension is the fifth-order solution.
-        landed = stepper.attractor_at(times[-1])[0] + deviations[-1]
+        landed = stepper.about + deviations[-1]
         assert np.linalg.norm(landed - w_new) <= 1e-14 * np.linalg.norm(w_new)
 
     def test_row_builds_stay_bounded_on_a_fine_lattice(self, grid8, monkeypatch):
@@ -574,12 +595,19 @@ class TestRun:
         with pytest.raises(ValueError, match="two_jet"):
             run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
 
-    def test_coupling_rejects_a_rotating_frame(self, grid8):
-        # Couplings of a rotating run do not close the static reduced system
-        # (relative error 0.46 at Omega = 1.5 on the configuration above).
-        cfg = two_jet_cfg(t_end=0.01, Omega=1.5)
-        with pytest.raises(ValueError, match="non-rotating"):
-            run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
+    @pytest.mark.parametrize("Omega", [0.7, -1.3])
+    def test_rotating_coupling_closes_the_frame_system(self, grid16, Omega):
+        # Criterion 7 in a rotating frame: the couplings of the co-rotating
+        # coefficients close the static system of rotating_frame_params.
+        omega0 = rand_field(16, seed=303, amplitude=0.4, decay=0.5)
+        nu = 1.0
+        cfg = SolverConfig(nu=nu, amplitude=1.0, N=16, t_end=1.0 / nu, snapshot_stride=10_000, dt=1.0 / 2048, Omega=Omega)
+        records, coupling = run_with_coupling(omega0, cfg, grid16)
+        sys = build_system(rotating_frame_params(KillingParams.from_field(omega0), Omega), 1.0, nu)
+        dt_ode = 2.0 * (coupling.times[1] - coupling.times[0])
+        traj = propagate_forced(sys, omega0.mode2_vector(), coupling.M, coupling.f, dt_ode, cfg.t_end)
+        final = records[-1].mode2 * np.conj(frame_phases(Omega, records[-1].t))  # co-rotating
+        assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-5
 
     def test_truncation_robustness(self):
         from sphkol.harmonics import build_grid
@@ -647,18 +675,12 @@ class TestLatticeDriver:
         # N = 16, nu = 1, t_end = 1/8 sampled at dt = 1/2048: a handful of
         # controlled steps give (M, f) at all 257 lattice times, against a
         # reference that takes one classic Lawson-RK4 step per lattice time.
-        omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
-        dt = 1.0 / 2048
-        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9)
-        recs, coupling = run_with_coupling(omega0, cfg, grid16)
-        assert recs[-1].steps <= 20
-        nonlinear = Stepper(cfg, grid16, dt).nonlinear
-        states = classic_states(nonlinear, linear_diffusion_factors(16, cfg.nu), omega0, dt, 256)
-        M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.amplitude) for state in states))
-        assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
-        for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
-            axes = tuple(range(1, want.ndim))
-            assert np.max(np.linalg.norm(got - want, axis=axes) / np.linalg.norm(want, axis=axes)) <= 1e-9
+        assert_couplings_match_fixed_steps(grid16, Omega=0.0)
+
+    @pytest.mark.parametrize("Omega", [0.7, -1.3])
+    def test_rotating_coupling_bench_configuration(self, grid16, Omega):
+        # The same in a rotating frame: both sides read co-rotating states.
+        assert_couplings_match_fixed_steps(grid16, Omega)
 
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_records_read_their_snapshot(self, grid8, flow):
@@ -671,11 +693,29 @@ class TestLatticeDriver:
         states = snapshot_states(omega0, cfg, grid8)
         assert len(recs) == len(states) > 2
         for rec, (t, state) in zip(recs, states):
+            # The states are co-rotating: degrees 1 and 2 are read turned back to the frame's coefficients.
+            turned = SpectralField(8, state.coeffs * frame_phases(cfg.Omega, t, range(9))) if cfg.Omega else state
             assert rec.t == t
-            assert rec.norm_eq1 == degree_norm(state, 1)
+            assert rec.norm_eq1 == degree_norm(turned, 1)
             assert rec.norm_ge3 == highpass_norm(state, 3)
-            assert np.array_equal(rec.mode1, mode1_vector(state))
-            assert np.array_equal(rec.mode2, state.mode2_vector())
+            assert np.array_equal(rec.mode1, mode1_vector(turned))
+            assert np.array_equal(rec.mode2, turned.mode2_vector())
+
+
+def assert_couplings_match_fixed_steps(grid16, Omega):
+    """coupling_n16's run at Omega: (M, f) at every lattice time within 1e-9 of classic steps of the lattice's dt."""
+    omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
+    dt = 1.0 / 2048
+    cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9, Omega=Omega)
+    recs, coupling = run_with_coupling(omega0, cfg, grid16)
+    assert recs[-1].steps <= 20
+    nonlinear = Stepper(cfg, grid16, dt).nonlinear
+    states = classic_states(nonlinear, lawson_rate(cfg), omega0, dt, 256)
+    M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.amplitude) for state in states))
+    assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
+    for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
+        axes = tuple(range(1, want.ndim))
+        assert np.max(np.linalg.norm(got - want, axis=axes) / np.linalg.norm(want, axis=axes)) <= 1e-9
 
 
 class TestTrajectoryCsv:

@@ -21,8 +21,14 @@ def single(N, n, m, value=1.0):
 
 
 def coriolis_term(zeta, Omega):
-    """-2 Omega d_phi Lap^{-1} zeta: the linear part of a rotating two-jet run with no base flow."""
-    return linear_part(zeta.N, "two_jet", 0.0, Omega).apply(zeta)
+    """-2 Omega d_phi Lap^{-1} zeta: the skew diagonal of a rotating two-jet run, plus the frame rate i m Omega it takes off."""
+    skew = linear_part(zeta.N, "two_jet", 0.0, Omega).diagonal
+    return SpectralField(zeta.N, (skew + 1j * Omega * np.arange(zeta.N + 1)) * zeta.coeffs)
+
+
+def lab_state(state, Omega, t):
+    """A co-rotating snapshot state turned back to the frame's coefficients."""
+    return SpectralField(state.N, state.coeffs * frame_phases(Omega, t, range(state.N + 1)))
 
 
 def rotating_attractor(params, amplitude, nu, Omega, t):
@@ -154,7 +160,7 @@ class TestRunRotating:
         rot = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=Omega), grid12)
         direct = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid12)
         for (t, rr), (_, rd) in zip(rot, direct):
-            mapped = frame_map(rr, Omega, t)
+            mapped = frame_map(lab_state(rr, Omega, t), Omega, t)
             assert (mapped - rd).norm() < 1e-9
 
     def test_degree_two_distance_decays_at_4nu_without_high_degrees(self, grid8):
