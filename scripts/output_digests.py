@@ -1,11 +1,12 @@
-"""Print the sha256 of every output of a fixed set of small (N = 8) runs.
+"""Print the sha256 of every output of a fixed set of small runs.
 
-The set covers every scenario and subcommand: two_jet and rotating
+The set covers every scenario and subcommand at N = 8: two_jet and rotating
 (Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
 read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
 ...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
-subcommands through ``cli.main``.  All run in one process, in a temporary
-directory.
+subcommands through ``cli.main``.  N = 8 grids take the matmul longitude
+stage; three fixed steps of a two_jet run at N = 48 cover the FFT one.  All
+run in one process, in a temporary directory.
 
 Usage: python scripts/output_digests.py
 
@@ -56,6 +57,8 @@ def manifests(root: Path) -> dict:
         "one_jet": {**flow, "scenario": "one_jet", "init": str(field_file)},
         "rotating": {**flow, "scenario": "rotating", "Omega": 1.5},
         "rotating_dt": {**flow, "scenario": "rotating", "Omega": 1.5, "cfg": {**CFG, "dt": 0.01}},
+        "two_jet_fft": {**flow, "scenario": "two_jet", "init": INIT + [{"n": 48, "m": 31, "re": 1e-3, "im": 2e-3}],
+                        "cfg": {**CFG, "N": 48, "t_end": 0.003, "dt": 0.001, "snapshot_stride": 1}},
         "reduced_only": {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 8}, "init": INIT},
         "identity_oracles": {"scenario": "identity_oracles", "lmax": 8, "seed": 3},
     }

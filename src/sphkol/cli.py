@@ -363,7 +363,7 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         "accepted": records[-1].steps,
         "rejected": records[-1].rejected,
         "rtol": None if cfg.dt is not None else pde_solver.STEP_RTOL,
-        "dt_lattice": pde_solver.lattice(omega0, cfg, grid)[1],
+        "dt_lattice": records.dt,
     }
     shape = {"n_theta": grid.n_theta, "n_phi": grid.n_phi}
 
@@ -382,8 +382,8 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         envelope = _envelope_margin(records, cfg.nu)
         checks.append(_check("degree2_convergence_envelope", envelope, 1e-6, note="run ends before t = 1/nu"))
         system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
-        w = reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
-        outputs["equilibrium.json"] = equilibrium_report(system, params, cfg.amplitude, "closed_form", w)
+        report = equilibrium_report(system, params, cfg.amplitude, "closed_form", records.attractor)
+        outputs["equilibrium.json"] = report
         files["equilibrium"] = "equilibrium.json"
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
 

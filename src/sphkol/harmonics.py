@@ -17,6 +17,12 @@ import numpy as np
 FOUR_PI = 4.0 * math.pi
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, marked read-only: cached tables are shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=None)
 def recurrence_table(N: int) -> np.ndarray:
     """a_n^m in  cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m, indexed [n, m].
@@ -26,9 +32,7 @@ def recurrence_table(N: int) -> np.ndarray:
     """
     n, m = np.ogrid[: N + 1, : N + 1]
     a = np.sqrt(np.maximum(n - m, 0) * (n + m) / ((2.0 * n - 1.0) * (2.0 * n + 1.0)))
-    table = np.where(m < n, a, 0.0)
-    table.flags.writeable = False
-    return table
+    return _read_only(np.where(m < n, a, 0.0))
 
 
 def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +94,8 @@ class QuadratureGrid:
     integrate d(cos theta) over [-1, 1]; phi_nodes are 2 pi k / n_phi.  Node
     counts satisfy the quadratic-dealiasing bounds n_theta >= ceil(3(N+1)/2)
     and n_phi >= 3N+1, so products of three fields band-limited at N are
-    integrated exactly.
+    integrated exactly.  build_grid caches one grid per N, so every array
+    of a grid, node arrays and cached tables alike, is read-only.
     """
 
     N: int
@@ -108,21 +113,21 @@ class QuadratureGrid:
 
     @cached_property
     def cos_theta(self) -> np.ndarray:
-        return np.cos(self.theta_nodes)
+        return _read_only(np.cos(self.theta_nodes))
 
     @cached_property
     def sin_theta(self) -> np.ndarray:
-        return np.sin(self.theta_nodes)
+        return _read_only(np.sin(self.theta_nodes))
 
     @cached_property
     def inv_sin_theta(self) -> np.ndarray:
         """1 / sin(theta) as an (n_theta, 1) column."""
-        return (1.0 / self.sin_theta)[:, None]
+        return _read_only((1.0 / self.sin_theta)[:, None])
 
     @cached_property
     def analysis_weights(self) -> np.ndarray:
         """2 pi w_j as an (n_theta, 1) column: the colatitude weights times the longitude integral's 2 pi."""
-        return (2.0 * math.pi * self.theta_weights)[:, None]
+        return _read_only((2.0 * math.pi * self.theta_weights)[:, None])
 
     @cached_property
     def fourier_synthesis(self) -> np.ndarray:
@@ -137,8 +142,7 @@ class QuadratureGrid:
         angle = (2.0 * math.pi / K) * (np.outer(np.arange(self.N + 1), np.arange(K)) % K)
         matrix = np.stack([2.0 * np.cos(angle), -2.0 * np.sin(angle)], axis=1).reshape(2 * (self.N + 1), K)
         matrix[0], matrix[1] = 1.0, 0.0
-        matrix.flags.writeable = False
-        return matrix
+        return _read_only(matrix)
 
     @cached_property
     def fourier_analysis(self) -> np.ndarray:
@@ -150,14 +154,12 @@ class QuadratureGrid:
         """
         scale = np.full((2 * (self.N + 1), 1), 0.5 / self.n_phi)
         scale[:2] = 1.0 / self.n_phi
-        matrix = np.ascontiguousarray((scale * self.fourier_synthesis).T)
-        matrix.flags.writeable = False
-        return matrix
+        return _read_only(np.ascontiguousarray((scale * self.fourier_synthesis).T))
 
     @cached_property
     def plm(self) -> np.ndarray:
         """Normalized Legendre table, shape (N+1, N+1, n_theta), indexed [m, n, j]."""
-        return legendre_table(self.N, self.cos_theta)
+        return _read_only(legendre_table(self.N, self.cos_theta))
 
     @cached_property
     def dplm_dtheta(self) -> np.ndarray:
@@ -172,11 +174,12 @@ class QuadratureGrid:
         for n in range(self.N + 1):
             lower = plm[: n + 1, n - 1] if n >= 1 else 0.0
             deriv[: n + 1, n] = (n * s * plm[: n + 1, n] - (2.0 * n + 1.0) * a[n, : n + 1] * lower) / sin_t
-        return deriv
+        return _read_only(deriv)
 
 
+@lru_cache(maxsize=None)
 def build_grid(N: int) -> QuadratureGrid:
-    """Quadrature grid for truncation degree N (node counts per the 3/2-rule)."""
+    """Quadrature grid for truncation degree N (node counts per the 3/2-rule), cached per N and shared."""
     if N < 2:
         raise ValueError("truncation degree must be at least 2")
     n_theta = math.ceil(3 * (N + 1) / 2)
@@ -184,7 +187,7 @@ def build_grid(N: int) -> QuadratureGrid:
     while n_phi < 3 * N + 1:
         n_phi *= 2
     s, w = gauss_legendre(n_theta)
-    theta = np.arccos(s[::-1])  # ascending colatitude
-    weights = w[::-1].copy()
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    theta = _read_only(np.arccos(s[::-1]))  # ascending colatitude
+    weights = _read_only(w[::-1].copy())
+    phi = _read_only(2.0 * math.pi * np.arange(n_phi) / n_phi)
     return QuadratureGrid(N=N, theta_nodes=theta, theta_weights=weights, phi_nodes=phi)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,10 @@ class SolverConfig:
     Omega: float = 0.0
 
     def __post_init__(self):
+        for name in ("nu", "amplitude", "t_end", "Omega") + (() if self.dt is None else ("dt",)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.nu) or self.nu <= 0:
             raise ValueError("viscosity must be positive and finite")
         if not math.isfinite(self.amplitude):
@@ -139,6 +144,15 @@ class TrajectoryRecord:
     mode1: np.ndarray
     steps: int = 0
     rejected: int = 0
+
+
+class Trajectory(list):
+    """run's TrajectoryRecords in time order, with the lattice spacing dt and the degree-2 attractor of the run."""
+
+    def __init__(self, records, dt: float, attractor: np.ndarray):
+        super().__init__(records)
+        self.dt = dt
+        self.attractor = attractor
 
 
 @dataclass
@@ -271,8 +285,9 @@ class Stepper:
             yield self._turn((row @ parts).view(complex)[:, 0], time)
 
 
-def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray, stride: int):
-    """Yield (t, state, steps, rejected) at t = 0, every stride-th lattice time and the end.
+def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
+                nsteps: int, dt: float, stride: int):
+    """Yield (t, state, steps, rejected) at t = 0, every stride-th time of the lattice (nsteps, dt) and the end.
 
     Error-controlled Lawson DP5(4) steps about the static w* = w_1(0) plus the
     run's degree-2 attractor (see _attractor), in co-rotating coefficients; the
@@ -285,7 +300,6 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     accepted step covers are read off Stepper.dense up to 2(N+1) at a time,
     so one row build per batch; a sample the step ends on takes the new state.
     """
-    nsteps, dt = lattice(omega0, cfg, grid)
     about = np.zeros_like(omega0.coeffs)
     about[1] = omega0.coeffs[1]
     about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
@@ -351,13 +365,13 @@ def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> t
     return nsteps, cfg.t_end / nsteps
 
 
-def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray):
+def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
+                    nsteps: int, dt: float):
     """Yield (t, state, steps, rejected) at run's snapshot times: with a given dt one classical
     Lawson-RK4 step per lattice time, else _controlled's steps sampled at every snapshot_stride-th one."""
     if cfg.dt is None:
-        yield from _controlled(omega0, cfg, grid, attractor, cfg.snapshot_stride)
+        yield from _controlled(omega0, cfg, grid, attractor, nsteps, dt, cfg.snapshot_stride)
         return
-    nsteps, dt = lattice(omega0, cfg, grid)
     yield 0.0, omega0, 0, 0
     stepper = Stepper(cfg, grid, dt)
     state = omega0
@@ -396,10 +410,12 @@ def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected)
     )
 
 
-def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> list[TrajectoryRecord]:
+def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> Trajectory:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
     attractor = _attractor(omega0, cfg)
-    return [_record(cfg, attractor, *snapshot) for snapshot in _lattice_states(omega0, cfg, grid, attractor)]
+    nsteps, dt = lattice(omega0, cfg, grid)
+    states = _lattice_states(omega0, cfg, grid, attractor, nsteps, dt)
+    return Trajectory([_record(cfg, attractor, *snapshot) for snapshot in states], dt, attractor)
 
 
 def run_with_coupling(
@@ -416,7 +432,8 @@ def run_with_coupling(
         raise ValueError(f"coupling extraction needs two_jet dynamics, not {cfg.jet_order!r}")
     attractor = _attractor(omega0, cfg)
     records, times, M, f = [], [], [], []
-    for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, 1)):
+    nsteps, dt = lattice(omega0, cfg, grid)
+    for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, nsteps, dt, 1)):
         M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
         times.append(t)
         M.append(M_t)

@@ -17,6 +17,14 @@ constant.  Larger grids use the FFTs, with norm="forward": the inverse sums
 the longitude series unscaled, and the forward one returns the longitude
 means.  Either way the weights 2 pi w_j (grid.analysis_weights) integrate the
 means.
+
+Work arrays: grids are cached per N (harmonics.build_grid) and read-only, and
+on the FFT path this module owns two complex work arrays per grid shape
+(_scratch): the zero-padded spectrum real_synthesis fills for irfft, and the
+rfft output real_analysis weights in place.  No call returns them, so every
+result is the caller's; real_synthesis(out=) writes the samples into the
+caller's array instead of a new one.  The work arrays make the transforms not
+reentrant: two calls on grids of one shape must not run at once (threads).
 """
 
 from __future__ import annotations
@@ -160,14 +168,26 @@ def _pairs(a: np.ndarray) -> np.ndarray:
     return a[..., None].view(float).swapaxes(0, 1)
 
 
-def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) -> np.ndarray:
-    """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients.
+@lru_cache(maxsize=None)
+def _scratch(role: str, N: int, n_theta: int, n_phi: int) -> np.ndarray:
+    """The zero-filled complex (n_theta, n_phi/2 + 1) work array of one role ("spectrum" or "means") per grid shape.
+
+    Only syntheses of degree <= N write the spectrum, so its columns past N stay zero.
+    """
+    return np.zeros((n_theta, n_phi // 2 + 1), dtype=complex)
+
+
+def real_synthesis(
+    half: np.ndarray, grid: QuadratureGrid, table: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients, in out if given.
 
     ``half[n, m]`` holds c_n^m for m = 0..N and ``table[m, n, j]`` the latitude
     basis of order m >= 0 (grid.plm or grid.dplm_dtheta).  The m < 0 terms are
     implied by c_n^{-m} = (-1)^m conj(c_n^m) and the matching (-1)^m symmetry
     of the basis, so they are the conjugates of the m > 0 terms; the imaginary
-    part of the m = 0 column is ignored.
+    part of the m = 0 column is ignored.  out, if given, is a C-contiguous
+    float (n_theta, n_phi) array; without it the samples are a new array.
     """
     N = half.shape[0] - 1
     if N > grid.N:
@@ -177,12 +197,13 @@ def real_synthesis(half: np.ndarray, grid: QuadratureGrid, table: np.ndarray) ->
     if small:
         spec = np.empty((grid.n_theta, N + 1), dtype=complex)
     else:
-        spec = np.zeros((grid.n_theta, K // 2 + 1), dtype=complex)
+        spec = _scratch("spectrum", grid.N, grid.n_theta, K)
+        spec[:, N + 1 : grid.N + 1] = 0.0  # a higher-degree call may have written these columns
     rows = np.ascontiguousarray(half, dtype=complex)
     np.matmul(table[: N + 1, : N + 1, :].transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
     if small:
-        return spec.view(float) @ grid.fourier_synthesis[: 2 * (N + 1)]
-    return np.fft.irfft(spec, n=K, axis=1, norm="forward")
+        return np.matmul(spec.view(float), grid.fourier_synthesis[: 2 * (N + 1)], out=out)
+    return np.fft.irfft(spec, n=K, axis=1, norm="forward", out=out)
 
 
 def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> SpectralField:
@@ -202,7 +223,8 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None
         means *= grid.analysis_weights
         weighted = means.view(complex)
     else:
-        weighted = grid.analysis_weights * np.fft.rfft(values, axis=1, norm="forward")[:, : N + 1]
+        means = np.fft.rfft(values, axis=1, norm="forward", out=_scratch("means", grid.N, grid.n_theta, grid.n_phi))
+        weighted = np.multiply(grid.analysis_weights, means[:, : N + 1], out=means[:, : N + 1])
     half = np.empty((N + 1, N + 1), dtype=complex)
     np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(weighted), out=_pairs(half))
     mean = abs(half[0, 0])

@@ -9,7 +9,9 @@ factor's rate and the explicit right-hand side the caller passes.  The
 Coriolis term has its closed form here.  The dense output one theta at a
 time, and the forced 5-mode right-hand side with its rate formed at every
 stage, are the bitwise references for the package's batched dense reads and
-shared rates.
+shared rates.  The FFT-path transforms and the convection written with a new
+array for every spectrum and sample set are the bitwise references for the
+package's cached work arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sphkol.operators import linear_part
+from sphkol.operators import inverse_laplacian, linear_part
 from sphkol.pde_solver import DP_C, DP_DENSE, linear_diffusion_factors
 from sphkol.sht import SpectralField
 
@@ -153,3 +155,39 @@ def propagate_forced_reference(sys, w0, M_series, f_series, dt, t_end):
         w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = w
     return out
+
+
+def _pairs(a):
+    """The (m, q, 2) real/imaginary view of a complex (q, m) array, as the package's kernels read it."""
+    return a[..., None].view(float).swapaxes(0, 1)
+
+
+def allocating_synthesis(half, grid, table):
+    """real_synthesis on an FFT-path grid, its zero-padded spectrum and its samples new arrays."""
+    N = half.shape[0] - 1
+    spec = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
+    rows = np.ascontiguousarray(half, dtype=complex)
+    np.matmul(table[: N + 1, : N + 1, :].transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
+    return np.fft.irfft(spec, n=grid.n_phi, axis=1, norm="forward")
+
+
+def allocating_analysis(values, grid, N):
+    """real_analysis coefficients on an FFT-path grid, the rfft output a new array (no mean-mode check)."""
+    weighted = grid.analysis_weights * np.fft.rfft(values, axis=1, norm="forward")[:, : N + 1]
+    half = np.empty((N + 1, N + 1), dtype=complex)
+    np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(weighted), out=_pairs(half))
+    half[:, 0] = half[:, 0].real
+    half[0] = 0.0
+    return half
+
+
+def allocating_convection(omega, grid):
+    """Coefficients of operators.convection on an FFT-path grid, every sample set a new array."""
+    d_phi = 1j * np.arange(omega.N + 1)
+
+    def derivatives(half):
+        return allocating_synthesis(half, grid, grid.dplm_dtheta), allocating_synthesis(half * d_phi, grid, grid.plm)
+
+    psi_theta, psi_phi = derivatives(inverse_laplacian(omega).coeffs)
+    w_theta, w_phi = derivatives(omega.coeffs)
+    return allocating_analysis((psi_theta * w_phi - psi_phi * w_theta) * grid.inv_sin_theta, grid, omega.N)

@@ -389,7 +389,7 @@ class TestManifests:
 
         def violated(column, value, t):
             def fake(*args):
-                out = [copy.copy(rec) for rec in records]
+                out = pde_solver.Trajectory([copy.copy(rec) for rec in records], records.dt, records.attractor)
                 rec = min(out, key=lambda r: abs(r.t - t))
                 setattr(rec, column, value)
                 return out

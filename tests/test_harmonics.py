@@ -185,6 +185,14 @@ class TestGrid:
     def test_weights_integrate_dcos(self, grid16):
         assert abs(grid16.theta_weights.sum() - 2.0) < 1e-14 * 2.0
 
+    def test_one_shared_read_only_grid_per_degree(self):
+        grid = build_grid(12)
+        assert build_grid(12) is grid and build_grid(13) is not grid
+        for name in ("theta_nodes", "theta_weights", "phi_nodes", "cos_theta", "sin_theta", "inv_sin_theta",
+                     "analysis_weights", "fourier_synthesis", "fourier_analysis", "plm", "dplm_dtheta"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 1.0
+
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
             build_grid(1)

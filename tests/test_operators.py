@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import highpass_norm, rand_field, select_degree
-from refimpl import coriolis_rates
+from refimpl import allocating_convection, coriolis_rates
 from sphkol import operators
 from sphkol.harmonics import QuadratureGrid, build_grid, gauss_legendre
 from sphkol.operators import (
@@ -356,6 +356,21 @@ class TestConvection:
             monkeypatch.setattr(operators, name, counted)
         convection(rand_field(16, seed=5), grid16)
         assert calls == {"real_synthesis": 4, "real_analysis": 1}
+
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_result_survives_the_next_call(self, N):
+        # The four sample sets live in one buffer per grid shape; the result does not.
+        grid = build_grid(N)
+        first = convection(rand_field(N, seed=6), grid)
+        kept = first.coeffs.copy()
+        convection(rand_field(N, seed=7), grid)
+        assert first.coeffs.tobytes() == kept.tobytes()
+
+    def test_fft_path_bitwise_equals_the_allocating_reference(self):
+        grid = build_grid(48)
+        for seed in range(2):
+            omega = rand_field(48, seed=seed, decay=0.1)
+            assert convection(omega, grid).coeffs.tobytes() == allocating_convection(omega, grid).tobytes()
 
     def test_small_grid_runs_without_the_fft(self, grid16, monkeypatch):
         # n_phi = 64 <= MATMUL_MAX_NPHI: both longitude stages are matmuls by the grid's Fourier matrices.

@@ -49,6 +49,20 @@ def one_step(omega, cfg, grid, dt):
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("nu", "amplitude", "t_end", "dt", "Omega")
+            for value in (True, np.bool_(True), "1", 1 + 0j, None)
+            if (name, value) != ("dt", None)
+        ],
+    )
+    def test_a_boolean_or_non_real_number_is_named(self, name, value):
+        # Each used to run as 1 or raise a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, name: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(nu=0.0, amplitude=1.0, N=8, t_end=1.0)
@@ -78,6 +92,7 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
                     SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, "dt": dt, name: value})
         SolverConfig(nu=1.0, amplitude=1.0, N=np.int64(8), t_end=1.0, snapshot_stride=np.int64(3))
+        SolverConfig(nu=1, amplitude=np.float64(1.0), N=8, t_end=1, dt=np.float32(0.5), Omega=2)
         SolverConfig(nu=1.0, amplitude=1.0, N=2, t_end=1.0, jet_order="one_jet")
 
     def test_default_dt_formula(self, grid8):

@@ -14,7 +14,7 @@ def test_decay_rate_sweep_fits_every_rate():
 
 
 def test_output_digests_lists_every_output():
-    # 29 outputs (the files and stdout of 10 runs) and 10 exit codes, all 0.
+    # 33 outputs (the files and stdout of 11 runs) and 11 exit codes, all 0.
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "output_digests.py")], capture_output=True, text=True, timeout=120
     )
@@ -22,6 +22,6 @@ def test_output_digests_lists_every_output():
     lines = done.stdout.splitlines()
     exits = [line for line in lines if line.endswith("/exit")]
     digests = [line for line in lines if not line.endswith("/exit")]
-    assert len(exits) == 10 and all(re.fullmatch(r"0  [a-z_]+/exit", line) for line in exits), exits
-    assert len(digests) == 29
+    assert len(exits) == 11 and all(re.fullmatch(r"0  [a-z_]+/exit", line) for line in exits), exits
+    assert len(digests) == 33
     assert all(re.fullmatch(r"[0-9a-f]{64}  [a-z_]+/[a-z_.]+", line) for line in digests), digests

@@ -16,7 +16,7 @@ from conftest import (
     rand_field,
     select_degree,
 )
-from refimpl import ynm_reference
+from refimpl import allocating_analysis, allocating_synthesis, ynm_reference
 from sphkol.cli import field_from_entries, load_field, save_field
 from sphkol.harmonics import build_grid
 from sphkol.operators import angular_derivatives
@@ -307,6 +307,41 @@ class TestKernelsAtBenchmarkSizes:
             want = ref.real if m == 0 else 2.0 * ref.real
             # ynm_reference sums a monomial expansion; at n = 16 it is itself off by ~6e-14.
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestSharedWorkArrays:
+    """On FFT-path grids the transforms reuse work arrays cached per grid shape; no result reads or aliases them."""
+
+    def test_lower_degree_synthesis_after_a_full_one(self):
+        # The full-degree call writes spectrum columns that the degree-10 one must not read.
+        grid = build_grid(24)
+        full = random_real_field(24, np.random.default_rng(1), 1.0, 0.1).coeffs
+        low = random_real_field(10, np.random.default_rng(2), 1.0, 0.1).coeffs
+        for table in (grid.plm, grid.dplm_dtheta):
+            real_synthesis(full, grid, table)
+            assert real_synthesis(low, grid, table).tobytes() == allocating_synthesis(low, grid, table).tobytes()
+
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_synthesis_returns_a_new_array_or_out(self, N):
+        grid = build_grid(N)
+        a, b = (random_real_field(N, np.random.default_rng(seed)).coeffs for seed in (3, 4))
+        first = real_synthesis(a, grid, grid.plm)
+        kept = first.copy()
+        second = real_synthesis(b, grid, grid.plm)
+        assert not np.shares_memory(first, second) and first.tobytes() == kept.tobytes()
+        out = np.empty((grid.n_theta, grid.n_phi))
+        assert real_synthesis(a, grid, grid.plm, out) is out and out.tobytes() == kept.tobytes()
+
+    def test_analysis_result_survives_the_next_call(self):
+        grid = build_grid(24)
+        first_values, second_values = (
+            synthesize(random_real_field(24, np.random.default_rng(seed)), grid).values for seed in (5, 6)
+        )
+        first = real_analysis(first_values, grid)
+        kept = first.coeffs.copy()
+        real_analysis(second_values, grid, 12)
+        assert first.coeffs.tobytes() == kept.tobytes()
+        assert kept.tobytes() == allocating_analysis(first_values, grid, 24).tobytes()
 
 
 class TestSerialization:
