@@ -4,14 +4,17 @@ The set covers every scenario and subcommand at N = 8: two_jet and rotating
 (Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
 read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
 ...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
-subcommands through ``cli.main``.  N = 8 grids take the matmul longitude
-stage; three fixed steps of a two_jet run at N = 48 cover the FFT one.  All
-run in one process, in a temporary directory.
+subcommands through ``cli.main``, and one ``pde_solver.run_with_coupling``
+run, whose sample times, couplings M and f and records are hashed as arrays.
+N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
+run at N = 48 cover the FFT one.  All run in one process, in a temporary
+directory.
 
 Usage: python scripts/output_digests.py
 
 Prints ``<sha256>  <run>/<file>`` for each file a run writes and for its
-stdout, and ``<code>  <run>/exit`` for its exit code.  Two checkouts give the
+stdout, and ``<code>  <run>/exit`` for its exit code; the coupling run prints
+``<sha256>  coupling/<array>``.  Two checkouts give the
 same lines exactly when their outputs are byte-identical, so
 
     python scripts/output_digests.py > a.txt   (in each checkout)
@@ -29,9 +32,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sphkol import cli  # noqa: E402
+from sphkol import cli, pde_solver  # noqa: E402
+from sphkol.harmonics import build_grid  # noqa: E402
 
 INIT = [
     {"n": 1, "m": 0, "re": 0.8},
@@ -69,6 +75,16 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def coupling_digests() -> list[str]:
+    """Digests of the raw bytes of one N = 8 coupling run: sample times, M, f and every record field."""
+    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, dt=1.0 / 256, snapshot_stride=8)
+    records, coupling = pde_solver.run_with_coupling(cli.field_from_entries(8, INIT), cfg, build_grid(8))
+    fields = [[r.t, r.norm_eq1, r.norm_eq2_dist, r.norm_ge3, *r.mode2.view(float), *r.mode1.view(float),
+               r.steps, r.rejected] for r in records]
+    arrays = {"times": coupling.times, "M": coupling.M, "f": coupling.f, "records": np.array(fields)}
+    return [f"{digest(array.tobytes())}  coupling/{name}" for name, array in arrays.items()]
+
+
 def main() -> int:
     os.environ.pop("SPHKOL_OUT", None)  # each run writes to its own output_dir
     lines = []
@@ -93,6 +109,7 @@ def main() -> int:
             lines += [f"{digest(path.read_bytes())}  {name}/{path.name}" for path in files]
             lines.append(f"{digest(out.getvalue().encode())}  {name}/stdout")
             lines.append(f"{code}  {name}/exit")
+    lines += coupling_digests()
     print("\n".join(lines))
     return 0
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import QuadratureGrid, recurrence_table
+from .harmonics import QuadratureGrid, _read_only, recurrence_table
 from .sht import SpectralField, real_analysis, real_synthesis
 
 
@@ -65,14 +65,12 @@ def _inverse_laplacian_column(N: int) -> np.ndarray:
     in the last bit at some n (140, 438, ...); the outputs depend on this form.
     linear_part reads its 1/(n(n+1)) from here too.
     """
-    column = -np.array([0.0] + [float(n * (n + 1)) ** -1.0 for n in range(1, N + 1)])[:, None]
-    column.flags.writeable = False
-    return column
+    return _read_only(-np.array([0.0] + [float(n * (n + 1)) ** -1.0 for n in range(1, N + 1)])[:, None])
 
 
 def inverse_laplacian(u: SpectralField) -> SpectralField:
     """Inverse of the Laplacian on mean-zero fields: degree n is multiplied by -1/(n(n+1))."""
-    return SpectralField(u.N, u.coeffs * _inverse_laplacian_column(u.N))
+    return SpectralField(u.coeffs * _inverse_laplacian_column(u.N))
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,10 @@ class LinearPart:
         out = np.zeros_like(w)
         out[:-1] = self.down[1:] * w[1:]
         out[2:] += self.up[1:-1] * w[1:-1]
-        return SpectralField(omega.N, out)
+        return SpectralField(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) -> LinearPart:
     """The linear terms the diffusion leaves out, for either jet order and frame rotation Omega.
 
@@ -106,7 +104,8 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
     coefficients exp(-i m Omega t) w the Coriolis term -2 Omega d_phi Lap^{-1} and the
     frame add i Omega m (2/(n(n+1)) - 1), 0 at n = 1, to the diagonal.  The diagonal
     terms are skew in L^2; the two-jet term is skew only in the (I + 6 Lap^{-1})-weighted
-    product on degrees >= 3.  The tables are cached per argument tuple and read-only.
+    product on degrees >= 3.  The tables are read-only; the last four argument tuples are cached
+    (a run reads one or two), so a sweep over amplitudes keeps no more.
     """
     inv_lam = -_inverse_laplacian_column(N)[:, 0]  # 1/(n(n+1)), 0 at n = 0
     im = 1j * np.arange(N + 1)
@@ -122,18 +121,13 @@ def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) ->
         coupling = weight[:, None] * im[None, :]
         down[2:] = coupling[2:] * a_tab[2 : N + 1]  # degree 1 feeds the mean mode nothing
         up[:N] = coupling[:N] * a_tab[1 : N + 1]
-    tables = LinearPart(diagonal=per_degree[:, None] * im[None, :], down=down, up=up)
-    for table in (tables.diagonal, tables.down, tables.up):
-        table.flags.writeable = False
-    return tables
+    return LinearPart(diagonal=_read_only(per_degree[:, None] * im[None, :]), down=_read_only(down), up=_read_only(up))
 
 
 @lru_cache(maxsize=None)
 def _phi_derivative_row(size: int) -> np.ndarray:
     """i m for m = 0..size-1, the d/dphi multiplier of the m >= 0 columns; cached per size, read-only."""
-    row = 1j * np.arange(size)
-    row.flags.writeable = False
-    return row
+    return _read_only(1j * np.arange(size))
 
 
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
@@ -165,4 +159,4 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     jacobian = np.multiply(psi_theta, w_phi, out=psi_theta)
     jacobian -= np.multiply(psi_phi, w_theta, out=psi_phi)
     jacobian *= grid.inv_sin_theta
-    return real_analysis(jacobian, grid, omega.N)
+    return real_analysis(jacobian, grid)

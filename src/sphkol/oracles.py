@@ -41,7 +41,7 @@ def apply_degree_multiplier(u: SpectralField, factors: np.ndarray) -> SpectralFi
     """Multiply every degree-n row of u by factors[n] (factors[0] is ignored)."""
     out = u.coeffs * np.asarray(factors)[:, None]
     out[0] = 0.0
-    return SpectralField(N=u.N, coeffs=out)
+    return SpectralField(out)
 
 
 def laplacian_power(u: SpectralField, s: float) -> SpectralField:
@@ -102,7 +102,7 @@ def frame_map(zeta: SpectralField, Omega: float, t: float) -> SpectralField:
     N = zeta.N
     m = np.arange(N + 1, dtype=float)
     phases = np.exp(-1j * m * Omega * t)[None, :]
-    out = SpectralField(N=N, coeffs=zeta.coeffs * phases)
+    out = SpectralField(zeta.coeffs * phases)
     out[1, 0] = out[1, 0] + 2.0 * Omega * Y10_PER_COS_THETA
     return out
 
@@ -153,9 +153,9 @@ def synthesize_complex(table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     return table_synthesis(table, grid, grid.plm)
 
 
-def analyze_complex(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> np.ndarray:
-    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples, as a complex table."""
-    return real_analysis(values.real, grid, N).full_table() + 1j * real_analysis(values.imag, grid, N).full_table()
+def analyze_complex(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Quadrature projections (f, Y_n^m) of complex mean-zero node samples, as a complex table of the grid's degree."""
+    return real_analysis(values.real, grid).full_table() + 1j * real_analysis(values.imag, grid).full_table()
 
 
 def gradient_values(table: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -192,7 +192,7 @@ def killing_advect(params, table: np.ndarray, grid: QuadratureGrid) -> np.ndarra
     """Complex table of X . grad along the Killing field of ``params`` (degree-preserving)."""
     x_field = killing_field_values(params, grid)
     product = np.sum(x_field * gradient_values(table, grid), axis=-1)
-    return analyze_complex(product, grid, table.shape[0] - 1)
+    return analyze_complex(product, grid)
 
 
 def killing_identity_residual(f: SpectralField, g: SpectralField, axis, grid: QuadratureGrid) -> float:

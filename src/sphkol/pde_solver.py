@@ -238,13 +238,13 @@ class Stepper:
         u = state.coeffs
         k1 = self.nonlinear(state).coeffs
         u2 = e_half * (u + (dt / 2.0) * k1)
-        k2 = self.nonlinear(SpectralField(state.N, u2)).coeffs
+        k2 = self.nonlinear(SpectralField(u2)).coeffs
         u3 = e_half * u + (dt / 2.0) * k2
-        k3 = self.nonlinear(SpectralField(state.N, u3)).coeffs
+        k3 = self.nonlinear(SpectralField(u3)).coeffs
         u4 = e_full * u + dt * e_half * k3
-        k4 = self.nonlinear(SpectralField(state.N, u4)).coeffs
+        k4 = self.nonlinear(SpectralField(u4)).coeffs
         advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        return SpectralField(state.N, advanced)
+        return SpectralField(advanced)
 
     def _dormand_prince(self, v: np.ndarray, k1: np.ndarray):
         dt, stages = self.dt, self.stages
@@ -257,7 +257,7 @@ class Stepper:
         for i in range(1, 7):  # e^{(c_i - c_j) dt S}: k_j stored turned by -c_j dt, the sum by c_i dt
             u = self._turn((rows[:, i : i + 1, : i + 1] @ parts[:, : i + 1]).view(complex)[:, 0], DP_C[i] * dt)
             w = self.about + u
-            k = self.nonlinear(SpectralField(self.N, w)).coeffs + self.about_rate
+            k = self.nonlinear(SpectralField(w)).coeffs + self.about_rate
             stages[:, i + 1] = self._turn(k, -DP_C[i] * dt)
         err_row = np.concatenate([np.zeros((self.N + 1, 1)), dt * DP_E * lag[:, 6]], axis=1)
         return u, w, self._turn((err_row[:, None, :] @ parts).view(complex)[:, 0], dt), k
@@ -344,9 +344,9 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
             read = times[:-1] if times[-1] == t_new else times
             if read:
                 for s, deviation in zip(read, stepper.dense(t, read)):
-                    yield s, SpectralField(omega0.N, stepper.about + deviation), accepted, rejected
+                    yield s, SpectralField(stepper.about + deviation), accepted, rejected
             if len(read) < len(times):  # the sample the step ends on
-                yield t_new, SpectralField(omega0.N, w_new), accepted, rejected
+                yield t_new, SpectralField(w_new), accepted, rejected
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, k_new, new_norm
 
@@ -354,12 +354,12 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
 def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:
     """(nsteps, dt) of the snapshot lattice: the given dt or default_dt, rounded to t_end / nsteps.
 
-    It checks that omega0 has degree cfg.N and that the grid resolves it.
+    It checks that omega0 and the grid both have degree cfg.N.
     """
     if omega0.N != cfg.N:
         raise ValueError(f"initial condition degree {omega0.N} != configured N {cfg.N}")
-    if cfg.N > grid.N:
-        raise ValueError("grid does not support the configured truncation degree")
+    if grid.N != cfg.N:
+        raise ValueError(f"grid degree {grid.N} != configured N {cfg.N}")
     dt_req = cfg.dt if cfg.dt is not None else default_dt(omega0, cfg, grid)
     nsteps = max(1, math.ceil(cfg.t_end / dt_req - 1e-12))
     return nsteps, cfg.t_end / nsteps

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .harmonics import build_grid
+from .harmonics import _read_only, build_grid
 from .operators import KillingParams, linear_part
 from .sht import SpectralField
 
@@ -175,12 +175,14 @@ def adjacent_degree_table(N: int) -> np.ndarray:
     The degree-2 row of J(Y_a, Y_b) vanishes unless |a - b| = 1 (parity and
     the triangle rule); c_n = 1/((n+1)(n+2)) - 1/(n(n+1)) folds in both
     orderings of the stream function.  The phi integral only selects the
-    order sum mu, so each entry is one latitude quadrature.  Cached per N, read-only.
+    order sum mu, so each entry is one latitude quadrature on the degree-N grid,
+    with the orders past each degree zeroed by rows().  Cached per N, read-only.
     """
-    grid = build_grid(N + 1)  # its tables hold the zero rows of orders up to N + 1
+    grid = build_grid(N)
 
-    def rows(table, orders, n):  # Pbar_n^{-k} = (-1)^k Pbar_n^k
-        return (-1.0) ** np.minimum(orders, 0)[..., None] * table[np.abs(orders), n]
+    def rows(table, orders, n):  # Pbar_n^{-k} = (-1)^k Pbar_n^k, and 0 for |k| > n
+        k = np.abs(orders)
+        return np.where(k > n, 0.0, (-1.0) ** np.minimum(orders, 0))[..., None] * table[np.minimum(k, n), n]
 
     mu = np.array(MODE2_ORDER)
     # The d(cos theta) weights take J's 1/sin(theta) and the phi integral's 2 pi.
@@ -194,8 +196,7 @@ def adjacent_degree_table(N: int) -> np.ndarray:
         jacobian = partner[..., None] * low_theta * high - m[:, None] * low * high_theta
         c = 1.0 / ((n + 1.0) * (n + 2.0)) - 1.0 / (n * (n + 1.0))
         table[n - 2, :, N - n : N + n + 1] = 1j * c * np.sum(jacobian * y2, axis=-1)
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +204,7 @@ def _coupling_gather(N: int) -> tuple[np.ndarray, np.ndarray]:
     """extract_coupling's indices: the flat index of each w_{n+1}^{mu-m}, n = 2..N-1, in its padded table, and the column of each mu."""
     mu = np.array(MODE2_ORDER)
     partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
-    return np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner, N + mu
+    return _read_only(np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner), _read_only(N + mu)
 
 
 def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray, np.ndarray]:

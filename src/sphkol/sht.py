@@ -3,9 +3,10 @@
 A real field is stored as its coefficients u_n^m for 1 <= n <= N and
 0 <= m <= n; the m < 0 ones follow from reality.  Synthesis is a Legendre sum
 per order m and a real longitude sum, analysis a longitude mean followed by
-Gauss-Legendre quadrature in colatitude per order m.  Both are exact for
-band-limited data.  The Legendre sums over all orders are one real batched
-matrix product per call.  Field files are read and written by sphkol.cli.
+Gauss-Legendre quadrature in colatitude per order m.  Both work at the grid's
+degree N only and are exact for band-limited data.  The Legendre sums over all
+orders are one real batched matrix product per call.  Field files are read and
+written by sphkol.cli.
 
 The longitude stage has two forms, chosen by grid size inside both kernels.
 On grids with n_phi <= MATMUL_MAX_NPHI it is one real matmul of the
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import QuadratureGrid
+from .harmonics import QuadratureGrid, _read_only
 
 
 # Largest longitude count whose Fourier stage is one real matmul by a cached
@@ -54,26 +55,30 @@ class MeanModeError(ValueError):
 class SpectralField:
     """Real mean-zero scalar field on the sphere, stored as its m >= 0 coefficients.
 
-    coeffs has shape (N+1, N+1); c_n^m lives at ``coeffs[n, m]`` for
-    0 <= m <= n, and the entries with m > n stay zero.  Row 0 stays zero: the
-    mean mode is structurally excluded.  The m < 0 coefficients follow from
-    reality, c_n^{-m} = (-1)^m conj(c_n^m): ``u[n, -m]`` reads that mirror, a
-    write there stores the mirror of the value at m, and a write at m = 0
-    must be real.  full_table() forms the whole +-m table.
+    coeffs has shape (N+1, N+1), which sets the degree N; c_n^m lives at
+    ``coeffs[n, m]`` for 0 <= m <= n, and the entries with m > n stay zero.
+    Row 0 stays zero: the mean mode is structurally excluded.  The m < 0
+    coefficients follow from reality, c_n^{-m} = (-1)^m conj(c_n^m):
+    ``u[n, -m]`` reads that mirror, a write there stores the mirror of the
+    value at m, and a write at m = 0 must be real.  full_table() forms the
+    whole +-m table.
     """
 
-    N: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.N + 1, self.N + 1):
-            raise ValueError(f"coefficients of shape {self.coeffs.shape} do not fit N = {self.N}")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != self.coeffs.shape[1]:
+            raise ValueError(f"coefficients of shape {self.coeffs.shape} are not square")
+
+    @property
+    def N(self) -> int:
+        return self.coeffs.shape[0] - 1
 
     @classmethod
     def zeros(cls, N: int) -> "SpectralField":
         if N < 1:
             raise ValueError("truncation degree must be at least 1")
-        return cls(N=N, coeffs=np.zeros((N + 1, N + 1), dtype=complex))
+        return cls(np.zeros((N + 1, N + 1), dtype=complex))
 
     def _check_index(self, n: int, m: int):
         if not (1 <= n <= self.N):
@@ -102,9 +107,7 @@ class SpectralField:
     @lru_cache(maxsize=None)
     def _mirror_signs(N: int) -> np.ndarray:
         """(-1)^m for m = N, N-1, ..., 1, the signs of the mirrored columns; cached per N, read-only."""
-        signs = ((-1.0) ** np.arange(1, N + 1))[::-1].copy()
-        signs.flags.writeable = False
-        return signs
+        return _read_only(((-1.0) ** np.arange(1, N + 1))[::-1].copy())
 
     def full_table(self, out: np.ndarray | None = None) -> np.ndarray:
         """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror, in out if given."""
@@ -117,20 +120,20 @@ class SpectralField:
         return out
 
     def copy(self) -> "SpectralField":
-        return SpectralField(N=self.N, coeffs=self.coeffs.copy())
+        return SpectralField(self.coeffs.copy())
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if other.N != self.N:
             raise ValueError("truncation degrees differ")
-        return SpectralField(N=self.N, coeffs=self.coeffs + other.coeffs)
+        return SpectralField(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if other.N != self.N:
             raise ValueError("truncation degrees differ")
-        return SpectralField(N=self.N, coeffs=self.coeffs - other.coeffs)
+        return SpectralField(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(N=self.N, coeffs=self.coeffs * scalar)
+        return SpectralField(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -170,17 +173,14 @@ def _pairs(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _scratch(role: str, N: int, n_theta: int, n_phi: int) -> np.ndarray:
-    """The zero-filled complex (n_theta, n_phi/2 + 1) work array of one role ("spectrum" or "means") per grid shape.
-
-    Only syntheses of degree <= N write the spectrum, so its columns past N stay zero.
-    """
+    """The zero-filled complex (n_theta, n_phi/2 + 1) work array of one role ("spectrum" or "means") per grid shape."""
     return np.zeros((n_theta, n_phi // 2 + 1), dtype=complex)
 
 
 def real_synthesis(
     half: np.ndarray, grid: QuadratureGrid, table: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Real samples of a series over |m| <= n <= N from its m >= 0 coefficients, in out if given.
+    """Real samples of a series over |m| <= n <= N = grid.N from its m >= 0 coefficients, in out if given.
 
     ``half[n, m]`` holds c_n^m for m = 0..N and ``table[m, n, j]`` the latitude
     basis of order m >= 0 (grid.plm or grid.dplm_dtheta).  The m < 0 terms are
@@ -189,44 +189,42 @@ def real_synthesis(
     part of the m = 0 column is ignored.  out, if given, is a C-contiguous
     float (n_theta, n_phi) array; without it the samples are a new array.
     """
-    N = half.shape[0] - 1
-    if N > grid.N:
-        raise ValueError(f"field degree {N} exceeds grid degree {grid.N}")
+    N = grid.N
+    if half.shape[0] != N + 1:
+        raise ValueError(f"field degree {half.shape[0] - 1} != grid degree {N}")
     K = grid.n_phi
     small = K <= MATMUL_MAX_NPHI
     if small:
         spec = np.empty((grid.n_theta, N + 1), dtype=complex)
     else:
-        spec = _scratch("spectrum", grid.N, grid.n_theta, K)
-        spec[:, N + 1 : grid.N + 1] = 0.0  # a higher-degree call may have written these columns
+        spec = _scratch("spectrum", N, grid.n_theta, K)
     rows = np.ascontiguousarray(half, dtype=complex)
-    np.matmul(table[: N + 1, : N + 1, :].transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
+    np.matmul(table.transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
     if small:
-        return np.matmul(spec.view(float), grid.fourier_synthesis[: 2 * (N + 1)], out=out)
+        return np.matmul(spec.view(float), grid.fourier_synthesis, out=out)
     return np.fft.irfft(spec, n=K, axis=1, norm="forward", out=out)
 
 
-def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None) -> SpectralField:
-    """Quadrature projections (f, Y_n^m), m >= 0, of real mean-zero node samples, n <= N.
+def real_analysis(values: np.ndarray, grid: QuadratureGrid) -> SpectralField:
+    """Quadrature projections (f, Y_n^m), m >= 0, of real mean-zero node samples, n <= grid.N.
 
     Column 0 is kept real and the mean row zero.  The projection onto the
     constant mode vanishes for a mean-zero field; it must stay below
     MEAN_TOL * max(1, max |values|), so round-off at large amplitude passes
-    and solver drift raises MeanModeError.
+    and solver drift raises MeanModeError.  values must lie on the grid's nodes.
     """
-    if N is None:
-        N = grid.N
-    if N > grid.N:
-        raise ValueError(f"requested degree {N} exceeds grid degree {grid.N}")
+    N = grid.N
+    if values.shape != (grid.n_theta, grid.n_phi):
+        raise ValueError(f"samples of shape {values.shape} are not on the degree-{N} grid")
     if grid.n_phi <= MATMUL_MAX_NPHI:
-        means = values @ grid.fourier_analysis[:, : 2 * (N + 1)]
+        means = values @ grid.fourier_analysis
         means *= grid.analysis_weights
         weighted = means.view(complex)
     else:
-        means = np.fft.rfft(values, axis=1, norm="forward", out=_scratch("means", grid.N, grid.n_theta, grid.n_phi))
+        means = np.fft.rfft(values, axis=1, norm="forward", out=_scratch("means", N, grid.n_theta, grid.n_phi))
         weighted = np.multiply(grid.analysis_weights, means[:, : N + 1], out=means[:, : N + 1])
     half = np.empty((N + 1, N + 1), dtype=complex)
-    np.matmul(grid.plm[: N + 1, : N + 1, :], _pairs(weighted), out=_pairs(half))
+    np.matmul(grid.plm, _pairs(weighted), out=_pairs(half))
     mean = abs(half[0, 0])
     if mean > MEAN_TOL:  # below it the check passes at any sample scale
         scale = max(1.0, float(np.max(np.abs(values))))
@@ -234,7 +232,7 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid, N: int | None = None
             raise MeanModeError(f"field not mean-zero: mean mode projection {mean:.6e} (sample scale {scale:.3e})")
     half[:, 0] = half[:, 0].real
     half[0] = 0.0
-    return SpectralField(N=N, coeffs=half)
+    return SpectralField(half)
 
 
 def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -243,7 +241,7 @@ def synthesize(u: SpectralField, grid: QuadratureGrid) -> GridField:
 
 
 def analyze(f: GridField) -> SpectralField:
-    """Forward transform of a real mean-zero field (real_analysis at the grid degree)."""
+    """Forward transform of a real mean-zero field."""
     return real_analysis(f.values, f.grid)
 
 

@@ -105,13 +105,13 @@ def classic_step(nonlinear, rate, state, dt):
     u = state.coeffs
     k1 = nonlinear(state).coeffs
     u2 = e_half * (u + (dt / 2.0) * k1)
-    k2 = nonlinear(SpectralField(state.N, u2)).coeffs
+    k2 = nonlinear(SpectralField(u2)).coeffs
     u3 = e_half * u + (dt / 2.0) * k2
-    k3 = nonlinear(SpectralField(state.N, u3)).coeffs
+    k3 = nonlinear(SpectralField(u3)).coeffs
     u4 = e_full * u + dt * e_half * k3
-    k4 = nonlinear(SpectralField(state.N, u4)).coeffs
+    k4 = nonlinear(SpectralField(u4)).coeffs
     advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralField(state.N, advanced)
+    return SpectralField(advanced)
 
 
 def classic_states(nonlinear, rate, state, dt, nsteps):

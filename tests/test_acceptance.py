@@ -280,7 +280,7 @@ def test_criterion_11_rotating_equivalence():
     t_rot, rot_state = snapshot_states(zeta0, dataclasses.replace(cfg, Omega=Omega), grid)[-1]
     _, direct_state = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid)[-1]
     # The run steps co-rotating coefficients: turn them back to the frame's before mapping.
-    rot_state = SpectralField(12, rot_state.coeffs * frame_phases(Omega, t_rot, range(13)))
+    rot_state = SpectralField(rot_state.coeffs * frame_phases(Omega, t_rot, range(13)))
     mapped = frame_map(rot_state, Omega, t_rot)
     diff = (mapped - direct_state).norm()
 

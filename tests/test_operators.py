@@ -57,7 +57,7 @@ def reference_convection(omega, grid):
     half = product(grid.plm[: N + 1, : N + 1, :], (grid.theta_weights[:, None] * fhat).T).T.copy()
     half[:, 0] = half[:, 0].real
     half[0] = 0.0
-    return SpectralField(N, half)
+    return SpectralField(half)
 
 
 def single(N, n, m, value=1.0):
@@ -229,7 +229,7 @@ class TestPerturbationOperator:
         m_factors = 1j * np.arange(-8, 9)
         inner = u.full_table() * weight[:, None] * m_factors[None, :]
         vals = synthesize_complex(inner, grid8) * np.cos(grid8.theta_nodes)[:, None]
-        via_grid = analyze_complex(vals, grid8, 8)
+        via_grid = analyze_complex(vals, grid8)
         via_spectral = perturbation_operator(u)
         assert np.max(np.abs(via_grid - via_spectral.full_table())) < 1e-13
 
@@ -268,11 +268,17 @@ class TestLinearPart:
         with pytest.raises(ValueError):
             part.down[3, 1] = 0.0
 
+    def test_a_sweep_keeps_a_bounded_cache(self):
+        size = linear_part.cache_info().maxsize
+        for amplitude in np.linspace(0.1, 2.0, 3 * size):
+            linear_part(8, "two_jet", float(amplitude))
+        assert linear_part.cache_info().currsize == size
+
     def test_diagonal_terms_are_skew(self):
         u = rand_field(12, seed=31)
         for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
             assert np.any(part.diagonal)
-            pairing = np.real(np.vdot(SpectralField(12, part.diagonal * u.coeffs).full_table(), u.full_table()))
+            pairing = np.real(np.vdot(SpectralField(part.diagonal * u.coeffs).full_table(), u.full_table()))
             assert abs(pairing) < 1e-14 * u.norm() ** 2
 
     def test_apply_leaves_the_diagonal_out(self):
@@ -330,7 +336,7 @@ class TestConvection:
         omega = rand_field(N, seed=N, amplitude=amplitude, decay=0.3)
         grid = build_grid(N)
         product = np.sum(velocity_values(omega, grid) * gradient_values(omega.full_table(), grid), axis=-1)
-        want = analyze_complex(product, grid, N)
+        want = analyze_complex(product, grid)
         got = convection(omega, grid).full_table()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

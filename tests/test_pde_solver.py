@@ -41,7 +41,7 @@ def rhs(omega, cfg, grid):
     """Full right-hand side: the diagonal D + S the stepper integrates exactly plus its explicit part."""
     stepper = Stepper(cfg, grid, cfg.t_end)
     diffusion = apply_degree_multiplier(omega, linear_diffusion_factors(omega.N, cfg.nu))
-    return diffusion + SpectralField(omega.N, stepper.linear.diagonal * omega.coeffs) + stepper.nonlinear(omega)
+    return diffusion + SpectralField(stepper.linear.diagonal * omega.coeffs) + stepper.nonlinear(omega)
 
 
 def one_step(omega, cfg, grid, dt):
@@ -289,7 +289,7 @@ class TestControlledSteps:
             stepper = Stepper(cfg, grid8, h, about=np.zeros_like(omega0.coeffs))
             new, w_new, err, k_new = stepper.step(omega0.coeffs, stepper.nonlinear(omega0).coeffs)
             assert np.array_equal(w_new, new)  # about 0, the deviation is the state
-            assert np.array_equal(k_new, stepper.nonlinear(SpectralField(8, new)).coeffs)  # FSAL
+            assert np.array_equal(k_new, stepper.nonlinear(SpectralField(new)).coeffs)  # FSAL
             assert np.array_equal(stepper.stages[:, 7], k_new)  # S = 0: stored unturned
             errs.append(np.linalg.norm(err))
         assert 32.0 * 0.8 <= errs[0] / errs[1] <= 32.0 * 1.2
@@ -610,6 +610,14 @@ class TestRun:
         with pytest.raises(ValueError, match="two_jet"):
             run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
 
+    def test_grid_of_another_degree_rejected(self):
+        # A run's field, cfg.N and grid share one degree; no run reads a finer grid.
+        omega0 = rand_field(8, seed=77, amplitude=0.4)
+        cfg = two_jet_cfg(t_end=0.01)
+        for runner in (run, run_with_coupling):
+            with pytest.raises(ValueError, match="grid degree 9 != configured N 8"):
+                runner(omega0, cfg, build_grid(9))
+
     @pytest.mark.parametrize("Omega", [0.7, -1.3])
     def test_rotating_coupling_closes_the_frame_system(self, grid16, Omega):
         # Criterion 7 in a rotating frame: the couplings of the co-rotating
@@ -709,7 +717,7 @@ class TestLatticeDriver:
         assert len(recs) == len(states) > 2
         for rec, (t, state) in zip(recs, states):
             # The states are co-rotating: degrees 1 and 2 are read turned back to the frame's coefficients.
-            turned = SpectralField(8, state.coeffs * frame_phases(cfg.Omega, t, range(9))) if cfg.Omega else state
+            turned = SpectralField(state.coeffs * frame_phases(cfg.Omega, t, range(9))) if cfg.Omega else state
             assert rec.t == t
             assert rec.norm_eq1 == degree_norm(turned, 1)
             assert rec.norm_ge3 == highpass_norm(state, 3)

@@ -23,6 +23,7 @@ from sphkol.oracles import (
 )
 from sphkol.reduced_ode import (
     MODE2_ORDER,
+    _coupling_gather,
     adjacent_degree_table,
     build_system,
     equilibrium_closed_form,
@@ -374,6 +375,9 @@ class TestExtractCoupling:
         assert table is adjacent_degree_table(8)
         assert table.shape == (6, 5, 17)
         assert not table.flags.writeable
+        gather = _coupling_gather(16)
+        assert gather is _coupling_gather(16)
+        assert not any(array.flags.writeable for array in gather)
 
     def test_runs_no_transform(self, monkeypatch):
         # Table build included (N = 11 is built nowhere else in this suite).

@@ -23,12 +23,12 @@ def single(N, n, m, value=1.0):
 def coriolis_term(zeta, Omega):
     """-2 Omega d_phi Lap^{-1} zeta: the skew diagonal of a rotating two-jet run, plus the frame rate i m Omega it takes off."""
     skew = linear_part(zeta.N, "two_jet", 0.0, Omega).diagonal
-    return SpectralField(zeta.N, (skew + 1j * Omega * np.arange(zeta.N + 1)) * zeta.coeffs)
+    return SpectralField((skew + 1j * Omega * np.arange(zeta.N + 1)) * zeta.coeffs)
 
 
 def lab_state(state, Omega, t):
     """A co-rotating snapshot state turned back to the frame's coefficients."""
-    return SpectralField(state.N, state.coeffs * frame_phases(Omega, t, range(state.N + 1)))
+    return SpectralField(state.coeffs * frame_phases(Omega, t, range(state.N + 1)))
 
 
 def rotating_attractor(params, amplitude, nu, Omega, t):

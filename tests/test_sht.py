@@ -50,8 +50,8 @@ class TestSpectralField:
     @pytest.mark.parametrize("shape", [(9, 1), (9, 17), (8, 9), (9,), (9, 9, 1)])
     def test_malformed_coefficient_array_rejected(self, shape):
         # A (9, 1) array at N = 8 used to broadcast over every order in synthesis.
-        with pytest.raises(ValueError, match="do not fit N = 8"):
-            SpectralField(8, np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match="are not square"):
+            SpectralField(np.zeros(shape, dtype=complex))
 
     def test_projection_partition_is_exact(self):
         u = rand_field(6, seed=5)
@@ -173,8 +173,17 @@ class TestSynthesize:
         assert np.max(np.abs(f.values - want)) < 1e-13
 
     def test_degree_capacity(self, grid8):
-        with pytest.raises(ValueError, match="exceeds grid degree"):
-            synthesize(SpectralField.zeros(9), grid8)
+        # Every transform works at its grid's degree: a half of degree 7 or 9, or its samples on its own grid, is refused.
+        for N in (7, 9):
+            u = rand_field(N, seed=N)
+            with pytest.raises(ValueError, match=f"field degree {N} != grid degree 8"):
+                synthesize(u, grid8)
+            for table in (grid8.plm, grid8.dplm_dtheta):
+                with pytest.raises(ValueError, match=f"field degree {N} != grid degree 8"):
+                    real_synthesis(u.coeffs, grid8, table)
+            values = synthesize(u, build_grid(N)).values
+            with pytest.raises(ValueError, match=re.escape(f"samples of shape {values.shape} are not on the degree-8")):
+                real_analysis(values, grid8)
 
 
 class TestRoundtripProperties:
@@ -211,11 +220,10 @@ class TestRoundtripProperties:
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_roundtrip_of_lower_degree_field(self, grid8):
-        # a field truncated below the grid degree comes back zero-padded
-        u = rand_field(5, seed=88)
+        # a degree-5 field is a grid-degree half whose rows past 5 are zero, and comes back so
+        u = rand_field(8, seed=88, degrees=range(1, 6))
         back = analyze(synthesize(u, grid8))
-        assert back.N == 8
-        assert np.max(np.abs(back.coeffs[:6, :6] - u.coeffs)) < 1e-12
+        assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
         assert highpass_norm(back, 6) < 1e-12
 
 
@@ -229,7 +237,7 @@ def einsum_synthesis(half, grid, table):
 
 
 def einsum_projection(values, grid, N=None):
-    """Dense einsum m >= 0 projections of real_analysis before it became a batched matmul."""
+    """Dense einsum m >= 0 projections of real_analysis before it became a batched matmul, up to degree N."""
     N, K = grid.N if N is None else N, grid.n_phi
     fhat = np.fft.rfft(values, axis=1)[:, : N + 1] * (2.0 * math.pi / K)
     return np.einsum("mnj,jm->nm", grid.plm[: N + 1, : N + 1, :], grid.theta_weights[:, None] * fhat)
@@ -273,16 +281,19 @@ class TestKernelsAtBenchmarkSizes:
 
     @pytest.mark.parametrize("table_name", ["plm", "dplm_dtheta"])
     def test_synthesis_of_a_lower_degree_half(self, grid, table_name):
-        half = random_real_field(grid.N - 5, np.random.default_rng(grid.N + 3), 1.0, 0.1).coeffs
+        # A degree N - 5 field, zero-padded to the grid degree, against the dense sum over its own rows.
+        N = grid.N
+        half = random_real_field(N, np.random.default_rng(N + 3), 1.0, 0.1, degrees=range(1, N - 4)).coeffs
         table = getattr(grid, table_name)
-        want = einsum_synthesis(half, grid, table)
+        want = einsum_synthesis(half[: N - 4, : N - 4], grid, table)
         got = real_synthesis(half, grid, table)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_analysis_to_a_lower_degree(self, grid):
+        # The projections up to degree N - 5 are the leading block of the grid-degree analysis.
         values = synthesize(random_real_field(grid.N, np.random.default_rng(grid.N + 4), 1.0, 0.1), grid).values
         want = einsum_projection(values, grid, grid.N - 5)
-        got = real_analysis(values, grid, grid.N - 5).coeffs
+        got = real_analysis(values, grid).coeffs[: grid.N - 4, : grid.N - 4]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_synthesis_ignores_an_imaginary_m0_part(self, grid):
@@ -313,10 +324,10 @@ class TestSharedWorkArrays:
     """On FFT-path grids the transforms reuse work arrays cached per grid shape; no result reads or aliases them."""
 
     def test_lower_degree_synthesis_after_a_full_one(self):
-        # The full-degree call writes spectrum columns that the degree-10 one must not read.
+        # A zero-padded degree-10 half reads nothing the full-degree call left in the spectrum.
         grid = build_grid(24)
         full = random_real_field(24, np.random.default_rng(1), 1.0, 0.1).coeffs
-        low = random_real_field(10, np.random.default_rng(2), 1.0, 0.1).coeffs
+        low = random_real_field(24, np.random.default_rng(2), 1.0, 0.1, degrees=range(1, 11)).coeffs
         for table in (grid.plm, grid.dplm_dtheta):
             real_synthesis(full, grid, table)
             assert real_synthesis(low, grid, table).tobytes() == allocating_synthesis(low, grid, table).tobytes()
@@ -339,7 +350,7 @@ class TestSharedWorkArrays:
         )
         first = real_analysis(first_values, grid)
         kept = first.coeffs.copy()
-        real_analysis(second_values, grid, 12)
+        real_analysis(second_values, grid)
         assert first.coeffs.tobytes() == kept.tobytes()
         assert kept.tobytes() == allocating_analysis(first_values, grid, 24).tobytes()
 
