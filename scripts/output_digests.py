@@ -4,8 +4,9 @@ The set covers every scenario and subcommand at N = 8: two_jet and rotating
 (Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
 read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
 ...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
-subcommands through ``cli.main``, and one ``pde_solver.run_with_coupling``
-run, whose sample times, couplings M and f and records are hashed as arrays.
+subcommands through ``cli.main``, and two ``pde_solver.run_with_coupling``
+runs, two_jet and one_jet, whose sample times, couplings M and f and records
+are hashed as arrays.
 N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
 run at N = 48 cover the FFT one.  All run in one process, in a temporary
 directory.
@@ -13,8 +14,8 @@ directory.
 Usage: python scripts/output_digests.py
 
 Prints ``<sha256>  <run>/<file>`` for each file a run writes and for its
-stdout, and ``<code>  <run>/exit`` for its exit code; the coupling run prints
-``<sha256>  coupling/<array>``.  Two checkouts give the
+stdout, and ``<code>  <run>/exit`` for its exit code; the coupling runs print
+``<sha256>  coupling/<array>`` and ``<sha256>  coupling_one_jet/<array>``.  Two checkouts give the
 same lines exactly when their outputs are byte-identical, so
 
     python scripts/output_digests.py > a.txt   (in each checkout)
@@ -75,14 +76,15 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def coupling_digests() -> list[str]:
+def coupling_digests(name: str, jet_order: str) -> list[str]:
     """Digests of the raw bytes of one N = 8 coupling run: sample times, M, f and every record field."""
-    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, dt=1.0 / 256, snapshot_stride=8)
+    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, dt=1.0 / 256, snapshot_stride=8,
+                                  jet_order=jet_order)
     records, coupling = pde_solver.run_with_coupling(cli.field_from_entries(8, INIT), cfg, build_grid(8))
     fields = [[r.t, r.norm_eq1, r.norm_eq2_dist, r.norm_ge3, *r.mode2.view(float), *r.mode1.view(float),
                r.steps, r.rejected] for r in records]
     arrays = {"times": coupling.times, "M": coupling.M, "f": coupling.f, "records": np.array(fields)}
-    return [f"{digest(array.tobytes())}  coupling/{name}" for name, array in arrays.items()]
+    return [f"{digest(array.tobytes())}  {name}/{key}" for key, array in arrays.items()]
 
 
 def main() -> int:
@@ -109,7 +111,7 @@ def main() -> int:
             lines += [f"{digest(path.read_bytes())}  {name}/{path.name}" for path in files]
             lines.append(f"{digest(out.getvalue().encode())}  {name}/stdout")
             lines.append(f"{code}  {name}/exit")
-    lines += coupling_digests()
+    lines += coupling_digests("coupling", "two_jet") + coupling_digests("coupling_one_jet", "one_jet")
     print("\n".join(lines))
     return 0
 

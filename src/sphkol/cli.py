@@ -15,8 +15,8 @@ pde_solver and reduced_ode read and write nothing.  Floats are written with
 17 significant digits (format_float, dumps17), not json's repr, whose digit
 count varies by value, so that the files are byte-stable across platforms.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error or a run
+too large to allocate, 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
 Each input is checked once, by the code that reads it: every number of a
 manifest or a field file by _number.  A scenario computes
 everything before run_manifest creates its output directory, so a run that
@@ -53,7 +53,6 @@ MANIFEST_KEYS = {
     "identity_oracles": (("lmax",), ()),
 }
 SCENARIOS = tuple(MANIFEST_KEYS)
-JET_ORDER = {"two_jet": "two_jet", "one_jet": "one_jet", "rotating": "two_jet"}  # flow scenario -> base flow
 TRAJECTORY_HEADER = (
     "t,norm_eq1,norm_eq2_dist,norm_ge3,"
     "re_w22,im_w22,re_w21,im_w21,re_w20,im_w20,re_w2m1,im_w2m1,re_w2m2,im_w2m2"
@@ -347,15 +346,11 @@ def _envelope_margin(records, nu: float) -> float | None:
 def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
     """The two_jet, one_jet and rotating scenarios: one PDE run, its checks, files, step counts and grid shape."""
     scenario, Omega = doc["scenario"], doc["Omega"]
-    cfg = _solver_config(doc["cfg"], JET_ORDER[scenario], Omega)
+    cfg = _solver_config(doc["cfg"], "one_jet" if scenario == "one_jet" else "two_jet", Omega)
     omega0 = _parse_init(doc.get("init"), cfg.N)
     grid = build_grid(cfg.N)
     records = pde_solver.run(omega0, cfg, grid)
-    params = KillingParams.from_field(omega0)
-    header = None
-    if scenario == "rotating":
-        header = f"Omega={format_float(Omega)}"
-        params = reduced_ode.rotating_frame_params(params, Omega)
+    header = f"Omega={format_float(Omega)}" if scenario == "rotating" else None
     outputs = {"trajectory.csv": trajectory_csv(records, header_comment=header)}
     files = {"trajectory": "trajectory.csv"}
     steps = {
@@ -381,8 +376,10 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         checks.append(_check("degree_ge3_decay", ge3, 1e-6))
         envelope = _envelope_margin(records, cfg.nu)
         checks.append(_check("degree2_convergence_envelope", envelope, 1e-6, note="run ends before t = 1/nu"))
-        system = reduced_ode.build_system(params, cfg.amplitude, cfg.nu)
-        report = equilibrium_report(system, params, cfg.amplitude, "closed_form", records.attractor)
+        amplitude, rate = cfg.flow
+        params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), rate)
+        system = reduced_ode.build_system(params, amplitude, cfg.nu)
+        report = equilibrium_report(system, params, amplitude, "closed_form", records.attractor)
         outputs["equilibrium.json"] = report
         files["equilibrium"] = "equilibrium.json"
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
@@ -575,7 +572,7 @@ def main(argv=None) -> int:
     except (IntegrationError, MeanModeError, ArithmeticError) as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Spectral differential operators and the convection term.
 
 inverse_laplacian is a cached degree multiplier.  linear_part builds the
-non-diffusive linear part of all three flows: the one-jet, Coriolis and frame
-terms act diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
+non-diffusive linear part of every flow, a two-jet term plus one rigid rotation
+about z: the rotation acts diagonally, the two-jet coupling tridiagonally in degree.  The quadratic
 convection term goes through the grid (pseudospectral, dealiased by grid
 oversizing), synthesized from the m >= 0 half of real fields.  KillingParams
 packages the nondissipative degree-1 data as the rotation axis of a Killing
@@ -95,32 +95,28 @@ class LinearPart:
 
 
 @lru_cache(maxsize=4)
-def linear_part(N: int, jet_order: str, amplitude: float, Omega: float = 0.0) -> LinearPart:
-    """The linear terms the diffusion leaves out, for either jet order and frame rotation Omega.
+def linear_part(N: int, amplitude: float, rate: float = 0.0) -> LinearPart:
+    """The linear terms the diffusion leaves out: the two-jet term at amplitude a and a rigid rotation at rate r.
 
     Two-jet: -(a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}), tridiagonal in
-    degree through cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m.
-    One-jet: -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}), diagonal.  In co-rotating
-    coefficients exp(-i m Omega t) w the Coriolis term -2 Omega d_phi Lap^{-1} and the
-    frame add i Omega m (2/(n(n+1)) - 1), 0 at n = 1, to the diagonal.  The diagonal
-    terms are skew in L^2; the two-jet term is skew only in the (I + 6 Lap^{-1})-weighted
-    product on degrees >= 3.  The tables are read-only; the last four argument tuples are cached
-    (a run reads one or two), so a sweep over amplitudes keeps no more.
+    degree through cos(theta) Y_n^m = a_n^m Y_{n-1}^m + a_{n+1}^m Y_{n+1}^m.  The
+    rotation adds i r m (2/(n(n+1)) - 1), 0 at n = 1, to the diagonal: the Coriolis
+    term -2 r d_phi Lap^{-1} and a frame rotating at r (co-rotating coefficients),
+    or the one-jet term -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1}) at r = (a/4) sqrt(3/pi).
+    The diagonal is skew in L^2; the two-jet term only in the (I + 6 Lap^{-1})-weighted
+    product on degrees >= 3.  The tables are read-only; the last four argument tuples
+    are cached (a run reads one or two), so a sweep over amplitudes keeps no more.
     """
     inv_lam = -_inverse_laplacian_column(N)[:, 0]  # 1/(n(n+1)), 0 at n = 0
     im = 1j * np.arange(N + 1)
-    per_degree = 2.0 * Omega * inv_lam - Omega
-    down = np.zeros((N + 1, N + 1), dtype=complex)
-    up = np.zeros((N + 1, N + 1), dtype=complex)
-    if jet_order == "one_jet":  # otherwise "two_jet"
-        per_degree[1:] -= (amplitude / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam[1:])
-    else:
-        a_tab = recurrence_table(N)
-        weight = -(amplitude / 4.0) * math.sqrt(5.0 / math.pi) * (1.0 - 6.0 * inv_lam)
-        weight[0] = 0.0
-        coupling = weight[:, None] * im[None, :]
-        down[2:] = coupling[2:] * a_tab[2 : N + 1]  # degree 1 feeds the mean mode nothing
-        up[:N] = coupling[:N] * a_tab[1 : N + 1]
+    per_degree = 2.0 * rate * inv_lam - rate
+    a_tab = recurrence_table(N)
+    weight = -(amplitude / 4.0) * math.sqrt(5.0 / math.pi) * (1.0 - 6.0 * inv_lam)
+    weight[0] = 0.0
+    coupling = weight[:, None] * im[None, :]
+    down, up = np.zeros((2, N + 1, N + 1), dtype=complex)
+    down[2:] = coupling[2:] * a_tab[2 : N + 1]  # degree 1 feeds the mean mode nothing
+    up[:N] = coupling[:N] * a_tab[1 : N + 1]
     return LinearPart(diagonal=_read_only(per_degree[:, None] * im[None, :]), down=_read_only(down), up=_read_only(up))
 
 

@@ -5,7 +5,8 @@ One-jet form:  d_t w = nu (Lap w + 2w) - (a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1})
 
 with u = n x grad Lap^{-1} w; a two-jet run in a frame rotating at Omega adds
 the Coriolis term -2 Omega d_phi Lap^{-1} w and steps exp(-i m Omega t) w.  The
-diffusion D and the skew diagonal S of operators.linear_part are integrated
+one-jet term has the same form at Omega = (a/4) sqrt(3/pi), so every flow is a
+two-jet amplitude and a rotation rate, SolverConfig.flow.  The diffusion D and the skew diagonal S of operators.linear_part are integrated
 exactly through an integrating factor (Lawson schemes); the rest N, the two-jet
 term and the convection, rides on explicit Runge-Kutta stages, so zonal states
 decay exactly and degree-1 states are fixed points of the discrete map up to round-off.
@@ -126,6 +127,13 @@ class SolverConfig:
         if self.Omega != 0.0 and self.jet_order != "two_jet":
             raise ValueError("rotating dynamics are defined for the two-jet base flow")
 
+    @property
+    def flow(self) -> tuple[float, float]:
+        """(two-jet amplitude, rotation rate about z) of the linear part: (0, (a/4) sqrt(3/pi)) for one-jet."""
+        if self.jet_order == "one_jet":
+            return 0.0, (self.amplitude / 4.0) * math.sqrt(3.0 / math.pi)
+        return self.amplitude, self.Omega
+
 
 @dataclass
 class TrajectoryRecord:
@@ -147,7 +155,7 @@ class TrajectoryRecord:
 
 
 class Trajectory(list):
-    """run's TrajectoryRecords in time order, with the lattice spacing dt and the degree-2 attractor of the run."""
+    """A run's TrajectoryRecords in time order, with the lattice spacing dt and the degree-2 attractor of the run."""
 
     def __init__(self, records, dt: float, attractor: np.ndarray):
         super().__init__(records)
@@ -201,7 +209,7 @@ class Stepper:
     def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, about: np.ndarray | None = None):
         self.grid = grid
         self.N = cfg.N
-        self.linear = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega)
+        self.linear = linear_part(cfg.N, *cfg.flow)
         self.diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
         self.skew = self.linear.diagonal if self.linear.diagonal.any() else None
         rate = self.diffusion + self.linear.diagonal  # D + S
@@ -385,11 +393,10 @@ def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGr
 
 
 def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
-    """A run's static degree-2 attractor: zero for one-jet, else the closed form of omega0's rotating_frame_params."""
-    if cfg.jet_order != "two_jet":
-        return np.zeros(5, dtype=complex)
-    params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), cfg.Omega)
-    return reduced_ode.equilibrium_closed_form(params, cfg.amplitude, cfg.nu)
+    """A run's static degree-2 attractor: the closed form of omega0's rotating_frame_params at cfg.flow (0 for one-jet)."""
+    amplitude, rate = cfg.flow
+    params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), rate)
+    return reduced_ode.equilibrium_closed_form(params, amplitude, cfg.nu)
 
 
 def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected) -> TrajectoryRecord:
@@ -418,29 +425,27 @@ def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> Traje
     return Trajectory([_record(cfg, attractor, *snapshot) for snapshot in states], dt, attractor)
 
 
-def run_with_coupling(
-    omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid
-) -> tuple[list[TrajectoryRecord], CouplingSeries]:
+def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[Trajectory, CouplingSeries]:
     """As run() under error control, also extracting the (M, f) couplings at every lattice time, t = 0 included.
 
     cfg.dt (or default_dt), rounded as lattice() rounds it, spaces these
     samples, not the steps; each is read off the steps' dense output.  Records
-    are kept at every snapshot_stride-th sample and at the end.  The couplings, co-rotating,
-    close build_system(rotating_frame_params(params, Omega)).
+    are kept at every snapshot_stride-th sample and at the end.  With
+    (amplitude, rate) = cfg.flow the couplings of the stepped (in a rotating
+    frame co-rotating) coefficients close
+    build_system(rotating_frame_params(params, rate), amplitude, nu).
     """
-    if cfg.jet_order != "two_jet":
-        raise ValueError(f"coupling extraction needs two_jet dynamics, not {cfg.jet_order!r}")
     attractor = _attractor(omega0, cfg)
-    records, times, M, f = [], [], [], []
+    amplitude = cfg.flow[0]
+    records, times, couplings = [], [], []
     nsteps, dt = lattice(omega0, cfg, grid)
     for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, nsteps, dt, 1)):
-        M_t, f_t = reduced_ode.extract_coupling(state, cfg.amplitude)
         times.append(t)
-        M.append(M_t)
-        f.append(f_t)
+        couplings.append(reduced_ode.extract_coupling(state, amplitude))
         if k % cfg.snapshot_stride == 0:
             records.append(_record(cfg, attractor, t, state, steps, rejected))
     if k % cfg.snapshot_stride:  # the end, off the stride
         records.append(_record(cfg, attractor, t, state, steps, rejected))
-    return records, CouplingSeries(times=np.array(times), M=np.array(M), f=np.array(f))
+    M, f = map(np.array, zip(*couplings))
+    return Trajectory(records, dt, attractor), CouplingSeries(times=np.array(times), M=M, f=f)
 

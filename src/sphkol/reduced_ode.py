@@ -103,10 +103,10 @@ def equilibrium_closed_form(params: KillingParams, amplitude: float, nu: float) 
 
 
 def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
-    """Degree-1 data with the rigid rotation 2 Omega cos(theta) added: b -> b + 2 Omega / 3.
+    """Degree-1 data with a rigid rotation about z at rate Omega added: b -> b + 2 Omega / 3.
 
-    The static equilibrium of these parameters is the rotating-frame attractor
-    in the co-rotating coefficients pde_solver steps; frame_phases turns them back.
+    The rotation is a frame's, whose attractor pde_solver steps in co-rotating
+    coefficients (frame_phases turns them back), or the one-jet flow's.
     """
     if not math.isfinite(Omega):
         raise ValueError("Omega must be finite")
@@ -211,11 +211,12 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     """Couplings (M, f) of the degree-2 block to w_{>=3}, read off G = T w_{n+1}^{mu-m} without a transform.
 
     T is the adjacent_degree_table.  M_{mu,k} = G[0, i, N+k], since w_2 meets
-    only w_3; f is the degree-2 row of the two-jet linear part on
+    only w_3; f is the degree-2 row of the two-jet linear part at amplitude on
     h = w_{>=3} minus the transport sum_{n >= 3, m} G[n-2, i, N+m] w_n^m.
     That row is down[3] w_3, as only degree 3 couples down to degree 2; its
     m < 0 entries are the mirrors (-1)^m conj of the m > 0 ones.  Both
-    vanish identically when w_{>=3} = 0.
+    vanish identically when w_{>=3} = 0.  A rigid rotation enters no coupling:
+    it shifts b (rotating_frame_params); a one-jet run passes amplitude 0.
     """
     N = omega.N
     if N < 3:
@@ -227,7 +228,7 @@ def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray
     G = padded.ravel().take(gather)  # padded[3:, partner], n = 2..N-1
     np.multiply(adjacent_degree_table(N), G, out=G)
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    linear = linear_part(N, "two_jet", amplitude).down[3, :3] * omega.coeffs[3, :3]  # m = 0, 1, 2
+    linear = linear_part(N, amplitude).down[3, :3] * omega.coeffs[3, :3]  # m = 0, 1, 2
     f = np.concatenate([linear[::-1], np.conj(linear[1:]) * _MIRROR_SIGNS_12]) - transport
     return G[0][:, columns], f
 

@@ -94,7 +94,7 @@ def coriolis_rates(N: int, Omega: float) -> np.ndarray:
 def lawson_rate(cfg):
     """D + S of cfg's run: the diffusion column plus linear_part's skew diagonal, or the column alone when S = 0."""
     diffusion = linear_diffusion_factors(cfg.N, cfg.nu)[:, None]
-    skew = linear_part(cfg.N, cfg.jet_order, cfg.amplitude, cfg.Omega).diagonal
+    skew = linear_part(cfg.N, *cfg.flow).diagonal
     return diffusion + skew if skew.any() else diffusion
 
 

@@ -569,6 +569,15 @@ class TestMain:
             assert err.count("\n") == 1, err
         assert (tmp_path / "file").read_text() == "a regular file"
 
+    def test_run_too_large_to_allocate_exit_2(self, tmp_path, capsys):
+        # N = 10^7 asks for a 1.42 PiB coefficient table: more than the process can map,
+        # so numpy's MemoryError comes at once, before any memory is touched.
+        doc = two_jet_manifest(tmp_path)
+        doc["cfg"]["N"] = 10_000_000
+        assert main(["run", str(write_manifest(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: Unable to allocate 1.42 PiB")
+        assert not (tmp_path / "out").exists()
+
     def test_fit_subcommand(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
         t = np.linspace(0.0, 2.0, 60)

@@ -71,9 +71,14 @@ def single(N, n, m, value=1.0):
 TWO_JET_PREFACTOR = -0.25 * math.sqrt(5.0 / math.pi)
 
 
+def one_jet_rate(a):
+    """(a/4) sqrt(3/pi): the rotation rate of the one-jet term -(a/4) sqrt(3/pi) d_phi (I + 2 Lap^{-1})."""
+    return (a / 4.0) * math.sqrt(3.0 / math.pi)
+
+
 def perturbation_operator(omega):
     """cos(theta) d_phi (I + 6 Lap^{-1}) omega, read off the two-jet linear part at unit amplitude."""
-    return linear_part(omega.N, "two_jet", 1.0).apply(omega) * (1.0 / TWO_JET_PREFACTOR)
+    return linear_part(omega.N, 1.0).apply(omega) * (1.0 / TWO_JET_PREFACTOR)
 
 
 def inv_lam(N):
@@ -241,10 +246,10 @@ class TestLinearPart:
     """
 
     def test_one_jet_diagonal_matches_closed_form(self):
+        # The one-jet term is the rigid rotation at its rate, with no two-jet part.
         N, a = 12, 1.7
-        part = linear_part(N, "one_jet", a)
+        part = linear_part(N, 0.0, one_jet_rate(a))
         per_degree = -(a / 4.0) * math.sqrt(3.0 / math.pi) * (1.0 - 2.0 * inv_lam(N))
-        per_degree[0] = 0.0
         want = per_degree[:, None] * (1j * np.arange(N + 1))[None, :]
         assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
         assert not np.any(part.down) and not np.any(part.up)
@@ -252,40 +257,40 @@ class TestLinearPart:
     def test_coriolis_diagonal_matches_closed_form(self):
         # In co-rotating coefficients the diagonal is the Coriolis term minus the frame rate i m Omega.
         N, Omega = 12, 2.3
-        part = linear_part(N, "two_jet", 0.0, Omega)
+        part = linear_part(N, 0.0, Omega)
         want = coriolis_rates(N, Omega) - 1j * Omega * np.arange(N + 1)
         assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
         assert not np.any(part.diagonal[1])  # degree 1 is static in co-rotating coefficients
         # The two-jet tables do not depend on Omega.
-        plain = linear_part(N, "two_jet", 0.9)
-        rotating = linear_part(N, "two_jet", 0.9, Omega)
+        plain = linear_part(N, 0.9)
+        rotating = linear_part(N, 0.9, Omega)
         assert not np.any(plain.diagonal)
         assert np.array_equal(plain.down, rotating.down) and np.array_equal(plain.up, rotating.up)
 
     def test_tables_are_cached_and_read_only(self):
-        part = linear_part(8, "two_jet", 1.0, 0.5)
-        assert linear_part(8, "two_jet", 1.0, 0.5) is part
+        part = linear_part(8, 1.0, 0.5)
+        assert linear_part(8, 1.0, 0.5) is part
         with pytest.raises(ValueError):
             part.down[3, 1] = 0.0
 
     def test_a_sweep_keeps_a_bounded_cache(self):
         size = linear_part.cache_info().maxsize
         for amplitude in np.linspace(0.1, 2.0, 3 * size):
-            linear_part(8, "two_jet", float(amplitude))
+            linear_part(8, float(amplitude))
         assert linear_part.cache_info().currsize == size
 
     def test_diagonal_terms_are_skew(self):
         u = rand_field(12, seed=31)
-        for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
+        for part in (linear_part(12, 0.0, one_jet_rate(1.3)), linear_part(12, 0.0, 1.1)):
             assert np.any(part.diagonal)
             pairing = np.real(np.vdot(SpectralField(part.diagonal * u.coeffs).full_table(), u.full_table()))
             assert abs(pairing) < 1e-14 * u.norm() ** 2
 
     def test_apply_leaves_the_diagonal_out(self):
         u = rand_field(12, seed=33)
-        for part in (linear_part(12, "one_jet", 1.3), linear_part(12, "two_jet", 0.0, 1.1)):
+        for part in (linear_part(12, 0.0, one_jet_rate(1.3)), linear_part(12, 0.0, 1.1)):
             assert not np.any(part.apply(u).coeffs)
-        plain, rotating = linear_part(12, "two_jet", 0.9), linear_part(12, "two_jet", 0.9, 1.1)
+        plain, rotating = linear_part(12, 0.9), linear_part(12, 0.9, 1.1)
         assert np.array_equal(plain.apply(u).coeffs, rotating.apply(u).coeffs)
 
     def test_two_jet_term_is_skew_only_in_the_weighted_product(self):
@@ -293,7 +298,7 @@ class TestLinearPart:
         # where the weight 1 - 6/(n(n+1)) is positive.
         N = 12
         u = rand_field(N, seed=32, decay=0.1, degrees=range(3, N + 1))
-        part = linear_part(N, "two_jet", 1.0)
+        part = linear_part(N, 1.0)
         out = part.apply(u)
         weighted = apply_degree_multiplier(u, 1.0 - 6.0 * inv_lam(N))
         plain = np.real(np.vdot(out.full_table(), u.full_table()))

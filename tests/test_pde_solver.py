@@ -95,6 +95,11 @@ class TestConfig:
         SolverConfig(nu=1, amplitude=np.float64(1.0), N=8, t_end=1, dt=np.float32(0.5), Omega=2)
         SolverConfig(nu=1.0, amplitude=1.0, N=2, t_end=1.0, jet_order="one_jet")
 
+    def test_flow_is_a_two_jet_amplitude_and_a_rotation_rate(self):
+        assert two_jet_cfg(amplitude=1.3).flow == (1.3, 0.0)
+        assert two_jet_cfg(amplitude=1.3, Omega=-0.7).flow == (1.3, -0.7)
+        assert two_jet_cfg(amplitude=1.3, jet_order="one_jet").flow == (0.0, (1.3 / 4.0) * math.sqrt(3.0 / math.pi))
+
     def test_default_dt_formula(self, grid8):
         cfg = two_jet_cfg()
         omega0 = SpectralField.zeros(8)
@@ -551,6 +556,22 @@ class TestRun:
         for rec in recs:
             assert rec.norm_eq2_dist == pytest.approx(0.01 * math.exp(-4.0 * nu * rec.t), rel=1e-9)
 
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    @pytest.mark.parametrize("a", [1.0, 3.0])
+    def test_one_jet_run_is_the_zero_amplitude_run_about_its_base_flow(self, grid8, a, dt):
+        # The base flow a Y_1^0 is degree-1 vorticity, so on degrees >= 2 the one-jet run
+        # of w is the zero-amplitude two-jet run of w + a Y_1^0.
+        omega0 = rand_field(8, seed=84, amplitude=0.5, decay=0.4)
+        shifted = omega0.copy()
+        shifted[1, 0] += a
+        cfg = two_jet_cfg(amplitude=a, t_end=0.5, dt=dt, snapshot_stride=5, jet_order="one_jet")
+        one_jet = run(omega0, cfg, grid8)
+        two_jet = run(shifted, replace(cfg, amplitude=0.0, jet_order="two_jet"), grid8)
+        assert [r.t for r in one_jet] == [r.t for r in two_jet]
+        scale = max(float(np.max(np.abs(r.mode2))) for r in one_jet)
+        for got, want in zip(one_jet, two_jet):
+            assert np.max(np.abs(got.mode2 - want.mode2)) <= 1e-9 * scale
+
     def test_matches_reduced_system_without_high_degrees(self, grid8):
         omega0 = SpectralField.zeros(8)
         omega0[1, 0] = 0.8
@@ -580,10 +601,9 @@ class TestRun:
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-7
 
     @pytest.mark.parametrize("stride", [1, 5, 1000])
-    @pytest.mark.parametrize(
-        "flow, calls", [({}, 1), ({"Omega": 1.5}, 1), ({"jet_order": "one_jet"}, 0)], ids=["two_jet", "rotating", "one_jet"]
-    )
-    def test_attractor_computed_once_per_run(self, grid8, monkeypatch, flow, calls, stride):
+    @pytest.mark.parametrize("flow", [{}, {"Omega": 1.5}, {"jet_order": "one_jet"}], ids=["two_jet", "rotating", "one_jet"])
+    def test_attractor_computed_once_per_run(self, grid8, monkeypatch, flow, stride):
+        # Every flow takes the one closed-form rule, the one-jet flow at amplitude 0 too.
         closed_form, counted = reduced_ode.equilibrium_closed_form, []
 
         def counting(*args):
@@ -594,21 +614,15 @@ class TestRun:
         omega0 = rand_field(8, seed=78, amplitude=0.4)
         recs = run(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
         assert len(recs) == 1 + math.ceil(10 / stride)
-        assert len(counted) == calls
+        assert len(counted) == 1
         # Under control the same attractor is also the one the steps are taken about.
         counted.clear()
         recs = run(omega0, two_jet_cfg(t_end=0.05, snapshot_stride=stride, **flow), grid8)
         assert len(recs) == 1 + math.ceil(16 / stride) and recs[-1].steps > 0
-        assert len(counted) == calls
-        if not flow:
-            counted.clear()
-            run_with_coupling(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride), grid8)
-            assert len(counted) == 1
-
-    def test_coupling_rejects_one_jet(self, grid8):
-        cfg = two_jet_cfg(t_end=0.01, jet_order="one_jet")
-        with pytest.raises(ValueError, match="two_jet"):
-            run_with_coupling(rand_field(8, seed=77, amplitude=0.4), cfg, grid8)
+        assert len(counted) == 1
+        counted.clear()
+        run_with_coupling(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
+        assert len(counted) == 1
 
     def test_grid_of_another_degree_rejected(self):
         # A run's field, cfg.N and grid share one degree; no run reads a finer grid.
@@ -631,6 +645,26 @@ class TestRun:
         traj = propagate_forced(sys, omega0.mode2_vector(), coupling.M, coupling.f, dt_ode, cfg.t_end)
         final = records[-1].mode2 * np.conj(frame_phases(Omega, records[-1].t))  # co-rotating
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-5
+
+    @pytest.mark.parametrize("a, seed", [(1.0, 303), (2.5, 71)])
+    def test_one_jet_coupling_closes_the_shifted_system(self, grid16, a, seed):
+        # Criterion 7 for the one-jet flow: its base flow is a rigid rotation at
+        # r = (a/4) sqrt(3/pi), so the couplings close the system with b shifted by
+        # 2r/3, no source and no two-jet row; the unshifted system misses the run.
+        omega0 = rand_field(16, seed=seed, amplitude=0.4, decay=0.5)
+        nu = 1.0
+        cfg = SolverConfig(nu=nu, amplitude=a, N=16, t_end=1.0 / nu, snapshot_stride=10_000, dt=1.0 / 2048,
+                           jet_order="one_jet")
+        records, coupling = run_with_coupling(omega0, cfg, grid16)
+        params = KillingParams.from_field(omega0)
+        dt_ode = 2.0 * (coupling.times[1] - coupling.times[0])
+        final = records[-1].mode2
+        errors = []
+        for rate in (cfg.flow[1], 0.0):
+            sys = build_system(rotating_frame_params(params, rate), 0.0, nu)
+            traj = propagate_forced(sys, omega0.mode2_vector(), coupling.M, coupling.f, dt_ode, cfg.t_end)
+            errors.append(np.linalg.norm(traj[-1] - final) / np.linalg.norm(final))
+        assert errors[0] < 1e-5 < 0.1 < errors[1]
 
     def test_truncation_robustness(self):
         from sphkol.harmonics import build_grid
@@ -672,6 +706,8 @@ class TestLatticeDriver:
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
         assert coupling.times.tolist() == [k * 0.01 for k in range(11)]  # bitwise
         assert [r.t for r in recs] == [k * 0.01 for k in (0, 3, 6, 9, 10)]
+        plain = run(omega0, cfg, grid8)  # the same Trajectory: lattice spacing and attractor
+        assert recs.dt == plain.dt == 0.01 and np.array_equal(recs.attractor, plain.attractor)
         assert recs[-1].steps < 10
         fine = run(omega0, two_jet_cfg(t_end=0.1, dt=0.01 / 16, snapshot_stride=3 * 16), grid8)
         assert len(fine) == len(recs)
@@ -705,6 +741,10 @@ class TestLatticeDriver:
         # The same in a rotating frame: both sides read co-rotating states.
         assert_couplings_match_fixed_steps(grid16, Omega)
 
+    def test_one_jet_coupling_bench_configuration(self, grid16):
+        # The one-jet flow's couplings, its base flow stepped as a rotation.
+        assert_couplings_match_fixed_steps(grid16, jet_order="one_jet")
+
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_records_read_their_snapshot(self, grid8, flow):
         omega0 = rand_field(8, seed=83, amplitude=0.6, decay=0.4)
@@ -725,16 +765,17 @@ class TestLatticeDriver:
             assert np.array_equal(rec.mode2, turned.mode2_vector())
 
 
-def assert_couplings_match_fixed_steps(grid16, Omega):
-    """coupling_n16's run at Omega: (M, f) at every lattice time within 1e-9 of classic steps of the lattice's dt."""
+def assert_couplings_match_fixed_steps(grid16, Omega=0.0, jet_order="two_jet"):
+    """coupling_n16's run of the flow: (M, f) at every lattice time within 1e-9 of classic steps of the lattice's dt."""
     omega0 = rand_field(16, seed=71, amplitude=0.4, decay=0.5)
     dt = 1.0 / 2048
-    cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9, Omega=Omega)
+    cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=dt, snapshot_stride=10**9, jet_order=jet_order,
+                       Omega=Omega)
     recs, coupling = run_with_coupling(omega0, cfg, grid16)
     assert recs[-1].steps <= 20
     nonlinear = Stepper(cfg, grid16, dt).nonlinear
     states = classic_states(nonlinear, lawson_rate(cfg), omega0, dt, 256)
-    M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.amplitude) for state in states))
+    M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.flow[0]) for state in states))
     assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
     for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
         axes = tuple(range(1, want.ndim))

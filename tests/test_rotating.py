@@ -22,7 +22,7 @@ def single(N, n, m, value=1.0):
 
 def coriolis_term(zeta, Omega):
     """-2 Omega d_phi Lap^{-1} zeta: the skew diagonal of a rotating two-jet run, plus the frame rate i m Omega it takes off."""
-    skew = linear_part(zeta.N, "two_jet", 0.0, Omega).diagonal
+    skew = linear_part(zeta.N, 0.0, Omega).diagonal
     return SpectralField((skew + 1j * Omega * np.arange(zeta.N + 1)) * zeta.coeffs)
 
 
