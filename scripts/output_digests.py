@@ -4,9 +4,10 @@ The set covers every scenario and subcommand at N = 8: two_jet and rotating
 (Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
 read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
 ...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
-subcommands through ``cli.main``, and two ``pde_solver.run_with_coupling``
-runs, two_jet and one_jet, whose sample times, couplings M and f and records
-are hashed as arrays.
+subcommands through ``cli.main``, and three ``pde_solver.run_with_coupling``
+runs, two_jet and one_jet at N = 8 and rotating (Omega = 0.7) at N = 16,
+whose sample times, couplings M and f and records are hashed as arrays.  The
+rotating run's steps cover more samples than one extract_coupling chunk.
 N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
 run at N = 48 cover the FFT one.  All run in one process, in a temporary
 directory.
@@ -15,7 +16,8 @@ Usage: python scripts/output_digests.py
 
 Prints ``<sha256>  <run>/<file>`` for each file a run writes and for its
 stdout, and ``<code>  <run>/exit`` for its exit code; the coupling runs print
-``<sha256>  coupling/<array>`` and ``<sha256>  coupling_one_jet/<array>``.  Two checkouts give the
+``<sha256>  coupling/<array>``, ``<sha256>  coupling_one_jet/<array>`` and
+``<sha256>  coupling_rotating/<array>``.  Two checkouts give the
 same lines exactly when their outputs are byte-identical, so
 
     python scripts/output_digests.py > a.txt   (in each checkout)
@@ -76,11 +78,10 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def coupling_digests(name: str, jet_order: str) -> list[str]:
-    """Digests of the raw bytes of one N = 8 coupling run: sample times, M, f and every record field."""
-    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=8, t_end=0.25, dt=1.0 / 256, snapshot_stride=8,
-                                  jet_order=jet_order)
-    records, coupling = pde_solver.run_with_coupling(cli.field_from_entries(8, INIT), cfg, build_grid(8))
+def coupling_digests(name: str, N: int = 8, t_end: float = 0.25, dt: float = 1.0 / 256, **flow) -> list[str]:
+    """Digests of the raw bytes of one coupling run: sample times, M, f and every record field."""
+    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=N, t_end=t_end, dt=dt, snapshot_stride=8, **flow)
+    records, coupling = pde_solver.run_with_coupling(cli.field_from_entries(N, INIT), cfg, build_grid(N))
     fields = [[r.t, r.norm_eq1, r.norm_eq2_dist, r.norm_ge3, *r.mode2.view(float), *r.mode1.view(float),
                r.steps, r.rejected] for r in records]
     arrays = {"times": coupling.times, "M": coupling.M, "f": coupling.f, "records": np.array(fields)}
@@ -111,7 +112,8 @@ def main() -> int:
             lines += [f"{digest(path.read_bytes())}  {name}/{path.name}" for path in files]
             lines.append(f"{digest(out.getvalue().encode())}  {name}/stdout")
             lines.append(f"{code}  {name}/exit")
-    lines += coupling_digests("coupling", "two_jet") + coupling_digests("coupling_one_jet", "one_jet")
+    lines += coupling_digests("coupling") + coupling_digests("coupling_one_jet", jet_order="one_jet")
+    lines += coupling_digests("coupling_rotating", N=16, t_end=1.0 / 32, dt=1.0 / 2048, Omega=0.7)
     print("\n".join(lines))
     return 0
 

@@ -274,29 +274,33 @@ class Stepper:
         """x times e^{time S}; x itself when S = 0."""
         return x if self.skew is None else x * np.exp(time * self.skew)
 
-    def dense(self, t: float, times: list[float]):
-        """Yield the deviation at each of times inside the last attempt, which starts at t.
+    def dense(self, t: float, times: list[float]) -> np.ndarray:
+        """The deviations at times inside the last attempt, which starts at t, as one (len(times), N+1, N+1) array.
 
         At theta = (s - t) / dt it is e^{theta dt S} times
         e^{theta dt D} v + dt sum_j b_j(theta) e^{(theta - c_j) dt D} k_j.  The
-        rows of that sum are built for all of times at once; each deviation is
-        one (N+1, 1, 8) @ stages product, so take them before the next attempt.
-        The caller bounds the number of times, and the factors with
-        c_j > theta, which grow like e^{(1 - theta) dt |D|}.
+        rows of that sum are built for all of times at once, and one broadcast
+        (len(times), N+1, 1, 8) @ stages product forms every deviation: each
+        sample's (1, 8) @ (8, 2(N+1)) products are those of its own read, so
+        take them before the next attempt.  The caller bounds the number of
+        times, and the factors with c_j > theta, which grow like
+        e^{(1 - theta) dt |D|}.
         """
         theta = ((np.array(times) - t) / self.dt)[:, None, None]
         decay = self.diffusion * self.dt  # (N+1, 1)
         weights = theta * (DP_DENSE[0] + theta * (DP_DENSE[1] + theta * (DP_DENSE[2] + theta * DP_DENSE[3])))
         rows = np.concatenate([np.exp(theta * decay), self.dt * weights * np.exp(decay * (theta - DP_C))], axis=2)
-        parts = self.stages.view(float)
-        for row, time in zip(rows[:, :, None, :], theta * self.dt):
-            yield self._turn((row @ parts).view(complex)[:, 0], time)
+        deviations = (rows[:, :, None, :] @ self.stages.view(float)).view(complex)[:, :, 0]
+        return self._turn(deviations, theta * self.dt)
 
 
 def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
                 nsteps: int, dt: float, stride: int):
-    """Yield (t, state, steps, rejected) at t = 0, every stride-th time of the lattice (nsteps, dt) and the end.
+    """Yield (times, states, steps, rejected) at t = 0, every stride-th time of the lattice (nsteps, dt) and the end.
 
+    Each yield is a batch: times is a list of sample times and states the
+    complex (len(times), N+1, N+1) array of their m >= 0 coefficients; t = 0
+    is a batch of one, and every later batch is one dense read.
     Error-controlled Lawson DP5(4) steps about the static w* = w_1(0) plus the
     run's degree-2 attractor (see _attractor), in co-rotating coefficients; the
     counts include the step that covers t.  A step is accepted when
@@ -306,7 +310,8 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     ends at most REACH / |D_N| past the first pending sample time, and one
     shortened so leaves the controller its longer proposal.  The samples an
     accepted step covers are read off Stepper.dense up to 2(N+1) at a time,
-    so one row build per batch; a sample the step ends on takes the new state.
+    so one row build per batch; a sample the step ends on takes the new state,
+    the batch's last row.
     """
     about = np.zeros_like(omega0.coeffs)
     about[1] = omega0.coeffs[1]
@@ -315,7 +320,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     # Lazy: a blown-up field makes nsteps astronomically large.
     sample_times = (k * dt for k in itertools.chain(range(stride, nsteps, stride), [nsteps]))
     t_last = nsteps * dt
-    yield 0.0, omega0, 0, 0
+    yield [0.0], omega0.coeffs[None], 0, 0
     reach = REACH / -float(stepper.diffusion[-1, 0])
     batch = 2 * (cfg.N + 1)  # samples per dense() row build: its rows take no more room than stages
     v = omega0.coeffs - stepper.about
@@ -349,12 +354,13 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
             while pending <= t_new and len(times) < batch:
                 times.append(pending)
                 pending = next(sample_times, math.inf)
-            read = times[:-1] if times[-1] == t_new else times
+            states = np.empty((len(times),) + w_new.shape, dtype=complex)
+            read = len(times) - (times[-1] == t_new)
             if read:
-                for s, deviation in zip(read, stepper.dense(t, read)):
-                    yield s, SpectralField(stepper.about + deviation), accepted, rejected
-            if len(read) < len(times):  # the sample the step ends on
-                yield t_new, SpectralField(w_new), accepted, rejected
+                np.add(stepper.about, stepper.dense(t, times[:read]), out=states[:read])
+            if read < len(times):  # the sample the step ends on
+                states[-1] = w_new
+            yield times, states, accepted, rejected
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, k_new, new_norm
 
@@ -376,9 +382,12 @@ def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> t
 def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
                     nsteps: int, dt: float):
     """Yield (t, state, steps, rejected) at run's snapshot times: with a given dt one classical
-    Lawson-RK4 step per lattice time, else _controlled's steps sampled at every snapshot_stride-th one."""
+    Lawson-RK4 step per lattice time, else _controlled's batches unrolled, at every snapshot_stride-th one."""
     if cfg.dt is None:
-        yield from _controlled(omega0, cfg, grid, attractor, nsteps, dt, cfg.snapshot_stride)
+        for times, states, steps, rejected in _controlled(omega0, cfg, grid, attractor, nsteps, dt,
+                                                          cfg.snapshot_stride):
+            for t, state in zip(times, states):
+                yield t, SpectralField(state), steps, rejected
         return
     yield 0.0, omega0, 0, 0
     stepper = Stepper(cfg, grid, dt)
@@ -429,23 +438,24 @@ def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: Quadrature
     """As run() under error control, also extracting the (M, f) couplings at every lattice time, t = 0 included.
 
     cfg.dt (or default_dt), rounded as lattice() rounds it, spaces these
-    samples, not the steps; each is read off the steps' dense output.  Records
-    are kept at every snapshot_stride-th sample and at the end.  With
+    samples, not the steps; each is read off the steps' dense output, and each
+    dense read's batch goes through one extract_coupling call.  Records are
+    kept at every snapshot_stride-th sample and at the end.  With
     (amplitude, rate) = cfg.flow the couplings of the stepped (in a rotating
     frame co-rotating) coefficients close
     build_system(rotating_frame_params(params, rate), amplitude, nu).
     """
     attractor = _attractor(omega0, cfg)
     amplitude = cfg.flow[0]
-    records, times, couplings = [], [], []
+    records, times, Ms, fs = [], [], [], []
     nsteps, dt = lattice(omega0, cfg, grid)
-    for k, (t, state, steps, rejected) in enumerate(_controlled(omega0, cfg, grid, attractor, nsteps, dt, 1)):
-        times.append(t)
-        couplings.append(reduced_ode.extract_coupling(state, amplitude))
-        if k % cfg.snapshot_stride == 0:
-            records.append(_record(cfg, attractor, t, state, steps, rejected))
-    if k % cfg.snapshot_stride:  # the end, off the stride
-        records.append(_record(cfg, attractor, t, state, steps, rejected))
-    M, f = map(np.array, zip(*couplings))
-    return Trajectory(records, dt, attractor), CouplingSeries(times=np.array(times), M=M, f=f)
-
+    for batch, states, steps, rejected in _controlled(omega0, cfg, grid, attractor, nsteps, dt, 1):
+        M, f = reduced_ode.extract_coupling(states, amplitude)
+        Ms.append(M)
+        fs.append(f)
+        for k, (t, state) in enumerate(zip(batch, states), len(times)):
+            if k % cfg.snapshot_stride == 0 or k == nsteps:  # and the end, off the stride
+                records.append(_record(cfg, attractor, t, SpectralField(state), steps, rejected))
+        times += batch
+    return Trajectory(records, dt, attractor), CouplingSeries(times=np.array(times), M=np.concatenate(Ms),
+                                                              f=np.concatenate(fs))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .harmonics import _read_only, build_grid
 from .operators import KillingParams, linear_part
-from .sht import SpectralField
+from .sht import full_tables
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
@@ -199,6 +199,11 @@ def adjacent_degree_table(N: int) -> np.ndarray:
     return _read_only(table)
 
 
+# extract_coupling contracts a stack in chunks whose gathered G takes at most this
+# many bytes (one sample when a single one takes more, from N = 71 on).
+COUPLING_CHUNK_BYTES = 768 * 1024
+
+
 @lru_cache(maxsize=None)
 def _coupling_gather(N: int) -> tuple[np.ndarray, np.ndarray]:
     """extract_coupling's indices: the flat index of each w_{n+1}^{mu-m}, n = 2..N-1, in its padded table, and the column of each mu."""
@@ -207,28 +212,56 @@ def _coupling_gather(N: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner), _read_only(N + mu)
 
 
-def extract_coupling(omega: SpectralField, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _coupling_buffers(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """extract_coupling's buffers for one chunk at degree N >= 3: the padded +-m tables, zero outside them, and G.
+
+    A chunk holds as many samples as keep G within COUPLING_CHUNK_BYTES, at
+    least one.  The buffers are owned here per N, so a call writes into the
+    same pages each time: fresh blocks of G's size are mapped anew per call,
+    and their page faults cost more than the contraction.  No result refers
+    to them; extract_coupling is not reentrant.
+    """
+    shape = _coupling_gather(N)[0].shape
+    chunk = max(1, COUPLING_CHUNK_BYTES // (math.prod(shape) * np.dtype(complex).itemsize))
+    return np.zeros((chunk, N + 1, 2 * N + 5), dtype=complex), np.empty((chunk,) + shape, dtype=complex)
+
+
+def extract_coupling(halves: np.ndarray, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (M, f) of the degree-2 block to w_{>=3}, read off G = T w_{n+1}^{mu-m} without a transform.
 
-    T is the adjacent_degree_table.  M_{mu,k} = G[0, i, N+k], since w_2 meets
-    only w_3; f is the degree-2 row of the two-jet linear part at amplitude on
+    halves holds m >= 0 coefficients, shape (..., N+1, N+1): one state or a
+    stack; M has shape (..., 5, 5) and f (..., 5).  T is the
+    adjacent_degree_table.  M_{mu,k} = G[0, i, N+k], since w_2 meets only w_3;
+    f is the degree-2 row of the two-jet linear part at amplitude on
     h = w_{>=3} minus the transport sum_{n >= 3, m} G[n-2, i, N+m] w_n^m.
     That row is down[3] w_3, as only degree 3 couples down to degree 2; its
     m < 0 entries are the mirrors (-1)^m conj of the m > 0 ones.  Both
     vanish identically when w_{>=3} = 0.  A rigid rotation enters no coupling:
     it shifts b (rotating_frame_params); a one-jet run passes amplitude 0.
+    A stack is contracted one chunk of samples at a time in buffers this
+    module owns per N (so the call is not reentrant), the sample axis
+    leading every array, so each sample's sums run as for one state and its
+    (M, f) is bitwise that of its own call.
     """
-    N = omega.N
+    lead, N = halves.shape[:-2], halves.shape[-1] - 1
     if N < 3:
-        return np.zeros((5, 5), dtype=complex), np.zeros(5, dtype=complex)
+        return np.zeros(lead + (5, 5), dtype=complex), np.zeros(lead + (5,), dtype=complex)
     gather, columns = _coupling_gather(N)
-    # The +-m table between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
-    padded = np.zeros((N + 1, 2 * N + 5), dtype=complex)
-    w = omega.full_table(out=padded[:, 2:-2])
-    G = padded.ravel().take(gather)  # padded[3:, partner], n = 2..N-1
-    np.multiply(adjacent_degree_table(N), G, out=G)
-    transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    linear = linear_part(N, amplitude).down[3, :3] * omega.coeffs[3, :3]  # m = 0, 1, 2
-    f = np.concatenate([linear[::-1], np.conj(linear[1:]) * _MIRROR_SIGNS_12]) - transport
-    return G[0][:, columns], f
-
+    table, (padded_chunk, G_chunk) = adjacent_degree_table(N), _coupling_buffers(N)
+    stack = halves.reshape(-1, N + 1, N + 1)
+    M, transport = np.empty((len(stack), 5, 5), dtype=complex), np.empty((len(stack), 5), dtype=complex)
+    for start in range(0, len(stack), len(G_chunk)):
+        half = stack[start : start + len(G_chunk)]
+        chunk = slice(start, start + len(half))
+        # The +-m tables between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
+        padded, G = padded_chunk[: len(half)], G_chunk[: len(half)]
+        w = full_tables(half, out=padded[:, :, 2:-2])
+        # padded[:, 3:, partner], n = 2..N-1; the indices are in range, and mode="clip" writes to G unbuffered.
+        padded.reshape(len(half), -1).take(gather, axis=1, out=G, mode="clip")
+        np.multiply(table, G, out=G)
+        transport[chunk] = np.einsum("...nim,...nm->...i", G[:, 1:], w[:, 3:N])
+        M[chunk] = G[:, 0][:, :, columns]
+    linear = linear_part(N, amplitude, 0.0).down[3, :3] * stack[:, 3, :3]  # m = 0, 1, 2
+    f = np.concatenate([linear[:, ::-1], np.conj(linear[:, 1:]) * _MIRROR_SIGNS_12], axis=1) - transport
+    return M.reshape(lead + (5, 5)), f.reshape(lead + (5,))

@@ -51,6 +51,26 @@ class MeanModeError(ValueError):
     """A field that must be mean-zero carries a mean-mode projection."""
 
 
+@lru_cache(maxsize=None)
+def _mirror_signs(N: int) -> np.ndarray:
+    """(-1)^m for m = N, N-1, ..., 1, the signs of the mirrored columns; cached per N, read-only."""
+    return _read_only(((-1.0) ** np.arange(1, N + 1))[::-1].copy())
+
+
+def full_tables(halves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (..., N+1, 2N+1) tables over |m| <= n of the m >= 0 halves (..., N+1, N+1), in out if given.
+
+    Entry (n, m) sits at [..., n, N+m]: the half, and for m > 0 the mirror (n, -m) = (-1)^m conj(u_n^m).
+    """
+    N = halves.shape[-1] - 1
+    if out is None:
+        out = np.empty(halves.shape[:-1] + (2 * N + 1,), dtype=complex)
+    out[..., N:] = halves
+    mirror = np.conjugate(halves[..., :0:-1], out=out[..., :N])
+    mirror *= _mirror_signs(N)
+    return out
+
+
 @dataclass
 class SpectralField:
     """Real mean-zero scalar field on the sphere, stored as its m >= 0 coefficients.
@@ -103,21 +123,9 @@ class SpectralField:
             value = value.conjugate() if m % 2 == 0 else -value.conjugate()
         self.coeffs[n, abs(m)] = value.real if m == 0 else value
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _mirror_signs(N: int) -> np.ndarray:
-        """(-1)^m for m = N, N-1, ..., 1, the signs of the mirrored columns; cached per N, read-only."""
-        return _read_only(((-1.0) ** np.arange(1, N + 1))[::-1].copy())
-
-    def full_table(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror, in out if given."""
-        N = self.N
-        if out is None:
-            out = np.empty((N + 1, 2 * N + 1), dtype=complex)
-        out[:, N:] = self.coeffs
-        mirror = np.conjugate(self.coeffs[:, :0:-1], out=out[:, :N])
-        mirror *= self._mirror_signs(N)
-        return out
+    def full_table(self) -> np.ndarray:
+        """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror (full_tables)."""
+        return full_tables(self.coeffs)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.coeffs.copy())

@@ -209,7 +209,7 @@ def test_criterion_07_forced_coupling_closure(grid16):
     nonlinear = Stepper(cfg, grid16, cfg.dt).nonlinear
     sample_rel = 0.0
     for k, state in enumerate(classic_states(nonlinear, lawson_rate(cfg), omega0, cfg.dt, 64)[1:], 1):
-        M_k, f_k = extract_coupling(state, cfg.amplitude)
+        M_k, f_k = extract_coupling(state.coeffs, cfg.amplitude)
         for got, want in ((coupling.M[k], M_k), (coupling.f[k], f_k)):
             sample_rel = max(sample_rel, float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     report(

@@ -9,7 +9,7 @@ from refimpl import classic_states, classic_step, dense_deviation, lawson_rate
 from sphkol import pde_solver, reduced_ode
 from sphkol.cli import TRAJECTORY_HEADER, trajectory_csv
 from sphkol.harmonics import build_grid
-from sphkol.operators import KillingParams, convection
+from sphkol.operators import KillingParams, convection, linear_part
 from sphkol.oracles import apply_degree_multiplier, propagate_exact, velocity_values
 from sphkol.pde_solver import (
     IntegrationError,
@@ -413,9 +413,11 @@ def checked_dense(monkeypatch):
 
     def checked(self, t, times):
         builds.append((t, self.dt, list(times)))
-        for s, deviation in zip(times, dense(self, t, times)):
+        deviations = dense(self, t, times)
+        assert deviations.shape == (len(times), self.N + 1, self.N + 1)
+        for s, deviation in zip(times, deviations):
             assert np.array_equal(deviation.view(np.uint64), dense_deviation(self, t, s).view(np.uint64))
-            yield deviation
+        return deviations
 
     def attempt(self, state, k1=None):
         if k1 is last["fsal"]:
@@ -730,6 +732,12 @@ class TestLatticeDriver:
         assert_same_records(recs, [r for k, r in enumerate(every) if k % 3 == 0 or k == nsteps])
         assert 0 < recs[-1].steps < nsteps
 
+    def test_coupling_run_builds_the_linear_part_once(self, grid8):
+        # The stepper and the coupling extraction read the same two-jet linear part.
+        linear_part.cache_clear()
+        run_with_coupling(rand_field(8, seed=84, amplitude=0.5, decay=0.4), two_jet_cfg(t_end=0.05), grid8)
+        assert linear_part.cache_info().misses == 1
+
     def test_coupling_bench_configuration(self, grid16):
         # N = 16, nu = 1, t_end = 1/8 sampled at dt = 1/2048: a handful of
         # controlled steps give (M, f) at all 257 lattice times, against a
@@ -775,7 +783,7 @@ def assert_couplings_match_fixed_steps(grid16, Omega=0.0, jet_order="two_jet"):
     assert recs[-1].steps <= 20
     nonlinear = Stepper(cfg, grid16, dt).nonlinear
     states = classic_states(nonlinear, lawson_rate(cfg), omega0, dt, 256)
-    M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state, cfg.flow[0]) for state in states))
+    M_ref, f_ref = zip(*(reduced_ode.extract_coupling(state.coeffs, cfg.flow[0]) for state in states))
     assert coupling.times.tolist() == [k * dt for k in range(257)]  # bitwise
     for got, want in ((coupling.M, np.array(M_ref)), (coupling.f, np.array(f_ref))):
         axes = tuple(range(1, want.ndim))

@@ -22,7 +22,9 @@ from sphkol.oracles import (
     velocity_values,
 )
 from sphkol.reduced_ode import (
+    COUPLING_CHUNK_BYTES,
     MODE2_ORDER,
+    _coupling_buffers,
     _coupling_gather,
     adjacent_degree_table,
     build_system,
@@ -307,13 +309,36 @@ class TestExtractCoupling:
     def test_bitwise_equal_to_the_operator_form(self, N):
         for seed, amplitude in [(0, 1.0), (1, 1e3), (2, -2.5)]:
             omega = rand_field(N, seed=60 + seed, amplitude=amplitude, decay=0.3)
-            M, f = extract_coupling(omega, amplitude)
+            M, f = extract_coupling(omega.coeffs, amplitude)
             M_ref, f_ref = operator_form_coupling(omega, amplitude)
             assert np.array_equal(M, M_ref) and np.array_equal(f, f_ref)
 
+    @pytest.mark.parametrize("N", [2, 8, 16, 64])
+    def test_stack_equals_each_state(self, N):
+        # At N = 16 and 64 a stack of 50 spans several chunks.
+        for size in (1, 2, 7, 50):
+            stack = np.array([rand_field(N, seed=500 + k, amplitude=(1.0, -2.5, 1e3)[k % 3]).coeffs
+                              for k in range(size)])
+            M, f = extract_coupling(stack, 1.3)
+            assert M.shape == (size, 5, 5) and f.shape == (size, 5)
+            for k in range(size):
+                M_k, f_k = extract_coupling(stack[k], 1.3)
+                assert np.array_equal(M[k].view(np.uint64), M_k.view(np.uint64))
+                assert np.array_equal(f[k].view(np.uint64), f_k.view(np.uint64))
+        assert (len(_coupling_buffers(16)[1]), len(_coupling_buffers(64)[1])) == (21, 1)
+
+    @pytest.mark.parametrize("N", [3, 16, 50, 51, 70, 71, 128])
+    def test_a_chunk_gathers_at_most_its_budget(self, N):
+        # G holds as many samples of the gather as fit the budget, or one
+        # where a single one exceeds it (N >= 71).
+        per_sample = _coupling_gather(N)[0].size * np.dtype(complex).itemsize
+        G = _coupling_buffers(N)[1]
+        assert G.nbytes == len(G) * per_sample <= max(COUPLING_CHUNK_BYTES, per_sample) < G.nbytes + per_sample
+        assert (per_sample > COUPLING_CHUNK_BYTES) == (N >= 71)
+
     def test_vanishes_without_high_degrees(self):
         omega = rand_field(8, seed=3, degrees=(1, 2))
-        M, f = extract_coupling(omega, 1.0)
+        M, f = extract_coupling(omega.coeffs, 1.0)
         assert np.max(np.abs(M)) < 1e-11
         assert np.max(np.abs(f)) < 1e-11
 
@@ -321,8 +346,8 @@ class TestExtractCoupling:
         omega = rand_field(8, seed=9)
         upcast = SpectralField.zeros(16)
         upcast.coeffs[:9, :9] = omega.coeffs
-        M1, f1 = extract_coupling(omega, 1.3)
-        M2, f2 = extract_coupling(upcast, 1.3)
+        M1, f1 = extract_coupling(omega.coeffs, 1.3)
+        M2, f2 = extract_coupling(upcast.coeffs, 1.3)
         assert np.max(np.abs(M1 - M2)) < 1e-12
         assert np.max(np.abs(f1 - f2)) < 1e-12
 
@@ -332,7 +357,7 @@ class TestExtractCoupling:
         for seed in range(6):
             omega = rand_field(8, seed=seed + 100)
             high_norm = highpass_norm(omega, 3)
-            M, _ = extract_coupling(omega, 1.0)
+            M, _ = extract_coupling(omega.coeffs, 1.0)
             ratios.append(np.linalg.norm(M) / high_norm)
         # measured bound constant: finite and stable across draws
         assert max(ratios) < 10.0 * min(ratios) + 1e-12
@@ -346,7 +371,7 @@ class TestExtractCoupling:
         want = f_degree3_term(omega, amplitude)
         got = linear_part(N, amplitude).apply(highpass(omega, 3)).mode2_vector()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        _, f = extract_coupling(omega, amplitude)
+        _, f = extract_coupling(omega.coeffs, amplitude)
         transport = convection(highpass(omega, 3), build_grid(N)).mode2_vector()
         assert np.max(np.abs(f - (want - transport))) <= 1e-15 * np.max(np.abs(f))
 
@@ -355,7 +380,7 @@ class TestExtractCoupling:
         # integral vanishes for a single zonal harmonic.
         omega = SpectralField.zeros(8)
         omega[3, 0] = 0.25
-        M, f = extract_coupling(omega, 2.0)
+        M, f = extract_coupling(omega.coeffs, 2.0)
         assert abs(f[2]) < 1e-13
         assert np.max(np.abs(f)) < 1e-13
 
@@ -365,7 +390,7 @@ class TestExtractCoupling:
         grid = build_grid(N)
         for seed in range(3):
             omega = rand_field(N, seed=40 + seed, amplitude=amplitude)
-            M, f = extract_coupling(omega, 1.3)
+            M, f = extract_coupling(omega.coeffs, 1.3)
             M_ref, f_ref = cartesian_coupling(omega, 1.3, grid)
             assert np.linalg.norm(M - M_ref) <= 1e-13 * np.linalg.norm(M_ref)
             assert np.linalg.norm(f - f_ref) <= 1e-13 * np.linalg.norm(f_ref)
@@ -387,7 +412,7 @@ class TestExtractCoupling:
         for module, name in [(sht, "real_synthesis"), (sht, "real_analysis"), (operators, "real_synthesis"),
                              (operators, "real_analysis"), (operators, "convection")]:
             monkeypatch.setattr(module, name, transform)
-        M, f = extract_coupling(rand_field(11, seed=8), 1.3)
+        M, f = extract_coupling(rand_field(11, seed=8).coeffs, 1.3)
         assert np.all(np.isfinite(M)) and np.max(np.abs(M)) > 0.0
         assert np.all(np.isfinite(f)) and np.max(np.abs(f)) > 0.0
 
@@ -408,8 +433,8 @@ class TestExtractCoupling:
         grid = build_grid(16)
         omega = rand_field(16, seed=5)
         above = omega + rand_field(16, seed=6, degrees=range(4, 17))
-        M, _ = extract_coupling(omega, 1.0)
-        M_above, _ = extract_coupling(above, 1.0)
+        M, _ = extract_coupling(omega.coeffs, 1.0)
+        M_above, _ = extract_coupling(above.coeffs, 1.0)
         assert np.max(np.abs(M_above - M)) <= 1e-15
         M_ref, _ = cartesian_coupling(omega, 1.0, grid)
         M_ref_above, _ = cartesian_coupling(above, 1.0, grid)
