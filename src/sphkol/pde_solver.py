@@ -304,14 +304,17 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     Error-controlled Lawson DP5(4) steps about the static w* = w_1(0) plus the
     run's degree-2 attractor (see _attractor), in co-rotating coefficients; the
     counts include the step that covers t.  A step is accepted when
-    |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0 half);
-    the next trial is h clip(0.9 (1/e)^(1/5), 0.2, 5) with e the ratio of the
-    two.  A non-finite trial is a rejection at the smallest factor.  A step
-    ends at most REACH / |D_N| past the first pending sample time, and one
-    shortened so leaves the controller its longer proposal.  The samples an
-    accepted step covers are read off Stepper.dense up to 2(N+1) at a time,
-    so one row build per batch; a sample the step ends on takes the new state,
-    the batch's last row.
+    |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0 half).
+    With e the ratio of the two, an accepted step h_n that follows another,
+    h_{n-1} with e_{n-1} > 0, proposes Gustafsson's predictive trial
+    h_n clip(0.9 e_n^(-1/5) (h_n / h_{n-1}) (e_{n-1} / e_n)^(1/5), 0.2, 10)
+    (ACM TOMS 20, 1994); the first step, a zero error and every rejection
+    propose h clip(0.9 e^(-1/5), 0.2, 10).  A non-finite trial is a rejection
+    at the smallest factor.  A step ends at most REACH / |D_N| past the first
+    pending sample time, and one shortened so leaves the controller its
+    longer proposal.  The samples an accepted step covers are read off
+    Stepper.dense up to 2(N+1) at a time, so one row build per batch; a
+    sample the step ends on takes the new state, the batch's last row.
     """
     about = np.zeros_like(omega0.coeffs)
     about[1] = omega0.coeffs[1]
@@ -328,6 +331,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     w_norm = float(np.linalg.norm(omega0.coeffs))
     t, h = 0.0, stepper.dt
     accepted = rejected = 0
+    last = None  # (h, e) of the attempt before, if it was accepted with e > 0
     pending = next(sample_times)
     while t < t_last:
         trial = min(h, pending + reach - t)
@@ -340,10 +344,11 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
         tol = STEP_RTOL * max(w_norm, new_norm)
         # e = |err| / tol: infinite for a non-finite trial, 0 for an exact step (the zero state has tol = 0).
         ratio = math.inf if not math.isfinite(err_norm + tol) else (err_norm / tol if err_norm else 0.0)
-        factor = min(5.0, max(0.2, 0.9 * ratio**-0.2)) if ratio else 5.0
+        factor = 0.9 * ratio**-0.2 if ratio else math.inf
         if ratio > 1.0:
             rejected += 1
-            h = trial * factor
+            last = None
+            h = trial * max(0.2, factor)
             if h < MIN_STEP * cfg.t_end:
                 raise IntegrationError(f"step size fell below {MIN_STEP:g} t_end", t)
             continue
@@ -361,8 +366,12 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
             if read < len(times):  # the sample the step ends on
                 states[-1] = w_new
             yield times, states, accepted, rejected
+        if ratio and last:  # the error's trend over the last two steps
+            factor *= (trial / last[0]) * (last[1] / ratio) ** 0.2
+        factor = min(10.0, max(0.2, factor))
         h = max(h, trial * factor) if trial < h else trial * factor
         t, v, k1, w_norm = t_new, v_new, k_new, new_norm
+        last = (trial, ratio) if ratio else None
 
 
 def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[int, float]:

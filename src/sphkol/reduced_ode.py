@@ -113,8 +113,11 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
 
 
-def frame_phases(Omega: float, t: float, orders=MODE2_ORDER) -> np.ndarray:
-    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER: co-rotating to frame coefficients."""
+def frame_phases(Omega: float, t: float | np.ndarray, orders=MODE2_ORDER) -> np.ndarray:
+    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER: co-rotating to frame coefficients.
+
+    An array t of shape (k, 1) gives the (k, len(orders)) phases of k times at once.
+    """
     return np.exp(1j * Omega * t * np.array(orders, dtype=float))
 
 

@@ -21,7 +21,7 @@ from sphkol.pde_solver import (
     run_with_coupling,
 )
 from sphkol.reduced_ode import build_system, frame_phases, propagate_forced, rotating_frame_params
-from sphkol.sht import SpectralField
+from sphkol.sht import SpectralField, random_real_field
 
 
 def single(N, n, m, value=1.0):
@@ -242,6 +242,16 @@ def lattice(omega0, cfg, grid):
     return nsteps, dt, times
 
 
+def at_attractor(cfg):
+    """w* = w_1 + w_2^inf of cfg's run from the degree-1 data w_1 = Y_1^0 + 0.5 (Y_1^1 + mirror) at N = 8."""
+    omega0 = single(8, 1, 0, 1.0)
+    omega0[1, 1] = 0.5
+    attractor = pde_solver._attractor(omega0, cfg)
+    for m in range(3):
+        omega0[2, m] = attractor[2 - m]
+    return omega0
+
+
 def count_nonlinear(monkeypatch):
     """A list that gets one entry per Stepper.nonlinear call from now on."""
     calls = []
@@ -304,12 +314,8 @@ class TestControlledSteps:
         # From w* = w_1 + w_2^inf, static in co-rotating coefficients, the
         # deviation's rate is zero up to round-off: the degree-2 distance and
         # the degree-1 phase law stay at round-off, and the steps grow freely.
-        omega0 = single(8, 1, 0, 1.0)
-        omega0[1, 1] = 0.5
         cfg = two_jet_cfg(nu=1.0, t_end=20.0, snapshot_stride=1000, Omega=Omega)
-        attractor = pde_solver._attractor(omega0, cfg)
-        for m in range(3):
-            omega0[2, m] = attractor[2 - m]
+        omega0 = at_attractor(cfg)
         recs = run(omega0, cfg, grid8)
         assert max(r.norm_eq2_dist for r in recs) < 1e-15
         assert max(r.norm_ge3 for r in recs) < 1e-15
@@ -391,6 +397,45 @@ class TestControlledSteps:
         assert controlled[-1].steps < len(controlled) - 1  # steps do not land on snapshot times
         # Six new stages per attempt: the first is the attempt before's last (FSAL).
         assert len(calls) == 6 * (controlled[-1].steps + controlled[-1].rejected) + 1
+
+    @pytest.mark.parametrize("Omega", [0.0, 1.5])
+    def test_steps_grow_tenfold_at_round_off_error(self, grid8, Omega, monkeypatch):
+        # At the attractor the error is round-off, so every factor meets the
+        # upper clip: each step is exactly 10 times the one before until the end
+        # cuts the last one short.  One sample, the end, so REACH cuts nothing.
+        attempts = []
+        step = Stepper.step
+
+        def counted(self, state, k1=None):
+            attempts.append(self.dt)
+            return step(self, state, k1)
+
+        cfg = two_jet_cfg(nu=1.0, t_end=20.0, snapshot_stride=10**9, Omega=Omega)
+        omega0 = at_attractor(cfg)
+        _, dt, _ = lattice(omega0, cfg, grid8)
+        monkeypatch.setattr(Stepper, "step", counted)
+        recs = run(omega0, cfg, grid8)
+        grown = [dt]
+        while len(grown) < len(attempts) - 1:
+            grown.append(grown[-1] * 10.0)
+        assert attempts[:-1] == grown  # bitwise
+        assert attempts[-1] < 10.0 * grown[-1] and sum(attempts) == pytest.approx(cfg.t_end, rel=1e-14)
+        assert (recs[-1].steps, recs[-1].rejected) == (len(attempts), 0) == (6, 0)
+
+    def test_step_economy_at_the_bench_configurations(self, grid16):
+        # The predictive controller follows the transient's falling error:
+        # two_jet_n16's and coupling_n16's seed-71 input 0 took 17 and 13
+        # steps with the one-step factor.
+        def bench_field(amplitude, decay):
+            rng = np.random.Generator(np.random.PCG64([71, 0]))
+            return random_real_field(16, rng, amplitude=amplitude, decay=decay)
+
+        cfg = SolverConfig(nu=0.5, amplitude=1.0, N=16, t_end=0.25, snapshot_stride=10)
+        last = run(bench_field(0.5, 0.4), cfg, grid16)[-1]
+        assert last.steps <= 15 and last.rejected == 0
+        cfg = SolverConfig(nu=1.0, amplitude=1.0, N=16, t_end=0.125, dt=1.0 / 2048, snapshot_stride=10**9)
+        recs, _ = run_with_coupling(bench_field(0.4, 0.5), cfg, grid16)
+        assert recs[-1].steps <= 11 and recs[-1].rejected == 0
 
 
 def controlled_about(omega0, cfg):
