@@ -1,13 +1,14 @@
 """Print the sha256 of every output of a fixed set of small runs.
 
-The set covers every scenario and subcommand at N = 8: two_jet and rotating
-(Omega = 1.5), each error-controlled and at a given dt, one_jet (its init
-read from a field file), reduced_only and identity_oracles through ``cli.main(["run",
-...])``, which calls ``cli.run_manifest``, and the equilibrium, oracles and fit
-subcommands through ``cli.main``, and three ``pde_solver.run_with_coupling``
-runs, two_jet and one_jet at N = 8 and rotating (Omega = 0.7) at N = 16,
-whose sample times, couplings M and f and records are hashed as arrays.  The
-rotating run's steps cover more samples than one extract_coupling chunk.
+The set covers every scenario and subcommand at N = 8: two_jet, rotating
+(Omega = 1.5) and one_jet (its init read from a field file), each
+error-controlled and at a given dt, reduced_only and identity_oracles through
+``cli.main(["run", ...])``, which calls ``cli.run_manifest``, and the
+equilibrium, oracles and fit subcommands through ``cli.main``, and three
+``pde_solver.run_with_coupling`` runs, two_jet and one_jet at N = 8 and
+rotating (Omega = 0.7) at N = 16, whose sample times, couplings M and f and
+records are hashed as arrays.  The rotating run's steps cover more samples
+than one extract_coupling chunk.
 N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
 run at N = 48 cover the FFT one.  All run in one process, in a temporary
 directory.
@@ -64,6 +65,7 @@ def manifests(root: Path) -> dict:
         "two_jet": {**flow, "scenario": "two_jet"},
         "two_jet_dt": {**flow, "scenario": "two_jet", "cfg": {**CFG, "dt": 0.01}},
         "one_jet": {**flow, "scenario": "one_jet", "init": str(field_file)},
+        "one_jet_dt": {**flow, "scenario": "one_jet", "init": str(field_file), "cfg": {**CFG, "dt": 0.01}},
         "rotating": {**flow, "scenario": "rotating", "Omega": 1.5},
         "rotating_dt": {**flow, "scenario": "rotating", "Omega": 1.5, "cfg": {**CFG, "dt": 0.01}},
         "two_jet_fft": {**flow, "scenario": "two_jet", "init": INIT + [{"n": 48, "m": 31, "re": 1e-3, "im": 2e-3}],

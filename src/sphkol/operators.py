@@ -85,13 +85,12 @@ class LinearPart:
     down: np.ndarray
     up: np.ndarray
 
-    def apply(self, omega: SpectralField) -> SpectralField:
-        """The degree-changing part, down and up, applied to a real field; the diagonal is left out."""
-        w = omega.coeffs
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """The degree-changing part, down and up, applied to a real field's m >= 0 half w; the diagonal is left out."""
         out = np.zeros_like(w)
         out[:-1] = self.down[1:] * w[1:]
         out[2:] += self.up[1:-1] * w[1:-1]
-        return SpectralField(out)
+        return out
 
 
 @lru_cache(maxsize=4)

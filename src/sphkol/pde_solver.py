@@ -23,6 +23,8 @@ attractor fixed.  These steps do not aim at lattice times: a lattice state
 inside a step is read off the Lawson form of the continuous extension (Hairer,
 Norsett & Wanner, Solving ODEs I, II.6), whose rows are built for a batch of a
 step's samples at once, and only the last step is made to land on the end.
+Both paths step m >= 0 coefficient arrays and yield batches (times, states,
+steps, rejected), which _records turns into TrajectoryRecords.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import reduced_ode
 from .harmonics import QuadratureGrid
 from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, linear_part
-from .sht import SpectralField
+from .sht import SpectralField, full_tables
 
 STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|w_n|, |w_n+1|)
 MIN_STEP = 1e-14  # as a fraction of t_end: a controlled step below it is a failure
@@ -197,7 +199,7 @@ def default_dt(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -
 
 
 class Stepper:
-    """Lawson steps of size dt: classical RK4, or Dormand-Prince 5(4) attempts.
+    """Lawson steps of size dt of m >= 0 coefficient arrays: classical RK4, or Dormand-Prince 5(4) attempts.
 
     The linear part comes from operators.linear_part, built once per configuration; its
     diagonal S rides on the diffusion's factors as a phase, none when S = 0 (skew is None).
@@ -225,34 +227,32 @@ class Stepper:
         """v and k_1..k_7 of the last Dormand-Prince attempt, stacked along axis 1."""
         return np.empty((self.N + 1, 8, self.N + 1), dtype=complex)
 
-    def nonlinear(self, state: SpectralField) -> SpectralField:
-        """Everything the integrating factor leaves out: the degree-changing linear part and -u . grad w."""
-        return self.linear.apply(state) - convection(state, self.grid)
+    def nonlinear(self, w: np.ndarray) -> np.ndarray:
+        """The explicit rest of the rate at the m >= 0 half w: the degree-changing linear part and -u . grad w."""
+        return self.linear.apply(w) - convection(SpectralField(w), self.grid).coeffs
 
-    def step(self, state, k1: np.ndarray | None = None):
-        """One step of size dt.
+    def step(self, u: np.ndarray, k1: np.ndarray | None = None):
+        """One step of size dt of the m >= 0 coefficients u.
 
-        Alone, the classic Lawson-RK4 step of the SpectralField state.  Given
-        k1 = G(v) = nonlinear(w* + v).coeffs + (D + S) w*, one Lawson DP5(4)
-        attempt on the deviation coefficients v = state: returns
-        (v_new, w* + v_new, err, G(v_new)), err being the fifth-order solution
-        minus the embedded fourth-order one, and G(v_new) the next attempt's
-        k1 (FSAL).  It leaves v and the seven stage rates in stages for
-        dense(), each k_j turned by exp(-c_j dt S).
+        Alone, the classic Lawson-RK4 step: returns the new coefficients.
+        Given k1 = G(v) = nonlinear(w* + v) + (D + S) w*, one Lawson DP5(4)
+        attempt on the deviation v = u: returns (v_new, w* + v_new, err,
+        G(v_new)), err being the fifth-order solution minus the embedded
+        fourth-order one, and G(v_new) the next attempt's k1 (FSAL).  It
+        leaves v and the seven stage rates in stages for dense(), each k_j
+        turned by exp(-c_j dt S).
         """
         if k1 is not None:
-            return self._dormand_prince(state, k1)
+            return self._dormand_prince(u, k1)
         dt, e_half, e_full = self.dt, self.exp_half, self.exp_full
-        u = state.coeffs
-        k1 = self.nonlinear(state).coeffs
+        k1 = self.nonlinear(u)
         u2 = e_half * (u + (dt / 2.0) * k1)
-        k2 = self.nonlinear(SpectralField(u2)).coeffs
+        k2 = self.nonlinear(u2)
         u3 = e_half * u + (dt / 2.0) * k2
-        k3 = self.nonlinear(SpectralField(u3)).coeffs
+        k3 = self.nonlinear(u3)
         u4 = e_full * u + dt * e_half * k3
-        k4 = self.nonlinear(SpectralField(u4)).coeffs
-        advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        return SpectralField(advanced)
+        k4 = self.nonlinear(u4)
+        return e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
     def _dormand_prince(self, v: np.ndarray, k1: np.ndarray):
         dt, stages = self.dt, self.stages
@@ -265,7 +265,7 @@ class Stepper:
         for i in range(1, 7):  # e^{(c_i - c_j) dt S}: k_j stored turned by -c_j dt, the sum by c_i dt
             u = self._turn((rows[:, i : i + 1, : i + 1] @ parts[:, : i + 1]).view(complex)[:, 0], DP_C[i] * dt)
             w = self.about + u
-            k = self.nonlinear(SpectralField(w)).coeffs + self.about_rate
+            k = self.nonlinear(w) + self.about_rate
             stages[:, i + 1] = self._turn(k, -DP_C[i] * dt)
         err_row = np.concatenate([np.zeros((self.N + 1, 1)), dt * DP_E * lag[:, 6]], axis=1)
         return u, w, self._turn((err_row[:, None, :] @ parts).view(complex)[:, 0], dt), k
@@ -327,7 +327,7 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     reach = REACH / -float(stepper.diffusion[-1, 0])
     batch = 2 * (cfg.N + 1)  # samples per dense() row build: its rows take no more room than stages
     v = omega0.coeffs - stepper.about
-    k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
+    k1 = stepper.nonlinear(omega0.coeffs) + stepper.about_rate
     w_norm = float(np.linalg.norm(omega0.coeffs))
     t, h = 0.0, stepper.dt
     accepted = rejected = 0
@@ -388,26 +388,23 @@ def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> t
     return nsteps, cfg.t_end / nsteps
 
 
-def _lattice_states(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
-                    nsteps: int, dt: float):
-    """Yield (t, state, steps, rejected) at run's snapshot times: with a given dt one classical
-    Lawson-RK4 step per lattice time, else _controlled's batches unrolled, at every snapshot_stride-th one."""
+def _lattice_batches(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
+                     nsteps: int, dt: float):
+    """Yield run's snapshot batches: _controlled's without a dt, else one classical Lawson-RK4 step per lattice
+    time and a batch of one at every snapshot_stride-th one and the end."""
     if cfg.dt is None:
-        for times, states, steps, rejected in _controlled(omega0, cfg, grid, attractor, nsteps, dt,
-                                                          cfg.snapshot_stride):
-            for t, state in zip(times, states):
-                yield t, SpectralField(state), steps, rejected
+        yield from _controlled(omega0, cfg, grid, attractor, nsteps, dt, cfg.snapshot_stride)
         return
-    yield 0.0, omega0, 0, 0
+    yield [0.0], omega0.coeffs[None], 0, 0
     stepper = Stepper(cfg, grid, dt)
-    state = omega0
+    state = omega0.coeffs
     for k in range(1, nsteps + 1):
         state = stepper.step(state)
         t = k * dt
-        if not np.all(np.isfinite(state.coeffs)):
+        if not np.all(np.isfinite(state)):
             raise IntegrationError("state became non-finite", t)
         if k % cfg.snapshot_stride == 0 or k == nsteps:
-            yield t, state, k, 0
+            yield [t], state[None], k, 0
 
 
 def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
@@ -417,30 +414,31 @@ def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
     return reduced_ode.equilibrium_closed_form(params, amplitude, cfg.nu)
 
 
-def _record(cfg: SolverConfig, attractor: np.ndarray, t, state, steps, rejected) -> TrajectoryRecord:
-    """Snapshot diagnostics off one +-m table of the co-rotating state; frame_phases turns degrees 1 and 2 back."""
-    table, N = state.full_table(), cfg.N
-    norm_eq2_dist = float(np.linalg.norm(table[2, N - 2 : N + 3][::-1] - attractor))  # m = 2, 1, 0, -1, -2
+def _records(cfg: SolverConfig, attractor: np.ndarray, times, states, steps, rejected) -> list:
+    """Records of a batch of co-rotating snapshots off one stack of +-m tables, one frame_phases call turning degrees
+    1 and 2 back; each norm is one np.linalg.norm call per table, so no record depends on its batch."""
+    tables, N = full_tables(states), cfg.N
+    dists = [float(np.linalg.norm(table[2, N - 2 : N + 3][::-1] - attractor)) for table in tables]  # m = 2..-2
     if cfg.Omega:
-        table[1:3] *= reduced_ode.frame_phases(cfg.Omega, t, range(-N, N + 1))
-    return TrajectoryRecord(
+        tables[:, 1:3] *= reduced_ode.frame_phases(cfg.Omega, np.array(times)[:, None, None], range(-N, N + 1))
+    return [TrajectoryRecord(
         t=t,
         norm_eq1=float(np.linalg.norm(table[1])),
-        norm_eq2_dist=norm_eq2_dist,
+        norm_eq2_dist=dist,
         norm_ge3=float(np.linalg.norm(table[3:])),
         mode2=table[2, N - 2 : N + 3][::-1].copy(),
         mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
         steps=steps,
         rejected=rejected,
-    )
+    ) for t, table, dist in zip(times, tables, dists)]
 
 
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> Trajectory:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
     attractor = _attractor(omega0, cfg)
     nsteps, dt = lattice(omega0, cfg, grid)
-    states = _lattice_states(omega0, cfg, grid, attractor, nsteps, dt)
-    return Trajectory([_record(cfg, attractor, *snapshot) for snapshot in states], dt, attractor)
+    batches = _lattice_batches(omega0, cfg, grid, attractor, nsteps, dt)
+    return Trajectory([record for batch in batches for record in _records(cfg, attractor, *batch)], dt, attractor)
 
 
 def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[Trajectory, CouplingSeries]:
@@ -462,9 +460,10 @@ def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: Quadrature
         M, f = reduced_ode.extract_coupling(states, amplitude)
         Ms.append(M)
         fs.append(f)
-        for k, (t, state) in enumerate(zip(batch, states), len(times)):
-            if k % cfg.snapshot_stride == 0 or k == nsteps:  # and the end, off the stride
-                records.append(_record(cfg, attractor, t, SpectralField(state), steps, rejected))
+        first = len(times)  # the lattice index of batch[0]; run keeps every stride-th sample and the end
+        keep = [i for i in range(len(batch)) if (first + i) % cfg.snapshot_stride == 0 or first + i == nsteps]
+        if keep:
+            records += _records(cfg, attractor, [batch[i] for i in keep], states[keep], steps, rejected)
         times += batch
     return Trajectory(records, dt, attractor), CouplingSeries(times=np.array(times), M=np.concatenate(Ms),
                                                               f=np.concatenate(fs))

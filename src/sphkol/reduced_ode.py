@@ -27,7 +27,7 @@ from .sht import full_tables
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
-_MIRROR_SIGNS_12 = np.array([-1.0, 1.0])  # (-1)^m for m = 1, 2
+
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -266,5 +266,5 @@ def extract_coupling(halves: np.ndarray, amplitude: float) -> tuple[np.ndarray, 
         transport[chunk] = np.einsum("...nim,...nm->...i", G[:, 1:], w[:, 3:N])
         M[chunk] = G[:, 0][:, :, columns]
     linear = linear_part(N, amplitude, 0.0).down[3, :3] * stack[:, 3, :3]  # m = 0, 1, 2
-    f = np.concatenate([linear[:, ::-1], np.conj(linear[:, 1:]) * _MIRROR_SIGNS_12], axis=1) - transport
+    f = full_tables(linear)[:, ::-1] - transport  # m = 2..-2
     return M.reshape(lead + (5, 5)), f.reshape(lead + (5,))

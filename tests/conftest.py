@@ -31,9 +31,10 @@ def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):
 
 
 def snapshot_states(omega0, cfg, grid):
-    """(t, state) at each snapshot time of the run of cfg, read from the generator that run reads."""
+    """(t, SpectralField) at each snapshot time of the run of cfg, read from the batches that run reads."""
     attractor, lattice = pde_solver._attractor(omega0, cfg), pde_solver.lattice(omega0, cfg, grid)
-    return [(t, state) for t, state, _, _ in pde_solver._lattice_states(omega0, cfg, grid, attractor, *lattice)]
+    batches = pde_solver._lattice_batches(omega0, cfg, grid, attractor, *lattice)
+    return [(t, SpectralField(state)) for times, states, _, _ in batches for t, state in zip(times, states)]
 
 
 def select_degree(u, n):

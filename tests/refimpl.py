@@ -99,17 +99,20 @@ def lawson_rate(cfg):
 
 
 def classic_step(nonlinear, rate, state, dt):
-    """One classical Lawson-RK4 step of d_t w = rate w + nonlinear(w), rate D + S per coefficient (or per degree)."""
+    """One classical Lawson-RK4 step of d_t w = rate w + nonlinear(w), rate D + S per coefficient (or per degree).
+
+    state is a SpectralField, and nonlinear maps m >= 0 halves to m >= 0 halves, as Stepper.nonlinear does.
+    """
     e_half = np.exp(rate * (dt / 2.0))
     e_full = np.exp(rate * dt)
     u = state.coeffs
-    k1 = nonlinear(state).coeffs
+    k1 = nonlinear(u)
     u2 = e_half * (u + (dt / 2.0) * k1)
-    k2 = nonlinear(SpectralField(u2)).coeffs
+    k2 = nonlinear(u2)
     u3 = e_half * u + (dt / 2.0) * k2
-    k3 = nonlinear(SpectralField(u3)).coeffs
+    k3 = nonlinear(u3)
     u4 = e_full * u + dt * e_half * k3
-    k4 = nonlinear(SpectralField(u4)).coeffs
+    k4 = nonlinear(u4)
     advanced = e_full * u + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
     return SpectralField(advanced)
 

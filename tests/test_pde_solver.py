@@ -41,11 +41,12 @@ def rhs(omega, cfg, grid):
     """Full right-hand side: the diagonal D + S the stepper integrates exactly plus its explicit part."""
     stepper = Stepper(cfg, grid, cfg.t_end)
     diffusion = apply_degree_multiplier(omega, linear_diffusion_factors(omega.N, cfg.nu))
-    return diffusion + SpectralField(stepper.linear.diagonal * omega.coeffs) + stepper.nonlinear(omega)
+    explicit = SpectralField(stepper.nonlinear(omega.coeffs))
+    return diffusion + SpectralField(stepper.linear.diagonal * omega.coeffs) + explicit
 
 
 def one_step(omega, cfg, grid, dt):
-    return Stepper(cfg, grid, dt).step(omega)
+    return SpectralField(Stepper(cfg, grid, dt).step(omega.coeffs))
 
 
 class TestConfig:
@@ -144,8 +145,9 @@ class TestConfig:
         for jet_order, Omega in (("two_jet", 0.0), ("one_jet", 0.0), ("two_jet", 1.5)):
             cfg = two_jet_cfg(jet_order=jet_order, Omega=Omega)
             dt = default_dt(omega0, cfg, grid)
-            state = Stepper(cfg, grid, dt).step(omega0)
-            assert np.all(np.isfinite(state.coeffs)) and not np.array_equal(state.coeffs, omega0.coeffs)
+            state = Stepper(cfg, grid, dt).step(omega0.coeffs)
+            assert isinstance(state, np.ndarray)  # the stepper steps m >= 0 coefficient arrays
+            assert np.all(np.isfinite(state)) and not np.array_equal(state, omega0.coeffs)
 
 
 class TestRightHandSides:
@@ -213,13 +215,13 @@ class TestStep:
 
         def state_at(dt):
             stepper = Stepper(SolverConfig(nu=0.5, amplitude=1.0, N=8, t_end=t_end, dt=dt), grid8, dt)
-            state = omega0
+            state = omega0.coeffs
             for _ in range(int(round(t_end / dt))):
                 state = stepper.step(state)
             return state
 
         ref = state_at(0.0025)
-        errs = [np.max(np.abs(state_at(dt).coeffs - ref.coeffs)) for dt in (0.02, 0.01)]
+        errs = [np.max(np.abs(state_at(dt) - ref)) for dt in (0.02, 0.01)]
         ratio = errs[0] / errs[1]
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
 
@@ -302,9 +304,9 @@ class TestControlledSteps:
         errs = []
         for h in (0.01, 0.005):
             stepper = Stepper(cfg, grid8, h, about=np.zeros_like(omega0.coeffs))
-            new, w_new, err, k_new = stepper.step(omega0.coeffs, stepper.nonlinear(omega0).coeffs)
+            new, w_new, err, k_new = stepper.step(omega0.coeffs, stepper.nonlinear(omega0.coeffs))
             assert np.array_equal(w_new, new)  # about 0, the deviation is the state
-            assert np.array_equal(k_new, stepper.nonlinear(SpectralField(new)).coeffs)  # FSAL
+            assert np.array_equal(k_new, stepper.nonlinear(new))  # FSAL
             assert np.array_equal(stepper.stages[:, 7], k_new)  # S = 0: stored unturned
             errs.append(np.linalg.norm(err))
         assert 32.0 * 0.8 <= errs[0] / errs[1] <= 32.0 * 1.2
@@ -488,7 +490,7 @@ class TestDenseOutput:
         t, h = 0.3, 0.02
         stepper = Stepper(cfg, grid8, h, about=controlled_about(omega0, cfg))
         assert (stepper.skew is None) == (Omega == 0.0)
-        k1 = stepper.nonlinear(omega0).coeffs + stepper.about_rate
+        k1 = stepper.nonlinear(omega0.coeffs) + stepper.about_rate
         _, w_new, _, _ = stepper.step(omega0.coeffs - stepper.about, k1)
         times = [t + h * (k + 1) / size for k in range(size)]
         assert times[-1] == t + h  # the landing sample, theta = 1
@@ -764,11 +766,16 @@ class TestLatticeDriver:
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
 
-    def test_coupling_run_without_dt_steps_on_the_lattice(self, grid8):
+    @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
+    def test_coupling_run_without_dt_steps_on_the_lattice(self, grid8, flow):
         # The run samples every lattice time, so its steps are those of run with
-        # snapshot_stride = 1; its records are that run's at every stride-th sample and the end.
+        # snapshot_stride = 1; its records are that run's at every stride-th sample and the end,
+        # bitwise, though they come from other batches: a few samples of each step against all of them.
         omega0 = rand_field(8, seed=82, amplitude=0.5, decay=0.4)
-        cfg = two_jet_cfg(t_end=0.1, snapshot_stride=3)
+        cfg = two_jet_cfg(
+            t_end=0.1, snapshot_stride=3,
+            jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
+        )
         nsteps, dt, _ = lattice(omega0, cfg, grid8)
         recs, coupling = run_with_coupling(omega0, cfg, grid8)
         assert coupling.times.tolist() == [k * dt for k in range(nsteps + 1)]  # bitwise
@@ -801,21 +808,22 @@ class TestLatticeDriver:
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_records_read_their_snapshot(self, grid8, flow):
         omega0 = rand_field(8, seed=83, amplitude=0.6, decay=0.4)
-        cfg = two_jet_cfg(
-            t_end=0.2, snapshot_stride=3,
-            jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
-        )
-        recs = run(omega0, cfg, grid8)
-        states = snapshot_states(omega0, cfg, grid8)
-        assert len(recs) == len(states) > 2
-        for rec, (t, state) in zip(recs, states):
-            # The states are co-rotating: degrees 1 and 2 are read turned back to the frame's coefficients.
-            turned = SpectralField(state.coeffs * frame_phases(cfg.Omega, t, range(9))) if cfg.Omega else state
-            assert rec.t == t
-            assert rec.norm_eq1 == degree_norm(turned, 1)
-            assert rec.norm_ge3 == highpass_norm(state, 3)
-            assert np.array_equal(rec.mode1, mode1_vector(turned))
-            assert np.array_equal(rec.mode2, turned.mode2_vector())
+        for dt in (None, 0.01):  # controlled steps' batches, and the fixed steps' batches of one
+            cfg = two_jet_cfg(
+                t_end=0.2, dt=dt, snapshot_stride=3,
+                jet_order="one_jet" if flow == "one_jet" else "two_jet", Omega=1.5 if flow == "rotating" else 0.0,
+            )
+            recs = run(omega0, cfg, grid8)
+            states = snapshot_states(omega0, cfg, grid8)
+            assert len(recs) == len(states) > 2
+            for rec, (t, state) in zip(recs, states):
+                # The states are co-rotating: degrees 1 and 2 are read turned back to the frame's coefficients.
+                turned = SpectralField(state.coeffs * frame_phases(cfg.Omega, t, range(9))) if cfg.Omega else state
+                assert rec.t == t
+                assert rec.norm_eq1 == degree_norm(turned, 1)
+                assert rec.norm_ge3 == highpass_norm(state, 3)
+                assert np.array_equal(rec.mode1, mode1_vector(turned))
+                assert np.array_equal(rec.mode2, turned.mode2_vector())
 
 
 def assert_couplings_match_fixed_steps(grid16, Omega=0.0, jet_order="two_jet"):

@@ -300,7 +300,7 @@ def operator_form_coupling(omega, amplitude):
     partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
     G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    f = linear_part(N, amplitude).apply(highpass(omega, 3)).mode2_vector() - transport
+    f = SpectralField(linear_part(N, amplitude).apply(highpass(omega, 3).coeffs)).mode2_vector() - transport
     return G[0][:, N + mu], f
 
 
@@ -369,7 +369,7 @@ class TestExtractCoupling:
         N = 12
         omega = rand_field(N, seed=71)
         want = f_degree3_term(omega, amplitude)
-        got = linear_part(N, amplitude).apply(highpass(omega, 3)).mode2_vector()
+        got = SpectralField(linear_part(N, amplitude).apply(highpass(omega, 3).coeffs)).mode2_vector()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         _, f = extract_coupling(omega.coeffs, amplitude)
         transport = convection(highpass(omega, 3), build_grid(N)).mode2_vector()
