@@ -4,11 +4,15 @@ The set covers every scenario and subcommand at N = 8: two_jet, rotating
 (Omega = 1.5) and one_jet (its init read from a field file), each
 error-controlled and at a given dt, reduced_only and identity_oracles through
 ``cli.main(["run", ...])``, which calls ``cli.run_manifest``, and the
-equilibrium, oracles and fit subcommands through ``cli.main``, and three
-``pde_solver.run_with_coupling`` runs, two_jet and one_jet at N = 8 and
-rotating (Omega = 0.7) at N = 16, whose sample times, couplings M and f and
-records are hashed as arrays.  The rotating run's steps cover more samples
-than one extract_coupling chunk.
+equilibrium, oracles and fit subcommands through ``cli.main``, and four
+``pde_solver.run_with_coupling`` runs, two_jet (twice) and one_jet at N = 8
+and rotating (Omega = 0.7) at N = 16, whose sample times, couplings M and f
+and records are hashed as arrays.  The rotating run's steps cover more
+samples than one extract_coupling chunk.  The three ``*_uneven`` runs keep a
+snapshot stride that does not divide their lattice count, so that the end
+snapshot falls off the stride on each path: two_jet_uneven and
+two_jet_dt_uneven (stride 7 of 640 and of 100 lattice times) and
+coupling_uneven (stride 6 of 64); every other run's stride divides its count.
 N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
 run at N = 48 cover the FFT one.  All run in one process, in a temporary
 directory.
@@ -17,8 +21,8 @@ Usage: python scripts/output_digests.py
 
 Prints ``<sha256>  <run>/<file>`` for each file a run writes and for its
 stdout, and ``<code>  <run>/exit`` for its exit code; the coupling runs print
-``<sha256>  coupling/<array>``, ``<sha256>  coupling_one_jet/<array>`` and
-``<sha256>  coupling_rotating/<array>``.  Two checkouts give the
+``<sha256>  <run>/<array>``, for runs coupling, coupling_one_jet,
+coupling_uneven and coupling_rotating.  Two checkouts give the
 same lines exactly when their outputs are byte-identical, so
 
     python scripts/output_digests.py > a.txt   (in each checkout)
@@ -64,6 +68,8 @@ def manifests(root: Path) -> dict:
     docs = {
         "two_jet": {**flow, "scenario": "two_jet"},
         "two_jet_dt": {**flow, "scenario": "two_jet", "cfg": {**CFG, "dt": 0.01}},
+        "two_jet_uneven": {**flow, "scenario": "two_jet", "cfg": {**CFG, "snapshot_stride": 7}},
+        "two_jet_dt_uneven": {**flow, "scenario": "two_jet", "cfg": {**CFG, "dt": 0.01, "snapshot_stride": 7}},
         "one_jet": {**flow, "scenario": "one_jet", "init": str(field_file)},
         "one_jet_dt": {**flow, "scenario": "one_jet", "init": str(field_file), "cfg": {**CFG, "dt": 0.01}},
         "rotating": {**flow, "scenario": "rotating", "Omega": 1.5},
@@ -80,9 +86,10 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def coupling_digests(name: str, N: int = 8, t_end: float = 0.25, dt: float = 1.0 / 256, **flow) -> list[str]:
+def coupling_digests(name: str, N: int = 8, t_end: float = 0.25, dt: float = 1.0 / 256, **cfg) -> list[str]:
     """Digests of the raw bytes of one coupling run: sample times, M, f and every record field."""
-    cfg = pde_solver.SolverConfig(nu=1.0, amplitude=1.0, N=N, t_end=t_end, dt=dt, snapshot_stride=8, **flow)
+    cfg = pde_solver.SolverConfig(**{"nu": 1.0, "amplitude": 1.0, "N": N, "t_end": t_end, "dt": dt,
+                                     "snapshot_stride": 8, **cfg})
     records, coupling = pde_solver.run_with_coupling(cli.field_from_entries(N, INIT), cfg, build_grid(N))
     fields = [[r.t, r.norm_eq1, r.norm_eq2_dist, r.norm_ge3, *r.mode2.view(float), *r.mode1.view(float),
                r.steps, r.rejected] for r in records]
@@ -115,6 +122,7 @@ def main() -> int:
             lines.append(f"{digest(out.getvalue().encode())}  {name}/stdout")
             lines.append(f"{code}  {name}/exit")
     lines += coupling_digests("coupling") + coupling_digests("coupling_one_jet", jet_order="one_jet")
+    lines += coupling_digests("coupling_uneven", snapshot_stride=6)
     lines += coupling_digests("coupling_rotating", N=16, t_end=1.0 / 32, dt=1.0 / 2048, Omega=0.7)
     print("\n".join(lines))
     return 0

@@ -12,8 +12,9 @@ identity_oracles scenario.
 This is the package's one I/O layer: it reads manifests, field files and
 trajectory CSVs and writes every output, while harmonics, sht, operators,
 pde_solver and reduced_ode read and write nothing.  Floats are written with
-17 significant digits (format_float, dumps17), not json's repr, whose digit
-count varies by value, so that the files are byte-stable across platforms.
+17 significant digits (_float_format, for dumps17 and the trajectory CSV), not
+json's repr, whose digit count varies by value, so that the files are
+byte-stable across platforms.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error or a run
 too large to allocate, 3 numerical failure (IntegrationError, MeanModeError, ArithmeticError).
@@ -63,11 +64,14 @@ class ManifestError(ValueError):
     """The experiment manifest is malformed or inconsistent."""
 
 
-def format_float(x: float) -> str:
-    """x with 17 significant digits; a non-finite x is a ValueError."""
-    if math.isnan(x) or math.isinf(x):
+def _float_format(width: int, finite: bool):
+    """The str.format of width comma-separated floats with 17 significant digits; finite False is a ValueError.
+
+    The caller checks its values: one math.isfinite for a scalar, one array-wide check for a table.
+    """
+    if not finite:
         raise ValueError("non-finite float cannot be serialized")
-    return format(float(x), ".17g")
+    return ",".join(["{:.17g}"] * width).format
 
 
 def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
@@ -79,7 +83,7 @@ def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        return _float_format(1, math.isfinite(obj))(float(obj))
     if isinstance(obj, complex):
         raise TypeError("serialize complex values as explicit re/im pairs")
     if isinstance(obj, (dict, list, tuple)):
@@ -350,7 +354,7 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
     omega0 = _parse_init(doc.get("init"), cfg.N)
     grid = build_grid(cfg.N)
     records = pde_solver.run(omega0, cfg, grid)
-    header = f"Omega={format_float(Omega)}" if scenario == "rotating" else None
+    header = f"Omega={dumps17(Omega)}" if scenario == "rotating" else None
     outputs = {"trajectory.csv": trajectory_csv(records, header_comment=header)}
     files = {"trajectory": "trajectory.csv"}
     steps = {
@@ -375,10 +379,9 @@ def _run_flow_scenario(doc: dict) -> tuple[dict, dict]:
         checks.append(_check("degree_ge3_decay", ge3, 1e-6))
         envelope = _envelope_margin(records, cfg.nu)
         checks.append(_check("degree2_convergence_envelope", envelope, 1e-6, note="run ends before t = 1/nu"))
-        amplitude, rate = cfg.flow
-        params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), rate)
-        system = reduced_ode.build_system(params, amplitude, cfg.nu)
-        report = equilibrium_report(system, params, amplitude, "closed_form", records.attractor)
+        amplitude = cfg.flow[0]
+        system = reduced_ode.build_system(records.params, amplitude, cfg.nu)
+        report = equilibrium_report(system, records.params, amplitude, "closed_form", records.attractor)
         outputs["equilibrium.json"] = report
         files["equilibrium"] = "equilibrium.json"
     return {"checks": checks, "files": files, "steps": steps, "grid": shape}, outputs
@@ -474,12 +477,10 @@ def run_manifest(manifest) -> tuple[int, dict]:
 
 
 def trajectory_csv(records, header_comment: str | None = None) -> str:
-    """Snapshot diagnostics as CSV text: 17-significant-digit floats, as format_float writes them, LF line ends."""
+    """Snapshot diagnostics as CSV text: 17-significant-digit floats, as dumps17 writes them, LF line ends."""
     table = np.array([(rec.t, rec.norm_eq1, rec.norm_eq2_dist, rec.norm_ge3, *rec.mode2.view(float))
                       for rec in records])  # re, im of each mode
-    if not np.isfinite(table).all():
-        raise ValueError("non-finite float cannot be serialized")
-    row = ",".join(["{:.17g}"] * table.shape[1]).format
+    row = _float_format(table.shape[1], np.isfinite(table).all())
     lines = [] if header_comment is None else [f"# {header_comment}"]
     lines.append(TRAJECTORY_HEADER)
     lines.extend(row(*values) for values in table.tolist())

@@ -52,7 +52,7 @@ def laplacian_power(u: SpectralField, s: float) -> SpectralField:
 
 def laplacian(u: SpectralField) -> SpectralField:
     """Laplace-Beltrami operator (degree multiplier -n(n+1))."""
-    return -1.0 * laplacian_power(u, 1.0)
+    return SpectralField(-laplacian_power(u, 1.0).coeffs)
 
 
 def killing_degree2_matrix(axis) -> np.ndarray:

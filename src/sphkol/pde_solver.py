@@ -40,7 +40,7 @@ import numpy as np
 from . import reduced_ode
 from .harmonics import QuadratureGrid
 from .operators import KillingParams, angular_derivatives, convection, inverse_laplacian, linear_part
-from .sht import SpectralField, full_tables
+from .sht import SpectralField, full_tables, mode2_entries
 
 STEP_RTOL = 1e-11  # controlled steps: local error estimate / max(|w_n|, |w_n+1|)
 MIN_STEP = 1e-14  # as a fraction of t_end: a controlled step below it is a failure
@@ -157,11 +157,12 @@ class TrajectoryRecord:
 
 
 class Trajectory(list):
-    """A run's TrajectoryRecords in time order, with the lattice spacing dt and the degree-2 attractor of the run."""
+    """A run's TrajectoryRecords in time order, with its lattice spacing dt and its params and attractor (_frame)."""
 
-    def __init__(self, records, dt: float, attractor: np.ndarray):
+    def __init__(self, records, dt: float, params: KillingParams, attractor: np.ndarray):
         super().__init__(records)
         self.dt = dt
+        self.params = params
         self.attractor = attractor
 
 
@@ -204,8 +205,8 @@ class Stepper:
     The linear part comes from operators.linear_part, built once per configuration; its
     diagonal S rides on the diffusion's factors as a phase, none when S = 0 (skew is None).
     A controlled run gives about, the static w*, steps the deviation from it and sets dt
-    before each attempt.  The classical step's factors exp_half and exp_full are built
-    once, for the dt given; a fixed-step run keeps it and builds no Dormand-Prince factor.
+    before each attempt.  A stepper without about takes classical steps: only it builds
+    their factors exp_half and exp_full, once, for the dt given, and no Dormand-Prince factor.
     """
 
     def __init__(self, cfg: SolverConfig, grid: QuadratureGrid, dt: float, about: np.ndarray | None = None):
@@ -218,9 +219,10 @@ class Stepper:
         self.about = about
         self.about_rate = None if about is None else rate * about  # the stages add it
         self.dt = dt
-        factor = self.diffusion if self.skew is None else rate
-        self.exp_half = np.exp(factor * (dt / 2.0))
-        self.exp_full = np.exp(factor * dt)
+        if about is None:
+            factor = self.diffusion if self.skew is None else rate
+            self.exp_half = np.exp(factor * (dt / 2.0))
+            self.exp_full = np.exp(factor * dt)
 
     @functools.cached_property
     def stages(self) -> np.ndarray:
@@ -296,13 +298,13 @@ class Stepper:
 
 def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
                 nsteps: int, dt: float, stride: int):
-    """Yield (times, states, steps, rejected) at t = 0, every stride-th time of the lattice (nsteps, dt) and the end.
+    """Yield (times, states, steps, rejected) at the _snapshots(nsteps, stride) times of the lattice (nsteps, dt).
 
     Each yield is a batch: times is a list of sample times and states the
     complex (len(times), N+1, N+1) array of their m >= 0 coefficients; t = 0
     is a batch of one, and every later batch is one dense read.
     Error-controlled Lawson DP5(4) steps about the static w* = w_1(0) plus the
-    run's degree-2 attractor (see _attractor), in co-rotating coefficients; the
+    run's degree-2 attractor (see _frame), in co-rotating coefficients; the
     counts include the step that covers t.  A step is accepted when
     |err| <= STEP_RTOL max(|w_n|, |w_n+1|) (norms of the stored m >= 0 half).
     With e the ratio of the two, an accepted step h_n that follows another,
@@ -320,10 +322,9 @@ def _controlled(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, 
     about[1] = omega0.coeffs[1]
     about[2, :3] = attractor[2::-1]  # m = 0, 1, 2
     stepper = Stepper(cfg, grid, dt, about)
-    # Lazy: a blown-up field makes nsteps astronomically large.
-    sample_times = (k * dt for k in itertools.chain(range(stride, nsteps, stride), [nsteps]))
+    sample_times = (k * dt for k in _snapshots(nsteps, stride))
     t_last = nsteps * dt
-    yield [0.0], omega0.coeffs[None], 0, 0
+    yield [next(sample_times)], omega0.coeffs[None], 0, 0  # t = 0
     reach = REACH / -float(stepper.diffusion[-1, 0])
     batch = 2 * (cfg.N + 1)  # samples per dense() row build: its rows take no more room than stages
     v = omega0.coeffs - stepper.about
@@ -388,37 +389,40 @@ def lattice(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> t
     return nsteps, cfg.t_end / nsteps
 
 
+def _snapshots(nsteps: int, stride: int):
+    """The lattice indices a run records: 0, every stride-th one and nsteps, lazily (nsteps can be astronomical)."""
+    return itertools.chain(range(0, nsteps, stride), [nsteps])
+
+
 def _lattice_batches(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid, attractor: np.ndarray,
                      nsteps: int, dt: float):
     """Yield run's snapshot batches: _controlled's without a dt, else one classical Lawson-RK4 step per lattice
-    time and a batch of one at every snapshot_stride-th one and the end."""
+    time and a batch of one at each of _snapshots."""
     if cfg.dt is None:
         yield from _controlled(omega0, cfg, grid, attractor, nsteps, dt, cfg.snapshot_stride)
         return
-    yield [0.0], omega0.coeffs[None], 0, 0
-    stepper = Stepper(cfg, grid, dt)
-    state = omega0.coeffs
-    for k in range(1, nsteps + 1):
-        state = stepper.step(state)
-        t = k * dt
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError("state became non-finite", t)
-        if k % cfg.snapshot_stride == 0 or k == nsteps:
-            yield [t], state[None], k, 0
+    k, state, stepper = 0, omega0.coeffs, Stepper(cfg, grid, dt)
+    for snapshot in _snapshots(nsteps, cfg.snapshot_stride):
+        while k < snapshot:
+            state, k = stepper.step(state), k + 1
+            if not np.all(np.isfinite(state)):
+                raise IntegrationError("state became non-finite", k * dt)
+        yield [k * dt], state[None], k, 0
 
 
-def _attractor(omega0: SpectralField, cfg: SolverConfig) -> np.ndarray:
-    """A run's static degree-2 attractor: the closed form of omega0's rotating_frame_params at cfg.flow (0 for one-jet)."""
+def _frame(omega0: SpectralField, cfg: SolverConfig) -> tuple[KillingParams, np.ndarray]:
+    """A run's degree-1 data in its frame (rotating_frame_params at cfg.flow's rate) and its degree-2 attractor."""
     amplitude, rate = cfg.flow
     params = reduced_ode.rotating_frame_params(KillingParams.from_field(omega0), rate)
-    return reduced_ode.equilibrium_closed_form(params, amplitude, cfg.nu)
+    return params, reduced_ode.equilibrium_closed_form(params, amplitude, cfg.nu)
 
 
 def _records(cfg: SolverConfig, attractor: np.ndarray, times, states, steps, rejected) -> list:
     """Records of a batch of co-rotating snapshots off one stack of +-m tables, one frame_phases call turning degrees
     1 and 2 back; each norm is one np.linalg.norm call per table, so no record depends on its batch."""
     tables, N = full_tables(states), cfg.N
-    dists = [float(np.linalg.norm(table[2, N - 2 : N + 3][::-1] - attractor)) for table in tables]  # m = 2..-2
+    mode2 = mode2_entries(tables)  # a view: the frame phases turn it too
+    dists = [float(np.linalg.norm(row - attractor)) for row in mode2]
     if cfg.Omega:
         tables[:, 1:3] *= reduced_ode.frame_phases(cfg.Omega, np.array(times)[:, None, None], range(-N, N + 1))
     return [TrajectoryRecord(
@@ -426,19 +430,20 @@ def _records(cfg: SolverConfig, attractor: np.ndarray, times, states, steps, rej
         norm_eq1=float(np.linalg.norm(table[1])),
         norm_eq2_dist=dist,
         norm_ge3=float(np.linalg.norm(table[3:])),
-        mode2=table[2, N - 2 : N + 3][::-1].copy(),
+        mode2=row.copy(),
         mode1=table[1, N - 1 : N + 2][::-1].copy(),  # m = 1, 0, -1
         steps=steps,
         rejected=rejected,
-    ) for t, table, dist in zip(times, tables, dists)]
+    ) for t, table, row, dist in zip(times, tables, mode2, dists)]
 
 
 def run(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> Trajectory:
     """Integrate to t_end; trajectory records at snapshot_stride intervals plus the endpoint."""
-    attractor = _attractor(omega0, cfg)
+    params, attractor = _frame(omega0, cfg)
     nsteps, dt = lattice(omega0, cfg, grid)
     batches = _lattice_batches(omega0, cfg, grid, attractor, nsteps, dt)
-    return Trajectory([record for batch in batches for record in _records(cfg, attractor, *batch)], dt, attractor)
+    records = [record for batch in batches for record in _records(cfg, attractor, *batch)]
+    return Trajectory(records, dt, params, attractor)
 
 
 def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: QuadratureGrid) -> tuple[Trajectory, CouplingSeries]:
@@ -452,18 +457,22 @@ def run_with_coupling(omega0: SpectralField, cfg: SolverConfig, grid: Quadrature
     frame co-rotating) coefficients close
     build_system(rotating_frame_params(params, rate), amplitude, nu).
     """
-    attractor = _attractor(omega0, cfg)
+    params, attractor = _frame(omega0, cfg)
     amplitude = cfg.flow[0]
     records, times, Ms, fs = [], [], [], []
     nsteps, dt = lattice(omega0, cfg, grid)
+    snapshots = _snapshots(nsteps, cfg.snapshot_stride)
+    pending = next(snapshots)
     for batch, states, steps, rejected in _controlled(omega0, cfg, grid, attractor, nsteps, dt, 1):
         M, f = reduced_ode.extract_coupling(states, amplitude)
         Ms.append(M)
         fs.append(f)
-        first = len(times)  # the lattice index of batch[0]; run keeps every stride-th sample and the end
-        keep = [i for i in range(len(batch)) if (first + i) % cfg.snapshot_stride == 0 or first + i == nsteps]
+        keep = []  # batch[i] has lattice index len(times) + i
+        while pending < len(times) + len(batch):
+            keep.append(pending - len(times))
+            pending = next(snapshots, math.inf)
         if keep:
             records += _records(cfg, attractor, [batch[i] for i in keep], states[keep], steps, rejected)
         times += batch
-    return Trajectory(records, dt, attractor), CouplingSeries(times=np.array(times), M=np.concatenate(Ms),
-                                                              f=np.concatenate(fs))
+    coupling = CouplingSeries(times=np.array(times), M=np.concatenate(Ms), f=np.concatenate(fs))
+    return Trajectory(records, dt, params, attractor), coupling

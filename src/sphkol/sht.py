@@ -71,6 +71,12 @@ def full_tables(halves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
+def mode2_entries(tables: np.ndarray) -> np.ndarray:
+    """The degree-2 entries of (..., N+1, 2N+1) +-m tables, ordered m = 2, 1, 0, -1, -2: a view, not a copy."""
+    N = tables.shape[-2] - 1
+    return tables[..., 2, N - 2 : N + 3][..., ::-1]
+
+
 @dataclass
 class SpectralField:
     """Real mean-zero scalar field on the sphere, stored as its m >= 0 coefficients.
@@ -127,24 +133,6 @@ class SpectralField:
         """The (N+1, 2N+1) table over |m| <= n, entry (n, m) at [n, N+m]: the half and its mirror (full_tables)."""
         return full_tables(self.coeffs)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.N != self.N:
-            raise ValueError("truncation degrees differ")
-        return SpectralField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if other.N != self.N:
-            raise ValueError("truncation degrees differ")
-        return SpectralField(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         """L^2 norm on the sphere (Parseval over the full table)."""
         return float(np.linalg.norm(self.full_table()))
@@ -153,7 +141,7 @@ class SpectralField:
         """Degree-2 coefficients ordered (m=2, 1, 0, -1, -2)."""
         if self.N < 2:
             raise ValueError("field has no degree-2 modes")
-        return self.full_table()[2, self.N - 2 : self.N + 3][::-1].copy()
+        return mode2_entries(self.full_table()).copy()
 
 
 @dataclass

@@ -32,7 +32,7 @@ def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):
 
 def snapshot_states(omega0, cfg, grid):
     """(t, SpectralField) at each snapshot time of the run of cfg, read from the batches that run reads."""
-    attractor, lattice = pde_solver._attractor(omega0, cfg), pde_solver.lattice(omega0, cfg, grid)
+    (_, attractor), lattice = pde_solver._frame(omega0, cfg), pde_solver.lattice(omega0, cfg, grid)
     batches = pde_solver._lattice_batches(omega0, cfg, grid, attractor, *lattice)
     return [(t, SpectralField(state)) for times, states, _, _ in batches for t, state in zip(times, states)]
 

@@ -389,7 +389,8 @@ class TestManifests:
 
         def violated(column, value, t):
             def fake(*args):
-                out = pde_solver.Trajectory([copy.copy(rec) for rec in records], records.dt, records.attractor)
+                out = pde_solver.Trajectory([copy.copy(rec) for rec in records], records.dt, records.params,
+                                            records.attractor)
                 rec = min(out, key=lambda r: abs(r.t - t))
                 setattr(rec, column, value)
                 return out

@@ -41,8 +41,7 @@ def rhs(omega, cfg, grid):
     """Full right-hand side: the diagonal D + S the stepper integrates exactly plus its explicit part."""
     stepper = Stepper(cfg, grid, cfg.t_end)
     diffusion = apply_degree_multiplier(omega, linear_diffusion_factors(omega.N, cfg.nu))
-    explicit = SpectralField(stepper.nonlinear(omega.coeffs))
-    return diffusion + SpectralField(stepper.linear.diagonal * omega.coeffs) + explicit
+    return SpectralField(diffusion.coeffs + stepper.linear.diagonal * omega.coeffs + stepper.nonlinear(omega.coeffs))
 
 
 def one_step(omega, cfg, grid, dt):
@@ -173,9 +172,9 @@ class TestRightHandSides:
         out = rhs(single(8, 3, 0, eps), two_jet_cfg(nu=0.5), grid8)
         want = -10.0 * 0.5 * eps
         assert out[3, 0] == pytest.approx(want, rel=1e-13)
-        rest = out.copy()
+        rest = out.coeffs.copy()
         rest[3, 0] = 0.0
-        assert np.max(np.abs(rest.coeffs)) < 1e-15
+        assert np.max(np.abs(rest)) < 1e-15
 
     def test_one_jet_degree_one_kernel(self, grid8):
         cfg = two_jet_cfg(jet_order="one_jet")
@@ -189,9 +188,9 @@ class TestRightHandSides:
         out = rhs(single(8, 2, 1), cfg, grid8)
         want = -4.0 * nu - (a / 4.0) * math.sqrt(3.0 / math.pi) * (2j / 3.0)
         assert out[2, 1] == pytest.approx(want, rel=1e-13)
-        rest = out.copy()
+        rest = out.coeffs.copy()
         rest[2, 1] = 0.0
-        assert np.max(np.abs(rest.coeffs)) < 1e-13
+        assert np.max(np.abs(rest)) < 1e-13
 
 
 class TestStep:
@@ -204,9 +203,9 @@ class TestStep:
     def test_degree_one_fixed_point(self, grid8):
         out = one_step(single(8, 1, 0), two_jet_cfg(), grid8, 0.05)
         assert abs(out[1, 0] - 1.0) < 1e-14
-        rest = out.copy()
+        rest = out.coeffs.copy()
         rest[1, 0] = 0.0
-        assert np.max(np.abs(rest.coeffs)) < 1e-14
+        assert np.max(np.abs(rest)) < 1e-14
 
     def test_fourth_order_step_halving(self, grid8):
         omega0 = rand_field(8, seed=303, amplitude=0.8, decay=0.4, degrees=range(1, 6))
@@ -248,7 +247,7 @@ def at_attractor(cfg):
     """w* = w_1 + w_2^inf of cfg's run from the degree-1 data w_1 = Y_1^0 + 0.5 (Y_1^1 + mirror) at N = 8."""
     omega0 = single(8, 1, 0, 1.0)
     omega0[1, 1] = 0.5
-    attractor = pde_solver._attractor(omega0, cfg)
+    _, attractor = pde_solver._frame(omega0, cfg)
     for m in range(3):
         omega0[2, m] = attractor[2 - m]
     return omega0
@@ -295,7 +294,7 @@ class TestControlledSteps:
         assert len(ref) == len(states)
         for (t, got), (t_ref, want) in zip(states, ref):
             assert t == pytest.approx(t_ref, rel=1e-14)
-            assert (got - want).norm() <= 1e-9 * want.norm()
+            assert SpectralField(got.coeffs - want.coeffs).norm() <= 1e-9 * want.norm()
 
     def test_embedded_estimate_is_fourth_order(self, grid8):
         # err is the fifth-order solution minus the embedded fourth-order one: O(h^5).
@@ -344,7 +343,7 @@ class TestControlledSteps:
         assert len(ref) == len(states)
         for (t, got), (t_ref, want) in zip(states, ref):
             assert t == pytest.approx(t_ref, rel=1e-14)
-            assert (got - want).norm() <= 1e-9 * want.norm()
+            assert SpectralField(got.coeffs - want.coeffs).norm() <= 1e-9 * want.norm()
 
     @pytest.mark.parametrize("flow", ["two_jet", "one_jet", "rotating"])
     def test_fixed_step_is_the_classic_step(self, grid8, flow, monkeypatch):
@@ -444,7 +443,7 @@ def controlled_about(omega0, cfg):
     """w* of a controlled run from omega0: its degree-1 row and the run's degree-2 attractor (m >= 0)."""
     about = np.zeros_like(omega0.coeffs)
     about[1] = omega0.coeffs[1]
-    about[2, :3] = pde_solver._attractor(omega0, cfg)[2::-1]
+    about[2, :3] = pde_solver._frame(omega0, cfg)[1][2::-1]
     return about
 
 
@@ -611,7 +610,7 @@ class TestRun:
         # The base flow a Y_1^0 is degree-1 vorticity, so on degrees >= 2 the one-jet run
         # of w is the zero-amplitude two-jet run of w + a Y_1^0.
         omega0 = rand_field(8, seed=84, amplitude=0.5, decay=0.4)
-        shifted = omega0.copy()
+        shifted = SpectralField(omega0.coeffs.copy())
         shifted[1, 0] += a
         cfg = two_jet_cfg(amplitude=a, t_end=0.5, dt=dt, snapshot_stride=5, jet_order="one_jet")
         one_jet = run(omega0, cfg, grid8)
@@ -649,28 +648,33 @@ class TestRun:
         final = recs[-1].mode2
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-7
 
-    @pytest.mark.parametrize("stride", [1, 5, 1000])
+    @pytest.mark.parametrize("stride", [1, 3, 5, 1000])
     @pytest.mark.parametrize("flow", [{}, {"Omega": 1.5}, {"jet_order": "one_jet"}], ids=["two_jet", "rotating", "one_jet"])
     def test_attractor_computed_once_per_run(self, grid8, monkeypatch, flow, stride):
-        # Every flow takes the one closed-form rule, the one-jet flow at amplitude 0 too.
+        # Every flow takes the one closed-form rule, the one-jet flow at amplitude 0 too; every
+        # path records t = 0, every stride-th lattice time and the end, stride dividing nsteps or not.
         closed_form, counted = reduced_ode.equilibrium_closed_form, []
 
         def counting(*args):
             counted.append(args)
             return closed_form(*args)
 
+        def snapshot_times(recs, nsteps):
+            return [k * recs.dt for k in range(0, nsteps, stride)] + [nsteps * recs.dt]
+
         monkeypatch.setattr(reduced_ode, "equilibrium_closed_form", counting)
         omega0 = rand_field(8, seed=78, amplitude=0.4)
         recs = run(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
-        assert len(recs) == 1 + math.ceil(10 / stride)
+        assert [r.t for r in recs] == snapshot_times(recs, 10)
         assert len(counted) == 1
         # Under control the same attractor is also the one the steps are taken about.
         counted.clear()
         recs = run(omega0, two_jet_cfg(t_end=0.05, snapshot_stride=stride, **flow), grid8)
-        assert len(recs) == 1 + math.ceil(16 / stride) and recs[-1].steps > 0
+        assert [r.t for r in recs] == snapshot_times(recs, 16) and recs[-1].steps > 0
         assert len(counted) == 1
         counted.clear()
-        run_with_coupling(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
+        recs, _ = run_with_coupling(omega0, two_jet_cfg(t_end=0.05, dt=0.005, snapshot_stride=stride, **flow), grid8)
+        assert [r.t for r in recs] == snapshot_times(recs, 10)
         assert len(counted) == 1
 
     def test_grid_of_another_degree_rejected(self):

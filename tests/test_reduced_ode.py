@@ -432,7 +432,7 @@ class TestExtractCoupling:
         # R_{k,i} is a cubic polynomial, so the degrees >= 4 of w are orthogonal to it.
         grid = build_grid(16)
         omega = rand_field(16, seed=5)
-        above = omega + rand_field(16, seed=6, degrees=range(4, 17))
+        above = SpectralField(omega.coeffs + rand_field(16, seed=6, degrees=range(4, 17)).coeffs)
         M, _ = extract_coupling(omega.coeffs, 1.0)
         M_above, _ = extract_coupling(above.coeffs, 1.0)
         assert np.max(np.abs(M_above - M)) <= 1e-15

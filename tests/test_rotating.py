@@ -47,7 +47,8 @@ class TestCoriolisTerm:
         assert out[1, 1] == pytest.approx(1j, abs=1e-15)
 
     def test_zonal_kernel(self):
-        zeta = single(6, 3, 0, 2.0) + single(6, 5, 0, -1.0)
+        zeta = single(6, 3, 0, 2.0)
+        zeta[5, 0] = -1.0
         assert np.max(np.abs(coriolis_term(zeta, 3.0).coeffs)) == 0.0
 
     def test_zero_rotation(self):
@@ -161,7 +162,7 @@ class TestRunRotating:
         direct = snapshot_states(frame_map(zeta0, Omega, 0.0), cfg, grid12)
         for (t, rr), (_, rd) in zip(rot, direct):
             mapped = frame_map(lab_state(rr, Omega, t), Omega, t)
-            assert (mapped - rd).norm() < 1e-9
+            assert SpectralField(mapped.coeffs - rd.coeffs).norm() < 1e-9
 
     def test_degree_two_distance_decays_at_4nu_without_high_degrees(self, grid8):
         zeta0 = SpectralField.zeros(8)
