@@ -14,8 +14,10 @@ snapshot falls off the stride on each path: two_jet_uneven and
 two_jet_dt_uneven (stride 7 of 640 and of 100 lattice times) and
 coupling_uneven (stride 6 of 64); every other run's stride divides its count.
 N = 8 grids take the matmul longitude stage; three fixed steps of a two_jet
-run at N = 48 cover the FFT one.  All run in one process, in a temporary
-directory.
+run at N = 48 cover the FFT one, and two_jet_bench runs the benchmark's
+two_jet_n64 configuration (N = 64, dt = 1e-3, 12 steps) on its seed-71 first
+input, so the benchmark's degree is covered too.  All run in one process, in
+a temporary directory.
 
 Usage: python scripts/output_digests.py
 
@@ -46,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sphkol import cli, pde_solver  # noqa: E402
 from sphkol.harmonics import build_grid  # noqa: E402
+from sphkol.sht import random_real_field  # noqa: E402
 
 INIT = [
     {"n": 1, "m": 0, "re": 0.8},
@@ -61,9 +64,11 @@ CFG = {"nu": 1.0, "amplitude": 1.0, "N": 8, "t_end": 1.0, "snapshot_stride": 5}
 
 
 def manifests(root: Path) -> dict:
-    """The manifest of each run by name; writes the one_jet field file."""
+    """The manifest of each run by name; writes the one_jet and two_jet_bench field files."""
     field_file = root / "init.json"
     cli.save_field(cli.field_from_entries(8, INIT), field_file)
+    bench_field_file = root / "init_bench.json"
+    cli.save_field(random_real_field(64, np.random.Generator(np.random.PCG64([71, 0])), 0.5, 0.4), bench_field_file)
     flow = {"cfg": CFG, "init": INIT, "seed": 7}
     docs = {
         "two_jet": {**flow, "scenario": "two_jet"},
@@ -76,6 +81,9 @@ def manifests(root: Path) -> dict:
         "rotating_dt": {**flow, "scenario": "rotating", "Omega": 1.5, "cfg": {**CFG, "dt": 0.01}},
         "two_jet_fft": {**flow, "scenario": "two_jet", "init": INIT + [{"n": 48, "m": 31, "re": 1e-3, "im": 2e-3}],
                         "cfg": {**CFG, "N": 48, "t_end": 0.003, "dt": 0.001, "snapshot_stride": 1}},
+        "two_jet_bench": {"scenario": "two_jet", "init": str(bench_field_file), "seed": 71,
+                          "cfg": {"nu": 0.5, "amplitude": 1.0, "N": 64, "t_end": 0.012, "dt": 0.001,
+                                  "snapshot_stride": 4}},
         "reduced_only": {"scenario": "reduced_only", "cfg": {"nu": 1.0, "amplitude": 1.0, "N": 8}, "init": INIT},
         "identity_oracles": {"scenario": "identity_oracles", "lmax": 8, "seed": 3},
     }

@@ -8,10 +8,10 @@ oversizing), synthesized from the m >= 0 half of real fields.  KillingParams
 packages the nondissipative degree-1 data as the rotation axis of a Killing
 vector field.
 
-convection writes its four sample sets into one (4, n_theta, n_phi) buffer
-that this module owns per grid shape (_convection_samples).  It returns a new
-field, never the buffer; like the sht transforms it calls, it is not
-reentrant.
+convection writes its four sample sets into one (4, n_theta, n_phi) buffer,
+and on FFT-path grids stacks psi and w in one (2, N+1, N+1) buffer; this module
+owns both per grid shape (_convection_buffers).  It returns a new field, never
+a buffer; like the sht transforms it calls, it is not reentrant.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import QuadratureGrid, _read_only, recurrence_table
-from .sht import SpectralField, real_analysis, real_synthesis
+from .sht import MATMUL_MAX_NPHI, SpectralField, real_analysis, real_synthesis
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,19 @@ def _phi_derivative_row(size: int) -> np.ndarray:
 
 
 def angular_derivatives(half: np.ndarray, grid: QuadratureGrid, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half, in out's two arrays if given."""
-    d_phi = _phi_derivative_row(half.shape[0])
+    """Grid samples of d/dtheta and d/dphi of a real field given by its m >= 0 half, in out's two arrays if given.
+
+    half may be a stack (k, N+1, N+1) of fields; each derivative is then one
+    stacked real_synthesis, whose samples are (k, n_theta, n_phi).
+    """
+    d_phi = _phi_derivative_row(half.shape[-1])
     return real_synthesis(half, grid, grid.dplm_dtheta, out[0]), real_synthesis(half * d_phi, grid, grid.plm, out[1])
 
 
 @lru_cache(maxsize=None)
-def _convection_samples(n_theta: int, n_phi: int) -> np.ndarray:
-    """convection's (4, n_theta, n_phi) sample buffer, one per grid shape; no result refers to it."""
-    return np.empty((4, n_theta, n_phi))
+def _convection_buffers(N: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """convection's (2, N+1, N+1) stack of psi and w and its (4, n_theta, n_phi) samples, once per grid shape."""
+    return np.empty((2, N + 1, N + 1), dtype=complex), np.empty((4, n_theta, n_phi))
 
 
 def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
@@ -143,14 +147,22 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     psi = Lap^{-1} w is the stream function of u = n x grad(psi).  The four
     derivatives are synthesized from the m >= 0 halves, the Jacobian is formed
     on the (dealiased) grid, and real_analysis projects it back; its mean-mode
-    projection vanishes analytically and real_analysis checks it.
+    projection vanishes analytically and real_analysis checks it.  On FFT-path
+    grids (n_phi > MATMUL_MAX_NPHI) psi and w are synthesized as one stack, so
+    each latitude table is read once per call: two syntheses and one analysis.
+    Smaller grids make four single syntheses.
     """
-    samples = _convection_samples(grid.n_theta, grid.n_phi)
-    # psi stays referenced to the end: released early, its block let glibc trim and regrow
-    # the heap top on every call (about 1,700 against 130-320 minor faults per two_jet_n64 operation).
+    pair, samples = _convection_buffers(grid.N, grid.n_theta, grid.n_phi)
+    # psi stays referenced to the end, and the stack is a kept buffer: a fresh block in either
+    # place let glibc trim and regrow the heap top on every call (about 1,700 against under 400
+    # minor faults per two_jet_n64 operation).
     psi = inverse_laplacian(omega).coeffs
-    psi_theta, psi_phi = angular_derivatives(psi, grid, out=samples[:2])
-    w_theta, w_phi = angular_derivatives(omega.coeffs, grid, out=samples[2:])
+    if grid.n_phi > MATMUL_MAX_NPHI:
+        np.stack((psi, omega.coeffs), out=pair)
+        (psi_theta, w_theta), (psi_phi, w_phi) = angular_derivatives(pair, grid, out=(samples[:2], samples[2:]))
+    else:
+        psi_theta, psi_phi = angular_derivatives(psi, grid, out=samples[:2])
+        w_theta, w_phi = angular_derivatives(omega.coeffs, grid, out=samples[2:])
     jacobian = np.multiply(psi_theta, w_phi, out=psi_theta)
     jacobian -= np.multiply(psi_phi, w_theta, out=psi_phi)
     jacobian *= grid.inv_sin_theta

@@ -19,13 +19,26 @@ the longitude series unscaled, and the forward one returns the longitude
 means.  Either way the weights 2 pi w_j (grid.analysis_weights) integrate the
 means.
 
+Stacks: real_synthesis also takes a stack (k, N+1, N+1) of fields and makes
+them the 2k real columns of its one product per order, so a call reads its
+latitude table once for all k (SHTns, Schaeffer 2013, transforms several
+fields per pass for the same reason).  Each field's block of the product is
+then copied into its own contiguous spectrum for the longitude stage: an irfft
+over the interleaved layout measured slower than over separate spectra.  Each
+column of the product and each row of the batched irfft comes out as it would
+alone, so a stack's samples are bitwise those of k single calls
+(tests/test_sht.py checks this on both longitude paths).
+
 Work arrays: grids are cached per N (harmonics.build_grid) and read-only, and
-on the FFT path this module owns two complex work arrays per grid shape
-(_scratch): the zero-padded spectrum real_synthesis fills for irfft, and the
-rfft output real_analysis weights in place.  No call returns them, so every
-result is the caller's; real_synthesis(out=) writes the samples into the
-caller's array instead of a new one.  The work arrays make the transforms not
-reentrant: two calls on grids of one shape must not run at once (threads).
+this module owns complex work arrays, allocated zero-filled once per role,
+degree and shape (_scratch): on the FFT path the zero-padded spectra
+real_synthesis fills for irfft, one per field, and the rfft output
+real_analysis weights in place; for a stack on either path, its fields side by
+side (N+1, N+1, k) and their products (n_theta, N+1, k).  No call returns
+them, so every result is the caller's; real_synthesis(out=) writes the samples
+into the caller's array instead of a new one.  The work arrays make the
+transforms not reentrant, stacked or not: two calls at one degree must not run
+at once (threads).
 """
 
 from __future__ import annotations
@@ -158,19 +171,20 @@ class GridField:
 
 
 def _pairs(a: np.ndarray) -> np.ndarray:
-    """The (m, q, 2) real/imaginary view of a complex (q, m) array, never a copy; its last axis must be contiguous.
+    """The (m, q, 2k) real/imaginary view of a complex (q, m, k) array, never a copy; its last axis must be contiguous.
 
     Read through it, the Legendre sum over every order, table[m] @ a[:, m],
     is one real batched matmul that reaches BLAS and writes its output view
-    in place.
+    in place.  A (q, m) array enters as a[..., None]; a stack's k fields are
+    its 2k real columns.
     """
-    return a[..., None].view(float).swapaxes(0, 1)
+    return a.view(float).swapaxes(0, 1)
 
 
 @lru_cache(maxsize=None)
-def _scratch(role: str, N: int, n_theta: int, n_phi: int) -> np.ndarray:
-    """The zero-filled complex (n_theta, n_phi/2 + 1) work array of one role ("spectrum" or "means") per grid shape."""
-    return np.zeros((n_theta, n_phi // 2 + 1), dtype=complex)
+def _scratch(role: str, N: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The zero-filled complex work array of one role per degree N and shape (module docstring)."""
+    return np.zeros(shape, dtype=complex)
 
 
 def real_synthesis(
@@ -182,23 +196,32 @@ def real_synthesis(
     basis of order m >= 0 (grid.plm or grid.dplm_dtheta).  The m < 0 terms are
     implied by c_n^{-m} = (-1)^m conj(c_n^m) and the matching (-1)^m symmetry
     of the basis, so they are the conjugates of the m > 0 terms; the imaginary
-    part of the m = 0 column is ignored.  out, if given, is a C-contiguous
-    float (n_theta, n_phi) array; without it the samples are a new array.
+    part of the m = 0 column is ignored.  half may also be a stack (k, N+1, N+1)
+    of fields, whose samples are (k, n_theta, n_phi) and bitwise those of k
+    single calls; the stack reads the table once.  out, if given, is a
+    C-contiguous float array of the samples' shape; without it the samples are
+    a new array.
     """
     N = grid.N
-    if half.shape[0] != N + 1:
-        raise ValueError(f"field degree {half.shape[0] - 1} != grid degree {N}")
+    if half.shape[-2] != N + 1:
+        raise ValueError(f"field degree {half.shape[-2] - 1} != grid degree {N}")
     K = grid.n_phi
     small = K <= MATMUL_MAX_NPHI
-    if small:
-        spec = np.empty((grid.n_theta, N + 1), dtype=complex)
+    shape = half.shape[:-2] + (grid.n_theta, N + 1 if small else K // 2 + 1)
+    spectra = np.empty(shape, dtype=complex) if small else _scratch("spectrum", N, shape)
+    if half.ndim == 2:
+        rows = np.ascontiguousarray(half, dtype=complex)
+        np.matmul(table.transpose(0, 2, 1), _pairs(rows[..., None]), out=_pairs(spectra[:, : N + 1, None]))
     else:
-        spec = _scratch("spectrum", N, grid.n_theta, K)
-    rows = np.ascontiguousarray(half, dtype=complex)
-    np.matmul(table.transpose(0, 2, 1), _pairs(rows), out=_pairs(spec[:, : N + 1]))
+        rows = _scratch("rows", N, (N + 1, N + 1, len(half)))
+        for k, field in enumerate(half):
+            rows[..., k] = field
+        columns = _scratch("columns", N, (grid.n_theta, N + 1, len(half)))
+        np.matmul(table.transpose(0, 2, 1), _pairs(rows), out=_pairs(columns))
+        spectra[..., : N + 1] = columns.transpose(2, 0, 1)
     if small:
-        return np.matmul(spec.view(float), grid.fourier_synthesis, out=out)
-    return np.fft.irfft(spec, n=K, axis=1, norm="forward", out=out)
+        return np.matmul(spectra.view(float), grid.fourier_synthesis, out=out)
+    return np.fft.irfft(spectra, n=K, axis=-1, norm="forward", out=out)
 
 
 def real_analysis(values: np.ndarray, grid: QuadratureGrid) -> SpectralField:
@@ -217,10 +240,11 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid) -> SpectralField:
         means *= grid.analysis_weights
         weighted = means.view(complex)
     else:
-        means = np.fft.rfft(values, axis=1, norm="forward", out=_scratch("means", N, grid.n_theta, grid.n_phi))
+        means = _scratch("means", N, (grid.n_theta, grid.n_phi // 2 + 1))
+        np.fft.rfft(values, axis=1, norm="forward", out=means)
         weighted = np.multiply(grid.analysis_weights, means[:, : N + 1], out=means[:, : N + 1])
     half = np.empty((N + 1, N + 1), dtype=complex)
-    np.matmul(grid.plm, _pairs(weighted), out=_pairs(half))
+    np.matmul(grid.plm, _pairs(weighted[..., None]), out=_pairs(half[..., None]))
     mean = abs(half[0, 0])
     if mean > MEAN_TOL:  # below it the check passes at any sample scale
         scale = max(1.0, float(np.max(np.abs(values))))

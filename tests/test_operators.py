@@ -359,16 +359,19 @@ class TestConvection:
             got = convection(omega, grid).coeffs
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_four_syntheses_and_one_analysis(self, grid16, monkeypatch):
-        calls = {"real_synthesis": 0, "real_analysis": 0}
-        for name in calls:
+    @pytest.mark.parametrize("N,stacks", [(16, [None] * 4), (24, [2, 2])], ids=["16", "24"])
+    def test_four_syntheses_and_one_analysis(self, N, stacks, monkeypatch):
+        # n_phi = 64 (N = 16): four single syntheses.  n_phi = 128 (N = 24, the FFT
+        # path): psi and w go through each latitude table as one stack of two.
+        seen = {"real_synthesis": [], "real_analysis": []}
+        for name in seen:
             def counted(*args, _name=name, _fn=getattr(operators, name)):
-                calls[_name] += 1
+                seen[_name].append(len(args[0]) if args[0].ndim == 3 else None)
                 return _fn(*args)
 
             monkeypatch.setattr(operators, name, counted)
-        convection(rand_field(16, seed=5), grid16)
-        assert calls == {"real_synthesis": 4, "real_analysis": 1}
+        convection(rand_field(N, seed=5), build_grid(N))
+        assert seen == {"real_synthesis": stacks, "real_analysis": [None]}
 
     @pytest.mark.parametrize("N", [16, 24])
     def test_result_survives_the_next_call(self, N):
@@ -379,10 +382,13 @@ class TestConvection:
         convection(rand_field(N, seed=7), grid)
         assert first.coeffs.tobytes() == kept.tobytes()
 
-    def test_fft_path_bitwise_equals_the_allocating_reference(self):
-        grid = build_grid(48)
+    @pytest.mark.parametrize("N", [24, 48, 64])
+    def test_fft_path_bitwise_equals_the_allocating_reference(self, N):
+        # The smallest FFT-path grid, the digest script's and the benchmark's; the
+        # reference makes four single allocating syntheses, convection two stacked ones.
+        grid = build_grid(N)
         for seed in range(2):
-            omega = rand_field(48, seed=seed, decay=0.1)
+            omega = rand_field(N, seed=seed, decay=0.1)
             assert convection(omega, grid).coeffs.tobytes() == allocating_convection(omega, grid).tobytes()
 
     def test_small_grid_runs_without_the_fft(self, grid16, monkeypatch):

@@ -20,6 +20,7 @@ from refimpl import allocating_analysis, allocating_synthesis, ynm_reference
 from sphkol.cli import field_from_entries, load_field, save_field
 from sphkol.harmonics import build_grid
 from sphkol.operators import angular_derivatives
+from sphkol import sht
 from sphkol.oracles import integrate, synthesize_complex, unit_table
 from sphkol.sht import (
     GridField,
@@ -321,27 +322,50 @@ class TestKernelsAtBenchmarkSizes:
 
 
 class TestSharedWorkArrays:
-    """On FFT-path grids the transforms reuse work arrays cached per grid shape; no result reads or aliases them."""
+    """The transforms reuse work arrays cached per degree and shape; no result reads or aliases them."""
 
     def test_lower_degree_synthesis_after_a_full_one(self):
-        # A zero-padded degree-10 half reads nothing the full-degree call left in the spectrum.
+        # A zero-padded degree-10 half, alone or stacked, reads nothing a full-degree call left in the spectra.
         grid = build_grid(24)
         full = random_real_field(24, np.random.default_rng(1), 1.0, 0.1).coeffs
         low = random_real_field(24, np.random.default_rng(2), 1.0, 0.1, degrees=range(1, 11)).coeffs
         for table in (grid.plm, grid.dplm_dtheta):
+            want = allocating_synthesis(low, grid, table).tobytes()
             real_synthesis(full, grid, table)
-            assert real_synthesis(low, grid, table).tobytes() == allocating_synthesis(low, grid, table).tobytes()
+            assert real_synthesis(low, grid, table).tobytes() == want
+            real_synthesis(np.stack((full, full)), grid, table)
+            assert all(field.tobytes() == want for field in real_synthesis(np.stack((low, low)), grid, table))
 
-    @pytest.mark.parametrize("N", [16, 24])
-    def test_synthesis_returns_a_new_array_or_out(self, N):
+    @pytest.mark.parametrize("N", [16, 24, 64])
+    def test_synthesis_returns_a_new_array_or_out(self, N, monkeypatch):
+        # N = 16 takes the matmul longitude stage, N = 24 and 64 the FFT.
+        work = []
+        cached = sht._scratch
+
+        def recorded(*key):
+            work.append(cached(*key))
+            return work[-1]
+
+        monkeypatch.setattr(sht, "_scratch", recorded)
         grid = build_grid(N)
-        a, b = (random_real_field(N, np.random.default_rng(seed)).coeffs for seed in (3, 4))
+        a, b, c = (random_real_field(N, np.random.default_rng(seed)).coeffs for seed in (3, 4, 5))
         first = real_synthesis(a, grid, grid.plm)
         kept = first.copy()
         second = real_synthesis(b, grid, grid.plm)
         assert not np.shares_memory(first, second) and first.tobytes() == kept.tobytes()
         out = np.empty((grid.n_theta, grid.n_phi))
         assert real_synthesis(a, grid, grid.plm, out) is out and out.tobytes() == kept.tobytes()
+        results = [first, second]
+        # A stack is bitwise its fields' single calls, on either table.
+        for table in (grid.plm, grid.dplm_dtheta):
+            singles = np.stack([real_synthesis(half, grid, table) for half in (a, b, c)])
+            stacked = real_synthesis(np.stack((a, b, c)), grid, table)
+            assert stacked.shape == (3, grid.n_theta, grid.n_phi) and stacked.tobytes() == singles.tobytes()
+            results.append(stacked)
+            out = np.empty_like(stacked)
+            assert real_synthesis(np.stack((a, b, c)), grid, table, out) is out and out.tobytes() == singles.tobytes()
+            assert not np.shares_memory(stacked, out)
+        assert work and not any(np.shares_memory(result, array) for result in results for array in work)
 
     def test_analysis_result_survives_the_next_call(self):
         grid = build_grid(24)
