@@ -101,13 +101,14 @@ def dumps17(obj, indent: int = 0, _level: int = 0) -> str:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def fit_rate(times, values, window, reference_rate=None, tolerance=0.05) -> dict:
+def fit_rate(times, values, window, reference_rate, tolerance) -> dict:
     """Fit values ~ exp(rate * t) over the window; pass needs rate match and r^2 >= 0.999.
 
-    Returns the document `sphkol fit` prints.  A negative or non-finite
-    tolerance, a non-finite reference_rate, a non-finite sample in the window
-    (named by its t) and nonpositive values above 1e-14 are data errors; a
-    series identically below that short-circuits to a pass at the reference.
+    Returns the document `sphkol fit` prints; a reference_rate of None only
+    reports the fit.  A negative or non-finite tolerance, a non-finite
+    reference_rate, a non-finite sample in the window (named by its t) and
+    nonpositive values above 1e-14 are data errors; a series identically
+    below that short-circuits to a pass at the reference.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
@@ -476,7 +477,7 @@ def run_manifest(manifest) -> tuple[int, dict]:
     return (0 if report["all_pass"] else 1), report
 
 
-def trajectory_csv(records, header_comment: str | None = None) -> str:
+def trajectory_csv(records, header_comment: str | None) -> str:
     """Snapshot diagnostics as CSV text: 17-significant-digit floats, as dumps17 writes them, LF line ends."""
     table = np.array([(rec.t, rec.norm_eq1, rec.norm_eq2_dist, rec.norm_ge3, *rec.mode2.view(float))
                       for rec in records])  # re, im of each mode

@@ -8,10 +8,9 @@ oversizing), synthesized from the m >= 0 half of real fields.  KillingParams
 packages the nondissipative degree-1 data as the rotation axis of a Killing
 vector field.
 
-convection writes its four sample sets into one (4, n_theta, n_phi) buffer,
-and on FFT-path grids stacks psi and w in one (2, N+1, N+1) buffer; this module
-owns both per grid shape (_convection_buffers).  It returns a new field, never
-a buffer; like the sht transforms it calls, it is not reentrant.
+convection writes its four sample sets into one (4, n_theta, n_phi) work
+array, and on FFT-path grids stacks psi and w in one (2, N+1, N+1) work array;
+both come from sht._scratch, under the rule of the sht module docstring.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import QuadratureGrid, _read_only, recurrence_table
-from .sht import MATMUL_MAX_NPHI, SpectralField, real_analysis, real_synthesis
+from .sht import MATMUL_MAX_NPHI, SpectralField, _scratch, real_analysis, real_synthesis
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class LinearPart:
 
 
 @lru_cache(maxsize=4)
-def linear_part(N: int, amplitude: float, rate: float = 0.0) -> LinearPart:
+def linear_part(N: int, amplitude: float, rate: float) -> LinearPart:
     """The linear terms the diffusion leaves out: the two-jet term at amplitude a and a rigid rotation at rate r.
 
     Two-jet: -(a/4) sqrt(5/pi) cos(theta) d_phi (I + 6 Lap^{-1}), tridiagonal in
@@ -135,12 +134,6 @@ def angular_derivatives(half: np.ndarray, grid: QuadratureGrid, out=(None, None)
     return real_synthesis(half, grid, grid.dplm_dtheta, out[0]), real_synthesis(half * d_phi, grid, grid.plm, out[1])
 
 
-@lru_cache(maxsize=None)
-def _convection_buffers(N: int, n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """convection's (2, N+1, N+1) stack of psi and w and its (4, n_theta, n_phi) samples, once per grid shape."""
-    return np.empty((2, N + 1, N + 1), dtype=complex), np.empty((4, n_theta, n_phi))
-
-
 def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     """Pseudospectral transport term u . grad(w) = (psi_theta w_phi - psi_phi w_theta) / sin(theta).
 
@@ -152,13 +145,13 @@ def convection(omega: SpectralField, grid: QuadratureGrid) -> SpectralField:
     each latitude table is read once per call: two syntheses and one analysis.
     Smaller grids make four single syntheses.
     """
-    pair, samples = _convection_buffers(grid.N, grid.n_theta, grid.n_phi)
-    # psi stays referenced to the end, and the stack is a kept buffer: a fresh block in either
+    samples = _scratch("samples", (4, grid.n_theta, grid.n_phi), float)
+    # psi stays referenced to the end, and the stack is a kept work array: a fresh block in either
     # place let glibc trim and regrow the heap top on every call (about 1,700 against under 400
     # minor faults per two_jet_n64 operation).
     psi = inverse_laplacian(omega).coeffs
     if grid.n_phi > MATMUL_MAX_NPHI:
-        np.stack((psi, omega.coeffs), out=pair)
+        pair = np.stack((psi, omega.coeffs), out=_scratch("pair", (2,) + psi.shape, complex))
         (psi_theta, w_theta), (psi_phi, w_phi) = angular_derivatives(pair, grid, out=(samples[:2], samples[2:]))
     else:
         psi_theta, psi_phi = angular_derivatives(psi, grid, out=samples[:2])

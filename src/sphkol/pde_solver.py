@@ -152,8 +152,8 @@ class TrajectoryRecord:
     norm_ge3: float
     mode2: np.ndarray
     mode1: np.ndarray
-    steps: int = 0
-    rejected: int = 0
+    steps: int
+    rejected: int
 
 
 class Trajectory(list):
@@ -226,7 +226,10 @@ class Stepper:
 
     @functools.cached_property
     def stages(self) -> np.ndarray:
-        """v and k_1..k_7 of the last Dormand-Prince attempt, stacked along axis 1."""
+        """v and k_1..k_7 of the last Dormand-Prince attempt, stacked along axis 1.
+
+        Not a work array (sht module docstring) but the stepper's state: dense() reads it after step() returns.
+        """
         return np.empty((self.N + 1, 8, self.N + 1), dtype=complex)
 
     def nonlinear(self, w: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .harmonics import _read_only, build_grid
 from .operators import KillingParams, linear_part
-from .sht import full_tables
+from .sht import _scratch, full_tables
 
 MODE2_ORDER = (2, 1, 0, -1, -2)
 SQRT6 = math.sqrt(6.0)
@@ -113,8 +113,8 @@ def rotating_frame_params(params: KillingParams, Omega: float) -> KillingParams:
     return KillingParams(alpha=params.alpha, b=params.b + 2.0 * Omega / 3.0)
 
 
-def frame_phases(Omega: float, t: float | np.ndarray, orders=MODE2_ORDER) -> np.ndarray:
-    """exp(i m Omega t) for the orders m, by default the degree-2 ones in MODE2_ORDER: co-rotating to frame coefficients.
+def frame_phases(Omega: float, t: float | np.ndarray, orders) -> np.ndarray:
+    """exp(i m Omega t) for the orders m: co-rotating to frame coefficients.
 
     An array t of shape (k, 1) gives the (k, len(orders)) phases of k times at once.
     """
@@ -215,21 +215,6 @@ def _coupling_gather(N: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.arange(3, N + 1)[:, None, None] * (2 * N + 5) + partner), _read_only(N + mu)
 
 
-@lru_cache(maxsize=None)
-def _coupling_buffers(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """extract_coupling's buffers for one chunk at degree N >= 3: the padded +-m tables, zero outside them, and G.
-
-    A chunk holds as many samples as keep G within COUPLING_CHUNK_BYTES, at
-    least one.  The buffers are owned here per N, so a call writes into the
-    same pages each time: fresh blocks of G's size are mapped anew per call,
-    and their page faults cost more than the contraction.  No result refers
-    to them; extract_coupling is not reentrant.
-    """
-    shape = _coupling_gather(N)[0].shape
-    chunk = max(1, COUPLING_CHUNK_BYTES // (math.prod(shape) * np.dtype(complex).itemsize))
-    return np.zeros((chunk, N + 1, 2 * N + 5), dtype=complex), np.empty((chunk,) + shape, dtype=complex)
-
-
 def extract_coupling(halves: np.ndarray, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (M, f) of the degree-2 block to w_{>=3}, read off G = T w_{n+1}^{mu-m} without a transform.
 
@@ -242,8 +227,8 @@ def extract_coupling(halves: np.ndarray, amplitude: float) -> tuple[np.ndarray, 
     m < 0 entries are the mirrors (-1)^m conj of the m > 0 ones.  Both
     vanish identically when w_{>=3} = 0.  A rigid rotation enters no coupling:
     it shifts b (rotating_frame_params); a one-jet run passes amplitude 0.
-    A stack is contracted one chunk of samples at a time in buffers this
-    module owns per N (so the call is not reentrant), the sample axis
+    A stack is contracted one chunk of samples at a time (COUPLING_CHUNK_BYTES)
+    in sht._scratch work arrays (sht module docstring), the sample axis
     leading every array, so each sample's sums run as for one state and its
     (M, f) is bitwise that of its own call.
     """
@@ -251,11 +236,15 @@ def extract_coupling(halves: np.ndarray, amplitude: float) -> tuple[np.ndarray, 
     if N < 3:
         return np.zeros(lead + (5, 5), dtype=complex), np.zeros(lead + (5,), dtype=complex)
     gather, columns = _coupling_gather(N)
-    table, (padded_chunk, G_chunk) = adjacent_degree_table(N), _coupling_buffers(N)
-    stack = halves.reshape(-1, N + 1, N + 1)
+    table, stack = adjacent_degree_table(N), halves.reshape(-1, N + 1, N + 1)
+    size = max(1, COUPLING_CHUNK_BYTES // (gather.size * np.dtype(complex).itemsize))  # samples per chunk
+    # Work arrays, so a call writes into the same pages each time: fresh blocks of G's size are
+    # mapped anew per call, and their page faults cost more than the contraction.
+    padded_chunk = _scratch("padded", (size, N + 1, 2 * N + 5), complex)
+    G_chunk = _scratch("G", (size,) + gather.shape, complex)
     M, transport = np.empty((len(stack), 5, 5), dtype=complex), np.empty((len(stack), 5), dtype=complex)
-    for start in range(0, len(stack), len(G_chunk)):
-        half = stack[start : start + len(G_chunk)]
+    for start in range(0, len(stack), size):
+        half = stack[start : start + size]
         chunk = slice(start, start + len(half))
         # The +-m tables between two zero orders on each side, so w_{n+1}^{mu-m} sits at column partner.
         padded, G = padded_chunk[: len(half)], G_chunk[: len(half)]

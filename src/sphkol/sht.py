@@ -29,16 +29,16 @@ column of the product and each row of the batched irfft comes out as it would
 alone, so a stack's samples are bitwise those of k single calls
 (tests/test_sht.py checks this on both longitude paths).
 
-Work arrays: grids are cached per N (harmonics.build_grid) and read-only, and
-this module owns complex work arrays, allocated zero-filled once per role,
-degree and shape (_scratch): on the FFT path the zero-padded spectra
-real_synthesis fills for irfft, one per field, and the rfft output
-real_analysis weights in place; for a stack on either path, its fields side by
-side (N+1, N+1, k) and their products (n_theta, N+1, k).  No call returns
-them, so every result is the caller's; real_synthesis(out=) writes the samples
-into the caller's array instead of a new one.  The work arrays make the
-transforms not reentrant, stacked or not: two calls at one degree must not run
-at once (threads).
+Work arrays: grids are cached per N (harmonics.build_grid) and read-only.  A
+work array is one whose contents do not outlive the call that fills it, apart
+from a padded array's zero border; no result is one.  _scratch is the one
+cache of them, for these transforms, operators.convection and
+reduced_ode.extract_coupling: one zero-filled array per role, shape and dtype,
+the shape implying the degree.  Here they are the spectra real_synthesis fills
+(zero-padded for irfft on the FFT path), the longitude means real_analysis
+weights, and a stack's fields side by side (N+1, N+1, k) and their products
+(n_theta, N+1, k).  real_synthesis(out=) writes into the caller's array.  The
+work arrays make every caller not reentrant: no two calls at one shape at once.
 """
 
 from __future__ import annotations
@@ -182,9 +182,9 @@ def _pairs(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scratch(role: str, N: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The zero-filled complex work array of one role per degree N and shape (module docstring)."""
-    return np.zeros(shape, dtype=complex)
+def _scratch(role: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """The zero-filled work array of one role, shape and dtype (module docstring)."""
+    return np.zeros(shape, dtype=dtype)
 
 
 def real_synthesis(
@@ -208,15 +208,15 @@ def real_synthesis(
     K = grid.n_phi
     small = K <= MATMUL_MAX_NPHI
     shape = half.shape[:-2] + (grid.n_theta, N + 1 if small else K // 2 + 1)
-    spectra = np.empty(shape, dtype=complex) if small else _scratch("spectrum", N, shape)
+    spectra = _scratch("spectrum", shape, complex)
     if half.ndim == 2:
         rows = np.ascontiguousarray(half, dtype=complex)
         np.matmul(table.transpose(0, 2, 1), _pairs(rows[..., None]), out=_pairs(spectra[:, : N + 1, None]))
     else:
-        rows = _scratch("rows", N, (N + 1, N + 1, len(half)))
+        rows = _scratch("rows", (N + 1, N + 1, len(half)), complex)
         for k, field in enumerate(half):
             rows[..., k] = field
-        columns = _scratch("columns", N, (grid.n_theta, N + 1, len(half)))
+        columns = _scratch("columns", (grid.n_theta, N + 1, len(half)), complex)
         np.matmul(table.transpose(0, 2, 1), _pairs(rows), out=_pairs(columns))
         spectra[..., : N + 1] = columns.transpose(2, 0, 1)
     if small:
@@ -236,11 +236,11 @@ def real_analysis(values: np.ndarray, grid: QuadratureGrid) -> SpectralField:
     if values.shape != (grid.n_theta, grid.n_phi):
         raise ValueError(f"samples of shape {values.shape} are not on the degree-{N} grid")
     if grid.n_phi <= MATMUL_MAX_NPHI:
-        means = values @ grid.fourier_analysis
+        means = np.matmul(values, grid.fourier_analysis, out=_scratch("means", (grid.n_theta, 2 * N + 2), float))
         means *= grid.analysis_weights
         weighted = means.view(complex)
     else:
-        means = _scratch("means", N, (grid.n_theta, grid.n_phi // 2 + 1))
+        means = _scratch("means", (grid.n_theta, grid.n_phi // 2 + 1), complex)
         np.fft.rfft(values, axis=1, norm="forward", out=means)
         weighted = np.multiply(grid.analysis_weights, means[:, : N + 1], out=means[:, : N + 1])
     half = np.empty((N + 1, N + 1), dtype=complex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphkol import pde_solver
+from sphkol import operators, pde_solver, reduced_ode, sht
 from sphkol.harmonics import build_grid
 from sphkol.sht import SpectralField, random_real_field
 
@@ -24,6 +24,25 @@ def grid16():
 @pytest.fixture(scope="session")
 def grid32():
     return build_grid(32)
+
+
+@pytest.fixture
+def scratch_arrays(monkeypatch):
+    """Every work array handed out by sht._scratch during the test, by its (role, shape, dtype) key.
+
+    The recording wrapper replaces _scratch in each module that calls it and
+    keeps the cache's cache_info, so sht._scratch.cache_info() reads the cache.
+    """
+    cached, work = sht._scratch, {}
+
+    def recording(*key):
+        work[key] = cached(*key)
+        return work[key]
+
+    recording.cache_info = cached.cache_info
+    for module in (sht, operators, reduced_ode):
+        monkeypatch.setattr(module, "_scratch", recording)
+    return work
 
 
 def rand_field(N, seed, amplitude=1.0, decay=0.5, degrees=None):

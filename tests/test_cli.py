@@ -72,7 +72,7 @@ class TestFitRate:
 
     def test_zero_series_short_circuits(self):
         t = np.linspace(0.0, 1.0, 20)
-        fit = fit_rate(t, np.zeros_like(t), (0.0, 1.0), reference_rate=-5.0)
+        fit = fit_rate(t, np.zeros_like(t), (0.0, 1.0), reference_rate=-5.0, tolerance=0.05)
         assert fit["pass"] and fit["fitted_rate"] == -5.0
 
     def test_negative_values_are_a_data_error(self):
@@ -80,12 +80,12 @@ class TestFitRate:
         v = np.exp(-t)
         v[7] = -0.5
         with pytest.raises(ValueError, match="nonpositive"):
-            fit_rate(t, v, (0.0, 1.0), reference_rate=-1.0)
+            fit_rate(t, v, (0.0, 1.0), reference_rate=-1.0, tolerance=0.05)
 
     def test_window_needs_ten_samples(self):
         t = np.linspace(0.0, 1.0, 20)
         with pytest.raises(ValueError, match="10 samples"):
-            fit_rate(t, np.exp(-t), (0.0, 0.2), reference_rate=-1.0)
+            fit_rate(t, np.exp(-t), (0.0, 0.2), reference_rate=-1.0, tolerance=0.05)
 
     def test_poor_fit_fails(self):
         rng = np.random.default_rng(0)
@@ -113,7 +113,7 @@ class TestFitRate:
 
     def test_no_reference_reports_only(self):
         t = np.linspace(0.0, 1.0, 30)
-        fit = fit_rate(t, np.exp(-2.0 * t), (0.0, 1.0))
+        fit = fit_rate(t, np.exp(-2.0 * t), (0.0, 1.0), reference_rate=None, tolerance=0.05)
         assert fit["pass"] and fit["reference_rate"] is None
         assert fit["fitted_rate"] == pytest.approx(-2.0, abs=1e-9)
 

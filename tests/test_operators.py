@@ -78,7 +78,7 @@ def one_jet_rate(a):
 
 def perturbation_operator(omega):
     """cos(theta) d_phi (I + 6 Lap^{-1}) omega, read off the two-jet linear part at unit amplitude."""
-    return SpectralField(linear_part(omega.N, 1.0).apply(omega.coeffs) * (1.0 / TWO_JET_PREFACTOR))
+    return SpectralField(linear_part(omega.N, 1.0, 0.0).apply(omega.coeffs) * (1.0 / TWO_JET_PREFACTOR))
 
 
 def inv_lam(N):
@@ -263,7 +263,7 @@ class TestLinearPart:
         assert np.max(np.abs(part.diagonal - want)) <= 1e-15 * np.max(np.abs(want))
         assert not np.any(part.diagonal[1])  # degree 1 is static in co-rotating coefficients
         # The two-jet tables do not depend on Omega.
-        plain = linear_part(N, 0.9)
+        plain = linear_part(N, 0.9, 0.0)
         rotating = linear_part(N, 0.9, Omega)
         assert not np.any(plain.diagonal)
         assert np.array_equal(plain.down, rotating.down) and np.array_equal(plain.up, rotating.up)
@@ -277,7 +277,7 @@ class TestLinearPart:
     def test_a_sweep_keeps_a_bounded_cache(self):
         size = linear_part.cache_info().maxsize
         for amplitude in np.linspace(0.1, 2.0, 3 * size):
-            linear_part(8, float(amplitude))
+            linear_part(8, float(amplitude), 0.0)
         assert linear_part.cache_info().currsize == size
 
     def test_diagonal_terms_are_skew(self):
@@ -291,7 +291,7 @@ class TestLinearPart:
         u = rand_field(12, seed=33)
         for part in (linear_part(12, 0.0, one_jet_rate(1.3)), linear_part(12, 0.0, 1.1)):
             assert not np.any(part.apply(u.coeffs))
-        plain, rotating = linear_part(12, 0.9), linear_part(12, 0.9, 1.1)
+        plain, rotating = linear_part(12, 0.9, 0.0), linear_part(12, 0.9, 1.1)
         assert np.array_equal(plain.apply(u.coeffs), rotating.apply(u.coeffs))
 
     def test_two_jet_term_is_skew_only_in_the_weighted_product(self):
@@ -299,7 +299,7 @@ class TestLinearPart:
         # where the weight 1 - 6/(n(n+1)) is positive.
         N = 12
         u = rand_field(N, seed=32, decay=0.1, degrees=range(3, N + 1))
-        part = linear_part(N, 1.0)
+        part = linear_part(N, 1.0, 0.0)
         out = SpectralField(part.apply(u.coeffs))
         weighted = apply_degree_multiplier(u, 1.0 - 6.0 * inv_lam(N))
         plain = np.real(np.vdot(out.full_table(), u.full_table()))
@@ -374,13 +374,15 @@ class TestConvection:
         assert seen == {"real_synthesis": stacks, "real_analysis": [None]}
 
     @pytest.mark.parametrize("N", [16, 24])
-    def test_result_survives_the_next_call(self, N):
-        # The four sample sets live in one buffer per grid shape; the result does not.
+    def test_result_survives_the_next_call(self, N, scratch_arrays):
+        # The four sample sets live in one work array per grid shape; the result does not.
         grid = build_grid(N)
         first = convection(rand_field(N, seed=6), grid)
         kept = first.coeffs.copy()
         convection(rand_field(N, seed=7), grid)
         assert first.coeffs.tobytes() == kept.tobytes()
+        assert ("samples", (4, grid.n_theta, grid.n_phi), float) in scratch_arrays
+        assert not any(np.shares_memory(first.coeffs, array) for array in scratch_arrays.values())
 
     @pytest.mark.parametrize("N", [24, 48, 64])
     def test_fft_path_bitwise_equals_the_allocating_reference(self, N):

@@ -20,7 +20,7 @@ from sphkol.pde_solver import (
     run,
     run_with_coupling,
 )
-from sphkol.reduced_ode import build_system, frame_phases, propagate_forced, rotating_frame_params
+from sphkol.reduced_ode import MODE2_ORDER, build_system, frame_phases, propagate_forced, rotating_frame_params
 from sphkol.sht import SpectralField, random_real_field
 
 
@@ -696,7 +696,7 @@ class TestRun:
         sys = build_system(rotating_frame_params(KillingParams.from_field(omega0), Omega), 1.0, nu)
         dt_ode = 2.0 * (coupling.times[1] - coupling.times[0])
         traj = propagate_forced(sys, omega0.mode2_vector(), coupling.M, coupling.f, dt_ode, cfg.t_end)
-        final = records[-1].mode2 * np.conj(frame_phases(Omega, records[-1].t))  # co-rotating
+        final = records[-1].mode2 * np.conj(frame_phases(Omega, records[-1].t, MODE2_ORDER))  # co-rotating
         assert np.linalg.norm(traj[-1] - final) / np.linalg.norm(final) < 1e-5
 
     @pytest.mark.parametrize("a, seed", [(1.0, 303), (2.5, 71)])
@@ -851,7 +851,7 @@ class TestTrajectoryCsv:
     def test_format(self, grid8):
         cfg = two_jet_cfg(nu=0.5, t_end=0.2, snapshot_stride=20)
         recs = run(single(8, 3, 0, 0.01), cfg, grid8)
-        text = trajectory_csv(recs)
+        text = trajectory_csv(recs, None)
         assert "\r" not in text and text.endswith("\n")
         lines = text.splitlines()
         assert lines[0] == TRAJECTORY_HEADER

@@ -24,7 +24,6 @@ from sphkol.oracles import (
 from sphkol.reduced_ode import (
     COUPLING_CHUNK_BYTES,
     MODE2_ORDER,
-    _coupling_buffers,
     _coupling_gather,
     adjacent_degree_table,
     build_system,
@@ -292,6 +291,11 @@ class TestPropagateForced:
         assert np.array_equal(M, M_before)  # the caller's series is left as it was
 
 
+def gathered(scratch_arrays):
+    """The G work arrays extract_coupling asked sht._scratch for, one per chunk size."""
+    return [array for (role, _, _), array in scratch_arrays.items() if role == "G"]
+
+
 def operator_form_coupling(omega, amplitude):
     """(M, f) through np.pad and linear_part(...).apply on w_{>=3}, the form the degree-3 read must match bitwise."""
     N = omega.N
@@ -300,7 +304,7 @@ def operator_form_coupling(omega, amplitude):
     partner = N + 2 + mu[:, None] - np.arange(-N, N + 1)[None, :]
     G = adjacent_degree_table(N) * np.pad(w, ((0, 0), (2, 2)))[3:, partner]
     transport = np.einsum("nim,nm->i", G[1:], w[3:N])
-    f = SpectralField(linear_part(N, amplitude).apply(highpass(omega, 3).coeffs)).mode2_vector() - transport
+    f = SpectralField(linear_part(N, amplitude, 0.0).apply(highpass(omega, 3).coeffs)).mode2_vector() - transport
     return G[0][:, N + mu], f
 
 
@@ -314,7 +318,7 @@ class TestExtractCoupling:
             assert np.array_equal(M, M_ref) and np.array_equal(f, f_ref)
 
     @pytest.mark.parametrize("N", [2, 8, 16, 64])
-    def test_stack_equals_each_state(self, N):
+    def test_stack_equals_each_state(self, N, scratch_arrays):
         # At N = 16 and 64 a stack of 50 spans several chunks.
         for size in (1, 2, 7, 50):
             stack = np.array([rand_field(N, seed=500 + k, amplitude=(1.0, -2.5, 1e3)[k % 3]).coeffs
@@ -325,14 +329,16 @@ class TestExtractCoupling:
                 M_k, f_k = extract_coupling(stack[k], 1.3)
                 assert np.array_equal(M[k].view(np.uint64), M_k.view(np.uint64))
                 assert np.array_equal(f[k].view(np.uint64), f_k.view(np.uint64))
-        assert (len(_coupling_buffers(16)[1]), len(_coupling_buffers(64)[1])) == (21, 1)
+        assert [len(G) for G in gathered(scratch_arrays)] == {2: [], 8: [96], 16: [21], 64: [1]}[N]
 
     @pytest.mark.parametrize("N", [3, 16, 50, 51, 70, 71, 128])
-    def test_a_chunk_gathers_at_most_its_budget(self, N):
+    def test_a_chunk_gathers_at_most_its_budget(self, N, scratch_arrays):
         # G holds as many samples of the gather as fit the budget, or one
         # where a single one exceeds it (N >= 71).
+        extract_coupling(np.zeros((N + 1, N + 1), dtype=complex), 1.0)
+        (G,) = gathered(scratch_arrays)
         per_sample = _coupling_gather(N)[0].size * np.dtype(complex).itemsize
-        G = _coupling_buffers(N)[1]
+        assert G.shape[1:] == _coupling_gather(N)[0].shape
         assert G.nbytes == len(G) * per_sample <= max(COUPLING_CHUNK_BYTES, per_sample) < G.nbytes + per_sample
         assert (per_sample > COUPLING_CHUNK_BYTES) == (N >= 71)
 
@@ -369,7 +375,7 @@ class TestExtractCoupling:
         N = 12
         omega = rand_field(N, seed=71)
         want = f_degree3_term(omega, amplitude)
-        got = SpectralField(linear_part(N, amplitude).apply(highpass(omega, 3).coeffs)).mode2_vector()
+        got = SpectralField(linear_part(N, amplitude, 0.0).apply(highpass(omega, 3).coeffs)).mode2_vector()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         _, f = extract_coupling(omega.coeffs, amplitude)
         transport = convection(highpass(omega, 3), build_grid(N)).mode2_vector()

@@ -10,7 +10,7 @@ from sphkol.cli import run_manifest
 from sphkol.operators import KillingParams, linear_part
 from sphkol.oracles import frame_map, integrate, synthesize_complex
 from sphkol.pde_solver import SolverConfig, run
-from sphkol.reduced_ode import equilibrium_closed_form, frame_phases, rotating_frame_params
+from sphkol.reduced_ode import MODE2_ORDER, equilibrium_closed_form, frame_phases, rotating_frame_params
 from sphkol.sht import SpectralField, synthesize
 
 
@@ -33,7 +33,8 @@ def lab_state(state, Omega, t):
 
 def rotating_attractor(params, amplitude, nu, Omega, t):
     """The degree-2 attractor in a frame rotating at Omega at time t, composed as pde_solver.run composes it."""
-    return equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu) * frame_phases(Omega, t)
+    attractor = equilibrium_closed_form(rotating_frame_params(params, Omega), amplitude, nu)
+    return attractor * frame_phases(Omega, t, MODE2_ORDER)
 
 
 def run_in_frame(zeta0, cfg, grid, Omega):

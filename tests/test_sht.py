@@ -19,10 +19,12 @@ from conftest import (
 from refimpl import allocating_analysis, allocating_synthesis, ynm_reference
 from sphkol.cli import field_from_entries, load_field, save_field
 from sphkol.harmonics import build_grid
-from sphkol.operators import angular_derivatives
+from sphkol.operators import angular_derivatives, convection
 from sphkol import sht
 from sphkol.oracles import integrate, synthesize_complex, unit_table
+from sphkol.reduced_ode import extract_coupling
 from sphkol.sht import (
+    MATMUL_MAX_NPHI,
     GridField,
     MeanModeError,
     SpectralField,
@@ -322,7 +324,7 @@ class TestKernelsAtBenchmarkSizes:
 
 
 class TestSharedWorkArrays:
-    """The transforms reuse work arrays cached per degree and shape; no result reads or aliases them."""
+    """The transforms reuse work arrays cached per role, shape and dtype; no result reads or aliases them."""
 
     def test_lower_degree_synthesis_after_a_full_one(self):
         # A zero-padded degree-10 half, alone or stacked, reads nothing a full-degree call left in the spectra.
@@ -337,16 +339,8 @@ class TestSharedWorkArrays:
             assert all(field.tobytes() == want for field in real_synthesis(np.stack((low, low)), grid, table))
 
     @pytest.mark.parametrize("N", [16, 24, 64])
-    def test_synthesis_returns_a_new_array_or_out(self, N, monkeypatch):
+    def test_synthesis_returns_a_new_array_or_out(self, N, scratch_arrays):
         # N = 16 takes the matmul longitude stage, N = 24 and 64 the FFT.
-        work = []
-        cached = sht._scratch
-
-        def recorded(*key):
-            work.append(cached(*key))
-            return work[-1]
-
-        monkeypatch.setattr(sht, "_scratch", recorded)
         grid = build_grid(N)
         a, b, c = (random_real_field(N, np.random.default_rng(seed)).coeffs for seed in (3, 4, 5))
         first = real_synthesis(a, grid, grid.plm)
@@ -365,7 +359,23 @@ class TestSharedWorkArrays:
             out = np.empty_like(stacked)
             assert real_synthesis(np.stack((a, b, c)), grid, table, out) is out and out.tobytes() == singles.tobytes()
             assert not np.shares_memory(stacked, out)
-        assert work and not any(np.shares_memory(result, array) for result in results for array in work)
+        # Analysis, convection and the coupling extraction return no work array either, and
+        # once warm, repeated calls of every kernel add no work array to the cache.
+        kernels = (
+            lambda: [real_synthesis(c, grid, grid.plm), real_synthesis(np.stack((a, b)), grid, grid.dplm_dtheta)],
+            lambda: [real_analysis(first, grid).coeffs],
+            lambda: [convection(SpectralField(b), grid).coeffs],
+            lambda: list(extract_coupling(np.stack((a, b, c)), 1.3)),
+        )
+        for kernel in kernels:
+            results += kernel()
+        size = sht._scratch.cache_info().currsize
+        for kernel in kernels:
+            results += kernel()
+        assert sht._scratch.cache_info().currsize == size
+        roles = {"spectrum", "rows", "columns", "means", "samples", "padded", "G"}
+        assert {role for role, _, _ in scratch_arrays} == roles | ({"pair"} if grid.n_phi > MATMUL_MAX_NPHI else set())
+        assert not any(np.shares_memory(result, array) for result in results for array in scratch_arrays.values())
 
     def test_analysis_result_survives_the_next_call(self):
         grid = build_grid(24)
